@@ -1,9 +1,20 @@
+module L = Relalg.Lplan
+
 type key = { table : string; src : int list; dst : int list }
+
+(* Bound on the weight memo of one entry: a handful of CHEAPEST SUM
+   weight expressions per graph is the common case; each memoized vector
+   costs one word per CSR slot (an int array or an unboxed float array). *)
+let max_memo_weights = 4
 
 type entry = {
   version : int;
   runtime : Graph.Runtime.t;
   edges : Storage.Table.t;
+  mutable weights : (L.expr * Storage.Dtype.t * Graph.Runtime.aligned) list;
+      (* validated, CSR-aligned weight vectors, most recently used first;
+         valid for exactly this entry's version, since a new table version
+         replaces the whole entry *)
 }
 
 type t = {
@@ -62,7 +73,66 @@ let store t k ~version runtime edges =
   let k = normalise k in
   locked t (fun () ->
       if Hashtbl.mem t.enabled k then
-        Hashtbl.replace t.cache k { version; runtime; edges })
+        Hashtbl.replace t.cache k { version; runtime; edges; weights = [] })
+
+(* A weight expression may be memoized only when it reads nothing but the
+   edge table's row: a subquery reads tables whose versions the entry does
+   not track, and an outer column changes with the enclosing row. *)
+let rec memoizable (e : L.expr) =
+  match e.L.node with
+  | L.Const _ | L.Col _ -> true
+  | L.Bin (_, a, b) -> memoizable a && memoizable b
+  | L.Un (_, a) | L.Cast (a, _) -> memoizable a
+  | L.Case (arms, default) ->
+    List.for_all (fun (c, v) -> memoizable c && memoizable v) arms
+    && Option.fold ~none:true ~some:memoizable default
+  | L.Call (_, args) -> List.for_all memoizable args
+  | L.Is_null { arg; _ } -> memoizable arg
+  | L.In_list { arg; candidates; _ } ->
+    memoizable arg && List.for_all memoizable candidates
+  | L.Like { arg; pattern; _ } -> memoizable arg && memoizable pattern
+  | L.Outer_col _ | L.Agg_call _ | L.In_subquery _ | L.Subquery _
+  | L.Exists_sub _ | L.Subquery_corr _ | L.Exists_corr _
+  | L.In_subquery_corr _ ->
+    false
+
+(* The cached entry that holds [runtime], if it is still current: a new
+   table version replaces the whole entry, so an entry that still holds
+   [runtime] is at the version its memoized vectors were computed for. *)
+let entry_of t k runtime =
+  match Hashtbl.find_opt t.cache (normalise k) with
+  | Some e when e.runtime == runtime -> Some e
+  | _ -> None
+
+let same expr cost_ty (e, ty, _) =
+  Storage.Dtype.equal ty cost_ty && L.expr_equal e expr
+
+let find_weights t k runtime expr ~cost_ty =
+  if not (memoizable expr) then None
+  else
+    locked t (fun () ->
+        match entry_of t k runtime with
+        | None -> None
+        | Some e -> (
+          match List.find_opt (same expr cost_ty) e.weights with
+          | None -> None
+          | Some ((_, _, aligned) as hit) ->
+            e.weights <- hit :: List.filter (fun m -> m != hit) e.weights;
+            Some aligned))
+
+let store_weights t k runtime expr ~cost_ty aligned =
+  if memoizable expr then
+    locked t (fun () ->
+        match entry_of t k runtime with
+        | None -> ()
+        | Some e ->
+          let rest =
+            List.filter (fun m -> not (same expr cost_ty m)) e.weights
+          in
+          e.weights <-
+            List.filteri
+              (fun i _ -> i < max_memo_weights)
+              ((expr, cost_ty, aligned) :: rest))
 
 let keys t =
   locked t (fun () -> Hashtbl.fold (fun k () acc -> k :: acc) t.enabled [])

@@ -32,6 +32,47 @@ val lookup : t -> key -> version:int -> (Graph.Runtime.t * Storage.Table.t) opti
 val store :
   t -> key -> version:int -> Graph.Runtime.t -> Storage.Table.t -> unit
 
+(** {2 Weight memo}
+
+    A weighted [CHEAPEST SUM] over a cached graph needs its weight
+    expression evaluated over the edge table, validated and aligned to
+    CSR slots. That vector depends only on the expression and the edge
+    table version, so the entry holding the graph memoizes it: up to
+    {!max_memo_weights} vectors per entry, keyed by (expression under
+    {!Relalg.Lplan.expr_equal}, cost type), most recently used first.
+    Only expressions that read nothing but the current edge row are kept
+    (constants, columns, operators, CAST, CASE, builtins, IS NULL, IN
+    lists, LIKE): a subquery reads tables the entry's version does not
+    cover, and an outer column changes with the enclosing row. *)
+
+val max_memo_weights : int
+
+(** [find_weights t key runtime expr ~cost_ty] — the memoized vector for
+    [expr] at [cost_ty] on the entry of [key] that still holds [runtime];
+    [None] when absent, when [runtime] is no longer cached, or when
+    [expr] may not be memoized. *)
+val find_weights :
+  t ->
+  key ->
+  Graph.Runtime.t ->
+  Relalg.Lplan.expr ->
+  cost_ty:Storage.Dtype.t ->
+  Graph.Runtime.aligned option
+
+(** [store_weights t key runtime expr ~cost_ty aligned] — memoize a vector
+    computed (outside the lock) for [runtime]; dropped when the entry no
+    longer holds [runtime] (the table moved on meanwhile) or [expr] may
+    not be memoized. Evicts the least recently used vector past the
+    bound. *)
+val store_weights :
+  t ->
+  key ->
+  Graph.Runtime.t ->
+  Relalg.Lplan.expr ->
+  cost_ty:Storage.Dtype.t ->
+  Graph.Runtime.aligned ->
+  unit
+
 (** [keys t] — enabled keys, sorted by table name. *)
 val keys : t -> key list
 

@@ -773,7 +773,8 @@ and exec_sort ?outer ctx input keys =
 (* ------------------------------------------------------------------ *)
 
 (* Materialise the edge table and obtain a built graph, through the index
-   cache when one is enabled for this (table, S, D). *)
+   cache when one is enabled for this (table, S, D). The third component
+   is the index key when the graph is cached, for the weight memo. *)
 and obtain_graph ctx (op : L.graph_op) =
   let build edges =
     (* a last cancellation point before the long uncheckpointed
@@ -819,7 +820,7 @@ and obtain_graph ctx (op : L.graph_op) =
         ctx.st.index_hits <- ctx.st.index_hits + 1;
         note ctx "cache" "hit";
         describe rt;
-        (edges, rt)
+        (edges, rt, Some key)
       | None ->
         ctx.st.index_misses <- ctx.st.index_misses + 1;
         let edges = run ctx op.L.edge in
@@ -830,56 +831,80 @@ and obtain_graph ctx (op : L.graph_op) =
         Graph.Runtime.prepare_bidir rt;
         describe rt;
         Graph_index.store ctx.indices key ~version rt edges;
-        (edges, rt)
+        (edges, rt, Some key)
     end
     else begin
       let edges = run ctx op.L.edge in
       note ctx "cache" "off";
       let rt = build edges in
       describe rt;
-      (edges, rt)
+      (edges, rt, None)
     end)
   | _ ->
     let edges = run ctx op.L.edge in
     note ctx "cache" "off";
     let rt = build edges in
     describe rt;
-    (edges, rt)
+    (edges, rt, None)
 
 (* Evaluate and validate a CHEAPEST SUM weight expression over the whole
-   edge table (§2: strictly positive, so NULL is also rejected). *)
+   edge table (§2: strictly positive, so NULL is also rejected). The
+   validation reads the unboxed column; only an error boxes its cell. *)
 and eval_weights ctx edges (c : L.cheapest) =
   let col = eval_column ctx edges c.L.weight in
   let n = C.length col in
-  if Storage.Dtype.equal c.L.cost_ty Storage.Dtype.TFloat then begin
-    let w = Array.make n 0. in
-    for i = 0 to n - 1 do
-      match C.get col i with
-      | V.Float x when x > 0. -> w.(i) <- x
-      | V.Int x when x > 0 -> w.(i) <- float_of_int x
-      | v ->
-        raise
-          (Graph.Runtime.Weight_error
-             (Printf.sprintf
-                "CHEAPEST SUM weight must be > 0, got %s at edge row %d"
-                (V.to_display v) i))
-    done;
-    Graph.Runtime.Float_weights w
-  end
-  else begin
-    let w = Array.make n 0 in
-    for i = 0 to n - 1 do
-      match C.get col i with
-      | V.Int x when x > 0 -> w.(i) <- x
-      | v ->
-        raise
-          (Graph.Runtime.Weight_error
-             (Printf.sprintf
-                "CHEAPEST SUM weight must be > 0, got %s at edge row %d"
-                (V.to_display v) i))
-    done;
-    Graph.Runtime.Int_weights w
-  end
+  let nulls = C.null_flags col in
+  let bad i =
+    raise
+      (Graph.Runtime.Weight_error
+         (Printf.sprintf "CHEAPEST SUM weight must be > 0, got %s at edge row %d"
+            (V.to_display (C.get col i)) i))
+  in
+  let float_cost = Storage.Dtype.equal c.L.cost_ty Storage.Dtype.TFloat in
+  match C.raw_int col, C.raw_float col with
+  | Some a, _ when float_cost ->
+    Graph.Runtime.Float_weights
+      (Array.init n (fun i ->
+           if nulls.(i) || a.(i) <= 0 then bad i else float_of_int a.(i)))
+  | Some a, _ ->
+    Graph.Runtime.Int_weights
+      (Array.init n (fun i -> if nulls.(i) || a.(i) <= 0 then bad i else a.(i)))
+  | None, Some a when float_cost ->
+    Graph.Runtime.Float_weights
+      (Array.init n (fun i ->
+           if nulls.(i) || not (a.(i) > 0.) then bad i else a.(i)))
+  | _ ->
+    (* no other column type holds a valid weight: the first row is bad *)
+    if n > 0 then bad 0
+    else if float_cost then Graph.Runtime.Float_weights [||]
+    else Graph.Runtime.Int_weights [||]
+
+(* The validated, CSR-aligned weights of one CHEAPEST SUM: from the
+   graph-index memo when the graph is cached and the expression is
+   memoizable, otherwise evaluated (and then memoized when it can be). *)
+and cheapest_weights ctx rt edges cached (c : L.cheapest) =
+  let memo =
+    match cached with
+    | Some key ->
+      Graph_index.find_weights ctx.indices key rt c.L.weight
+        ~cost_ty:c.L.cost_ty
+    | None -> None
+  in
+  match memo with
+  | Some aligned ->
+    note ctx "weights" "memo";
+    aligned
+  | None ->
+    note ctx "weights" "eval";
+    let t0 = now () in
+    let aligned = Graph.Runtime.align_weights rt (eval_weights ctx edges c) in
+    note_ms ctx "weights_ms" (now () -. t0);
+    Option.iter
+      (fun key ->
+        Graph_index.store_weights ctx.indices key rt c.L.weight
+          ~cost_ty:c.L.cost_ty aligned)
+      cached;
+    aligned
 
 (* Is the weight the literal 1 (the unweighted case, computed by BFS)? *)
 and is_unweighted (c : L.cheapest) =
@@ -888,7 +913,7 @@ and is_unweighted (c : L.cheapest) =
   | _ -> false
 
 (* Shared tail of graph select/join: compute outcomes per cheapest. *)
-and run_cheapests ctx rt edges (op : L.graph_op) pairs =
+and run_cheapests ctx rt edges cached (op : L.graph_op) pairs =
   note ctx "pairs" (string_of_int (Array.length pairs));
   if ctx.domains > 1 then note ctx "domains" (string_of_int ctx.domains);
   let traverse f =
@@ -955,7 +980,7 @@ and run_cheapests ctx rt edges (op : L.graph_op) pairs =
         (fun c ->
           let weights =
             if is_unweighted c then Graph.Runtime.Unweighted
-            else eval_weights ctx edges c
+            else Graph.Runtime.Aligned (cheapest_weights ctx rt edges cached c)
           in
           ( c,
             traverse (fun () ->
@@ -1013,11 +1038,11 @@ and endpoint_values ?outer ctx t exprs =
 
 and exec_graph_select ?outer ctx input op schema =
   let t = run ?outer ctx input in
-  let edges, rt = obtain_graph ctx op in
+  let edges, rt, cached = obtain_graph ctx op in
   let xs = endpoint_values ?outer ctx t op.L.src_exprs in
   let ys = endpoint_values ?outer ctx t op.L.dst_exprs in
   let pairs = Array.init (T.nrows t) (fun i -> (xs.(i), ys.(i))) in
-  let reach, outcomes = run_cheapests ctx rt edges op pairs in
+  let reach, outcomes = run_cheapests ctx rt edges cached op pairs in
   let kept =
     Array.of_list
       (List.filter (fun i -> reach.(i)) (List.init (T.nrows t) Fun.id))
@@ -1033,7 +1058,7 @@ and exec_graph_select ?outer ctx input op schema =
 
 and exec_graph_join ?outer ctx left right op schema =
   let lt = run ?outer ctx left and rt_tbl = run ?outer ctx right in
-  let edges, grt = obtain_graph ctx op in
+  let edges, grt, cached = obtain_graph ctx op in
   let xs = endpoint_values ?outer ctx lt op.L.src_exprs in
   let ys = endpoint_values ?outer ctx rt_tbl op.L.dst_exprs in
   (* group row ids by key value, keeping first-appearance order *)
@@ -1057,7 +1082,7 @@ and exec_graph_join ?outer ctx left right op schema =
     Array.of_list
       (List.concat_map (fun x -> List.map (fun y -> (x, y)) yvals) xvals)
   in
-  let reach, outcomes = run_cheapests ctx grt edges op combos in
+  let reach, outcomes = run_cheapests ctx grt edges cached op combos in
   (* expand surviving (x, y) combos back to row pairs *)
   let lidx = ref [] and ridx = ref [] and combo_of_out = ref [] in
   Array.iteri

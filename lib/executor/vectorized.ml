@@ -51,9 +51,18 @@ let rec int_vec table (e : L.expr) : ivec option =
       done;
       Some { idata; inull }
     | _ -> None)
+  | L.Cast (a, D.TInt) -> (
+    (* Value.cast: INTEGER is the identity, FLOAT truncates toward zero *)
+    match int_vec table a with
+    | Some v -> Some v
+    | None -> (
+      match float_vec table a with
+      | Some { fdata; fnull } ->
+        Some { idata = Array.map int_of_float fdata; inull = fnull }
+      | None -> None))
   | _ -> None
 
-let rec float_vec table (e : L.expr) : fvec option =
+and float_vec table (e : L.expr) : fvec option =
   let n = Storage.Table.nrows table in
   match e.L.node with
   | L.Const (V.Float c) ->
@@ -91,6 +100,7 @@ let rec float_vec table (e : L.expr) : fvec option =
       done;
       Some { fdata; fnull }
     | _ -> None)
+  | L.Cast (a, D.TFloat) -> widen table a
   | _ -> None
 
 (* a float view of an int or float subexpression *)

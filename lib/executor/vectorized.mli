@@ -5,9 +5,11 @@
     per-row {!Storage.Value.t} boxing of the generic evaluator.
 
     Supported today: integer and float arithmetic ([+ - *]) over columns
-    and constants, comparisons between them, [AND]/[OR]/[NOT] over the
-    results, [IS NULL], and plain column/constant projection. Anything
-    else returns [None] and the caller falls back to {!Eval}. *)
+    and constants, [CAST] between INTEGER and FLOAT (truncating toward
+    zero, as {!Storage.Value.cast}), comparisons between them,
+    [AND]/[OR]/[NOT] over the results, [IS NULL], and plain
+    column/constant projection. Anything else returns [None] and the
+    caller falls back to {!Eval}. *)
 
 (** [eval_column ?check table e] — [Some column] when [e] is in the
     vectorizable subset; the result is pointwise identical (including NULL

@@ -20,12 +20,19 @@ let run_int ?(check = Cancel.none) (ws : Workspace.t) (csr : Csr.t) ~weights
   Workspace.next_epoch ws;
   let remaining = setup_targets ws targets in
   let early_exit = Array.length targets > 0 in
+  (* [extract] returns the payload and leaves its priority in [popped]:
+     with the workspace's reused radix heap the settle loop allocates
+     nothing *)
+  let popped = ref 0 in
   let insert, extract, heap_empty, heap_size =
     match heap with
     | Radix ->
-      let h = Radix_heap.create () in
+      let h = Workspace.radix_heap ws in
       ( (fun p v -> Radix_heap.insert h ~priority:p ~payload:v),
-        (fun () -> Radix_heap.extract_min h),
+        (fun () ->
+          let v = Radix_heap.extract_min h in
+          popped := Radix_heap.floor h;
+          v),
         (fun () -> Radix_heap.is_empty h),
         fun () -> Radix_heap.size h )
     | Binary ->
@@ -33,7 +40,8 @@ let run_int ?(check = Cancel.none) (ws : Workspace.t) (csr : Csr.t) ~weights
       ( (fun p v -> Binary_heap.insert h ~priority:(float_of_int p) ~payload:v),
         (fun () ->
           let p, v = Binary_heap.extract_min h in
-          (int_of_float p, v)),
+          popped := int_of_float p;
+          v),
         (fun () -> Binary_heap.is_empty h),
         fun () -> Binary_heap.size h )
   in
@@ -45,7 +53,8 @@ let run_int ?(check = Cancel.none) (ws : Workspace.t) (csr : Csr.t) ~weights
   insert 0 source;
   let finished = ref false in
   while (not !finished) && not (heap_empty ()) do
-    let d, u = extract () in
+    let u = extract () in
+    let d = !popped in
     Cancel.tick tk ~frontier:(heap_size ());
     (* Lazy deletion: skip entries made stale by a later relaxation. *)
     if d = ws.dist_int.(u) && Workspace.visited ws u then begin
@@ -56,20 +65,23 @@ let run_int ?(check = Cancel.none) (ws : Workspace.t) (csr : Csr.t) ~weights
         if early_exit && !remaining = 0 then finished := true
       end;
       if not !finished then
-        Csr.iter_out csr u (fun ~slot ~target ->
-            Workspace.note_edge ws;
-            let cand = d + weights.(slot) in
-            if
-              (not (Workspace.visited ws target))
-              || cand < ws.dist_int.(target)
-            then begin
-              Workspace.mark_visited ws target;
-              ws.dist_int.(target) <- cand;
-              ws.parent_vertex.(target) <- u;
-              ws.parent_slot.(target) <- slot;
-              insert cand target;
-              Workspace.note_frontier ws (heap_size ())
-            end)
+        (* a plain slot loop: no relaxation closure per settled vertex *)
+        for slot = csr.Csr.offsets.(u) to csr.Csr.offsets.(u + 1) - 1 do
+          let target = Ivec.get csr.Csr.targets slot in
+          Workspace.note_edge ws;
+          let cand = d + weights.(slot) in
+          if
+            (not (Workspace.visited ws target))
+            || cand < ws.dist_int.(target)
+          then begin
+            Workspace.mark_visited ws target;
+            ws.dist_int.(target) <- cand;
+            ws.parent_vertex.(target) <- u;
+            ws.parent_slot.(target) <- slot;
+            insert cand target;
+            Workspace.note_frontier ws (heap_size ())
+          end
+        done
     end
   done;
   Cancel.flush tk

@@ -18,9 +18,15 @@ val is_empty : t -> bool
 (** [insert t ~priority ~payload]. Priorities must be non-negative. *)
 val insert : t -> priority:int -> payload:int -> unit
 
-(** [extract_min t] removes and returns a minimum-priority entry as
-    [(priority, payload)]. Raises [Not_found] when empty. *)
-val extract_min : t -> int * int
+(** [extract_min t] removes a minimum-priority entry and returns its
+    payload; its priority is then {!floor}[ t]. Among equal priorities
+    the most recently inserted leaves first. Allocation-free once the
+    bucket buffers have grown. Raises [Not_found] when empty. *)
+val extract_min : t -> int
+
+(** [floor t] — the priority of the entry {!extract_min} last returned
+    (0 before the first extraction): no later insert may go below it. *)
+val floor : t -> int
 
 (** [clear t] empties the heap and resets the floor to 0. *)
 val clear : t -> unit

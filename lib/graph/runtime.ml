@@ -19,10 +19,13 @@ type build_stats = {
 type t = {
   dict : Vertex_dict.t;
   csr : Csr.t;
-  ws : Workspace.t;
+  totals : Workspace.t;
+      (* counters only: every batch runs on pooled workspaces and folds
+         their counters in here when it releases them *)
+  mu : Mutex.t;  (* guards [pool], [totals] and the sched_* counters *)
   stats : build_stats;
   mutable rev : Csr.t option;  (* reverse CSR, built on demand, kept *)
-  mutable pool : Workspace.t list;  (* spare workspaces for domains *)
+  mutable pool : Workspace.t list;  (* spare search workspaces *)
   mutable pool_hits : int;
   mutable pool_misses : int;
   (* Work-stealing scheduler observability (parallel batches only):
@@ -59,7 +62,8 @@ let build_multi ~src ~dst =
   {
     dict;
     csr;
-    ws = Workspace.create vertex_count;
+    totals = Workspace.create 0;
+    mu = Mutex.create ();
     stats =
       {
         dict_seconds = t1 -. t0;
@@ -91,33 +95,39 @@ let prepare_bidir t =
   match t.rev with None -> t.rev <- Some (Csr.reverse t.csr) | Some _ -> ()
 
 let has_bidir t = t.rev <> None
-let pool_stats t = (t.pool_hits, t.pool_misses)
+let pool_stats t = Mutex.protect t.mu (fun () -> (t.pool_hits, t.pool_misses))
 
-(* Workspace pool for parallel batches. Acquire/release happen only on the
-   coordinating thread — before Domain.spawn and after Domain.join — so no
-   lock is needed; the join provides the happens-before edge that makes
-   reading the domain's counter writes safe. Released workspaces first fold
-   their counters into the shared workspace, then reset, so a pooled
-   workspace always starts clean. *)
+(* Workspace pool. A runtime cached in the graph index is shared by every
+   session thread, so no search may run on a workspace another batch can
+   see: each batch (serial or parallel) takes private workspaces from the
+   pool and hands them back when it ends. Acquire/release happen on the
+   batch's coordinating thread — before Domain.spawn and after
+   Domain.join, whose happens-before edge makes reading the domain's
+   counter writes safe — under [t.mu] against concurrent batches.
+   Released workspaces first fold their counters into [t.totals], then
+   reset, so a pooled workspace always starts clean. *)
 let acquire_ws t =
-  match t.pool with
-  | ws :: rest ->
-    t.pool <- rest;
-    t.pool_hits <- t.pool_hits + 1;
-    ws
-  | [] ->
-    t.pool_misses <- t.pool_misses + 1;
-    Workspace.create t.stats.vertex_count
+  Mutex.protect t.mu (fun () ->
+      match t.pool with
+      | ws :: rest ->
+        t.pool <- rest;
+        t.pool_hits <- t.pool_hits + 1;
+        ws
+      | [] ->
+        t.pool_misses <- t.pool_misses + 1;
+        Workspace.create t.stats.vertex_count)
 
 let release_ws t ws =
-  Workspace.absorb_counters ~into:t.ws ws;
-  Workspace.reset_counters ws;
-  t.pool <- ws :: t.pool
+  Mutex.protect t.mu (fun () ->
+      Workspace.absorb_counters ~into:t.totals ws;
+      Workspace.reset_counters ws;
+      t.pool <- ws :: t.pool)
 
-(* Cumulative traversal counters live on the shared workspace; parallel
-   runs absorb their private workspaces back into it, so a snapshot
-   before/after any batch yields a per-batch delta. *)
-let traversal_counters t = Workspace.snapshot_counters t.ws
+(* Cumulative traversal counters live in [t.totals]; every batch absorbs
+   its workspaces back into it, so a snapshot before/after any batch
+   yields a per-batch delta. *)
+let traversal_counters t =
+  Mutex.protect t.mu (fun () -> Workspace.snapshot_counters t.totals)
 
 type sched_counters = {
   sc_tasks : int;
@@ -128,18 +138,25 @@ type sched_counters = {
 }
 
 let sched_counters t =
-  {
-    sc_tasks = t.sched_tasks;
-    sc_steals = t.sched_steals;
-    sc_splits = t.sched_splits;
-    sc_workers = t.sched_workers;
-    sc_imbalance_pct = t.sched_imbalance;
-  }
+  Mutex.protect t.mu (fun () ->
+      {
+        sc_tasks = t.sched_tasks;
+        sc_steals = t.sched_steals;
+        sc_splits = t.sched_splits;
+        sc_workers = t.sched_workers;
+        sc_imbalance_pct = t.sched_imbalance;
+      })
+
+type slot_weights = [ `None | `Int of int array | `Float of float array ]
+
+(* [owner] is the CSR whose slot order [slot_w] follows. *)
+type aligned = { owner : Csr.t; slot_w : slot_weights }
 
 type weights =
   | Unweighted
   | Int_weights of int array
   | Float_weights of float array
+  | Aligned of aligned
 
 type engine = [ `Auto | `Scalar | `Batched ]
 
@@ -172,6 +189,16 @@ let slot_weights_float t per_row =
                 "edge weight must be > 0, got %g at edge-table row %d" w
                 (Ivec.get rows slot)));
       w)
+
+let align_weights t = function
+  | Aligned a when a.owner == t.csr -> a
+  | Aligned _ ->
+    invalid_arg "Runtime.align_weights: weights aligned for another graph"
+  | Unweighted -> { owner = t.csr; slot_w = `None }
+  | Int_weights per_row ->
+    { owner = t.csr; slot_w = `Int (slot_weights_int t per_row) }
+  | Float_weights per_row ->
+    { owner = t.csr; slot_w = `Float (slot_weights_float t per_row) }
 
 (* Group pair indices by encoded source id so each distinct source runs a
    single traversal. Pairs with a non-vertex endpoint resolve immediately
@@ -361,11 +388,12 @@ let run_sched t ~slot_w ~heap ~check ~rev ~out ~domains ~oversubscribe
       ~finally:(fun () -> Array.iter (release_ws t) wss)
       (fun () -> Sched.run ~around ~workers ~tasks ~exec ())
   in
-  t.sched_tasks <- t.sched_tasks + stats.Sched.tasks;
-  t.sched_steals <- t.sched_steals + stats.Sched.steals;
-  t.sched_splits <- t.sched_splits + stats.Sched.splits;
-  t.sched_workers <- stats.Sched.workers;
-  t.sched_imbalance <- Sched.imbalance_pct stats
+  Mutex.protect t.mu (fun () ->
+      t.sched_tasks <- t.sched_tasks + stats.Sched.tasks;
+      t.sched_steals <- t.sched_steals + stats.Sched.steals;
+      t.sched_splits <- t.sched_splits + stats.Sched.splits;
+      t.sched_workers <- stats.Sched.workers;
+      t.sched_imbalance <- Sched.imbalance_pct stats)
 
 let run_pairs t ~weights ?(heap = Dijkstra.Radix) ?(domains = 1)
     ?(check = Cancel.none) ?(engine = `Auto) ?(oversubscribe = false) ~pairs
@@ -374,13 +402,9 @@ let run_pairs t ~weights ?(heap = Dijkstra.Radix) ?(domains = 1)
   (* searches/settled/edges accumulate across batches (delta-friendly);
      the peak frontier restarts per batch so callers can attribute an
      exact per-batch peak. *)
-  (Workspace.counters t.ws).Workspace.peak_frontier <- 0;
-  let slot_w =
-    match weights with
-    | Unweighted -> `None
-    | Int_weights per_row -> `Int (slot_weights_int t per_row)
-    | Float_weights per_row -> `Float (slot_weights_float t per_row)
-  in
+  Mutex.protect t.mu (fun () ->
+      (Workspace.counters t.totals).Workspace.peak_frontier <- 0);
+  let slot_w = (align_weights t weights).slot_w in
   let encoded = encode_pairs t pairs in
   let alias = dedup_pairs encoded in
   let groups = group_by_source encoded alias in
@@ -405,12 +429,14 @@ let run_pairs t ~weights ?(heap = Dijkstra.Radix) ?(domains = 1)
     | _ -> false
   in
   let rev = t.rev in
-  let run_chunk ws chunk =
-    if batched then run_batched t ~check ~rev ~out ws chunk
-    else List.iter (run_scalar_group t ~slot_w ~heap ~check ~rev ~out ws) chunk
-  in
-  if domains <= 1 || List.length group_list <= 1 then
-    run_chunk t.ws group_list
+  if domains <= 1 || List.length group_list <= 1 then begin
+    let ws = acquire_ws t in
+    Fun.protect ~finally:(fun () -> release_ws t ws) @@ fun () ->
+    if batched then run_batched t ~check ~rev ~out ws group_list
+    else
+      List.iter (run_scalar_group t ~slot_w ~heap ~check ~rev ~out ws)
+        group_list
+  end
   else
     (* §6's parallelism, scheduled by work stealing: the CSR and weights
        are shared read-only, every worker owns a private (pooled)

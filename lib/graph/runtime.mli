@@ -51,9 +51,11 @@ val prepare_bidir : t -> unit
 
 val has_bidir : t -> bool
 
-(** [pool_stats t] — [(hits, misses)] of the workspace pool used by
-    parallel batches: a hit reuses a workspace released by an earlier
-    batch, a miss allocates a fresh one. *)
+(** [pool_stats t] — [(hits, misses)] of the workspace pool every batch
+    draws its search workspaces from (one per worker): a hit reuses a
+    workspace released by an earlier batch, a miss allocates a fresh one.
+    Batches never share a workspace, so concurrent {!run_pairs} calls on
+    one runtime (sessions sharing a cached graph) are safe. *)
 val pool_stats : t -> int * int
 
 (** [traversal_counters t] — a snapshot of the cumulative traversal
@@ -81,13 +83,27 @@ type sched_counters = {
 
 val sched_counters : t -> sched_counters
 
+(** Edge weights validated and re-aligned to one runtime's CSR slots —
+    see {!align_weights}. *)
+type aligned
+
 (** Edge weights, indexed by *edge-table row* (the runtime re-aligns them
     to CSR slots internally). [Unweighted] is the paper's
-    [CHEAPEST SUM(1)]: BFS, cost = hop count. *)
+    [CHEAPEST SUM(1)]: BFS, cost = hop count. [Aligned] passes weights
+    already through {!align_weights} for this runtime, so a cached graph
+    can reuse them across batches. *)
 type weights =
   | Unweighted
   | Int_weights of int array
   | Float_weights of float array
+  | Aligned of aligned
+
+(** [align_weights t w] validates [w] over every edge that made it into
+    [t]'s graph and re-aligns it to CSR slots — the step {!run_pairs}
+    takes before any traversal. An [Aligned] value is returned as is when
+    it was aligned for [t]. Raises {!Weight_error} on an invalid weight,
+    [Invalid_argument] for weights aligned for another runtime. *)
+val align_weights : t -> weights -> aligned
 
 (** Traversal engine selection for {!run_pairs}. [`Auto] (the default)
     answers unweighted batches with more than one distinct source through
@@ -137,7 +153,8 @@ type outcome =
     their next task boundary, resurfacing after the join.
 
     Raises {!Weight_error} on invalid weights (checked for every edge that
-    participates in the graph, before any traversal). *)
+    participates in the graph, before any traversal, by
+    {!align_weights}). *)
 val run_pairs :
   t ->
   weights:weights ->

@@ -41,6 +41,7 @@ type t = {
   counters : counters;
   vertex_count : int;
   mutable batch : batch option;
+  mutable radix : Radix_heap.t option;
 }
 
 let fresh_counters () =
@@ -66,6 +67,7 @@ let create vertex_count =
     counters = fresh_counters ();
     vertex_count = n;
     batch = None;
+    radix = None;
   }
 
 let vertex_count t = t.vertex_count
@@ -96,6 +98,18 @@ let batch_state t =
     in
     t.batch <- Some b;
     b
+
+(* Likewise the radix heap: its bucket buffers grow to the largest
+   frontier once, and every later Dijkstra on this workspace reuses them. *)
+let radix_heap t =
+  match t.radix with
+  | Some h ->
+    Radix_heap.clear h;
+    h
+  | None ->
+    let h = Radix_heap.create () in
+    t.radix <- Some h;
+    h
 
 let reset_batch b =
   let n = Array.length b.seen in

@@ -59,6 +59,7 @@ type t = {
   counters : counters;
   vertex_count : int;
   mutable batch : batch option;
+  mutable radix : Radix_heap.t option;
 }
 
 (** [create vertex_count]. *)
@@ -69,6 +70,11 @@ val vertex_count : t -> int
 (** [batch_state t] — the batch scratch, allocated on first use and
     reused afterwards. Call {!reset_batch} before starting a wave. *)
 val batch_state : t -> batch
+
+(** [radix_heap t] — an empty radix heap for integer-weight Dijkstra,
+    allocated on first use; later calls clear and return the same heap,
+    so its bucket buffers are reused across searches. *)
+val radix_heap : t -> Radix_heap.t
 
 (** [reset_batch b] zeroes every mask, clears the record pool. O(V). *)
 val reset_batch : batch -> unit

@@ -588,6 +588,63 @@ let prop_vectorized_matches_scalar =
         in
         Storage.Column.equal fast slow)
 
+(* CAST between INTEGER and FLOAT, vectorized: float -> int truncates
+   toward zero, int -> float widens, NULL propagates — over columns with
+   NULLs, negative fractions and magnitudes far past the small-int range.
+   Every expression here is in the vectorizable subset, so a [None] from
+   the fast path is itself a failure. *)
+let gen_cast_row =
+  let open QCheck.Gen in
+  pair
+    (frequency
+       [
+         (1, return V.Null);
+         (3, map (fun i -> V.Int i) (int_range (-1000) 1000));
+         (2, map (fun i -> V.Int (i * 4_000_000_000)) (int_range (-1_000_000) 1_000_000));
+       ])
+    (frequency
+       [
+         (1, return V.Null);
+         (3, map (fun f -> V.Float f) (float_range (-1.) 1.));
+         (3, map (fun f -> V.Float f) (float_range (-1000.) 1000.));
+         (2, map (fun f -> V.Float f) (float_range (-1e15) 1e15));
+         (1, map (fun i -> V.Float (float_of_int i)) (int_range (-9) 9));
+       ])
+
+let cast_exprs =
+  [
+    "CAST(f AS INTEGER)"; "CAST(i AS FLOAT)"; "CAST(f * 100 AS INTEGER)";
+    "CAST(i AS FLOAT) * f"; "CAST(CAST(f AS INTEGER) AS FLOAT)";
+    "CAST(i AS INTEGER) - 3"; "CAST(f + i AS INTEGER)";
+    "CAST(CAST(i AS FLOAT) * 0.5 AS INTEGER)"; "CAST(f AS FLOAT) + 1";
+  ]
+
+let prop_vectorized_cast_matches_scalar =
+  QCheck.Test.make ~name:"vectorized CAST INTEGER/FLOAT = row-at-a-time"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         pair (list_size (int_range 0 40) gen_cast_row) (oneofl cast_exprs)))
+    (fun (rws, sql) ->
+      let table =
+        Storage.Table.of_rows
+          (Storage.Schema.of_pairs
+             [ ("i", Storage.Dtype.TInt); ("f", Storage.Dtype.TFloat) ])
+          (List.map (fun (i, f) -> [ i; f ]) rws)
+      in
+      let bound =
+        Relalg.Binder.bind_over_table ~catalog:(Storage.Catalog.create ())
+          ~params:[||] ~schema:(Storage.Table.schema table)
+          (Sql.Parser.parse_expr sql)
+      in
+      match Executor.Vectorized.eval_column table bound with
+      | None -> QCheck.Test.fail_reportf "%s was not vectorized" sql
+      | Some fast ->
+        Storage.Column.equal fast
+          (Executor.Eval.eval_column
+             ~run_subplan:(fun _ -> Alcotest.fail "unexpected subquery")
+             table bound))
+
 let () =
   Alcotest.run "differential"
     [
@@ -608,5 +665,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_csv_roundtrip;
         ] );
       ( "vectorized",
-        [ QCheck_alcotest.to_alcotest prop_vectorized_matches_scalar ] );
+        [
+          QCheck_alcotest.to_alcotest prop_vectorized_matches_scalar;
+          QCheck_alcotest.to_alcotest prop_vectorized_cast_matches_scalar;
+        ] );
     ]

@@ -555,6 +555,140 @@ let test_graph_index_unknown_table () =
   | Error (Sqlgraph.Error.Bind_error _) -> ()
   | _ -> Alcotest.fail "expected bind error"
 
+(* The weight memo: a weighted CHEAPEST on a cached graph reuses the
+   validated, CSR-aligned weights stored on the index entry. None of these
+   may ever see a stale or another expression's vector. *)
+let memo_db () =
+  let db = Sqlgraph.Db.create () in
+  let e sql = ignore (Sqlgraph.Db.exec_exn db sql) in
+  e "CREATE TABLE e (a INTEGER, b INTEGER, w INTEGER)";
+  e "INSERT INTO e VALUES (1, 2, 5), (2, 3, 5), (1, 3, 20)";
+  e "CREATE TABLE cfg (k INTEGER)";
+  e "INSERT INTO cfg VALUES (1)";
+  (match Sqlgraph.Db.create_graph_index db ~table:"e" ~src:"a" ~dst:"b" with
+  | Ok () -> ()
+  | Error err -> Alcotest.failf "index: %s" (Sqlgraph.Error.to_string err));
+  db
+
+let cheapest_sql weights =
+  Printf.sprintf "SELECT %s WHERE 1 REACHES 3 OVER e x EDGE (a, b)"
+    (String.concat ", "
+       (List.mapi
+          (fun i w -> Printf.sprintf "CHEAPEST SUM(x: %s) AS c%d" w i)
+          weights))
+
+let costs db weights =
+  match rows db (cheapest_sql weights) with
+  | [ r ] -> r
+  | rs -> Alcotest.failf "expected one row, got %d" (List.length rs)
+
+let tvalues = Alcotest.list (Alcotest.testable V.pp V.equal)
+
+let test_weight_memo_sees_edge_dml () =
+  let db = memo_db () in
+  let e sql = ignore (Sqlgraph.Db.exec_exn db sql) in
+  check tvalues "first (evaluated)" [ V.Int 10 ] (costs db [ "x.w" ]);
+  check tvalues "second (memoized)" [ V.Int 10 ] (costs db [ "x.w" ]);
+  check tint "second run reused the graph" 1
+    (Option.get (Sqlgraph.Db.last_stats db)).Executor.Interp.graphs_reused;
+  e "INSERT INTO e VALUES (1, 4, 1), (4, 3, 2)";
+  check tvalues "after INSERT" [ V.Int 3 ] (costs db [ "x.w" ]);
+  e "UPDATE e SET w = 1 WHERE a = 1 AND b = 3";
+  check tvalues "after UPDATE" [ V.Int 1 ] (costs db [ "x.w" ]);
+  check tvalues "after UPDATE, memoized" [ V.Int 1 ] (costs db [ "x.w" ])
+
+let test_weight_memo_skips_subqueries () =
+  let db = memo_db () in
+  let w = "x.w * (SELECT k FROM cfg)" in
+  check tvalues "k = 1" [ V.Int 10 ] (costs db [ w ]);
+  ignore (Sqlgraph.Db.exec_exn db "UPDATE cfg SET k = 3");
+  (* cfg moved, e did not: the cached graph is still current, so only
+     never memoizing the subquery weight keeps this answer right *)
+  check tvalues "k = 3" [ V.Int 30 ] (costs db [ w ]);
+  check tint "same cached graph" 1
+    (Option.get (Sqlgraph.Db.last_stats db)).Executor.Interp.graphs_reused
+
+let test_weight_memo_never_stores_invalid () =
+  let db = memo_db () in
+  let fails () =
+    match Sqlgraph.Db.query db (cheapest_sql [ "x.w" ]) with
+    | Error err -> Sqlgraph.Error.to_string err
+    | Ok _ -> Alcotest.fail "expected a weight error"
+  in
+  List.iter
+    (fun (dml, what) ->
+      ignore (Sqlgraph.Db.exec_exn db dml);
+      let first = fails () in
+      check tbool (what ^ ": weight error") true
+        (Astring.String.is_infix ~affix:"must be > 0" first);
+      check Alcotest.string (what ^ ": same error again") first (fails ()))
+    [
+      ("INSERT INTO e VALUES (5, 6, 0)", "zero");
+      ("UPDATE e SET w = NULL WHERE a = 5", "NULL");
+    ];
+  ignore (Sqlgraph.Db.exec_exn db "DELETE FROM e WHERE a = 5");
+  check tvalues "valid again" [ V.Int 10 ] (costs db [ "x.w" ])
+
+let test_weight_memo_keeps_expressions_apart () =
+  let db = memo_db () in
+  let weights = [ "x.w"; "x.w * 3"; "x.w * 0.5"; "x.w + 100" ] in
+  let want = [ V.Int 10; V.Int 30; V.Float 5.; V.Int 120 ] in
+  check tvalues "one query, four weights" want (costs db weights);
+  check tvalues "again, all memoized" want (costs db weights);
+  List.iter2
+    (fun w c -> check tvalues ("alone: " ^ w) [ c ] (costs db [ w ]))
+    (List.rev weights) (List.rev want)
+
+(* The memo at its own interface: one expression at two cost types keeps
+   two vectors, and the bound evicts the least recently used. *)
+let test_weight_memo_keys_and_bound () =
+  let db = memo_db () in
+  ignore (costs db [ "1" ]);
+  let idx = Sqlgraph.Db.indices db in
+  let key = { Executor.Graph_index.table = "e"; src = [ 0 ]; dst = [ 1 ] } in
+  let version =
+    Option.value (Storage.Catalog.version (Sqlgraph.Db.catalog db) "e") ~default:0
+  in
+  let rt, _ = Option.get (Executor.Graph_index.lookup idx key ~version) in
+  let int_ty = Storage.Dtype.TInt and float_ty = Storage.Dtype.TFloat in
+  let expr k = Relalg.Lplan.const (V.Int k) int_ty in
+  let aligned w = Graph.Runtime.align_weights rt w in
+  let ints k = aligned (Graph.Runtime.Int_weights [| k; k; k |]) in
+  let find k ty =
+    Executor.Graph_index.find_weights idx key rt (expr k) ~cost_ty:ty
+  in
+  let store k ty a =
+    Executor.Graph_index.store_weights idx key rt (expr k) ~cost_ty:ty a
+  in
+  let a_int = ints 1
+  and a_float = aligned (Graph.Runtime.Float_weights [| 0.5; 0.5; 0.5 |]) in
+  store 1 int_ty a_int;
+  store 1 float_ty a_float;
+  check tbool "float entry" true (Option.get (find 1 float_ty) == a_float);
+  check tbool "int entry is its own" true (Option.get (find 1 int_ty) == a_int);
+  (* four more expressions; touching 1 at int cost keeps it recent *)
+  List.iter
+    (fun k ->
+      store k int_ty (ints k);
+      ignore (find 1 int_ty))
+    [ 2; 3; 4; 5 ];
+  check tint "bound" 4 Executor.Graph_index.max_memo_weights;
+  check tbool "recently used survives" true (find 1 int_ty <> None);
+  check tbool "least recently used evicted" true (find 1 float_ty = None);
+  check tbool "oldest distinct expression evicted" true (find 2 int_ty = None);
+  check tbool "newest present" true (find 5 int_ty <> None);
+  (* a subquery or outer column reads more than the edge row: never kept *)
+  List.iter
+    (fun (what, node) ->
+      let e = { Relalg.Lplan.node; ty = int_ty } in
+      Executor.Graph_index.store_weights idx key rt e ~cost_ty:int_ty a_int;
+      check tbool (what ^ " not memoized") true
+        (Executor.Graph_index.find_weights idx key rt e ~cost_ty:int_ty = None))
+    [
+      ("subquery", Relalg.Lplan.Subquery Relalg.Lplan.One);
+      ("outer column", Relalg.Lplan.Outer_col 0);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Optimizer ablation equivalence                                      *)
 (* ------------------------------------------------------------------ *)
@@ -704,6 +838,16 @@ let () =
         [
           Alcotest.test_case "reuse and invalidation" `Quick test_graph_index_reuse_and_invalidation;
           Alcotest.test_case "unknown table" `Quick test_graph_index_unknown_table;
+          Alcotest.test_case "weight memo sees edge DML" `Quick
+            test_weight_memo_sees_edge_dml;
+          Alcotest.test_case "weight memo skips subqueries" `Quick
+            test_weight_memo_skips_subqueries;
+          Alcotest.test_case "weight memo never stores invalid" `Quick
+            test_weight_memo_never_stores_invalid;
+          Alcotest.test_case "weight memo keeps expressions apart" `Quick
+            test_weight_memo_keeps_expressions_apart;
+          Alcotest.test_case "weight memo keys and bound" `Quick
+            test_weight_memo_keys_and_bound;
         ] );
       ( "optimizer",
         [

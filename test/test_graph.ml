@@ -142,6 +142,11 @@ let prop_csr_degree_sum =
 (* Heaps                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* [extract_min] returns the payload; its priority is the new floor *)
+let radix_pop h =
+  let payload = Graph.Radix_heap.extract_min h in
+  (Graph.Radix_heap.floor h, payload)
+
 let test_radix_heap_basics () =
   let h = Graph.Radix_heap.create () in
   check tbool "empty" true (Graph.Radix_heap.is_empty h);
@@ -149,12 +154,12 @@ let test_radix_heap_basics () =
   Graph.Radix_heap.insert h ~priority:1 ~payload:10;
   Graph.Radix_heap.insert h ~priority:3 ~payload:30;
   check tint "size" 3 (Graph.Radix_heap.size h);
-  check tbool "min 1" true (Graph.Radix_heap.extract_min h = (1, 10));
+  check tbool "min 1" true (radix_pop h = (1, 10));
   (* monotone inserts above the floor are fine *)
   Graph.Radix_heap.insert h ~priority:2 ~payload:20;
-  check tbool "min 2" true (Graph.Radix_heap.extract_min h = (2, 20));
-  check tbool "min 3" true (Graph.Radix_heap.extract_min h = (3, 30));
-  check tbool "min 5" true (Graph.Radix_heap.extract_min h = (5, 50));
+  check tbool "min 2" true (radix_pop h = (2, 20));
+  check tbool "min 3" true (radix_pop h = (3, 30));
+  check tbool "min 5" true (radix_pop h = (5, 50));
   check tbool "empty again" true (Graph.Radix_heap.is_empty h)
 
 let test_radix_heap_monotonicity () =
@@ -172,14 +177,14 @@ let test_radix_heap_duplicates_and_clear () =
   let h = Graph.Radix_heap.create () in
   Graph.Radix_heap.insert h ~priority:4 ~payload:1;
   Graph.Radix_heap.insert h ~priority:4 ~payload:2;
-  let p1, _ = Graph.Radix_heap.extract_min h in
-  let p2, _ = Graph.Radix_heap.extract_min h in
+  let p1, _ = radix_pop h in
+  let p2, _ = radix_pop h in
   check tbool "both fours" true (p1 = 4 && p2 = 4);
   Graph.Radix_heap.insert h ~priority:7 ~payload:3;
   Graph.Radix_heap.clear h;
   check tbool "cleared" true (Graph.Radix_heap.is_empty h);
   Graph.Radix_heap.insert h ~priority:0 ~payload:9;
-  check tbool "usable after clear" true (Graph.Radix_heap.extract_min h = (0, 9))
+  check tbool "usable after clear" true (radix_pop h = (0, 9))
 
 let test_radix_heap_empty_extract () =
   let h = Graph.Radix_heap.create () in
@@ -198,7 +203,7 @@ let prop_radix_heap_sorted =
       List.iter (fun p -> Graph.Radix_heap.insert h ~priority:p ~payload:p) sorted_in;
       let rec drain acc =
         if Graph.Radix_heap.is_empty h then List.rev acc
-        else drain (fst (Graph.Radix_heap.extract_min h) :: acc)
+        else drain (fst (radix_pop h) :: acc)
       in
       drain [] = sorted_in)
 
@@ -218,7 +223,7 @@ let prop_radix_heap_interleaved =
           Graph.Radix_heap.insert h ~priority:p ~payload:i;
           model := List.sort compare (p :: !model);
           if i mod 3 = 2 then begin
-            let got, _ = Graph.Radix_heap.extract_min h in
+            let got, _ = radix_pop h in
             (match !model with
             | m :: rest ->
               if got <> m then ok := false;

@@ -566,7 +566,138 @@ let test_phase_times_sum () =
       (s.Executor.Interp.graph_build_seconds >= 0.
       && s.Executor.Interp.graph_traverse_seconds >= 0.
       && s.Executor.Interp.trav_searches >= 1
-      && s.Executor.Interp.trav_settled >= 1)
+      && s.Executor.Interp.trav_settled >= 1);
+    (* on a cached graph the weights are evaluated once, then memoized *)
+    (match Sqlgraph.Db.create_graph_index db ~table:"e" ~src:"a" ~dst:"b" with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "index: %s" (Sqlgraph.Error.to_string e));
+    let weighted () =
+      match
+        Sqlgraph.Db.exec_exn db
+          "EXPLAIN ANALYZE SELECT CHEAPEST SUM(x: w * 2) WHERE 1 REACHES 3 \
+           OVER e x EDGE (a, b)"
+      with
+      | Sqlgraph.Db.Explained out -> out
+      | _ -> Alcotest.fail "expected Explained"
+    in
+    let first = weighted () in
+    Alcotest.(check bool)
+      "first weighted run evaluates" true
+      (Astring.String.is_infix ~affix:"weights=eval" first
+      && Astring.String.is_infix ~affix:"weights_ms=" first);
+    let second = weighted () in
+    Alcotest.(check bool)
+      "second weighted run reads the memo" true
+      (Astring.String.is_infix ~affix:"weights=memo" second
+      && not (Astring.String.is_infix ~affix:"weights_ms=" second))
+
+(* ------------------------------------------------------------------ *)
+(* Weight memo vs a fresh database                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Between queries on an indexed edge table, random INSERT / UPDATE /
+   DELETE of edges. Every (cost, path) read through the cached graph —
+   evaluated, then memoized on a repeat — must be byte-identical to the
+   same query on a fresh database holding the same rows and no index. *)
+type memo_step =
+  | Query of int * int * int  (** source, destination, weight expression *)
+  | Insert of edge
+  | Reweight of int * int  (** row selector, new weight *)
+  | Delete of int  (** row selector *)
+
+let memo_weights =
+  [|
+    "x.w"; "x.w * 2 + 1"; "CAST(x.w AS FLOAT) * 0.5";
+    "CASE WHEN x.w > 4 THEN x.w ELSE 5 END";
+  |]
+
+let gen_memo_step =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          map3
+            (fun s d k -> Query (s, d, k))
+            (int_range 1 8) (int_range 1 8)
+            (int_range 0 (Array.length memo_weights - 1)) );
+        (1, map (fun e -> Insert e) gen_edge);
+        (1, map2 (fun r w -> Reweight (r, w)) nat (int_range 1 9));
+        (1, map (fun r -> Delete r) nat);
+      ])
+
+let prop_weight_memo_matches_fresh_db =
+  QCheck.Test.make
+    ~name:"weight memo: (cost, path) = fresh database, across edge DML"
+    ~count:100
+    (QCheck.make
+       QCheck.Gen.(pair gen_edges (list_size (int_range 1 12) gen_memo_step)))
+    (fun (edges, steps) ->
+      let schema =
+        Storage.Schema.of_pairs
+          [
+            ("id", Storage.Dtype.TInt); ("a", Storage.Dtype.TInt);
+            ("b", Storage.Dtype.TInt); ("w", Storage.Dtype.TInt);
+          ]
+      in
+      let table =
+        Storage.Table.of_rows schema
+          (List.mapi
+             (fun i e -> [ V.Int i; V.Int e.src; V.Int e.dst; V.Int e.w ])
+             edges)
+      in
+      let db = Sqlgraph.Db.create () in
+      Sqlgraph.Db.load_table db ~name:"e" table;
+      (match Sqlgraph.Db.create_graph_index db ~table:"e" ~src:"a" ~dst:"b" with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "index: %s" (Sqlgraph.Error.to_string e));
+      let next_id = ref (List.length edges) in
+      let exec sql = ignore (Sqlgraph.Db.exec_exn db sql) in
+      (* an existing id (or none when the table is empty) *)
+      let pick r =
+        match Sqlgraph.Db.query_exn db "SELECT id FROM e ORDER BY id" with
+        | rs -> (
+          match Sqlgraph.Resultset.rows rs with
+          | [] -> -1
+          | ids -> (
+            match List.nth ids (r mod List.length ids) with
+            | [ V.Int id ] -> id
+            | _ -> -1))
+      in
+      let run db sql ~src ~dst =
+        match Sqlgraph.Db.query db ~params:[| V.Int src; V.Int dst |] sql with
+        | Ok r -> Sqlgraph.Resultset.rows r
+        | Error e -> Alcotest.failf "%s: %s" sql (Sqlgraph.Error.to_string e)
+      in
+      List.for_all
+        (function
+          | Query (src, dst, k) ->
+            let sql =
+              Printf.sprintf
+                "SELECT T.c, R.id, R.ordinality FROM (SELECT CHEAPEST SUM(x: \
+                 %s) AS (c, p) WHERE ? REACHES ? OVER e x EDGE (a, b)) T LEFT \
+                 JOIN UNNEST(T.p) WITH ORDINALITY AS R ON TRUE"
+                memo_weights.(k)
+            in
+            let fresh = Sqlgraph.Db.create () in
+            Sqlgraph.Db.load_table fresh ~name:"e"
+              (Storage.Table.copy
+                 (Option.get
+                    (Storage.Catalog.find (Sqlgraph.Db.catalog db) "e")));
+            let want = run fresh sql ~src ~dst in
+            run db sql ~src ~dst = want && run db sql ~src ~dst = want
+          | Insert e ->
+            exec
+              (Printf.sprintf "INSERT INTO e VALUES (%d, %d, %d, %d)" !next_id
+                 e.src e.dst e.w);
+            incr next_id;
+            true
+          | Reweight (r, w) ->
+            exec (Printf.sprintf "UPDATE e SET w = %d WHERE id = %d" w (pick r));
+            true
+          | Delete r ->
+            exec (Printf.sprintf "DELETE FROM e WHERE id = %d" (pick r));
+            true)
+        steps)
 
 let () =
   Alcotest.run "properties"
@@ -595,4 +726,6 @@ let () =
         ] );
       ( "explain-analyze",
         [ Alcotest.test_case "phase times" `Quick test_phase_times_sum ] );
+      ( "weight-memo",
+        [ QCheck_alcotest.to_alcotest prop_weight_memo_matches_fresh_db ] );
     ]

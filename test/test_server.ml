@@ -907,6 +907,125 @@ let test_two_session_qids () =
       Client.close c2)
 
 (* ------------------------------------------------------------------ *)
+(* Concurrent readers of one cached graph *)
+
+(* Shortest-path cost by a plain Dijkstra over an adjacency array, with a
+   set of (dist, vertex) as the queue — independent of the engine. *)
+let reference_dijkstra adj ~src ~dst =
+  let module S = Set.Make (struct
+    type t = int * int
+
+    let compare = compare
+  end) in
+  let dist = Hashtbl.create 64 in
+  Hashtbl.replace dist src 0;
+  let rec loop q =
+    match S.min_elt_opt q with
+    | None -> None
+    | Some ((d, u) as top) ->
+      let q = S.remove top q in
+      if u = dst then Some d
+      else if d > Hashtbl.find dist u then loop q
+      else
+        loop
+          (List.fold_left
+             (fun q (v, w) ->
+               let c = d + w in
+               match Hashtbl.find_opt dist v with
+               | Some old when old <= c -> q
+               | _ ->
+                 Hashtbl.replace dist v c;
+                 S.add (c, v) q)
+             q adj.(u))
+  in
+  loop (S.singleton (0, src))
+
+(* Two sessions share the runtime the graph index caches. Each sends a
+   stream of Q13 (BFS) and Q14 (Dijkstra) reads; every reply must equal
+   the reference answer. Searches that shared one workspace between
+   sessions interleaved at thread switches and came back wrong or failed
+   with "index out of bounds". *)
+let test_concurrent_cached_readers () =
+  let n = 6000 and m = 80_000 in
+  let rng = Random.State.make [| 12 |] in
+  let edges =
+    Array.init m (fun _ ->
+        ( Random.State.int rng n,
+          Random.State.int rng n,
+          1 + Random.State.int rng 100 ))
+  in
+  let table =
+    Storage.Table.of_rows
+      (Storage.Schema.of_pairs
+         [
+           ("a", Storage.Dtype.TInt); ("b", Storage.Dtype.TInt);
+           ("w", Storage.Dtype.TInt);
+         ])
+      (Array.to_list
+         (Array.map (fun (a, b, w) -> [ V.Int a; V.Int b; V.Int w ]) edges))
+  in
+  let adj = Array.make n [] in
+  Array.iter (fun (a, b, w) -> adj.(a) <- (b, w) :: adj.(a)) edges;
+  let bfs = Baselines.Native_bfs.of_table table ~src_col:"a" ~dst_col:"b" in
+  let pairs =
+    Array.init 40 (fun _ ->
+        let s = Random.State.int rng n in
+        (s, (s + 1 + Random.State.int rng (n - 1)) mod n))
+  in
+  let expect answer =
+    match answer with Some c -> [ Printf.sprintf "ROW %d" c ] | None -> []
+  in
+  let stream =
+    Array.to_list pairs
+    |> List.concat_map (fun (s, d) ->
+           [
+             ( Printf.sprintf
+                 "SELECT CHEAPEST SUM(1) WHERE %d REACHES %d OVER e EDGE (a, b)"
+                 s d,
+               expect (Baselines.Native_bfs.distance bfs ~source:s ~target:d) );
+             ( Printf.sprintf
+                 "SELECT CHEAPEST SUM(x: w) WHERE %d REACHES %d OVER e x EDGE \
+                  (a, b)"
+                 s d,
+               expect (reference_dijkstra adj ~src:s ~dst:d) );
+           ])
+    |> Array.of_list
+  in
+  let db = Db.create () in
+  Db.load_table db ~name:"e" table;
+  (match Db.create_graph_index db ~table:"e" ~src:"a" ~dst:"b" with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "index: %s" (Sqlgraph.Error.to_string e));
+  with_server db (fun srv ->
+      let per_session = 250 in
+      let failures = Array.make 2 [] in
+      let threads =
+        Array.init 2 (fun k ->
+            let c = connect1 srv in
+            Thread.create
+              (fun () ->
+                for i = 0 to per_session - 1 do
+                  let sql, rows =
+                    stream.(((k * 7) + i) mod Array.length stream)
+                  in
+                  let resp = Client.request ~timeout_ms:30_000 c sql in
+                  let got = List.filter (has_prefix ~prefix:"ROW ") resp in
+                  if not (Client.is_ok resp && got = rows) then
+                    failures.(k) <-
+                      (sql ^ " -> " ^ String.concat " | " resp) :: failures.(k)
+                done;
+                Client.close c)
+              ())
+      in
+      Array.iter Thread.join threads;
+      let all = failures.(0) @ failures.(1) in
+      check tint
+        (match all with
+        | [] -> "every reply matches the reference"
+        | first :: _ -> "wrong or failed replies, e.g. " ^ first)
+        0 (List.length all))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   (* sessions write to sockets the peer may have closed; surface that as
@@ -937,6 +1056,8 @@ let () =
         [
           Alcotest.test_case "snapshot isolation" `Quick test_snapshot_isolation;
           Alcotest.test_case "rollback invisible" `Quick test_rollback_invisible;
+          Alcotest.test_case "concurrent readers of a cached graph" `Quick
+            test_concurrent_cached_readers;
         ] );
       ( "durability",
         [
