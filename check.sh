@@ -594,6 +594,53 @@ if grep -qi "sqlgraph_" "$pdir/_manifest.csv"; then
 fi
 echo "   $n_qid wire qids, top fingerprint calls=$top_calls, $n_fp fingerprints, reserved namespace enforced"
 
+echo "== graph-index smoke (serve --warm-index: cost-only Q13 meets in the middle)"
+gdir=$(mktemp -d /tmp/sqlgraph_check_gi_XXXXXX)
+gsock="$gdir/server.sock"
+trap 'rm -f "$script" "$out" "$ea_script" "$metrics" "$ms_script" "$obs_script" "$prom" "$slowlog" "$ack" "$srv_log" BENCH_smoke.json BENCH_pairs_smoke.json BENCH_pairs_scaling.json TRACE_smoke.json BENCH_wal_smoke.json BENCH_server_smoke.json BENCH_sim_smoke.json; rm -rf "$ddir" "$sdir" "$ackdir" "$idir" "$gdir"' EXIT
+cat > "$script" <<'EOF'
+CREATE TABLE g (src INTEGER, dst INTEGER);
+INSERT INTO g VALUES (1, 2), (2, 3), (1, 3), (3, 4), (4, 5);
+EOF
+"$cli" run "$script" --data-dir "$gdir/data" > "$out" 2>&1 || {
+  echo "FAIL: could not create the graph-index smoke's data dir:"
+  cat "$out"
+  exit 1
+}
+"$cli" serve --socket "$gsock" --data-dir "$gdir/data" --warm-index g:src:dst \
+    > "$srv_log" 2>&1 &
+srv_pid=$!
+i=0
+while [ "$i" -lt 100 ] && [ ! -S "$gsock" ]; do sleep 0.1; i=$((i + 1)); done
+[ -S "$gsock" ] || {
+  echo "FAIL: graph-index server did not create $gsock:"
+  cat "$srv_log"
+  exit 1
+}
+q13="SELECT CHEAPEST SUM(1) WHERE 1 REACHES 5 OVER g EDGE (src, dst)"
+q13_path="SELECT CHEAPEST SUM(1) AS (c, p) WHERE 1 REACHES 5 OVER g EDGE (src, dst)"
+"$cli" client --socket "$gsock" -e "EXPLAIN ANALYZE $q13" > "$out" 2>&1
+grep -q "search=bidir" "$out" || {
+  echo "FAIL: cost-only Q13 on an indexed graph shows no search=bidir:"
+  cat "$out"
+  exit 1
+}
+"$cli" client --socket "$gsock" -e "EXPLAIN ANALYZE $q13_path" > "$out" 2>&1
+if ! grep -q "cache=hit" "$out" || grep -q "search=bidir" "$out"; then
+  echo "FAIL: the (cost, path) form must hit the index without search=bidir:"
+  cat "$out"
+  exit 1
+fi
+"$cli" client --socket "$gsock" -e "$q13" > "$out" 2>&1
+grep -q "^ROW 3$" "$out" || {
+  echo "FAIL: cost-only Q13 over the index did not answer 3:"
+  cat "$out"
+  exit 1
+}
+kill -TERM "$srv_pid" 2>/dev/null || true
+wait "$srv_pid" 2>/dev/null || true
+echo "   search=bidir on cost-only Q13, absent with a path column"
+
 echo "== replication: failover smoke (8 clients, kill -9 primary mid-burst, promote standby)"
 fpdir=$(mktemp -d /tmp/sqlgraph_check_fp_XXXXXX)
 frdir=$(mktemp -d /tmp/sqlgraph_check_fr_XXXXXX)

@@ -396,6 +396,9 @@ type t = {
          (an acknowledged-but-buffered record dies with the process, the
          mode's documented tradeoff). *)
   mutable stmt_start : int; (* logical offset before the in-flight records *)
+  mutable commits : int;
+      (* commit units logged since open — autocommit records plus
+         transaction commit markers, less those an abort truncated *)
   mutable txn_buf : (string * V.t array) list; (* reversed *)
   mutable poisoned : string option;
   mutable registry : Reg.t option;
@@ -593,6 +596,8 @@ let flush_now t =
   check_usable t;
   flush t
 
+let commits_logged t = t.commits
+
 let fsync_now t =
   check_usable t;
   Fault.hit ~site:"group_fsync";
@@ -682,7 +687,8 @@ let dur_log t ~sql ~params =
   t.stmt_start <- start;
   try
     append_payload t ~kind:Autocommit ~sql ~params;
-    do_sync t
+    do_sync t;
+    t.commits <- t.commits + 1
   with e ->
     (* bytes may be half-appended or unsynced: erase them before
        surfacing the error, so log and memory still agree (a simulated
@@ -691,8 +697,10 @@ let dur_log t ~sql ~params =
     raise e
 
 let dur_abort t () =
-  if t.poisoned = None && logical_end t > t.stmt_start then
-    truncate_to t t.stmt_start
+  if t.poisoned = None && logical_end t > t.stmt_start then begin
+    truncate_to t t.stmt_start;
+    t.commits <- t.commits - 1
+  end
 
 let dur_buffer t ~sql ~params =
   check_usable t;
@@ -710,7 +718,8 @@ let dur_commit t () =
         append_payload t ~kind:Txn_stmt ~sql ~params)
       stmts;
     append_payload t ~kind:Commit_marker ~sql:"" ~params:[||];
-    do_sync t
+    do_sync t;
+    t.commits <- t.commits + 1
   with e ->
     if t.poisoned = None then (try truncate_to t start with _ -> ());
     raise e
@@ -935,6 +944,7 @@ let open_dir ?(fsync = true) ?(readonly = false) ?(replica = false) dir =
               offset = valid_end;
               out = arena_create flush_threshold;
               stmt_start = valid_end;
+              commits = 0;
               txn_buf = [];
               poisoned = None;
               registry = None;

@@ -104,6 +104,13 @@ val flush_now : t -> unit
 (** Write the buffered tail to the fd (no fsync).  Call with the
     server's writer lock held so no statement is mid-append. *)
 
+val commits_logged : t -> int
+(** Commit units appended since the store was opened: autocommit
+    records plus transaction commit markers, less those an aborted
+    statement truncated.  Moves only under the server's writer lock, so
+    a leader that reads it right after {!flush_now} knows exactly how
+    many commits that flush carries. *)
+
 val fsync_now : t -> unit
 (** Fsync the log fd (fault site [group_fsync]); a no-op when the store
     was opened [~fsync:false].  Safe to call without the writer lock. *)

@@ -970,8 +970,8 @@ and run_cheapests ctx rt edges cached (op : L.graph_op) pairs =
   | [] ->
     let reach =
       traverse (fun () ->
-          Graph.Runtime.reachable ~check:ctx.check ~domains:ctx.domains rt
-            ~pairs)
+          Graph.Runtime.reachable ~check:ctx.check ~domains:ctx.domains
+            ~note:(note ctx) rt ~pairs)
     in
     (reach, [])
   | cheapests ->
@@ -985,7 +985,8 @@ and run_cheapests ctx rt edges cached (op : L.graph_op) pairs =
           ( c,
             traverse (fun () ->
                 Graph.Runtime.run_pairs rt ~weights ~domains:ctx.domains
-                  ~check:ctx.check ~pairs ()) ))
+                  ~check:ctx.check ~paths:(c.L.path_name <> None)
+                  ~note:(note ctx) ~pairs ()) ))
         cheapests
     in
     let _, first = List.hd outcomes in

@@ -142,3 +142,105 @@ let run ?(check = Cancel.none) ?rev ?(alpha = default_alpha)
   ws.Workspace.counters.Workspace.edges_scanned <-
     ws.Workspace.counters.Workspace.edges_scanned + !edges;
   Cancel.flush tk
+
+(* Bidirectional, level-synchronous BFS for the hop count alone.
+
+   One side labels forward from [source] over [csr], the other backward
+   from [dest] over the reverse CSR; each step expands, by one whole
+   level, the side whose frontier has fewer out-edges (in its own CSR).
+   Let r_f and r_b be the two radii: the forward side has labelled
+   exactly the vertices within r_f hops of [source], the backward side
+   those within r_b hops of [dest].
+
+   Exactness. Before a level is expanded no vertex carries both labels,
+   so the distance D exceeds r_f + r_b: on a shortest path, the vertex
+   min(r_f, D) hops from [source] would be labelled by both sides
+   otherwise. Say the forward side expands (the backward case is the
+   mirror image) and labels v at r_f + 1 while v already carries a
+   backward label at some d_b <= r_b. That closes a walk of
+   r_f + 1 + d_b hops, so D <= r_f + 1 + d_b <= r_f + 1 + r_b <= D:
+   every meet during the level gives D = r_f + 1 + r_b, and the search
+   stops at the first one. If D = r_f + r_b + 1, the vertex r_f + 1 hops
+   along a shortest path meets during this level, so none is missed.
+   When a frontier empties, that side has labelled its whole reachable
+   set without meeting the other side, which started at its own root:
+   the pair is unreachable.
+
+   No parent tree is kept and nothing is sorted: the kernel answers the
+   cost-only queries that never look at a path. *)
+
+type side = {
+  g : Csr.t;
+  stamp : int array;  (* label epoch per vertex *)
+  queue : int array;  (* labelled vertices in discovery order *)
+  mutable lo : int;  (* the frontier is queue.(lo .. hi - 1) *)
+  mutable hi : int;
+  mutable out_edges : int;  (* out-edges (in [g]) of the frontier *)
+  mutable radius : int;
+}
+
+let side g stamp queue root ~epoch =
+  stamp.(root) <- epoch;
+  queue.(0) <- root;
+  { g; stamp; queue; lo = 0; hi = 1; out_edges = Csr.out_degree g root;
+    radius = 0 }
+
+(* Expand [me] by one level. Returns the distance at the first meet with
+   [other], or -1 when the level completes without one. *)
+let expand ~tk ~epoch ~edges (me : side) (other : side) =
+  let lo = me.lo and hi = me.hi in
+  let offsets = me.g.Csr.offsets and targets = me.g.Csr.targets in
+  let tail = ref hi and next_edges = ref 0 and meet = ref (-1) in
+  let i = ref lo in
+  while !meet < 0 && !i < hi do
+    let u = me.queue.(!i) in
+    Cancel.tick tk ~frontier:(hi - lo);
+    let k = ref offsets.(u) and stop = offsets.(u + 1) in
+    while !meet < 0 && !k < stop do
+      incr edges;
+      let v = Ivec.get targets !k in
+      if me.stamp.(v) <> epoch then
+        if other.stamp.(v) = epoch then meet := me.radius + 1 + other.radius
+        else begin
+          me.stamp.(v) <- epoch;
+          me.queue.(!tail) <- v;
+          incr tail;
+          next_edges := !next_edges + offsets.(v + 1) - offsets.(v)
+        end;
+      incr k
+    done;
+    incr i
+  done;
+  me.lo <- hi;
+  me.hi <- !tail;
+  me.out_edges <- !next_edges;
+  me.radius <- me.radius + 1;
+  !meet
+
+let distance ?(check = Cancel.none) (ws : Workspace.t) (csr : Csr.t) ~rev
+    ~source ~dest =
+  Workspace.next_epoch ws;
+  let epoch = ws.Workspace.epoch in
+  let b = Workspace.bidir_state ws in
+  let tk = Cancel.ticker check ~site:"bfs" in
+  let fwd = side csr ws.Workspace.stamp b.Workspace.fwd_queue source ~epoch in
+  let back = side rev b.Workspace.back_stamp b.Workspace.back_queue dest ~epoch in
+  let edges = ref 0 in
+  Workspace.note_frontier ws 1;
+  (* one step for the roots, so cancellation (and an armed fault) can
+     fire once per search even when source = dest *)
+  Cancel.tick tk ~frontier:1;
+  let result = ref (if source = dest then 0 else -1) in
+  while !result < 0 && fwd.lo < fwd.hi && back.lo < back.hi do
+    let me, other =
+      if fwd.out_edges <= back.out_edges then (fwd, back) else (back, fwd)
+    in
+    result := expand ~tk ~epoch ~edges me other;
+    Workspace.note_frontier ws (me.hi - me.lo)
+  done;
+  let c = ws.Workspace.counters in
+  c.Workspace.settled <-
+    (c.Workspace.settled + if source = dest then 1 else fwd.hi + back.hi);
+  c.Workspace.edges_scanned <- c.Workspace.edges_scanned + !edges;
+  Cancel.flush tk;
+  if !result < 0 then None else Some !result

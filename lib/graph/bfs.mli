@@ -47,3 +47,29 @@ val run :
   source:int ->
   targets:int array ->
   unit
+
+(** [distance ?check ws csr ~rev ~source ~dest] — the hop count from
+    [source] to [dest], or [None] when [dest] is unreachable; no path.
+    [rev] must be [Csr.reverse csr].
+
+    A bidirectional, level-synchronous BFS: one side searches forward
+    from [source] over [csr], the other backward from [dest] over [rev].
+    Each step expands, by one whole level, the side whose frontier has
+    fewer out-edges, and the search stops at the first vertex labelled by
+    both. That meet is exact: before a level no vertex carries both
+    labels, so the distance exceeds r_f + r_b (the two radii), and a meet
+    while expanding one level closes a walk of r_f + 1 + r_b hops. An
+    emptied frontier means unreachable.
+
+    The workspace's per-vertex state is left undefined for the caller
+    (no [dist_int], no parent tree). Counters and [check] (site "bfs",
+    fired once for the roots and then per expanded vertex) behave as in
+    {!run}; raising from [check] leaves the workspace reusable. *)
+val distance :
+  ?check:Cancel.checkpoint ->
+  Workspace.t ->
+  Csr.t ->
+  rev:Csr.t ->
+  source:int ->
+  dest:int ->
+  int option

@@ -244,7 +244,8 @@ let group_by_source encoded alias =
 
 (* Run one source group (search + per-pair extraction) on a given
    workspace, writing its outcomes into disjoint slots of [out]. *)
-let run_scalar_group t ~slot_w ~heap ~check ~rev ~out ws (source, entries) =
+let run_scalar_group t ~slot_w ~heap ~check ~rev ~paths ~out ws
+    (source, entries) =
   (* One span per search; closed on the cancellation unwind by
      [Trace.span]'s protect (the enclosing batch/domain span would catch
      a skipped end anyway, see [Trace.end_span]). *)
@@ -269,7 +270,9 @@ let run_scalar_group t ~slot_w ~heap ~check ~rev ~out ws (source, entries) =
           | `None | `Int _ -> Storage.Value.Int ws.Workspace.dist_int.(dst)
           | `Float _ -> Storage.Value.Float ws.Workspace.dist_float.(dst)
         in
-        let edge_rows = Path_tree.edge_rows ws t.csr ~source ~dst in
+        let edge_rows =
+          if paths then Path_tree.edge_rows ws t.csr ~source ~dst else [||]
+        in
         out.(idx) <- Reached { cost; edge_rows }
       end)
     entries
@@ -277,7 +280,7 @@ let run_scalar_group t ~slot_w ~heap ~check ~rev ~out ws (source, entries) =
 (* One MS-BFS wave over <= Msbfs.max_lanes source groups: lane i is the
    search rooted at groups.(i). Outcomes are extracted before the next
    wave reuses the batch scratch. *)
-let run_wave t ~check ~rev ~out ~retiring ws groups =
+let run_wave t ~check ~rev ~paths ~out ~retiring ws groups =
   let sp =
     if Tr.enabled () then
       Tr.begin_span ~attrs:[ ("lanes", string_of_int (Array.length groups)) ]
@@ -303,18 +306,22 @@ let run_wave t ~check ~rev ~out ~retiring ws groups =
           match Msbfs.dist ws ~lane ~source ~dst with
           | None -> ()
           | Some hops ->
-            let edge_rows = Msbfs.edge_rows ws t.csr ~lane ~source ~dst in
+            let edge_rows =
+              if paths then Msbfs.edge_rows ws t.csr ~lane ~source ~dst
+              else [||]
+            in
             out.(idx) <- Reached { cost = Storage.Value.Int hops; edge_rows })
         entries)
     groups
 
-let run_batched t ~check ~rev ~out ws groups =
+let run_batched t ~check ~rev ~paths ~out ws groups =
   let arr = Array.of_list groups in
   let n = Array.length arr in
   let i = ref 0 in
   while !i < n do
     let len = min Msbfs.max_lanes (n - !i) in
-    run_wave t ~check ~rev ~out ~retiring:false ws (Array.sub arr !i len);
+    run_wave t ~check ~rev ~paths ~out ~retiring:false ws
+      (Array.sub arr !i len);
     i := !i + len
   done
 
@@ -338,8 +345,8 @@ let run_batched t ~check ~rev ~out ws groups =
    still shared across workers (its budget counters are monotone and
    advisory); a raise in any kernel stops the other workers at their
    next task boundary and resurfaces after the join. *)
-let run_sched t ~slot_w ~heap ~check ~rev ~out ~domains ~oversubscribe
-    ~batched group_list =
+let run_sched t ~slot_w ~heap ~check ~rev ~paths ~out ~domains
+    ~oversubscribe ~batched group_list =
   let batched_groups =
     if batched then
       Array.of_list
@@ -358,10 +365,10 @@ let run_sched t ~slot_w ~heap ~check ~rev ~out ~domains ~oversubscribe
     let ws = wss.(worker) in
     (if batched then begin
        let glo = lo * g / ntasks and ghi = (lo + 1) * g / ntasks in
-       run_wave t ~check ~rev ~out ~retiring:true ws
+       run_wave t ~check ~rev ~paths ~out ~retiring:true ws
          (Array.sub batched_groups glo (ghi - glo))
      end
-     else run_scalar_group t ~slot_w ~heap ~check ~rev ~out ws
+     else run_scalar_group t ~slot_w ~heap ~check ~rev ~paths ~out ws
          scalar_groups.(lo));
     if lo + 1 < hi then Some (lo + 1, hi) else None
   in
@@ -396,8 +403,8 @@ let run_sched t ~slot_w ~heap ~check ~rev ~out ~domains ~oversubscribe
       t.sched_imbalance <- Sched.imbalance_pct stats)
 
 let run_pairs t ~weights ?(heap = Dijkstra.Radix) ?(domains = 1)
-    ?(check = Cancel.none) ?(engine = `Auto) ?(oversubscribe = false) ~pairs
-    () =
+    ?(check = Cancel.none) ?(engine = `Auto) ?(oversubscribe = false)
+    ?(paths = true) ?(note = fun _ _ -> ()) ~pairs () =
   Tr.span "traversal_batch" @@ fun () ->
   (* searches/settled/edges accumulate across batches (delta-friendly);
      the peak frontier restarts per batch so callers can attribute an
@@ -429,25 +436,40 @@ let run_pairs t ~weights ?(heap = Dijkstra.Radix) ?(domains = 1)
     | _ -> false
   in
   let rev = t.rev in
-  if domains <= 1 || List.length group_list <= 1 then begin
+  (match (slot_w, engine, rev, group_list) with
+  | `None, `Auto, Some rev, [ (source, [ (idx, dest) ]) ] when not paths -> (
+    (* the cost-only single pair meets in the middle (Bfs.distance) *)
+    note "search" "bidir";
     let ws = acquire_ws t in
     Fun.protect ~finally:(fun () -> release_ws t ws) @@ fun () ->
-    if batched then run_batched t ~check ~rev ~out ws group_list
+    match
+      Tr.span "bidir_bfs" (fun () ->
+          Bfs.distance ~check ws t.csr ~rev ~source ~dest)
+    with
+    | Some hops ->
+      out.(idx) <- Reached { cost = Storage.Value.Int hops; edge_rows = [||] }
+    | None -> ())
+  | _ when domains <= 1 || List.length group_list <= 1 ->
+    let ws = acquire_ws t in
+    Fun.protect ~finally:(fun () -> release_ws t ws) @@ fun () ->
+    if batched then run_batched t ~check ~rev ~paths ~out ws group_list
     else
-      List.iter (run_scalar_group t ~slot_w ~heap ~check ~rev ~out ws)
+      List.iter
+        (run_scalar_group t ~slot_w ~heap ~check ~rev ~paths ~out ws)
         group_list
-  end
-  else
+  | _ ->
     (* §6's parallelism, scheduled by work stealing: the CSR and weights
        are shared read-only, every worker owns a private (pooled)
        workspace, and outcomes land in disjoint slots — see [run_sched]
        for the task partition and the determinism argument. *)
-    run_sched t ~slot_w ~heap ~check ~rev ~out ~domains ~oversubscribe
-      ~batched group_list;
+    run_sched t ~slot_w ~heap ~check ~rev ~paths ~out ~domains
+      ~oversubscribe ~batched group_list);
   (* Fan the canonical outcomes back out to the deduplicated pairs. *)
   Array.iteri (fun idx a -> if a >= 0 then out.(idx) <- out.(a)) alias;
   out
 
-let reachable ?(check = Cancel.none) ?domains t ~pairs =
-  let outcomes = run_pairs t ~weights:Unweighted ~check ?domains ~pairs () in
+let reachable ?(check = Cancel.none) ?domains ?note t ~pairs =
+  let outcomes =
+    run_pairs t ~weights:Unweighted ~check ?domains ~paths:false ?note ~pairs ()
+  in
   Array.map (function Unreachable -> false | Reached _ -> true) outcomes

@@ -120,7 +120,8 @@ type outcome =
   | Reached of { cost : Storage.Value.t; edge_rows : int array }
       (** [cost] is [Int] (unweighted / int weights) or [Float];
           [edge_rows] is one shortest path as edge-table rows in
-          source→destination order — empty when source = destination. *)
+          source→destination order — empty when source = destination,
+          and always [[||]] from a [~paths:false] batch. *)
 
 (** [run_pairs t ~weights ~heap ~domains ~pairs] answers every pair.
     Pairs sharing a source value share one traversal; identical
@@ -147,6 +148,19 @@ type outcome =
     [engine] selects the unweighted traversal engine (see {!engine});
     the default [`Auto] batches multi-source workloads through MS-BFS.
 
+    [paths] (default [true]) says whether the caller reads
+    [edge_rows]. With [~paths:false] no path is extracted and every
+    [Reached] carries [edge_rows = [||]]. The executor derives it from
+    the plan (a CHEAPEST without a path column, or a bare REACHES); it is
+    not a user setting. When, in addition, the weights are [Unweighted],
+    [engine] is [`Auto], the reverse CSR is cached ({!prepare_bidir}) and
+    the deduplicated batch is one source with one pending destination,
+    the pair is answered by the meet-in-the-middle {!Bfs.distance}
+    instead of a one-sided sweep, and [note] (default: ignore) receives
+    [("search", "bidir")]. Costs are identical either way; every other
+    batch (path output, forced engines, several destinations or sources)
+    runs exactly as with [~paths:true], minus the path extraction.
+
     [check] (default {!Cancel.none}) is forwarded into every kernel so a
     governor can cancel or budget the batch; with [domains > 1] the same
     closure is shared by all workers and a raise stops the others at
@@ -163,16 +177,21 @@ val run_pairs :
   ?check:Cancel.checkpoint ->
   ?engine:engine ->
   ?oversubscribe:bool ->
+  ?paths:bool ->
+  ?note:(string -> string -> unit) ->
   pairs:(Storage.Value.t * Storage.Value.t) array ->
   unit ->
   outcome array
 
-(** [reachable t ~pairs] — reachability only: runs BFS and discards paths,
-    as the paper's runtime does for bare REACHES predicates. [domains] as
-    in {!run_pairs}. *)
+(** [reachable t ~pairs] — reachability only: {!run_pairs} with
+    [~paths:false], so no path is extracted (the paper's runtime "still
+    performs a BFS … discarding the computed shortest paths") and a
+    single pair on a cached graph takes the bidirectional kernel.
+    [domains] and [note] as in {!run_pairs}. *)
 val reachable :
   ?check:Cancel.checkpoint ->
   ?domains:int ->
+  ?note:(string -> string -> unit) ->
   t ->
   pairs:(Storage.Value.t * Storage.Value.t) array ->
   bool array

@@ -30,6 +30,17 @@ type batch = {
   mutable rec_len : int;
 }
 
+(* Scratch for the bidirectional distance kernel (Bfs.distance). The
+   forward side labels through [t.stamp]; the backward side stamps
+   [back_stamp] with the same epoch, so neither side needs an O(V) reset
+   between searches. Each queue holds its side's labelled vertices in
+   discovery order, the current frontier being its last level. *)
+type bidir = {
+  back_stamp : int array;
+  fwd_queue : int array;
+  back_queue : int array;
+}
+
 type t = {
   stamp : int array;
   target_stamp : int array;
@@ -42,6 +53,7 @@ type t = {
   vertex_count : int;
   mutable batch : batch option;
   mutable radix : Radix_heap.t option;
+  mutable bidir : bidir option;
 }
 
 let fresh_counters () =
@@ -68,6 +80,7 @@ let create vertex_count =
     vertex_count = n;
     batch = None;
     radix = None;
+    bidir = None;
   }
 
 let vertex_count t = t.vertex_count
@@ -110,6 +123,23 @@ let radix_heap t =
     let h = Radix_heap.create () in
     t.radix <- Some h;
     h
+
+(* And the bidirectional scratch, for the cost-only single-pair searches
+   that use it. *)
+let bidir_state t =
+  match t.bidir with
+  | Some b -> b
+  | None ->
+    let n = t.vertex_count in
+    let b =
+      {
+        back_stamp = Array.make n 0;
+        fwd_queue = Array.make n 0;
+        back_queue = Array.make n 0;
+      }
+    in
+    t.bidir <- Some b;
+    b
 
 let reset_batch b =
   let n = Array.length b.seen in

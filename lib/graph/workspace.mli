@@ -48,6 +48,17 @@ type batch = {
   mutable rec_len : int;
 }
 
+(** Scratch for the bidirectional distance kernel ({!Bfs.distance}).
+    The forward side labels through [t.stamp]; [back_stamp] holds the
+    backward side's labels, stamped with the same epoch, so a new search
+    resets neither. [fwd_queue]/[back_queue] hold each side's labelled
+    vertices in discovery order; the last level is the frontier. *)
+type bidir = {
+  back_stamp : int array;
+  fwd_queue : int array;
+  back_queue : int array;
+}
+
 type t = {
   stamp : int array;          (** visit epoch per vertex *)
   target_stamp : int array;   (** epoch in which the vertex is a pending target *)
@@ -60,6 +71,7 @@ type t = {
   vertex_count : int;
   mutable batch : batch option;
   mutable radix : Radix_heap.t option;
+  mutable bidir : bidir option;
 }
 
 (** [create vertex_count]. *)
@@ -75,6 +87,11 @@ val batch_state : t -> batch
     allocated on first use; later calls clear and return the same heap,
     so its bucket buffers are reused across searches. *)
 val radix_heap : t -> Radix_heap.t
+
+(** [bidir_state t] — the bidirectional scratch, allocated on first use
+    and reused afterwards; epoch-stamped like the scalar state, so it
+    needs no reset. *)
+val bidir_state : t -> bidir
 
 (** [reset_batch b] zeroes every mask, clears the record pool. O(V). *)
 val reset_batch : batch -> unit

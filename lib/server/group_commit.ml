@@ -22,6 +22,14 @@
    flushed yet... because a leader cannot flush while the statement
    holds the lock).
 
+   The group-size histogram counts the commits each successful fsync
+   covers, not the sessions waiting when the leader took over: a commit
+   appended after that moment can still ride the leader's flush, then
+   find its target synced and return without ever joining a round.
+   [Wal.commits_logged] only moves under the writer lock, so the leader
+   reads it next to the flush and the difference from the last synced
+   count is exact.
+
    Failure: an fsync that raises (injected fault or real I/O error)
    fails the *round* — every session that was already waiting gets the
    exception (their commits are reported as errors, the safe direction:
@@ -37,12 +45,10 @@ type t = {
   mu : Mutex.t;
   cond : Condition.t;
   mutable synced_upto : int; (* log bytes covered by a finished fsync *)
+  mutable synced_commits : int; (* Wal.commits_logged a finished fsync covers *)
   mutable leader_active : bool;
-  mutable waiting : int; (* sessions inside wait_durable (leader included) *)
   mutable epoch : int; (* finished rounds *)
   mutable failed : (int * exn) option; (* epoch of the failed round *)
-  mutable groups : int; (* fsync rounds completed successfully *)
-  mutable grouped_commits : int; (* sessions acknowledged across them *)
   observe_group : int -> unit; (* histogram callback (scheduler registry) *)
   mutable ship : (from:int -> upto:int -> unit) option;
       (* replication hook: after a successful fsync and *before* the
@@ -62,38 +68,25 @@ let create ~writer ~store ~observe_group =
     mu = Mutex.create ();
     cond = Condition.create ();
     synced_upto = Sqlgraph.Wal.logical_end store;
+    synced_commits = Sqlgraph.Wal.commits_logged store;
     leader_active = false;
-    waiting = 0;
     epoch = 0;
     failed = None;
-    groups = 0;
-    grouped_commits = 0;
     observe_group;
     ship = None;
   }
 
 let set_ship t f = t.ship <- f
 
-let stats t =
-  Mutex.lock t.mu;
-  let r = (t.groups, t.grouped_commits) in
-  Mutex.unlock t.mu;
-  r
-
 let wait_durable t target =
   Mutex.lock t.mu;
   let entry_epoch = t.epoch in
-  t.waiting <- t.waiting + 1;
-  let finish () =
-    t.waiting <- t.waiting - 1;
-    Mutex.unlock t.mu
-  in
   let rec loop () =
-    if t.synced_upto >= target then finish ()
+    if t.synced_upto >= target then Mutex.unlock t.mu
     else
       match t.failed with
       | Some (e, exn) when e > entry_epoch ->
-        finish ();
+        Mutex.unlock t.mu;
         raise exn
       | _ ->
         if t.leader_active then begin
@@ -102,9 +95,6 @@ let wait_durable t target =
         end
         else begin
           t.leader_active <- true;
-          (* everyone waiting right now appended before this flush, so
-             they are exactly the commits this fsync will acknowledge *)
-          let group = t.waiting in
           let shipped_from = t.synced_upto in
           Mutex.unlock t.mu;
           let result =
@@ -113,34 +103,40 @@ let wait_durable t target =
               let r =
                 try
                   Sqlgraph.Wal.flush_now t.store;
-                  Ok (Sqlgraph.Wal.logical_end t.store)
+                  Ok
+                    ( Sqlgraph.Wal.logical_end t.store,
+                      Sqlgraph.Wal.commits_logged t.store )
                 with exn -> Error exn
               in
               Mutex.unlock t.writer;
               r
             with
-            | Ok upto -> (
+            | Ok flushed -> (
               try
                 Sqlgraph.Wal.fsync_now t.store;
-                Ok upto
+                Ok flushed
               with exn -> Error exn)
             | Error _ as e -> e
           in
           (* ship-before-ack: the durable range reaches the replicas'
              sockets before any waiter is woken (see [ship] above) *)
           (match (result, t.ship) with
-          | Ok upto, Some ship when upto > shipped_from -> (
+          | Ok (upto, _), Some ship when upto > shipped_from -> (
             try ship ~from:shipped_from ~upto with _ -> ())
           | _ -> ());
           Mutex.lock t.mu;
           t.leader_active <- false;
           t.epoch <- t.epoch + 1;
           (match result with
-          | Ok upto ->
+          | Ok (upto, commits) ->
             if upto > t.synced_upto then t.synced_upto <- upto;
-            t.groups <- t.groups + 1;
-            t.grouped_commits <- t.grouped_commits + group;
-            t.observe_group group
+            (* a failed round leaves [synced_commits] behind, so the
+               next success counts the commits it flushed *)
+            let group = commits - t.synced_commits in
+            if group > 0 then begin
+              t.synced_commits <- commits;
+              t.observe_group group
+            end
           | Error exn -> t.failed <- Some (t.epoch, exn));
           Condition.broadcast t.cond;
           loop ()

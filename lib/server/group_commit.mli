@@ -13,8 +13,10 @@ val create :
   observe_group:(int -> unit) ->
   t
 (** [writer] is the scheduler's writer lock (taken briefly by the batch
-    leader to flush); [observe_group] receives each successful batch's
-    session count (the group-size histogram). *)
+    leader to flush); [observe_group] receives, for each successful
+    fsync, the number of commits it made durable (the group-size
+    histogram) — every commit is counted in exactly one round, including
+    one whose bytes rode another session's flush. *)
 
 val wait_durable : t -> int -> unit
 (** [wait_durable t target] — block until a finished fsync covers log
@@ -22,10 +24,6 @@ val wait_durable : t -> int -> unit
     still holding the writer lock).  Raises the leader's exception if
     the covering fsync round failed; the commit must then be reported
     as an error, not acknowledged. *)
-
-val stats : t -> int * int
-(** [(fsync rounds completed, commits acknowledged across them)] —
-    rounds ≪ commits is group commit working. *)
 
 val set_ship : t -> (from:int -> upto:int -> unit) option -> unit
 (** Install the replication ship hook: after each successful batch

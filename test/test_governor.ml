@@ -291,6 +291,64 @@ let test_fault_parse_and_env () =
   check tbool "env off leaves disarmed" true (Fault.current () = None)
 
 (* ------------------------------------------------------------------ *)
+(* The bidirectional kernel                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A cost-only single pair on an indexed graph runs Bfs.distance, not the
+   one-sided BFS: it must honour budgets and faults the same way, and the
+   pooled workspace it leaves behind must answer the next query. *)
+let indexed_chain_db n =
+  let db = chain_db n in
+  (match Sqlgraph.Db.create_graph_index db ~table:"e" ~src:"src" ~dst:"dst" with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "index: %s" (Err.to_string e));
+  db
+
+let cost_rows db ~src ~dst =
+  Sqlgraph.Resultset.rows
+    (Sqlgraph.Db.query_exn db ~params:[| V.Int src; V.Int dst |] reaches)
+
+let test_bidir_budget () =
+  let db = indexed_chain_db 2000 in
+  (match
+     Sqlgraph.Db.exec_exn db
+       "EXPLAIN ANALYZE SELECT CHEAPEST SUM(1) WHERE 1 REACHES 2000 OVER e \
+        EDGE (src, dst)"
+   with
+  | Sqlgraph.Db.Explained out ->
+    check tbool "bidirectional search" true
+      (Astring.String.is_infix ~affix:"search=bidir" out)
+  | _ -> Alcotest.fail "expected Explained");
+  check_kind "steps budget" Err.Steps
+    (Sqlgraph.Db.query db ~params:[| V.Int 1; V.Int 2000 |]
+       ~budget:(Gov.budget ~max_steps:100 ()) reaches);
+  check tbool "next query on the pooled workspace" true
+    (cost_rows db ~src:1 ~dst:2000 = [ [ V.Int 1999 ] ]);
+  match Sqlgraph.Db.last_stats db with
+  | Some s -> check tbool "workspace reused" true (s.Executor.Interp.pool_hits >= 1)
+  | None -> Alcotest.fail "no stats recorded"
+
+let test_bidir_fault () =
+  let db = indexed_chain_db 200 in
+  List.iter
+    (fun (src, dst, want) ->
+      let what = Printf.sprintf "%d -> %d" src dst in
+      Fault.set (Fault.parse "site=bfs");
+      check_kind what Err.Fault
+        (Sqlgraph.Db.query db ~params:[| V.Int src; V.Int dst |] reaches);
+      check tbool (what ^ ": disarmed") true (Fault.current () = None);
+      check tbool (what ^ ": answer after the fault") true
+        (cost_rows db ~src ~dst = want))
+    (* source = destination and adjacent pairs finish within one
+       throttled interval: the fault must still fire once per search *)
+    [
+      (1, 1, [ [ V.Int 0 ] ]);
+      (1, 2, [ [ V.Int 1 ] ]);
+      (1, 200, [ [ V.Int 199 ] ]);
+      (200, 1, []);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Failure safety: sessions and transactions survive                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -412,6 +470,11 @@ let () =
           tc "sql_bfs baseline checkpoint" test_fault_sql_bfs_baseline;
           tc "after-N-checks" test_fault_after_checks;
           tc "parse + env arming" test_fault_parse_and_env;
+        ] );
+      ( "bidirectional kernel",
+        [
+          tc "budget cancels, pool recovers" test_bidir_budget;
+          tc "bfs fault once per search" test_bidir_fault;
         ] );
       ( "failure safety",
         [

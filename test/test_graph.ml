@@ -681,6 +681,42 @@ let test_runtime_reachable_api () =
   in
   check tbool "results" true (r = [| true; false; true |])
 
+(* The bidirectional kernel answers exactly the cost-only single pair
+   on a runtime with its reverse CSR; every other shape keeps the old
+   engines. Costs agree either way, and paths:false drops edge_rows. *)
+let test_runtime_bidir_selection () =
+  let rt = diamond_runtime () in
+  let run ?engine ?paths pairs =
+    let notes = ref [] in
+    let out =
+      Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted ?engine
+        ?paths ~note:(fun k v -> notes := (k, v) :: !notes) ~pairs ()
+    in
+    (out, !notes = [ ("search", "bidir") ])
+  in
+  let one = [| (V.Int 1, V.Int 4); (V.Int 1, V.Int 4) |] in
+  check tbool "no reverse CSR" false (snd (run ~paths:false one));
+  Graph.Runtime.prepare_bidir rt;
+  let out, bidir = run ~paths:false one in
+  check tbool "cost-only single pair" true bidir;
+  check tbool "cost, no path, fanned out to the duplicate" true
+    (Array.for_all
+       (( = ) (Graph.Runtime.Reached { cost = V.Int 2; edge_rows = [||] }))
+       out);
+  check tbool "path requested" false (snd (run one));
+  check tbool "forced scalar" false (snd (run ~engine:`Scalar ~paths:false one));
+  check tbool "two destinations" false
+    (snd (run ~paths:false [| (V.Int 1, V.Int 4); (V.Int 1, V.Int 3) |]));
+  check tbool "two sources" false
+    (snd (run ~paths:false [| (V.Int 1, V.Int 4); (V.Int 2, V.Int 4) |]));
+  let out, _ = run ~paths:false [| (V.Int 1, V.Int 4); (V.Int 2, V.Int 4) |] in
+  check tbool "other engines drop paths too" true
+    (Array.for_all
+       (function
+         | Graph.Runtime.Reached { edge_rows; _ } -> edge_rows = [||]
+         | Graph.Runtime.Unreachable -> false)
+       out)
+
 let test_runtime_stats () =
   let rt = diamond_runtime () in
   let s = Graph.Runtime.stats rt in
@@ -875,5 +911,7 @@ let () =
           Alcotest.test_case "counter conservation" `Quick
             test_sched_counter_conservation;
           Alcotest.test_case "build stats" `Quick test_runtime_stats;
+          Alcotest.test_case "bidirectional selection" `Quick
+            test_runtime_bidir_selection;
         ] );
     ]

@@ -486,6 +486,61 @@ let prop_dir_opt_equals_topdown =
              end)
         pairs)
 
+(* The bidirectional distance kernel against a one-sided sweep, over
+   every ordered pair (source = destination included) of random graphs
+   on up to 24 vertices. Sparse random edges give disconnected parts,
+   sinks, and sources without in-edges; the generator adds self-loops
+   and parallel edges on purpose. Plain and packed CSRs both. *)
+let gen_bidir_graph =
+  QCheck.Gen.(
+    int_range 1 24 >>= fun n ->
+    let v = int_range 0 (n - 1) in
+    let edge = pair v v in
+    map3
+      (fun random loops dups ->
+        let loops = List.map (fun u -> (u, u)) loops in
+        let dups = List.filteri (fun i _ -> List.mem i dups) random in
+        (n, random @ loops @ dups))
+      (list_size (int_range 0 (2 * n)) edge)
+      (list_size (int_range 0 3) v)
+      (list_size (int_range 0 3) (int_range 0 (2 * n))))
+
+let prop_bidir_distance_equals_bfs =
+  QCheck.Test.make
+    ~name:"Bfs.distance = Bfs.run (dist, reachability), plain and packed CSR"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (n, es) ->
+         Printf.sprintf "n=%d edges=[%s]" n
+           (String.concat "; "
+              (List.map (fun (u, v) -> Printf.sprintf "%d->%d" u v) es)))
+       gen_bidir_graph)
+    (fun (n, es) ->
+      let src = Array.of_list (List.map fst es)
+      and dst = Array.of_list (List.map snd es) in
+      List.for_all
+        (fun compact ->
+          let csr = Graph.Csr.build_repr ~compact ~vertex_count:n ~src ~dst in
+          let rev = Graph.Csr.reverse csr in
+          let one_sided = Graph.Workspace.create n in
+          (* one workspace for every pair: the epoch stamps must isolate
+             consecutive searches *)
+          let ws = Graph.Workspace.create n in
+          List.for_all
+            (fun s ->
+              Graph.Bfs.run one_sided csr ~source:s ~targets:[||];
+              List.for_all
+                (fun d ->
+                  let want =
+                    if Graph.Workspace.visited one_sided d then
+                      Some one_sided.Graph.Workspace.dist_int.(d)
+                    else None
+                  in
+                  Graph.Bfs.distance ws csr ~rev ~source:s ~dest:d = want)
+                (List.init n Fun.id))
+            (List.init n Fun.id))
+        [ false; true ])
+
 (* Every in-edge of the reverse CSR must mirror exactly one forward edge,
    carry its forward slot as payload, and the per-vertex in-edge lists
    must ascend by forward slot (the canonical-parent invariant the
@@ -580,6 +635,23 @@ let test_phase_times_sum () =
       | Sqlgraph.Db.Explained out -> out
       | _ -> Alcotest.fail "expected Explained"
     in
+    (* cost-only Q13 on the cached graph meets in the middle; asking
+       for the path keeps the one-sided, parent-tracking BFS *)
+    let explain sql =
+      match Sqlgraph.Db.exec_exn db ("EXPLAIN ANALYZE " ^ sql) with
+      | Sqlgraph.Db.Explained out -> out
+      | _ -> Alcotest.fail "expected Explained"
+    in
+    Alcotest.(check bool)
+      "cost-only Q13 runs the bidirectional search" true
+      (Astring.String.is_infix ~affix:"search=bidir"
+         (explain "SELECT CHEAPEST SUM(1) WHERE 1 REACHES 3 OVER e EDGE (a, b)"));
+    Alcotest.(check bool)
+      "(cost, path) does not" false
+      (Astring.String.is_infix ~affix:"search=bidir"
+         (explain
+            "SELECT CHEAPEST SUM(1) AS (c, p) WHERE 1 REACHES 3 OVER e EDGE \
+             (a, b)"));
     let first = weighted () in
     Alcotest.(check bool)
       "first weighted run evaluates" true
@@ -595,23 +667,14 @@ let test_phase_times_sum () =
 (* Weight memo vs a fresh database                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Between queries on an indexed edge table, random INSERT / UPDATE /
-   DELETE of edges. Every (cost, path) read through the cached graph —
-   evaluated, then memoized on a repeat — must be byte-identical to the
-   same query on a fresh database holding the same rows and no index. *)
-type memo_step =
-  | Query of int * int * int  (** source, destination, weight expression *)
+(* Random edge DML between queries on an indexed edge table. *)
+type dml_step =
+  | Query of int * int * int  (** source, destination, query kind *)
   | Insert of edge
   | Reweight of int * int  (** row selector, new weight *)
   | Delete of int  (** row selector *)
 
-let memo_weights =
-  [|
-    "x.w"; "x.w * 2 + 1"; "CAST(x.w AS FLOAT) * 0.5";
-    "CASE WHEN x.w > 4 THEN x.w ELSE 5 END";
-  |]
-
-let gen_memo_step =
+let gen_dml_step kinds =
   QCheck.Gen.(
     frequency
       [
@@ -619,50 +682,81 @@ let gen_memo_step =
           map3
             (fun s d k -> Query (s, d, k))
             (int_range 1 8) (int_range 1 8)
-            (int_range 0 (Array.length memo_weights - 1)) );
+            (int_range 0 (kinds - 1)) );
         (1, map (fun e -> Insert e) gen_edge);
         (1, map2 (fun r w -> Reweight (r, w)) nat (int_range 1 9));
         (1, map (fun r -> Delete r) nat);
       ])
+
+(* [edges] as table e(id, a, b, w) with a graph index on (a, b); returns
+   the database and a function applying one DML step to it (queries are
+   the caller's). *)
+let indexed_edge_db edges =
+  let schema =
+    Storage.Schema.of_pairs
+      [
+        ("id", Storage.Dtype.TInt); ("a", Storage.Dtype.TInt);
+        ("b", Storage.Dtype.TInt); ("w", Storage.Dtype.TInt);
+      ]
+  in
+  let table =
+    Storage.Table.of_rows schema
+      (List.mapi
+         (fun i e -> [ V.Int i; V.Int e.src; V.Int e.dst; V.Int e.w ])
+         edges)
+  in
+  let db = Sqlgraph.Db.create () in
+  Sqlgraph.Db.load_table db ~name:"e" table;
+  (match Sqlgraph.Db.create_graph_index db ~table:"e" ~src:"a" ~dst:"b" with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "index: %s" (Sqlgraph.Error.to_string e));
+  let next_id = ref (List.length edges) in
+  let exec sql = ignore (Sqlgraph.Db.exec_exn db sql) in
+  (* an existing id (or none when the table is empty) *)
+  let pick r =
+    match
+      Sqlgraph.Resultset.rows
+        (Sqlgraph.Db.query_exn db "SELECT id FROM e ORDER BY id")
+    with
+    | [] -> -1
+    | ids -> (
+      match List.nth ids (r mod List.length ids) with
+      | [ V.Int id ] -> id
+      | _ -> -1)
+  in
+  let apply = function
+    | Query _ -> ()
+    | Insert e ->
+      exec
+        (Printf.sprintf "INSERT INTO e VALUES (%d, %d, %d, %d)" !next_id e.src
+           e.dst e.w);
+      incr next_id
+    | Reweight (r, w) ->
+      exec (Printf.sprintf "UPDATE e SET w = %d WHERE id = %d" w (pick r))
+    | Delete r -> exec (Printf.sprintf "DELETE FROM e WHERE id = %d" (pick r))
+  in
+  (db, apply)
+
+(* Every (cost, path) read through the cached graph — evaluated, then
+   memoized on a repeat — must be byte-identical to the same query on a
+   fresh database holding the same rows and no index. *)
+let memo_weights =
+  [|
+    "x.w"; "x.w * 2 + 1"; "CAST(x.w AS FLOAT) * 0.5";
+    "CASE WHEN x.w > 4 THEN x.w ELSE 5 END";
+  |]
 
 let prop_weight_memo_matches_fresh_db =
   QCheck.Test.make
     ~name:"weight memo: (cost, path) = fresh database, across edge DML"
     ~count:100
     (QCheck.make
-       QCheck.Gen.(pair gen_edges (list_size (int_range 1 12) gen_memo_step)))
+       QCheck.Gen.(
+         pair gen_edges
+           (list_size (int_range 1 12)
+              (gen_dml_step (Array.length memo_weights)))))
     (fun (edges, steps) ->
-      let schema =
-        Storage.Schema.of_pairs
-          [
-            ("id", Storage.Dtype.TInt); ("a", Storage.Dtype.TInt);
-            ("b", Storage.Dtype.TInt); ("w", Storage.Dtype.TInt);
-          ]
-      in
-      let table =
-        Storage.Table.of_rows schema
-          (List.mapi
-             (fun i e -> [ V.Int i; V.Int e.src; V.Int e.dst; V.Int e.w ])
-             edges)
-      in
-      let db = Sqlgraph.Db.create () in
-      Sqlgraph.Db.load_table db ~name:"e" table;
-      (match Sqlgraph.Db.create_graph_index db ~table:"e" ~src:"a" ~dst:"b" with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "index: %s" (Sqlgraph.Error.to_string e));
-      let next_id = ref (List.length edges) in
-      let exec sql = ignore (Sqlgraph.Db.exec_exn db sql) in
-      (* an existing id (or none when the table is empty) *)
-      let pick r =
-        match Sqlgraph.Db.query_exn db "SELECT id FROM e ORDER BY id" with
-        | rs -> (
-          match Sqlgraph.Resultset.rows rs with
-          | [] -> -1
-          | ids -> (
-            match List.nth ids (r mod List.length ids) with
-            | [ V.Int id ] -> id
-            | _ -> -1))
-      in
+      let db, apply_dml = indexed_edge_db edges in
       let run db sql ~src ~dst =
         match Sqlgraph.Db.query db ~params:[| V.Int src; V.Int dst |] sql with
         | Ok r -> Sqlgraph.Resultset.rows r
@@ -685,17 +779,47 @@ let prop_weight_memo_matches_fresh_db =
                     (Storage.Catalog.find (Sqlgraph.Db.catalog db) "e")));
             let want = run fresh sql ~src ~dst in
             run db sql ~src ~dst = want && run db sql ~src ~dst = want
-          | Insert e ->
-            exec
-              (Printf.sprintf "INSERT INTO e VALUES (%d, %d, %d, %d)" !next_id
-                 e.src e.dst e.w);
-            incr next_id;
-            true
-          | Reweight (r, w) ->
-            exec (Printf.sprintf "UPDATE e SET w = %d WHERE id = %d" w (pick r));
-            true
-          | Delete r ->
-            exec (Printf.sprintf "DELETE FROM e WHERE id = %d" (pick r));
+          | step ->
+            apply_dml step;
+            true)
+        steps)
+
+(* Cost-only Q13 and bare REACHES on an indexed edge table — a single
+   pair each, so the cached graph answers them with the bidirectional
+   kernel — must equal Baselines.Native_bfs on the current rows, across
+   random edge DML between queries. Query kind 0 is Q13, 1 is REACHES. *)
+let prop_bidir_sql_matches_native =
+  QCheck.Test.make
+    ~name:"indexed cost-only Q13 / bare REACHES = native BFS, across edge DML"
+    ~count:100
+    (QCheck.make
+       QCheck.Gen.(
+         pair gen_edges (list_size (int_range 1 12) (gen_dml_step 2))))
+    (fun (edges, steps) ->
+      let db, apply_dml = indexed_edge_db edges in
+      List.for_all
+        (function
+          | Query (src, dst, k) ->
+            let native =
+              Baselines.Native_bfs.of_table
+                (Option.get (Storage.Catalog.find (Sqlgraph.Db.catalog db) "e"))
+                ~src_col:"a" ~dst_col:"b"
+            in
+            let want = Baselines.Native_bfs.distance native ~source:src ~target:dst in
+            if k = 0 then
+              sql_cheapest db
+                "SELECT CHEAPEST SUM(1) WHERE ? REACHES ? OVER e EDGE (a, b)"
+                ~src ~dst
+              = want
+            else
+              let rows =
+                Sqlgraph.Db.query_exn db ~params:[| V.Int src; V.Int dst |]
+                  "SELECT 1 WHERE ? REACHES ? OVER e EDGE (a, b)"
+              in
+              List.length (Sqlgraph.Resultset.rows rows)
+              = if want = None then 0 else 1
+          | step ->
+            apply_dml step;
             true)
         steps)
 
@@ -723,6 +847,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_sched_fault_and_cancel;
           QCheck_alcotest.to_alcotest prop_dir_opt_equals_topdown;
           QCheck_alcotest.to_alcotest prop_reverse_mirrors_forward;
+          QCheck_alcotest.to_alcotest prop_bidir_distance_equals_bfs;
+          QCheck_alcotest.to_alcotest prop_bidir_sql_matches_native;
         ] );
       ( "explain-analyze",
         [ Alcotest.test_case "phase times" `Quick test_phase_times_sum ] );
