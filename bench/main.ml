@@ -548,10 +548,14 @@ let pairs_bench ?json ~ratio ~sources ~seed () =
   ignore (run ~domains:2 `Batched);
   ignore (run ~domains:4 `Batched);
   let scalar, t_scalar = time (fun () -> run `Scalar) in
+  let scalar_workers =
+    (Graph.Runtime.sched_counters rt).Graph.Runtime.sc_workers
+  in
   (* One batched measurement per domain count: counter deltas from the
      first run (scheduling-independent, so any run would do), time as
      the min of three — symmetric across configurations so the scaling
-     ratios compare floors, not noise. *)
+     ratios compare floors, not noise. [workers] is what the scheduler
+     actually ran: [domains] clamped to the host's cores. *)
   let measure ?domains () =
     let cb = Graph.Runtime.traversal_counters rt in
     let sb = Graph.Runtime.sched_counters rt in
@@ -562,18 +566,15 @@ let pairs_bench ?json ~ratio ~sources ~seed () =
     let _, t3 = time (fun () -> ignore (run ?domains `Batched)) in
     ( outs,
       Float.min t1 (Float.min t2 t3),
-      ca.Graph.Workspace.waves - cb.Graph.Workspace.waves,
-      ca.Graph.Workspace.dir_switches - cb.Graph.Workspace.dir_switches,
-      sa.Graph.Runtime.sc_steals - sb.Graph.Runtime.sc_steals,
-      sa.Graph.Runtime.sc_tasks - sb.Graph.Runtime.sc_tasks )
+      ( ca.Graph.Workspace.waves - cb.Graph.Workspace.waves,
+        ca.Graph.Workspace.dir_switches - cb.Graph.Workspace.dir_switches,
+        sa.Graph.Runtime.sc_steals - sb.Graph.Runtime.sc_steals,
+        sa.Graph.Runtime.sc_tasks - sb.Graph.Runtime.sc_tasks ),
+      sa.Graph.Runtime.sc_workers )
   in
-  let batched, t_batched, waves, switches, steals1, tasks1 = measure () in
-  let batched2, t_batched2, waves2, switches2, steals2, tasks2 =
-    measure ~domains:2 ()
-  in
-  let batched4, t_batched4, waves4, switches4, steals4, tasks4 =
-    measure ~domains:4 ()
-  in
+  let batched, t_batched, counters1, workers1 = measure () in
+  let batched2, t_batched2, counters2, workers2 = measure ~domains:2 () in
+  let batched4, t_batched4, counters4, workers4 = measure ~domains:4 () in
   let outcomes_equal a b =
     Array.for_all2
       (fun a b ->
@@ -630,16 +631,15 @@ let pairs_bench ?json ~ratio ~sources ~seed () =
     n_edges sources;
   Printf.printf "%-28s %14s\n" "engine" "seconds";
   Printf.printf "%-28s %14.6f\n" "scalar per-source" t_scalar;
-  let print_row name t waves switches steals tasks =
+  let print_row name t (waves, switches, steals, tasks) workers =
     Printf.printf
-      "%-28s %14.6f   (%d waves, %d dir switches, %d tasks, %d steals)\n" name
-      t waves switches tasks steals
+      "%-28s %14.6f   (%d workers, %d waves, %d dir switches, %d tasks, %d \
+       steals)\n"
+      name t workers waves switches tasks steals
   in
-  print_row "batched ms-bfs" t_batched waves switches steals1 tasks1;
-  print_row "batched ms-bfs, domains=2" t_batched2 waves2 switches2 steals2
-    tasks2;
-  print_row "batched ms-bfs, domains=4" t_batched4 waves4 switches4 steals4
-    tasks4;
+  print_row "batched ms-bfs" t_batched counters1 workers1;
+  print_row "batched ms-bfs, domains=2" t_batched2 counters2 workers2;
+  print_row "batched ms-bfs, domains=4" t_batched4 counters4 workers4;
   Printf.printf "speedup (batched vs scalar, domains=1): %.2fx\n"
     (t_scalar /. t_batched);
   Printf.printf "speedup (domains=4 vs domains=1): %.2fx\n%!"
@@ -648,10 +648,11 @@ let pairs_bench ?json ~ratio ~sources ~seed () =
   | None -> ()
   | Some path ->
     (* [counters] is None for the scalar per-source baseline: it runs no
-       batched waves and no work-stealing tasks, so those fields are
-       null — not 0, which would read as "measured, and it was zero"
-       (json_lint enforces the distinction). *)
-    let entry ~name ~seconds ~domains ~counters =
+       batched waves and the sweep's counters describe the batched
+       engine only, so those fields are null — not 0, which would read
+       as "measured, and it was zero" (json_lint enforces the
+       distinction). Every entry records the workers that ran. *)
+    let entry ~name ~seconds ~domains ~workers ~counters =
       let c pick =
         match counters with
         | None -> Sqlgraph.Metrics.Null
@@ -662,6 +663,7 @@ let pairs_bench ?json ~ratio ~sources ~seed () =
           ("name", Sqlgraph.Metrics.String name);
           ("seconds", Sqlgraph.Metrics.num seconds);
           ("domains", Sqlgraph.Metrics.Int domains);
+          ("workers", Sqlgraph.Metrics.Int workers);
           ("waves", c (fun (w, _, _, _) -> w));
           ("dir_switches", c (fun (_, s, _, _) -> s));
           ("steals", c (fun (_, _, s, _) -> s));
@@ -679,20 +681,21 @@ let pairs_bench ?json ~ratio ~sources ~seed () =
            ("edges", Sqlgraph.Metrics.Int n_edges);
            ("sources", Sqlgraph.Metrics.Int sources);
            ("identical", Sqlgraph.Metrics.Bool identical);
+           ( "host_cores",
+             Sqlgraph.Metrics.Int (Domain.recommended_domain_count ()) );
            ( "results",
              Sqlgraph.Metrics.List
                [
                  entry ~name:"pairs/scalar-per-source" ~seconds:t_scalar
-                   ~domains:1 ~counters:None;
+                   ~domains:1 ~workers:scalar_workers ~counters:None;
                  entry ~name:"pairs/batched-msbfs" ~seconds:t_batched
-                   ~domains:1
-                   ~counters:(Some (waves, switches, steals1, tasks1));
+                   ~domains:1 ~workers:workers1 ~counters:(Some counters1);
                  entry ~name:"pairs/batched-msbfs-domains2"
-                   ~seconds:t_batched2 ~domains:2
-                   ~counters:(Some (waves2, switches2, steals2, tasks2));
+                   ~seconds:t_batched2 ~domains:2 ~workers:workers2
+                   ~counters:(Some counters2);
                  entry ~name:"pairs/batched-msbfs-domains4"
-                   ~seconds:t_batched4 ~domains:4
-                   ~counters:(Some (waves4, switches4, steals4, tasks4));
+                   ~seconds:t_batched4 ~domains:4 ~workers:workers4
+                   ~counters:(Some counters4);
                ] );
            ( "speedup_batched_vs_scalar",
              Sqlgraph.Metrics.num (t_scalar /. t_batched) );

@@ -117,7 +117,8 @@ grep -q '"speedup_batched_vs_scalar"' BENCH_pairs_smoke.json || {
   exit 1
 }
 # Scalar entries must report traversal counters as null (not 0): the
-# scalar baseline runs no batched waves and no stealable tasks.
+# scalar baseline runs no batched waves. Every entry must report the
+# workers that ran, within 1..min(domains, host_cores).
 dune exec test/json_lint.exe -- --bench-pairs BENCH_pairs_smoke.json || {
   echo "FAIL: BENCH_pairs_smoke.json failed the null-vs-zero counter lint"
   cat BENCH_pairs_smoke.json
@@ -130,10 +131,12 @@ dune exec test/json_lint.exe -- --bench-pairs BENCH_pairs.json || {
 
 echo "== bench pairs scaling gate (domains=4 <= 0.9x domains=1)"
 # Full-size workload (ratio 1.0, 512 sources — the committed
-# BENCH_pairs.json config): the work-stealing scheduler path must beat
-# the single-domain batched engine. Perf gate on a possibly-noisy shared
-# machine: the bench already takes the min of 3 timed runs per config;
-# on top of that, allow up to 3 attempts before declaring a regression.
+# BENCH_pairs.json config). Every batch runs the same MS-BFS kernel
+# through the same work-stealing scheduler, so this compares one kernel
+# at 1 worker with the same kernel at min(4, host_cores) workers: a pure
+# parallel gain. Perf gate on a possibly-noisy shared machine: the bench
+# already takes the min of 3 timed runs per config; on top of that,
+# allow up to 3 attempts before declaring a regression.
 pairs_ok=0
 for attempt in 1 2 3; do
   dune exec bench/main.exe -- pairs --json BENCH_pairs_scaling.json \
@@ -142,6 +145,8 @@ for attempt in 1 2 3; do
       BENCH_pairs_scaling.json | head -1)
   d4=$(sed -n 's/.*"domains4_seconds": \([0-9.eE+-]*\).*/\1/p' \
       BENCH_pairs_scaling.json | head -1)
+  w4=$(tr -d ' \n' < BENCH_pairs_scaling.json \
+      | sed -n 's/.*"pairs\/batched-msbfs-domains4"[^}]*"workers":\([0-9]*\).*/\1/p')
   [ -n "$d1" ] && [ -n "$d4" ] || {
     echo "FAIL: BENCH_pairs_scaling.json has no domains1/domains4 seconds"
     cat BENCH_pairs_scaling.json
@@ -151,13 +156,13 @@ for attempt in 1 2 3; do
     pairs_ok=1
     break
   fi
-  echo "   attempt $attempt: domains4 ${d4}s > 0.9 x domains1 ${d1}s, retrying"
+  echo "   attempt $attempt: domains4 ${d4}s (${w4} workers) > 0.9 x domains1 ${d1}s, retrying"
 done
 [ "$pairs_ok" = 1 ] || {
-  echo "FAIL: domains=4 (${d4}s) did not beat 0.9 x domains=1 (${d1}s) on 3 attempts"
+  echo "FAIL: domains=4 (${d4}s, ${w4} workers) did not beat 0.9 x domains=1 (${d1}s, 1 worker) on 3 attempts"
   exit 1
 }
-echo "   domains1 ${d1}s, domains4 ${d4}s"
+echo "   domains1 ${d1}s (1 worker), domains4 ${d4}s (${w4} workers)"
 
 echo "== tracing-off overhead (< 2% on bench pairs)"
 # trace_off_overhead_pct is the repeat-run delta between two tracing-off

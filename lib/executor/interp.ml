@@ -943,7 +943,8 @@ and run_cheapests ctx rt edges cached (op : L.graph_op) pairs =
      in
      if sw > 0 then note ctx "dir_switches" (string_of_int sw));
     (* Work-stealing scheduler section: present whenever this batch ran
-       through the parallel path. *)
+       the scheduler — every batch but the bidirectional single pair,
+       serial ones included (workers=1). *)
     (let tasks =
        sched_after.Graph.Runtime.sc_tasks - sched_before.Graph.Runtime.sc_tasks
      in

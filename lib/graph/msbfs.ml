@@ -30,161 +30,6 @@ let popcount x =
   done;
   !c
 
-let run ?(check = Cancel.none) ?rev ?(alpha = Bfs.default_alpha)
-    ?(beta = Bfs.default_beta) (ws : Workspace.t) (csr : Csr.t) ~sources
-    ~targets =
-  let nlanes = Array.length sources in
-  if nlanes = 0 || nlanes > max_lanes then
-    invalid_arg
-      (Printf.sprintf "Msbfs.run: %d sources (want 1..%d)" nlanes max_lanes);
-  let n = csr.Csr.vertex_count in
-  let bs = Workspace.batch_state ws in
-  Workspace.reset_batch bs;
-  let c = Workspace.counters ws in
-  c.Workspace.searches <- c.Workspace.searches + nlanes;
-  Workspace.note_wave ws;
-  let seen = bs.Workspace.seen
-  and cur_mask = bs.Workspace.cur_mask
-  and next_mask = bs.Workspace.next_mask
-  and tgt_mask = bs.Workspace.tgt_mask in
-  let cur = ref bs.Workspace.cur_vs and next = ref bs.Workspace.next_vs in
-  (* Seed the lanes; sources are distinct, one lane each. *)
-  let ncur = ref 0 in
-  Array.iteri
-    (fun lane s ->
-      let bit = 1 lsl lane in
-      if seen.(s) = 0 then begin
-        !cur.(!ncur) <- s;
-        incr ncur
-      end;
-      seen.(s) <- seen.(s) lor bit;
-      cur_mask.(s) <- cur_mask.(s) lor bit)
-    sources;
-  Workspace.sort_prefix !cur !ncur;
-  (* Register per-lane targets; a lane whose target is its own source is
-     delivered immediately (distance 0, empty path). *)
-  let remaining = ref 0 in
-  Array.iter
-    (fun (lane, dst) ->
-      let bit = 1 lsl lane in
-      if sources.(lane) <> dst && tgt_mask.(dst) land bit = 0 then begin
-        tgt_mask.(dst) <- tgt_mask.(dst) lor bit;
-        incr remaining
-      end)
-    targets;
-  let tk = Cancel.ticker check ~site:"bfs" in
-  let m_unexplored = ref (Csr.edge_count csr) in
-  for i = 0 to !ncur - 1 do
-    m_unexplored := !m_unexplored - Csr.out_degree csr !cur.(i)
-  done;
-  let edges = ref 0 in
-  let settled = ref nlanes in
-  let level = ref 0 in
-  let bottom_up = ref false in
-  Workspace.note_frontier ws !ncur;
-  (* Seeding the lanes counts as one step even when every target is
-     trivially satisfied and the loop never runs: cancellation (and an
-     armed fault) must be able to fire once per wave at this site. *)
-  Cancel.tick tk ~frontier:!ncur;
-  let finished = ref (!remaining = 0) in
-  while (not !finished) && !ncur > 0 do
-    (match rev with
-    | None -> ()
-    | Some _ ->
-      if not !bottom_up then begin
-        let m_frontier = ref 0 in
-        for i = 0 to !ncur - 1 do
-          m_frontier := !m_frontier + Csr.out_degree csr !cur.(i)
-        done;
-        if !m_frontier * alpha > !m_unexplored then begin
-          bottom_up := true;
-          Workspace.note_dir_switch ws
-        end
-      end
-      else if !ncur * beta < n then begin
-        bottom_up := false;
-        Workspace.note_dir_switch ws
-      end);
-    let nnext = ref 0 in
-    let d = !level in
-    let discover v avail ~parent ~slot =
-      if next_mask.(v) = 0 then begin
-        if seen.(v) = 0 then
-          m_unexplored := !m_unexplored - Csr.out_degree csr v;
-        !next.(!nnext) <- v;
-        incr nnext
-      end;
-      next_mask.(v) <- next_mask.(v) lor avail;
-      Workspace.add_record bs ~v ~mask:avail ~parent ~slot ~level:(d + 1);
-      settled := !settled + popcount avail;
-      let hits = avail land tgt_mask.(v) in
-      if hits <> 0 then begin
-        remaining := !remaining - popcount hits;
-        tgt_mask.(v) <- tgt_mask.(v) land lnot hits
-      end
-    in
-    (match (!bottom_up, rev) with
-    | true, Some rev ->
-      (* Bottom-up: vertices still missing lanes pull from in-edges. *)
-      let active = ref 0 in
-      for i = 0 to !ncur - 1 do
-        active := !active lor cur_mask.(!cur.(i))
-      done;
-      for v = 0 to n - 1 do
-        let poss = ref (!active land lnot seen.(v)) in
-        if !poss <> 0 then begin
-          Cancel.tick tk ~frontier:!ncur;
-          let k = ref rev.Csr.offsets.(v) in
-          let stop = rev.Csr.offsets.(v + 1) in
-          while !poss <> 0 && !k < stop do
-            incr edges;
-            let u = Ivec.get rev.Csr.targets !k in
-            let avail = cur_mask.(u) land !poss in
-            if avail <> 0 then begin
-              discover v avail ~parent:u ~slot:(Ivec.get rev.Csr.edge_rows !k);
-              poss := !poss land lnot avail
-            end;
-            incr k
-          done
-        end
-      done
-    | _ ->
-      (* Top-down over the ascending frontier; sort what it discovered. *)
-      for i = 0 to !ncur - 1 do
-        let u = !cur.(i) in
-        Cancel.tick tk ~frontier:!ncur;
-        let fm = cur_mask.(u) in
-        Csr.iter_out csr u (fun ~slot ~target ->
-            incr edges;
-            let avail =
-              fm land lnot seen.(target) land lnot next_mask.(target)
-            in
-            if avail <> 0 then discover target avail ~parent:u ~slot)
-      done;
-      Workspace.sort_prefix !next !nnext);
-    (* Level merge: clear the old frontier's masks *before* installing the
-       new ones — a vertex can sit in both when a late lane reaches it. *)
-    for i = 0 to !ncur - 1 do
-      cur_mask.(!cur.(i)) <- 0
-    done;
-    for j = 0 to !nnext - 1 do
-      let v = !next.(j) in
-      seen.(v) <- seen.(v) lor next_mask.(v);
-      cur_mask.(v) <- next_mask.(v);
-      next_mask.(v) <- 0
-    done;
-    let t = !cur in
-    cur := !next;
-    next := t;
-    ncur := !nnext;
-    incr level;
-    Workspace.note_frontier ws !nnext;
-    if !remaining = 0 then finished := true
-  done;
-  c.Workspace.settled <- c.Workspace.settled + !settled;
-  c.Workspace.edges_scanned <- c.Workspace.edges_scanned + !edges;
-  Cancel.flush tk
-
 (* log2 of a single set bit (bit = 1 lsl lane, lane < 63). Only runs on
    target hits — a few hundred per wave at most. *)
 let lane_of_bit bit =
@@ -195,39 +40,30 @@ let lane_of_bit bit =
   done;
   !i
 
-(* The lane-retiring kernel behind the work-stealing scheduler
-   (Sched / Runtime.run_pairs with domains > 1).
-
-   Identical discovery order to [run] — frontiers ascending by vertex
-   id, edges ascending by slot, bottom-up in-edges sorted by forward
-   slot — so every parent it records is the same canonical one and
-   results are byte-identical to [run] (and to scalar Bfs). On top of
-   that it does strictly less work:
+(* Beyond the shared sweep, a wave does no work its targets do not need:
 
    - *Lane retirement*: per-lane pending-target counts; a lane whose
      targets are all delivered drops out of the [active] mask, so
      frontier vertices carrying only retired lanes are skipped without
      touching their edges, and bottom-up vertices stop pulling for
-     them. ([run] keeps sweeping every lane to exhaustion of the
-     frontier even after all targets are found at that level.)
+     them. A lane with no pending target retires before the first
+     sweep, so an empty [targets] traverses nothing.
    - *Mid-level completion abort*: the sweep stops the moment the last
      pending target is delivered instead of finishing the level.
    - *Closure-free edge loops*: the CSR slot arrays are read with
      direct unsafe loads when plainly represented (Ivec.words) instead
      of an indirect callback per edge (Csr.iter_out).
 
-   Counters stay deterministic for a given wave composition but differ
-   from [run]'s (fewer edges scanned, fewer settles) — which is why
-   [run] remains the pinned single-domain reference engine the oracle
-   suite compares everything against. *)
-let run_retiring ?(check = Cancel.none) ?rev ?(alpha = Bfs.default_alpha)
+   None of this changes the discovery order, so parents stay canonical.
+   Counters (settled, edges scanned) depend only on the wave's
+   composition, which the runtime fixes before any worker starts. *)
+let run ?(check = Cancel.none) ?rev ?(alpha = Bfs.default_alpha)
     ?(beta = Bfs.default_beta) (ws : Workspace.t) (csr : Csr.t) ~sources
     ~targets =
   let nlanes = Array.length sources in
   if nlanes = 0 || nlanes > max_lanes then
     invalid_arg
-      (Printf.sprintf "Msbfs.run_retiring: %d sources (want 1..%d)" nlanes
-         max_lanes);
+      (Printf.sprintf "Msbfs.run: %d sources (want 1..%d)" nlanes max_lanes);
   let n = csr.Csr.vertex_count in
   let offsets = csr.Csr.offsets in
   let bs = Workspace.batch_state ws in
@@ -289,9 +125,9 @@ let run_retiring ?(check = Cancel.none) ?rev ?(alpha = Bfs.default_alpha)
   let level = ref 0 in
   let bottom_up = ref false in
   Workspace.note_frontier ws !ncur;
-  (* Same per-wave cancellation guarantee as [run]: the seed tick plus
-     the final flush ensure the checkpoint fires at least once even for
-     trivially-satisfied waves. *)
+  (* Seeding the lanes counts as one step even when every target is
+     trivially satisfied and the loop never runs: cancellation (and an
+     armed fault) must be able to fire once per wave at this site. *)
   Cancel.tick tk ~frontier:!ncur;
   while !remaining > 0 && !ncur > 0 do
     (match rev with

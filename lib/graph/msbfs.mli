@@ -18,42 +18,24 @@ val max_lanes : int
     [sources.(i)]. [sources] must hold 1 to {!max_lanes} *distinct*
     vertices (raises [Invalid_argument] on a bad lane count).
 
-    [targets] lists the pending destinations as [(lane, dst)] pairs; the
-    wave stops early once every lane has reached all of its destinations
-    (a lane targeting its own source is satisfied immediately). An empty
-    [targets] traverses every lane's full component.
+    [targets] lists the pending destinations as [(lane, dst)] pairs. A
+    lane *retires* once all its destinations are delivered: frontier
+    vertices carrying only retired lanes are skipped, edges untouched,
+    and the sweep stops mid-level the moment the last pending
+    destination lands. A lane targeting only its own source is
+    satisfied immediately, so an empty [targets] traverses nothing.
+    Discovery order is unaffected, so parents stay canonical; traversal
+    counters (settled, edges scanned) depend only on [sources] and
+    [targets].
 
     [rev] enables the direction-optimizing bottom-up step, same
     [alpha]/[beta] heuristics as {!Bfs.run}. [check] cancels
-    cooperatively at site ["bfs"].
+    cooperatively at site ["bfs"], at least once per wave.
 
     Results live in the workspace's batch scratch until the next wave (or
     scalar BFS) reuses it; read them back with {!dist} and
     {!edge_rows}. *)
 val run :
-  ?check:Cancel.checkpoint ->
-  ?rev:Csr.t ->
-  ?alpha:int ->
-  ?beta:int ->
-  Workspace.t ->
-  Csr.t ->
-  sources:int array ->
-  targets:(int * int) array ->
-  unit
-
-(** [run_retiring] — same contract and byte-identical results as {!run}
-    (identical discovery order, so parents stay canonical), but the
-    kernel the work-stealing scheduler uses for [domains > 1] batches:
-    lanes *retire* from the active mask once all their targets are
-    delivered (frontier vertices carrying only retired lanes are
-    skipped, edges untouched), the sweep aborts mid-level the moment
-    the last pending target lands, and the CSR edge loops read slot
-    arrays directly instead of through a per-edge callback. Traversal
-    counters (settled, edges scanned) are therefore lower than {!run}'s
-    for the same wave, though still deterministic for a given wave
-    composition; {!run} stays the pinned single-domain reference the
-    oracle suite compares against. *)
-val run_retiring :
   ?check:Cancel.checkpoint ->
   ?rev:Csr.t ->
   ?alpha:int ->

@@ -28,9 +28,9 @@ type t = {
   mutable pool : Workspace.t list;  (* spare search workspaces *)
   mutable pool_hits : int;
   mutable pool_misses : int;
-  (* Work-stealing scheduler observability (parallel batches only):
+  (* Work-stealing scheduler observability (every scheduled batch):
      tasks/steals/splits accumulate across batches; workers and
-     imbalance describe the most recent parallel batch. *)
+     imbalance describe the most recent one. *)
   mutable sched_tasks : int;
   mutable sched_steals : int;
   mutable sched_splits : int;
@@ -99,7 +99,7 @@ let pool_stats t = Mutex.protect t.mu (fun () -> (t.pool_hits, t.pool_misses))
 
 (* Workspace pool. A runtime cached in the graph index is shared by every
    session thread, so no search may run on a workspace another batch can
-   see: each batch (serial or parallel) takes private workspaces from the
+   see: each batch takes private workspaces (one per worker) from the
    pool and hands them back when it ends. Acquire/release happen on the
    batch's coordinating thread — before Domain.spawn and after
    Domain.join, whose happens-before edge makes reading the domain's
@@ -280,7 +280,7 @@ let run_scalar_group t ~slot_w ~heap ~check ~rev ~paths ~out ws
 (* One MS-BFS wave over <= Msbfs.max_lanes source groups: lane i is the
    search rooted at groups.(i). Outcomes are extracted before the next
    wave reuses the batch scratch. *)
-let run_wave t ~check ~rev ~paths ~out ~retiring ws groups =
+let run_wave t ~check ~rev ~paths ~out ws groups =
   let sp =
     if Tr.enabled () then
       Tr.begin_span ~attrs:[ ("lanes", string_of_int (Array.length groups)) ]
@@ -297,8 +297,7 @@ let run_wave t ~check ~rev ~paths ~out ~retiring ws groups =
       groups;
     Array.of_list !acc
   in
-  (if retiring then Msbfs.run_retiring ~check ?rev ws t.csr ~sources ~targets
-   else Msbfs.run ~check ?rev ws t.csr ~sources ~targets);
+  Msbfs.run ~check ?rev ws t.csr ~sources ~targets;
   Array.iteri
     (fun lane (source, entries) ->
       List.iter
@@ -314,31 +313,23 @@ let run_wave t ~check ~rev ~paths ~out ~retiring ws groups =
         entries)
     groups
 
-let run_batched t ~check ~rev ~paths ~out ws groups =
-  let arr = Array.of_list groups in
-  let n = Array.length arr in
-  let i = ref 0 in
-  while !i < n do
-    let len = min Msbfs.max_lanes (n - !i) in
-    run_wave t ~check ~rev ~paths ~out ~retiring:false ws
-      (Array.sub arr !i len);
-    i := !i + len
-  done
-
-(* The parallel path: a work-stealing scheduler (Sched) over a task
-   partition that is fixed up front, independent of the worker count and
-   of steal order. Batched groups are sorted by source id and cut into
-   ⌈G/63⌉ contiguous waves of near-equal lane counts — partition-aware:
-   the lanes of one wave root in one contiguous vertex-id range of the
-   CSR, and balanced widths avoid the runt wave a greedy 63-at-a-time
-   cut produces (a runt sweeps the same graph for a fraction of the
-   lanes). Scalar (Dijkstra) groups run one per task in the size-sorted
-   order. A task is a range over that fixed sequence: a worker executes
-   one wave/group and pushes the remainder back on its deque, which is
-   exactly the granularity thieves steal at.
+(* Every traversal batch but the bidirectional single pair: a
+   work-stealing scheduler (Sched) over a task partition that is fixed up
+   front, independent of the worker count and of steal order. One worker
+   (domains = 1, a single task, or a one-core host) runs inline on the
+   calling domain with no Domain.spawn. Batched groups are sorted by
+   source id and cut into ⌈G/63⌉ contiguous waves of near-equal lane
+   counts — partition-aware: the lanes of one wave root in one
+   contiguous vertex-id range of the CSR, and balanced widths avoid the
+   runt wave a greedy 63-at-a-time cut produces (a runt sweeps the same
+   graph for a fraction of the lanes). Scalar (BFS or Dijkstra) groups
+   run one per task in the size-sorted order. A task is a range over
+   that fixed sequence: a worker executes one wave/group and pushes the
+   remainder back on its deque, which is exactly the granularity thieves
+   steal at.
 
    Because the partition is fixed, every workspace counter depends only
-   on the batch — identical for any domains >= 2 — and the per-worker
+   on the batch — identical for any domain count — and the per-worker
    workspaces are absorbed into the shared one *after* every worker has
    joined, on the coordinator, in worker-index order: absorption is
    deterministic and conserves every count. The governor checkpoint is
@@ -365,7 +356,7 @@ let run_sched t ~slot_w ~heap ~check ~rev ~paths ~out ~domains
     let ws = wss.(worker) in
     (if batched then begin
        let glo = lo * g / ntasks and ghi = (lo + 1) * g / ntasks in
-       run_wave t ~check ~rev ~paths ~out ~retiring:true ws
+       run_wave t ~check ~rev ~paths ~out ws
          (Array.sub batched_groups glo (ghi - glo))
      end
      else run_scalar_group t ~slot_w ~heap ~check ~rev ~paths ~out ws
@@ -449,14 +440,6 @@ let run_pairs t ~weights ?(heap = Dijkstra.Radix) ?(domains = 1)
     | Some hops ->
       out.(idx) <- Reached { cost = Storage.Value.Int hops; edge_rows = [||] }
     | None -> ())
-  | _ when domains <= 1 || List.length group_list <= 1 ->
-    let ws = acquire_ws t in
-    Fun.protect ~finally:(fun () -> release_ws t ws) @@ fun () ->
-    if batched then run_batched t ~check ~rev ~paths ~out ws group_list
-    else
-      List.iter
-        (run_scalar_group t ~slot_w ~heap ~check ~rev ~paths ~out ws)
-        group_list
   | _ ->
     (* §6's parallelism, scheduled by work stealing: the CSR and weights
        are shared read-only, every worker owns a private (pooled)

@@ -60,19 +60,21 @@ val pool_stats : t -> int * int
 
 (** [traversal_counters t] — a snapshot of the cumulative traversal
     counters (searches, settled vertices, peak frontier, edges scanned)
-    accumulated by every batch run against this graph. Parallel batches
-    fold their per-worker counters in deterministically (on the
-    coordinator, in worker-index order, after every worker has joined)
-    before {!run_pairs} returns, so before/after snapshots delimit one
-    batch exactly and the totals are conserved and reproducible for any
-    worker count. *)
+    accumulated by every batch run against this graph. Every batch folds
+    its per-worker counters in deterministically (on the coordinator, in
+    worker-index order, after every worker has joined) before
+    {!run_pairs} returns, so before/after snapshots delimit one batch
+    exactly and the totals are conserved and identical for any domain
+    count. *)
 val traversal_counters : t -> Workspace.counters
 
-(** Work-stealing scheduler observability (parallel batches only).
+(** Work-stealing scheduler observability, for every batch except the
+    bidirectional single pair (which runs no scheduler).
     [sc_tasks]/[sc_steals]/[sc_splits] accumulate across batches
-    (delta-friendly, like {!traversal_counters}); [sc_workers] and
+    (delta-friendly, like {!traversal_counters}); [sc_workers] (the
+    workers that actually ran, 1 for a serial batch) and
     [sc_imbalance_pct] (100·(max−min)/max over per-worker task counts)
-    describe the most recent parallel batch. *)
+    describe the most recent scheduled batch. *)
 type sched_counters = {
   sc_tasks : int;
   sc_steals : int;
@@ -130,19 +132,20 @@ type outcome =
     Dijkstra queue for integer weights (default [Radix], the paper's
     choice); it is ignored for BFS and float weights.
 
-    [domains] (default 1) runs the traversals through the work-stealing
-    scheduler ({!Sched}) — the parallelism the paper's §6 suggests. The
-    CSR is shared read-only; every worker owns a deque of task ranges
-    over a fixed partition (unweighted: source groups sorted by vertex
-    id and cut into contiguous balanced MS-BFS waves, run by the
-    lane-retiring kernel; weighted: one Dijkstra group per task) and a
-    private workspace from the runtime's pool, steals from siblings
-    when its own deque drains, and results land in disjoint slots — so
-    output is byte-identical to the sequential run and workspace
-    counters are identical for any [domains >= 2]. The worker count is
-    clamped to the machine's usable cores (oversubscribing domains
-    turns minor GCs into cross-domain synchronisation);
-    [oversubscribe] (default false) lifts that clamp for tests that
+    Every batch runs through the work-stealing scheduler ({!Sched}) —
+    the parallelism the paper's §6 suggests — with up to [domains]
+    (default 1) workers; one worker runs inline on the calling domain.
+    The CSR is shared read-only; every worker owns a deque of task
+    ranges over a fixed partition (unweighted: source groups sorted by
+    vertex id and cut into contiguous balanced {!Msbfs} waves; otherwise
+    one scalar BFS or Dijkstra group per task) and a private workspace
+    from the runtime's pool, steals from siblings when its own deque
+    drains, and results land in disjoint slots — so output is
+    byte-identical to a per-source scalar run and workspace counters
+    are identical for any domain count. The worker count is clamped to
+    the task count and to the machine's usable cores (oversubscribing
+    domains turns minor GCs into cross-domain synchronisation);
+    [oversubscribe] (default false) lifts the core clamp for tests that
     must exercise multi-worker stealing on small machines.
 
     [engine] selects the unweighted traversal engine (see {!engine});
@@ -156,15 +159,15 @@ type outcome =
     [engine] is [`Auto], the reverse CSR is cached ({!prepare_bidir}) and
     the deduplicated batch is one source with one pending destination,
     the pair is answered by the meet-in-the-middle {!Bfs.distance}
-    instead of a one-sided sweep, and [note] (default: ignore) receives
+    instead of the scheduler, and [note] (default: ignore) receives
     [("search", "bidir")]. Costs are identical either way; every other
     batch (path output, forced engines, several destinations or sources)
     runs exactly as with [~paths:true], minus the path extraction.
 
     [check] (default {!Cancel.none}) is forwarded into every kernel so a
-    governor can cancel or budget the batch; with [domains > 1] the same
-    closure is shared by all workers and a raise stops the others at
-    their next task boundary, resurfacing after the join.
+    governor can cancel or budget the batch; with several workers the
+    same closure is shared by all of them and a raise stops the others
+    at their next task boundary, resurfacing after the join.
 
     Raises {!Weight_error} on invalid weights (checked for every edge that
     participates in the graph, before any traversal, by

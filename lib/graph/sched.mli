@@ -1,7 +1,7 @@
 (** Work-stealing scheduler for traversal tasks.
 
-    Replaces the fixed round-robin chunk assignment [Runtime.run_pairs]
-    used for [domains > 1]: each worker owns a {!Deque} of task ranges,
+    Runs every scheduled batch of [Runtime.run_pairs], serial ones as a
+    single inline worker: each worker owns a {!Deque} of task ranges,
     executes one step at a time (pushing the remainder back so thieves
     can take it), and steals the oldest range from a sibling when its
     own deque runs dry. Skewed task distributions therefore keep every

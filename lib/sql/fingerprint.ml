@@ -177,17 +177,20 @@ let normalize_tokens src =
   let toks =
     List.filter_map (fun (p : Lexer.positioned) -> render p.Lexer.tok) (Lexer.tokenize src)
   in
-  (* a trailing ';' is framing, not shape *)
-  let toks =
-    match List.rev toks with ";" :: rest -> List.rev rest | _ -> toks
-  in
+  (* trailing ';'s are framing, not shape; dropping only the last would
+     leave one that the next normalization drops *)
+  let rec drop_semis = function ";" :: rest -> drop_semis rest | l -> l in
+  let toks = List.rev (drop_semis (List.rev toks)) in
   String.concat " " toks
 
 (* Last resort for text that does not even lex: collapse whitespace and
-   case so at least spacing/comment-free variants still collide. *)
+   case so at least spacing/comment-free variants still collide. Line
+   breaks stay: a "--" comment ends at one, and joining lines would turn
+   the next line into comment text, so the result would lex and
+   normalizing it again would give something else. *)
 let normalize_raw src =
   String.trim src |> lower
-  |> String.map (fun c -> match c with '\t' | '\n' | '\r' -> ' ' | c -> c)
+  |> String.map (fun c -> match c with '\t' | '\r' -> ' ' | c -> c)
 
 let normalize sql =
   match Parser.parse_stmt sql with

@@ -9,9 +9,11 @@
      json_lint --bench-pairs FILE
        FILE must be a bench `pairs` document.  Traversal counters
        (waves, dir_switches, steals, tasks) must be null on the scalar
-       baseline entry — a scalar run has no batched waves or stealable
-       tasks, so 0 would claim a measurement that never happened — and
-       integers on every batched entry.
+       baseline entry — a scalar run has no batched waves, so 0 would
+       claim a measurement that never happened — and integers on every
+       batched entry.  The document records the host's cores
+       (host_cores) and every entry the workers that actually ran:
+       integers with 1 <= workers <= min(domains, host_cores).
      json_lint --bench-repl FILE
        FILE must be a bench `repl` document: catch-up bandwidth
        (catchup_mb_per_sec) strictly positive, steady-state lag fields
@@ -75,6 +77,14 @@ let lint_bench_pairs path =
     | _ -> fail "%s: no results array" path
   in
   if results = [] then fail "%s: empty results array" path;
+  let int_field obj where field =
+    match member field obj with
+    | Some (Metrics.Int i) -> i
+    | Some _ -> fail "%s: %s: %s must be an integer" path where field
+    | None -> fail "%s: %s: missing field %s" path where field
+  in
+  let host_cores = int_field doc "document" "host_cores" in
+  if host_cores < 1 then fail "%s: host_cores must be >= 1" path;
   let n_scalar = ref 0 in
   List.iter
     (fun entry ->
@@ -85,6 +95,11 @@ let lint_bench_pairs path =
       in
       let scalar = name = "pairs/scalar-per-source" in
       if scalar then incr n_scalar;
+      let workers = int_field entry name "workers" in
+      let domains = int_field entry name "domains" in
+      if workers < 1 || workers > min domains host_cores then
+        fail "%s: %s: workers %d outside 1..min(domains %d, host_cores %d)"
+          path name workers domains host_cores;
       List.iter
         (fun field ->
           match (member field entry, scalar) with

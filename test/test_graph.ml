@@ -646,7 +646,7 @@ let test_sched_skewed_steals () =
 (* Deterministic counter absorption: the wave partition is fixed by the
    batch alone (never by worker count or steal order), so the per-worker
    counters folded in at the join must sum to identical totals for every
-   domains >= 2 — and searches must equal the distinct-source count. *)
+   domain count — and searches must equal the distinct-source count. *)
 let test_sched_counter_conservation () =
   let rt, pairs, nsources = skewed_setup () in
   let delta domains =
@@ -662,9 +662,11 @@ let test_sched_counter_conservation () =
         a.waves - b.waves,
         a.dir_switches - b.dir_switches )
   in
+  let d1 = delta 1 in
   let d2 = delta 2 in
   let d4 = delta 4 in
   let d8 = delta 8 in
+  check tbool "domains=1 = domains=2" true (d1 = d2);
   check tbool "domains=2 = domains=4" true (d2 = d4);
   check tbool "domains=4 = domains=8" true (d4 = d8);
   let searches, settled, edges, waves, _ = d2 in

@@ -130,6 +130,13 @@ let test_normalizer_units () =
   diff "SELECT a FROM t" "SELECT a FROM u";
   (* LIMIT is part of the shape (top-5 vs top-10 are different plans) *)
   diff "SELECT a FROM t LIMIT 5" "SELECT a FROM t LIMIT 10";
+  (* text the parser rejects normalizes to a fixpoint: line comments in
+     text that does not lex, repeated trailing semicolons *)
+  List.iter
+    (fun sql ->
+      let n = Fp.normalize sql in
+      check tstr (Printf.sprintf "%S is a fixpoint" sql) n (Fp.normalize n))
+    [ "--\naa@aa"; ";;" ];
   check tint "hex is 16 chars" 16 (String.length (Fp.to_hex (Fp.hash "SELECT 1")));
   check tstr "hash_text agrees with hash"
     (Fp.to_hex (Fp.hash "SELECT a FROM t"))

@@ -372,13 +372,18 @@ let prop_batched_fault_then_recover =
       in
       (aborted || not has_hop) && outcomes_identical scalar batched)
 
-(* The work-stealing scheduler (domains >= 2 route through Sched.run and
-   the retiring kernel) must reproduce a serial scalar run byte-for-byte
-   for every worker count. [oversubscribe] lifts the hardware clamp, so
-   real multi-worker stealing is exercised even on a single-core host. *)
+(* Every batch routes through the work-stealing scheduler (one worker
+   runs inline), and it must reproduce a serial scalar run byte-for-byte
+   for every worker count. The wave partition is fixed by the batch
+   alone, so the traversal counters must not move with the worker count
+   either — domains=1 included, with a reverse CSR so lanes retire and
+   switch direction. [oversubscribe] lifts the hardware clamp, so real
+   multi-worker stealing is exercised even on a single-core host. *)
 let prop_sched_identical_all_domains =
   QCheck.Test.make
-    ~name:"work-stealing scheduler = serial byte-identically (domains 2/4/8)"
+    ~name:
+      "work-stealing scheduler = serial byte-identically, same counters \
+       (domains 1/2/4/8)"
     ~count:120
     (QCheck.make gen_graph_and_pairs)
     (fun (edges, pairs) ->
@@ -389,12 +394,28 @@ let prop_sched_identical_all_domains =
         Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
           ~engine:`Scalar ~pairs:vp ()
       in
-      List.for_all
-        (fun domains ->
-          outcomes_identical serial
-            (Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
-               ~engine:`Batched ~domains ~oversubscribe:true ~pairs:vp ()))
-        [ 2; 4; 8 ])
+      let run domains =
+        let b = Graph.Runtime.traversal_counters rt in
+        let out =
+          Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
+            ~engine:`Batched ~domains ~oversubscribe:true ~pairs:vp ()
+        in
+        let a = Graph.Runtime.traversal_counters rt in
+        ( out,
+          Graph.Workspace.
+            ( a.searches - b.searches,
+              a.settled - b.settled,
+              a.edges_scanned - b.edges_scanned,
+              a.waves - b.waves,
+              a.dir_switches - b.dir_switches ) )
+      in
+      let out1, counters1 = run 1 in
+      outcomes_identical serial out1
+      && List.for_all
+           (fun domains ->
+             let out, counters = run domains in
+             outcomes_identical serial out && counters = counters1)
+           [ 2; 4; 8 ])
 
 (* Armed faults and mid-run cancellation must unwind the scheduler cleanly
    (all workers joined, pooled workspaces released) and leave the runtime
@@ -823,6 +844,45 @@ let prop_bidir_sql_matches_native =
             true)
         steps)
 
+(* Every batch but the bidirectional single pair runs the scheduler,
+   serial ones as one inline worker, so EXPLAIN ANALYZE shows its notes
+   at parallelism 1 too; the bidirectional pair runs no scheduler. *)
+let test_serial_scheduler_notes () =
+  let edges =
+    List.init 60 (fun i ->
+        { src = (i mod 20) + 1; dst = ((i + 3) mod 20) + 1; w = 1 })
+  in
+  let db = load_graph edges in
+  Sqlgraph.Db.load_table db ~name:"pairs"
+    (Storage.Table.of_rows
+       (Storage.Schema.of_pairs
+          [ ("s", Storage.Dtype.TInt); ("d", Storage.Dtype.TInt) ])
+       [ [ V.Int 1; V.Int 9 ]; [ V.Int 2; V.Int 7 ]; [ V.Int 5; V.Int 4 ] ]);
+  Sqlgraph.Db.set_parallelism db 1;
+  let explain sql =
+    match Sqlgraph.Db.exec_exn db ("EXPLAIN ANALYZE " ^ sql) with
+    | Sqlgraph.Db.Explained out -> out
+    | _ -> Alcotest.fail "expected Explained"
+  in
+  let has affix out = Astring.String.is_infix ~affix out in
+  let multi =
+    explain
+      "SELECT s, d, CHEAPEST SUM(1) AS c FROM pairs WHERE s REACHES d OVER e \
+       EDGE (a, b)"
+  in
+  Alcotest.(check bool)
+    "multi-source batch at parallelism 1 ran the scheduler" true
+    (has "tasks=" multi && has "workers=1" multi && has "batched_waves=" multi);
+  (match Sqlgraph.Db.create_graph_index db ~table:"e" ~src:"a" ~dst:"b" with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "index: %s" (Sqlgraph.Error.to_string e));
+  let single =
+    explain "SELECT CHEAPEST SUM(1) WHERE 1 REACHES 9 OVER e EDGE (a, b)"
+  in
+  Alcotest.(check bool)
+    "cost-only single pair meets in the middle, no scheduler" true
+    (has "search=bidir" single && not (has "tasks=" single))
+
 let () =
   Alcotest.run "properties"
     [
@@ -851,7 +911,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_bidir_sql_matches_native;
         ] );
       ( "explain-analyze",
-        [ Alcotest.test_case "phase times" `Quick test_phase_times_sum ] );
+        [
+          Alcotest.test_case "phase times" `Quick test_phase_times_sum;
+          Alcotest.test_case "serial scheduler notes" `Quick
+            test_serial_scheduler_notes;
+        ] );
       ( "weight-memo",
         [ QCheck_alcotest.to_alcotest prop_weight_memo_matches_fresh_db ] );
     ]
