@@ -537,16 +537,36 @@ n_qid=$(grep -c "^OK .* qid=[0-9a-f]*:[0-9]* " "$out" || true)
   tail -5 "$out"
   exit 1
 }
+wire_fp=$(sed -n 's/^OK SELECT .* qid=\([0-9a-f]*\):[0-9]* .*/\1/p' "$out" | tail -1)
+# a statement that does not parse is still recorded, as a failed call
+"$cli" client --socket "$isock" -e "SELEC 1 FROM g" > "$out" 2>&1 || true
+grep -q "^ERR parse" "$out" || {
+  echo "FAIL: malformed statement was not answered with ERR parse:"
+  cat "$out"
+  exit 1
+}
 "$cli" client --socket "$isock" \
-    -e "SELECT fingerprint, calls FROM sqlgraph_stat_statements ORDER BY total_ms DESC" \
+    -e "SELECT fingerprint, calls, failures, query FROM sqlgraph_stat_statements ORDER BY calls DESC" \
     > "$out" 2>&1 || {
   echo "FAIL: could not query sqlgraph_stat_statements over the socket:"
   cat "$out"; cat "$srv_log"
   exit 1
 }
-top_calls=$(awk -F'\t' '/^ROW /{ print $2 }' "$out" | sort -rn | head -1)
+top_fp=$(awk -F'\t' '/^ROW /{ print substr($1, 5); exit }' "$out")
+top_calls=$(awk -F'\t' '/^ROW /{ print $2; exit }' "$out")
 [ -n "$top_calls" ] && [ "$top_calls" -ge 50 ] || {
   echo "FAIL: top fingerprint has calls=$top_calls, expected >= 50 (literal-insensitive normalization):"
+  cat "$out"
+  exit 1
+}
+# the session's wire qid and the stat store share one fingerprint
+[ -n "$wire_fp" ] && [ "$wire_fp" = "$top_fp" ] || {
+  echo "FAIL: wire qid fingerprint '$wire_fp' != top stat_statements fingerprint '$top_fp':"
+  cat "$out"
+  exit 1
+}
+awk -F'\t' '/^ROW / && $3 == 1 && $4 ~ /^selec / { found = 1 } END { exit !found }' "$out" || {
+  echo "FAIL: the malformed statement has no failed row in sqlgraph_stat_statements:"
   cat "$out"
   exit 1
 }
@@ -597,7 +617,7 @@ if grep -qi "sqlgraph_" "$pdir/_manifest.csv"; then
   cat "$pdir/_manifest.csv"
   exit 1
 fi
-echo "   $n_qid wire qids, top fingerprint calls=$top_calls, $n_fp fingerprints, reserved namespace enforced"
+echo "   $n_qid wire qids, top fingerprint $top_fp (= wire qid) calls=$top_calls, parse error recorded, $n_fp fingerprints, reserved namespace enforced"
 
 echo "== graph-index smoke (serve --warm-index: cost-only Q13 meets in the middle)"
 gdir=$(mktemp -d /tmp/sqlgraph_check_gi_XXXXXX)

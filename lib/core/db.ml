@@ -31,7 +31,7 @@ type t = {
          --domains); 1 = serial *)
   registry : Telemetry.Registry.t;
       (* cumulative session metrics; every statement absorbs its stats
-         here (see [observe_stmt]) *)
+         here (see [observe]) *)
   mutable slow_query_ms : int option;
       (* SET slow_query_ms / CLI --slow-query-ms; None = off.  The Db
          only stores the threshold — the CLI owns the log file. *)
@@ -678,10 +678,11 @@ let mutates_catalog = function
     false
 
 (* The durable statement wrapper.  [sql] is the statement's own text
-   (the raw input for [exec], the pretty-printed form for scripts) — it
-   is what the WAL records and what recovery replays.  The invariant
-   maintained here is prefix consistency: at every instant the log
-   contains exactly the acknowledged, committed statements, in order.
+   (the raw input for [exec] and the server, the pretty-printed form
+   for scripts); its only use is as what the WAL records and what
+   recovery replays.  The invariant maintained here is prefix
+   consistency: at every instant the log contains exactly the
+   acknowledged, committed statements, in order.
 
    - autocommit DML: log (append + fsync) *before* applying; if the
      apply then fails, [dur_abort] truncates the record back out.
@@ -795,22 +796,30 @@ let absorb_stats t ~dt ~failed ~delta =
         s.graph_traverse_seconds
         ~help:"Traversal time per statement (seconds)"
 
-(* Every statement enters through here: fingerprint the text, allocate
-   a query id (fingerprint hex + per-session sequence, stamped on the
-   "statement" span so a trace dump joins against
-   sqlgraph_stat_statements), run under that span (closed on any
+let outcome_rows = function
+  | Selected r -> Resultset.nrows r
+  | Inserted n | Updated n | Deleted n -> n
+  | Created | Dropped | Explained _ | Option_set _ | Began | Committed
+  | Rolled_back ->
+    0
+
+(* Every statement is observed here, once, after it was parsed: [fp] is
+   the fingerprint of its AST, or of the rejected text when it did not
+   parse.  Allocate a query id (fingerprint hex + per-session sequence,
+   stamped on the "statement" span so a trace dump joins against
+   sqlgraph_stat_statements), run [f] under that span (closed on any
    unwind), time it, absorb counters into the registry and the
    fingerprint store, and — the stale-stats fix — clear [last_stats] on
    failure so [\stats] can never silently report the previous
-   statement.
+   statement.  The trace's statement id was allocated by [parse] (per
+   statement in [exec_script_each]), so "parse" and "statement" spans
+   share it.
 
    The fingerprint store records the *same* wall-clock delta the
    sqlgraph_statement_seconds histogram observes, so the store's total
    latency reconciles with the registry exactly. *)
-let observe_stmt ?(rows_of = fun _ -> 0) t ~sql f =
-  ignore (Telemetry.Trace.next_query ());
+let observe t ~rows_of (fp, norm) f =
   t.stmt_seq <- t.stmt_seq + 1;
-  let fp, norm = Sql.Fingerprint.of_sql sql in
   let fp_hex = Sql.Fingerprint.to_hex fp in
   let qid = Printf.sprintf "%s:%d" fp_hex t.stmt_seq in
   t.last_query_id <- Some qid;
@@ -847,21 +856,27 @@ let observe_stmt ?(rows_of = fun _ -> 0) t ~sql f =
     ~failed ~gov_abort ~index_hits:hits ~index_misses:misses ~waves ~steals;
   r
 
-let outcome_rows = function
-  | Selected r -> Resultset.nrows r
-  | Inserted n | Updated n | Deleted n -> n
-  | Created | Dropped | Explained _ | Option_set _ | Began | Committed
-  | Rolled_back ->
-    0
+(* A statement refused before it runs still counts as a failed call of
+   its fingerprint. *)
+let refuse t fp exn = observe t ~rows_of:(fun _ -> 0) fp (fun () -> raise exn)
+
+let exec_parsed t ~params ~optimize ~gov ~sql stmt =
+  observe t ~rows_of:outcome_rows (Sql.Fingerprint.of_stmt stmt) (fun () ->
+      exec_stmt t ~sql ~params ~optimize ~gov stmt)
+
+let parse t sql =
+  ignore (Telemetry.Trace.next_query ());
+  match Telemetry.Trace.span "parse" (fun () -> Sql.Parser.parse_stmt sql) with
+  | stmt -> Ok stmt
+  | exception e -> refuse t (Sql.Fingerprint.of_unparsed sql) e
 
 let exec t ?(params = [||]) ?(budget = Governor.no_limits) ?governor sql =
   (* [?governor] lets a caller hold the governor while the statement
      runs — the CLI's SIGINT handler cancels it cooperatively, the
      server cancels it on shutdown — instead of the per-call default. *)
   let gov = match governor with Some g -> g | None -> Governor.start budget in
-  observe_stmt ~rows_of:outcome_rows t ~sql (fun () ->
-      exec_stmt t ~sql ~params ~optimize:Relalg.Rewriter.default_options ~gov
-        (Telemetry.Trace.span "parse" (fun () -> Sql.Parser.parse_stmt sql)))
+  Result.bind (parse t sql)
+    (exec_parsed t ~params ~optimize:Relalg.Rewriter.default_options ~gov ~sql)
 
 let exec_exn t ?params ?budget sql =
   match exec t ?params ?budget sql with
@@ -880,14 +895,13 @@ let exec_script_each t ?(budget = Governor.no_limits) ~f sql =
     let rec go = function
       | [] -> Ok ()
       | stmt :: rest ->
-        let sql_text = Sql.Pretty.stmt_to_string stmt in
+        let sql = Sql.Pretty.stmt_to_string stmt in
+        ignore (Telemetry.Trace.next_query ());
         let r =
-          observe_stmt ~rows_of:outcome_rows t ~sql:sql_text (fun () ->
-              exec_stmt t ~sql:sql_text ~params:[||]
-                ~optimize:Relalg.Rewriter.default_options
-                ~gov:(Governor.start budget) stmt)
+          exec_parsed t ~params:[||] ~optimize:Relalg.Rewriter.default_options
+            ~gov:(Governor.start budget) ~sql stmt
         in
-        let verdict = f ~sql:sql_text r in
+        let verdict = f ~sql r in
         (match r with
         | Error e -> Error e
         | Ok _ -> ( match verdict with `Stop -> Ok () | `Continue -> go rest))
@@ -906,14 +920,16 @@ let exec_script t ?budget sql =
 
 let query t ?(params = [||]) ?(optimize = Relalg.Rewriter.default_options)
     ?(budget = Governor.no_limits) sql =
-  observe_stmt ~rows_of:Resultset.nrows t ~sql (fun () ->
-      match
-        Telemetry.Trace.span "parse" (fun () -> Sql.Parser.parse_stmt sql)
-      with
-      | Sql.Ast.Select q ->
-        run_select t ~params ~optimize ~gov:(Governor.start budget) q
-      | _ ->
-        raise (Relalg.Binder.Bind_error "query expects a SELECT statement"))
+  match parse t sql with
+  | Error e -> Error e
+  | Ok (Sql.Ast.Select _ as stmt) ->
+    Result.map
+      (function Selected r -> r | _ -> assert false (* SELECT => Selected *))
+      (exec_parsed t ~params ~optimize ~gov:(Governor.start budget) ~sql stmt)
+  | Ok stmt ->
+    refuse t
+      (Sql.Fingerprint.of_stmt stmt)
+      (Relalg.Binder.Bind_error "query expects a SELECT statement")
 
 let query_exn t ?params ?optimize ?budget sql =
   match query t ?params ?optimize ?budget sql with

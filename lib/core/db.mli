@@ -63,9 +63,35 @@ type exec_outcome =
   | Committed  (** COMMIT: snapshot discarded *)
   | Rolled_back  (** ROLLBACK: tables restored, graph caches cleared *)
 
-(** [exec db ?params ?budget ?governor sql] — run any single statement
-    under a fresh {!Governor} built from [budget] (default
-    {!Governor.no_limits}).  Budget exhaustion, cancellation and
+(** [parse db sql] — start a statement: allocate its trace id
+    ({!Telemetry.Trace.next_query}) and parse it, once, under a
+    ["parse"] span.  Text that does not parse is recorded as a failed
+    call of its token-level fingerprint, as {!exec} records it. *)
+val parse : t -> string -> (Sql.Ast.stmt, Error.t) result
+
+(** [exec_parsed db ~params ~optimize ~gov ~sql stmt] — the entry every
+    statement runs through ({!exec}, {!query}, scripts and the server):
+    fingerprint [stmt] ({!Sql.Fingerprint.of_stmt}), stamp its query id
+    on a ["statement"] span, execute it under [gov] and record it in the
+    registry and stat store.  The recorded latency excludes the parse.
+    [sql] is the source text; it is used only as the WAL record. *)
+val exec_parsed :
+  t ->
+  params:Storage.Value.t array ->
+  optimize:Relalg.Rewriter.options ->
+  gov:Governor.t ->
+  sql:string ->
+  Sql.Ast.stmt ->
+  (exec_outcome, Error.t) result
+
+(** [mutates_catalog stmt] — INSERT, UPDATE, DELETE, CREATE or DROP:
+    refused in read-only mode, logged by the WAL, run by the server
+    under its writer lock. *)
+val mutates_catalog : Sql.Ast.stmt -> bool
+
+(** [exec db ?params ?budget ?governor sql] — {!parse} then
+    {!exec_parsed}, under a fresh {!Governor} built from [budget]
+    (default {!Governor.no_limits}).  Budget exhaustion, cancellation and
     injected faults surface as [Error.Resource_error]; the session — and
     any open transaction snapshot — survives.  Pass [?governor] to keep
     a handle on the statement's governor while it runs (the CLI's SIGINT
@@ -105,7 +131,8 @@ val exec_script_each :
   string ->
   (unit, Error.t) result
 
-(** [query db ?params ?optimize ?budget sql] — run a SELECT. [optimize]
+(** [query db ?params ?optimize ?budget sql] — run a SELECT; any other
+    statement is refused (a failed call) before it runs. [optimize]
     overrides the rewriter configuration (used by the optimizer
     ablations). *)
 val query :
@@ -165,8 +192,8 @@ val parallelism : t -> int
 val set_parallelism : t -> int -> unit
 
 (** [registry db] — the session's cumulative metrics registry.  Every
-    statement run through {!exec}/{!exec_script}/{!query} adds its
-    latency to the [sqlgraph_statement_seconds] histogram and folds its
+    statement run through {!exec_parsed} and every {!parse} failure adds
+    its latency to the [sqlgraph_statement_seconds] histogram and folds its
     {!Executor.Interp.stats} counters in; render with
     {!Telemetry.Registry.to_table} ([\metrics]),
     {!Telemetry.Registry.to_prometheus} ([--metrics-out]) or
@@ -241,10 +268,10 @@ val register_virtual_table :
   t -> name:string -> (unit -> Storage.Table.t) -> unit
 
 (** [stat_store db] — the bounded per-fingerprint statement-stats store
-    behind [sqlgraph_stat_statements].  {!exec}, {!exec_script_each} and
-    {!query} record every statement's fingerprint, latency (the exact
-    delta the [sqlgraph_statement_seconds] histogram observes), row
-    count and traversal counters here. *)
+    behind [sqlgraph_stat_statements].  {!exec_parsed} and {!parse}
+    record every statement's fingerprint, latency (the exact delta the
+    [sqlgraph_statement_seconds] histogram observes), row count and
+    traversal counters here. *)
 val stat_store : t -> Stat_store.t
 
 (** [set_stat_store db store] — share a store across Dbs (the server

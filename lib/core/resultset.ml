@@ -4,11 +4,6 @@ let of_table t = t
 let to_table t = t
 let column_names t = Storage.Schema.names (Storage.Table.schema t)
 
-let column_types t =
-  List.map
-    (fun (f : Storage.Schema.field) -> f.Storage.Schema.ty)
-    (Storage.Schema.fields (Storage.Table.schema t))
-
 let nrows = Storage.Table.nrows
 let ncols = Storage.Table.arity
 let rows t = Storage.Table.to_rows t

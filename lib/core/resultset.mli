@@ -7,7 +7,6 @@ val of_table : Storage.Table.t -> t
 val to_table : t -> Storage.Table.t
 
 val column_names : t -> string list
-val column_types : t -> Storage.Dtype.t list
 val nrows : t -> int
 val ncols : t -> int
 

@@ -126,6 +126,3 @@ let find t fingerprint =
 let total_ms t =
   locked t
     (fun () -> Hashtbl.fold (fun _ e acc -> acc +. e.total_ms) t.tbl 0.)
-
-let total_calls t =
-  locked t (fun () -> Hashtbl.fold (fun _ e acc -> acc + e.calls) t.tbl 0)

@@ -60,4 +60,3 @@ val find : t -> int64 -> entry option
 (** Snapshot of one fingerprint's entry. *)
 
 val total_ms : t -> float
-val total_calls : t -> int

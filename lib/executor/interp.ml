@@ -133,35 +133,6 @@ let create_ctx ~catalog ?(indices = Graph_index.create ()) ?(vectorize = true)
 let stats ctx = ctx.st
 let trace ctx = List.rev ctx.trace_log
 
-let reset_stats ctx =
-  ctx.st.graph_build_seconds <- 0.;
-  ctx.st.graph_traverse_seconds <- 0.;
-  ctx.st.graphs_built <- 0;
-  ctx.st.graphs_reused <- 0;
-  ctx.st.build_dict_seconds <- 0.;
-  ctx.st.build_encode_seconds <- 0.;
-  ctx.st.build_csr_seconds <- 0.;
-  ctx.st.index_hits <- 0;
-  ctx.st.index_misses <- 0;
-  ctx.st.trav_searches <- 0;
-  ctx.st.trav_settled <- 0;
-  ctx.st.trav_peak_frontier <- 0;
-  ctx.st.trav_edges <- 0;
-  ctx.st.trav_waves <- 0;
-  ctx.st.trav_dir_switches <- 0;
-  ctx.st.trav_tasks <- 0;
-  ctx.st.trav_steals <- 0;
-  ctx.st.trav_splits <- 0;
-  ctx.st.pool_hits <- 0;
-  ctx.st.pool_misses <- 0;
-  ctx.st.vec_ops <- 0;
-  ctx.st.row_ops <- 0;
-  ctx.st.gov_checks <- 0;
-  ctx.st.gov_steps <- 0;
-  ctx.st.gov_peak_frontier <- 0;
-  ctx.st.gov_paths <- 0;
-  ctx.st.gov_budget_remaining_ms <- Float.nan
-
 (* Attach a detail pair to the operator currently being traced. *)
 let note ctx key value =
   if ctx.tracing then ctx.trace_notes <- (key, value) :: ctx.trace_notes

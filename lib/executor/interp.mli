@@ -94,9 +94,6 @@ val stats : ctx -> stats
     unless the context was created with [~tracing:true]. *)
 val trace : ctx -> trace_entry list
 
-(** [reset_stats ctx]. *)
-val reset_stats : ctx -> unit
-
 (** [run ?outer ctx plan] — execute to a materialised table. [outer]
     supplies the enclosing row context when [plan] is the body of a
     correlated subquery. Raises {!Relalg.Scalar.Runtime_error} for runtime

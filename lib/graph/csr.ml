@@ -133,10 +133,6 @@ let reverse t =
   in
   { vertex_count = n; offsets; targets; edge_rows }
 
-let build_bidir ~vertex_count ~src ~dst =
-  let fwd = build ~vertex_count ~src ~dst in
-  (fwd, reverse fwd)
-
 let edge_count t = Ivec.length t.targets
 
 let out_degree t v =

@@ -58,11 +58,6 @@ val memory_words : t -> int
     parent. Inherits [t]'s representation. *)
 val reverse : t -> t
 
-(** [build_bidir ~vertex_count ~src ~dst] = the forward CSR and its
-    {!reverse}, for direction-optimizing traversal. *)
-val build_bidir :
-  vertex_count:int -> src:int array -> dst:int array -> t * t
-
 val edge_count : t -> int
 
 (** [out_degree t v]. *)

@@ -59,6 +59,4 @@ let[@inline] get t i =
   | Packed p ->
     (Array.unsafe_get p.words (i lsr 1) lsr ((i land 1) * 30)) land max_packed
 
-let to_array t = Array.init (length t) (fun i -> get t i)
-
 let words = function Words a -> Some a | Packed _ -> None

@@ -35,8 +35,6 @@ val get : t -> int -> int
 (** [get t i] — the [i]th value. Unchecked: [i] must be in
     [0, length t). *)
 
-val to_array : t -> int array
-
 val words : t -> int array option
 (** The backing array when the representation is plain (shared, not
     copied; treat as read-only), [None] when packed. Hot traversal

@@ -371,12 +371,6 @@ let leave t ~sid =
   Mutex.unlock t.mu;
   metric_gauge t "sqlgraph_server_sessions_active" (float_of_int active)
 
-let active_sessions t =
-  Mutex.lock t.mu;
-  let n = t.sessions in
-  Mutex.unlock t.mu;
-  n
-
 (* --- write path ---------------------------------------------------- *)
 
 (* Load-shed check + blocking acquire.  The queue-depth gauge tracks how

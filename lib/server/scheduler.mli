@@ -56,7 +56,6 @@ val admit : t -> [ `Ok of int | `Full | `Stopping ]
 (** Try to enter a session slot; [`Ok sid] carries the session id. *)
 
 val leave : t -> sid:int -> unit
-val active_sessions : t -> int
 
 (** {1 Introspection (DESIGN.md §14)} *)
 

@@ -157,25 +157,20 @@ let read_event t buf chunk discarding =
 
 (* --- statement execution ------------------------------------------- *)
 
-(* Local copy of Db's classifier: which statements need the writer lock. *)
-let is_write = function
-  | Sql.Ast.Insert _ | Sql.Ast.Update _ | Sql.Ast.Delete _
-  | Sql.Ast.Create_table _ | Sql.Ast.Create_table_as _ | Sql.Ast.Drop_table _
-    ->
-    true
-  | _ -> false
-
-let exec_with_gov t db sql =
+let exec_with_gov t db ~sql stmt =
   let gov = Governor.start (Scheduler.config t.sched).budget in
   Mutex.lock t.gov_mu;
   t.current_gov <- Some gov;
   Mutex.unlock t.gov_mu;
-  let r = Db.exec db ~governor:gov sql in
+  let r =
+    Db.exec_parsed db ~params:[||] ~optimize:Relalg.Rewriter.default_options
+      ~gov ~sql stmt
+  in
   Mutex.lock t.gov_mu;
   t.current_gov <- None;
   Mutex.unlock t.gov_mu;
   (* Query id: the statement's fingerprint (just stamped on [db] by
-     Db.exec) plus this session's own sequence number.  The session
+     Db.exec_parsed) plus this session's own sequence number.  The session
      allocates the sequence — statements interleave across the private
      and shared Db, so neither Db's counter is session-monotone.  Safe
      to read off the shared Db: we hold the writer lock whenever a
@@ -199,9 +194,9 @@ let render t ?qid r =
    target is the WAL position the acknowledgement must wait for — the
    caller batches those waits across pipelined requests, so it is NOT
    awaited here. *)
-let exec_write_prepare t ~release sql =
+let exec_write_prepare t ~release ~sql stmt =
   let shared = Scheduler.db t.sched in
-  let r, qid = exec_with_gov t shared sql in
+  let r, qid = exec_with_gov t shared ~sql stmt in
   (* publish even after a failed statement: the shared Db's state —
      whatever it is — is what the next snapshot must show *)
   Scheduler.publish t.sched;
@@ -266,9 +261,12 @@ type item =
   | Deferred of Db.exec_outcome * int ref * string option
       (* outcome, snapshot-version ref, query id: rendered late *)
 
-(* Execute one request inside a batch. *)
+(* Execute one request inside a batch.  The request is parsed here, once:
+   the dispatch below and the Db both work on this AST.  A parse error
+   is recorded on the private Db (whose stat store is the shared one),
+   the same way Db.exec records it. *)
 let execute t b sql =
-  match Db.protect (fun () -> Sql.Parser.parse_stmt sql) with
+  match Db.parse t.session_db sql with
   | Error e ->
     batch_flush t b;
     Immediate [ Protocol.err e ]
@@ -277,26 +275,26 @@ let execute t b sql =
     | Sql.Ast.Set_option _ ->
       (* session-local knobs (parallelism, limits) live on the private Db *)
       batch_flush t b;
-      let r, qid = exec_with_gov t t.session_db sql in
+      let r, qid = exec_with_gov t t.session_db ~sql stmt in
       Immediate (render t ?qid r)
     | Sql.Ast.Select _ | Sql.Ast.Explain _ ->
       if t.holding_writer then begin
         (* in-transaction read: read-your-writes on the shared Db (safe —
            we hold the writer lock, nothing else can touch it) *)
-        let r, qid = exec_with_gov t (Scheduler.db t.sched) sql in
+        let r, qid = exec_with_gov t (Scheduler.db t.sched) ~sql stmt in
         Immediate (render t ?qid r)
       end
       else begin
         (* publish any batched writes first: read-your-writes *)
         batch_flush t b;
         refresh t;
-        let r, qid = exec_with_gov t t.session_db sql in
+        let r, qid = exec_with_gov t t.session_db ~sql stmt in
         Immediate (render t ?qid r)
       end
     | Sql.Ast.Begin_txn -> (
       if t.holding_writer then begin
         (* nested BEGIN: let the shared Db produce its usual error *)
-        let r, qid = exec_with_gov t (Scheduler.db t.sched) sql in
+        let r, qid = exec_with_gov t (Scheduler.db t.sched) ~sql stmt in
         Immediate (render t ?qid r)
       end
       else begin
@@ -305,7 +303,7 @@ let execute t b sql =
         | `Busy retry_ms ->
           Immediate [ Protocol.err_busy ~retry_ms "write queue full" ]
         | `Ok -> (
-          match exec_with_gov t (Scheduler.db t.sched) sql with
+          match exec_with_gov t (Scheduler.db t.sched) ~sql stmt with
           | (Ok _ as r), qid ->
             t.holding_writer <- true;
             Immediate (render t ?qid r)
@@ -317,12 +315,12 @@ let execute t b sql =
       if not t.holding_writer then begin
         (* no open transaction: the private Db raises the usual error *)
         batch_flush t b;
-        let r, qid = exec_with_gov t t.session_db sql in
+        let r, qid = exec_with_gov t t.session_db ~sql stmt in
         Immediate (render t ?qid r)
       end
       else begin
         t.holding_writer <- false;
-        match (exec_write_prepare t ~release:true sql, stmt) with
+        match (exec_write_prepare t ~release:true ~sql stmt, stmt) with
         (* ROLLBACK appends nothing (the WAL buffer is dropped), so its
            OK needs no fsync — gating it would delay the ack behind
            other sessions' unrelated bytes *)
@@ -330,16 +328,16 @@ let execute t b sql =
         | (resp, Some target), _ -> Gated (resp, target)
         | (resp, None), _ -> Immediate resp
       end
-    | _ when is_write stmt ->
+    | _ when Db.mutates_catalog stmt ->
       if t.holding_writer then begin
         (* inside BEGIN: apply + buffer; durability (and publication)
            happen at COMMIT, atomically with the rest of the txn *)
-        let r, qid = exec_with_gov t (Scheduler.db t.sched) sql in
+        let r, qid = exec_with_gov t (Scheduler.db t.sched) ~sql stmt in
         Immediate (render t ?qid r)
       end
       else if b.wlock then (
         (* already mid-run: keep the lock, defer the publish *)
-        match exec_with_gov t (Scheduler.db t.sched) sql with
+        match exec_with_gov t (Scheduler.db t.sched) ~sql stmt with
         | Ok o, qid ->
           let v = ref t.last_version in
           b.vrefs <- v :: b.vrefs;
@@ -353,7 +351,7 @@ let execute t b sql =
           Immediate [ Protocol.err_busy ~retry_ms "write queue full" ]
         | `Ok -> (
           b.wlock <- true;
-          match exec_with_gov t (Scheduler.db t.sched) sql with
+          match exec_with_gov t (Scheduler.db t.sched) ~sql stmt with
           | Ok o, qid ->
             let v = ref t.last_version in
             b.vrefs <- v :: b.vrefs;
@@ -361,7 +359,7 @@ let execute t b sql =
           | (Error _ as r), qid -> Immediate (render t ?qid r)))
     | _ ->
       batch_flush t b;
-      let r, qid = exec_with_gov t t.session_db sql in
+      let r, qid = exec_with_gov t t.session_db ~sql stmt in
       Immediate (render t ?qid r))
 
 (* Execute every request of [batch] in order, then acknowledge them all

@@ -3,7 +3,7 @@
    constants, whitespace, comments or identifier case — the key of the
    sqlgraph_stat_statements system table.
 
-   Normalization is AST-based when the statement parses: every literal
+   Normalization works on the parsed AST ([of_stmt]): every literal
    and host parameter becomes [Param 0] (printed "?"), every identifier
    is lowercased (matching the catalog's case-insensitive name space),
    and the result is pretty-printed — which canonicalizes whitespace,
@@ -192,14 +192,6 @@ let normalize_raw src =
   String.trim src |> lower
   |> String.map (fun c -> match c with '\t' | '\r' -> ' ' | c -> c)
 
-let normalize sql =
-  match Parser.parse_stmt sql with
-  | stmt -> Pretty.stmt_to_string (strip_stmt stmt)
-  | exception _ -> (
-    match normalize_tokens sql with
-    | s -> s
-    | exception _ -> normalize_raw sql)
-
 (* FNV-1a, 64-bit: stable across runs and platforms (no Hashtbl.hash). *)
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
@@ -212,9 +204,18 @@ let hash_text s =
     s;
   !h
 
-let of_sql sql =
-  let norm = normalize sql in
-  (hash_text norm, norm)
+let with_hash norm = (hash_text norm, norm)
+let of_stmt stmt = with_hash (Pretty.stmt_to_string (strip_stmt stmt))
 
+let of_unparsed sql =
+  with_hash
+    (match normalize_tokens sql with s -> s | exception _ -> normalize_raw sql)
+
+let of_sql sql =
+  match Parser.parse_stmt sql with
+  | stmt -> of_stmt stmt
+  | exception _ -> of_unparsed sql
+
+let normalize sql = snd (of_sql sql)
 let hash sql = fst (of_sql sql)
 let to_hex h = Printf.sprintf "%016Lx" h

@@ -3,17 +3,25 @@
     constants, whitespace, comments or identifier case — the key of the
     [sqlgraph_stat_statements] system table (DESIGN.md §14).
 
-    Normalization is AST-based when the text parses (literals and host
-    parameters become [?], identifiers are lowercased, the result is
-    pretty-printed) with a token-level fallback otherwise; both are
-    idempotent. LIMIT/OFFSET counts remain part of the shape. *)
+    Normalization works on the parsed AST (literals and host parameters
+    become [?], identifiers are lowercased, the result is
+    pretty-printed) with a token-level fallback for text that does not
+    parse; both are idempotent. LIMIT/OFFSET counts remain part of the
+    shape.  [Db] fingerprints the AST it already parsed ({!of_stmt}). *)
+
+(** [of_stmt stmt] — [(hash, normalized)] of a parsed statement. *)
+val of_stmt : Ast.stmt -> int64 * string
+
+(** [of_unparsed sql] — [(hash, normalized)] of text the parser rejected
+    (token-level pass, or case/space folding if it does not lex). *)
+val of_unparsed : string -> int64 * string
+
+(** [of_sql sql] — [of_stmt (parse sql)], or [of_unparsed sql]. *)
+val of_sql : string -> int64 * string
 
 (** [normalize sql] — the canonical text: ["SELECT a FROM t WHERE b = ?"]
     for any constant and spelling of that statement. *)
 val normalize : string -> string
-
-(** [of_sql sql] — [(hash, normalized)] in one pass. *)
-val of_sql : string -> int64 * string
 
 (** [hash sql = fst (of_sql sql)]. *)
 val hash : string -> int64

@@ -64,8 +64,3 @@ let register_virtual t name provider =
   Hashtbl.replace t.virtuals (norm name) provider
 
 let virtual_provider t name = Hashtbl.find_opt t.virtuals (norm name)
-let is_virtual t name = Hashtbl.mem t.virtuals (norm name)
-
-let virtual_names t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.virtuals []
-  |> List.sort String.compare

@@ -53,7 +53,3 @@ val names : t -> string list
 val register_virtual : t -> string -> (unit -> Table.t) -> unit
 
 val virtual_provider : t -> string -> (unit -> Table.t) option
-val is_virtual : t -> string -> bool
-
-(** [virtual_names t] — registered virtual-table names, sorted. *)
-val virtual_names : t -> string list

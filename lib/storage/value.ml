@@ -94,12 +94,6 @@ let to_float = function
   | Float x -> Some x
   | _ -> None
 
-let to_bool = function
-  | Bool b -> Some b
-  | Int 0 -> Some false
-  | Int _ -> Some true
-  | _ -> None
-
 let to_string_opt = function Str s -> Some s | _ -> None
 
 let rec to_display = function

@@ -49,7 +49,6 @@ val hash : t -> int
 
 val to_int : t -> int option
 val to_float : t -> float option
-val to_bool : t -> bool option
 val to_string_opt : t -> string option
 
 (** [to_display v] renders [v] for result-set output ([Null] as ["NULL"]). *)

@@ -110,6 +110,13 @@ let prop_pretty_stable =
       | stmt -> Fp.normalize (Sql.Pretty.stmt_to_string stmt) = Fp.normalize sql
       | exception _ -> QCheck.assume_fail ())
 
+let prop_of_stmt =
+  (* Db fingerprints the AST it executes; text-only callers use of_sql:
+     both must give the same key *)
+  QCheck.Test.make ~count:500 ~name:"of_stmt (parse sql) = of_sql sql"
+    (QCheck.make gen_stmt) (fun sql ->
+      Fp.of_stmt (Sql.Parser.parse_stmt sql) = Fp.of_sql sql)
+
 (* ------------------------------------------------------------------ *)
 (* Normalizer: unit table *)
 
@@ -188,12 +195,22 @@ let test_stat_statements_select () =
       "SELECT fingerprint, calls FROM sqlgraph_stat_statements WHERE calls \
        >= 20 ORDER BY total_ms DESC LIMIT 5"
   in
+  let expected = Fp.to_hex (Fp.hash "SELECT a FROM t WHERE b = 1") in
   (match top with
   | [ V.Str fp; V.Int calls ] :: _ ->
     check tint "literal-insensitive calls" 20 calls;
-    check tstr "fingerprint matches the normalizer"
-      (Fp.to_hex (Fp.hash "SELECT a FROM t WHERE b = 1")) fp
+    check tstr "fingerprint matches the normalizer" expected fp
   | _ -> Alcotest.fail "no row with calls >= 20");
+  (* a script statement (the parsed AST, pretty-printed for the WAL)
+     lands on the same fingerprint as the raw text through exec *)
+  (match
+     Db.exec_script_each db "select A from T where B = 7;"
+       ~f:(fun ~sql:_ _ -> `Continue)
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "script: %s" (Sqlgraph.Error.to_string e));
+  check (Alcotest.option tstr) "script fingerprint matches exec" (Some expected)
+    (Db.last_fingerprint db);
   (* the db-level query id joins back to exactly one row *)
   (match Db.last_query_id db with
   | None -> Alcotest.fail "no last_query_id"
@@ -363,6 +380,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_idempotent_garbage;
           QCheck_alcotest.to_alcotest prop_literal_insensitive;
           QCheck_alcotest.to_alcotest prop_pretty_stable;
+          QCheck_alcotest.to_alcotest prop_of_stmt;
           Alcotest.test_case "unit table" `Quick test_normalizer_units;
         ] );
       ( "store",

@@ -903,6 +903,29 @@ let test_wire_introspection () =
         (has_prefix ~prefix:"ERR bind" (Client.terminal resp));
       Client.close c)
 
+(* A request that does not parse is recorded like any failed statement:
+   one failed call under its token-level fingerprint, as Db.exec records
+   the same text. *)
+let test_wire_parse_error_recorded () =
+  with_server (fresh_db ()) (fun srv ->
+      let c = connect1 srv in
+      let bad = "SELEC a FROM t WHERE a = 1" in
+      check tbool "malformed request answered ERR parse" true
+        (has_prefix ~prefix:"ERR parse"
+           (Client.terminal (Client.request ~timeout_ms:5_000 c bad)));
+      let fp = Sql.Fingerprint.to_hex (Sql.Fingerprint.hash bad) in
+      let resp =
+        Client.request ~timeout_ms:5_000 c
+          (Printf.sprintf
+             "SELECT calls, failures FROM sqlgraph_stat_statements WHERE \
+              fingerprint = '%s'"
+             fp)
+      in
+      check (Alcotest.list (Alcotest.list tstr)) "one failed call"
+        [ [ "1"; "1" ] ]
+        (List.map row_cells (List.filter (has_prefix ~prefix:"ROW ") resp));
+      Client.close c)
+
 (* Two sessions: qid sequences are independently monotone and the
    sessions table shows both rows while both are connected. *)
 let test_two_session_qids () =
@@ -1097,6 +1120,8 @@ let () =
           Alcotest.test_case "wire qids + stat tables" `Quick
             test_wire_introspection;
           Alcotest.test_case "two-session qids" `Quick test_two_session_qids;
+          Alcotest.test_case "parse error recorded" `Quick
+            test_wire_parse_error_recorded;
         ] );
       ("fuzz", [ test_concurrency_fuzzer ]);
     ]
