@@ -619,7 +619,7 @@ if grep -qi "sqlgraph_" "$pdir/_manifest.csv"; then
 fi
 echo "   $n_qid wire qids, top fingerprint $top_fp (= wire qid) calls=$top_calls, parse error recorded, $n_fp fingerprints, reserved namespace enforced"
 
-echo "== graph-index smoke (serve --warm-index: cost-only Q13 meets in the middle)"
+echo "== graph-index smoke (serve --warm-index: cost-only Q13 meets in the middle, INSERTs extend)"
 gdir=$(mktemp -d /tmp/sqlgraph_check_gi_XXXXXX)
 gsock="$gdir/server.sock"
 trap 'rm -f "$script" "$out" "$ea_script" "$metrics" "$ms_script" "$obs_script" "$prom" "$slowlog" "$ack" "$srv_log" BENCH_smoke.json BENCH_pairs_smoke.json BENCH_pairs_scaling.json TRACE_smoke.json BENCH_wal_smoke.json BENCH_server_smoke.json BENCH_sim_smoke.json; rm -rf "$ddir" "$sdir" "$ackdir" "$idir" "$gdir"' EXIT
@@ -662,9 +662,26 @@ grep -q "^ROW 3$" "$out" || {
   cat "$out"
   exit 1
 }
+# An INSERT between existing vertices extends the cached graph; one with
+# a new vertex key rebuilds it.
+"$cli" client --socket "$gsock" -e "INSERT INTO g VALUES (2, 4)" > "$out" 2>&1
+"$cli" client --socket "$gsock" -e "EXPLAIN ANALYZE $q13" > "$out" 2>&1
+if ! grep -q "cache=extend" "$out" || ! grep -q "appended=1" "$out"; then
+  echo "FAIL: an INSERT between existing vertices must extend the graph:"
+  cat "$out"
+  exit 1
+fi
+"$cli" client --socket "$gsock" -e "INSERT INTO g VALUES (4, 6)" > "$out" 2>&1
+"$cli" client --socket "$gsock" -e "EXPLAIN ANALYZE $q13" > "$out" 2>&1
+grep -q "cache=miss" "$out" || {
+  echo "FAIL: an INSERT with a new vertex key must rebuild the graph:"
+  cat "$out"
+  exit 1
+}
 kill -TERM "$srv_pid" 2>/dev/null || true
 wait "$srv_pid" 2>/dev/null || true
-echo "   search=bidir on cost-only Q13, absent with a path column"
+echo "   search=bidir on cost-only Q13, absent with a path column;"
+echo "   cache=extend after an INSERT between known vertices, miss after a new key"
 
 echo "== replication: failover smoke (8 clients, kill -9 primary mid-burst, promote standby)"
 fpdir=$(mktemp -d /tmp/sqlgraph_check_fp_XXXXXX)

@@ -1,6 +1,8 @@
 module V = Storage.Value
 
-(* Debug tracing: enable with Logs.Src.set_level Db.log_src (Some Debug). *)
+(* Debug tracing: per-query bind/rewrite/execute timings and graph
+   statistics at Debug level on the "sqlgraph.db" source (e.g.
+   Logs.set_level (Some Debug)). *)
 let log_src = Logs.Src.create "sqlgraph.db" ~doc:"sqlgraph query lifecycle"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
@@ -477,15 +479,15 @@ let exec_rollback t =
   match t.snapshot with
   | None -> txn_error "ROLLBACK outside a transaction"
   | Some saved ->
-    (* drop everything touched since BEGIN, restore the copies; version
-       counters may be reused afterwards, so the graph cache must go *)
+    (* drop everything touched since BEGIN, restore the copies; they get
+       versions never handed out before, so every cached graph of them is
+       stale and checked against the restored rows *)
     List.iter
       (fun name -> ignore (Storage.Catalog.drop t.catalog name))
       (Storage.Catalog.names t.catalog);
     List.iter
       (fun (name, table) -> Storage.Catalog.replace t.catalog name table)
       saved;
-    Executor.Graph_index.clear_cache t.indices;
     t.snapshot <- None;
     Rolled_back
 

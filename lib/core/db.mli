@@ -17,10 +17,6 @@
 
 type t
 
-(** Debug tracing source ("sqlgraph.db"): per-query bind/rewrite/execute
-    timings and graph statistics at [Debug] level. *)
-val log_src : Logs.src
-
 (** [create ()] — an empty in-memory database.  [?indices] shares an
     existing graph-index cache instead of creating a private one: the
     server hands every session database the shared database's instance,

@@ -45,13 +45,9 @@ val write_file : path:string -> json -> unit
 
 (** {1 The [sqlgraph_metrics] system table (DESIGN.md §14)} *)
 
-(** Columns: [name, kind, field, value, help]. Counters and gauges emit
-    one row ([field = "value"]); histograms emit one row per rendered
-    field ([count], [sum], [p50], [p90], [p99], [max]). *)
-val registry_schema : Storage.Schema.t
-
-val registry_rows : Telemetry.Registry.t -> Storage.Value.t list list
-
 (** [registry_table regs] — the rows of every registry in [regs], in
-    order, as one table. *)
+    order, as one table. Columns: [name, kind, field, value, help].
+    Counters and gauges emit one row ([field = "value"]); histograms emit
+    one row per rendered field ([count], [sum], [p50], [p90], [p99],
+    [max]). *)
 val registry_table : Telemetry.Registry.t list -> Storage.Table.t

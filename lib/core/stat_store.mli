@@ -29,7 +29,6 @@ type t
 val create : ?bound:int -> unit -> t
 (** Default bound: 500 distinct fingerprints. *)
 
-val default_bound : int
 val bound : t -> int
 
 val record :

@@ -2,8 +2,5 @@
     data the paper's appendix uses: Mahinda Perera, Carmen Lepland,
     Chen Wang, ...). *)
 
-val first_names : string array
-val last_names : string array
-
 (** [pick rng] — a random (first, last) pair. *)
 val pick : Splitmix.t -> string * string

@@ -9,6 +9,9 @@ let max_memo_weights = 4
 
 type entry = {
   version : int;
+  rows : int;
+      (* edge-table rows the graph was built from: a CLI table grows in
+         place, so [edges] may hold more by now *)
   runtime : Graph.Runtime.t;
   edges : Storage.Table.t;
   mutable weights : (L.expr * Storage.Dtype.t * Graph.Runtime.aligned) list;
@@ -54,26 +57,71 @@ let disable t k =
 
 let is_enabled t k = locked t (fun () -> Hashtbl.mem t.enabled (normalise k))
 
+(* Under the lock, [k] normalised: a fresh entry is a hit; a stale one
+   is a miss, taken out of the cache and handed back for extension. *)
+let find t k ~version =
+  match Hashtbl.find_opt t.cache k with
+  | Some e when e.version = version ->
+    t.hits <- t.hits + 1;
+    `Fresh e
+  | found ->
+    Option.iter (fun _ -> Hashtbl.remove t.cache k) found;
+    t.misses <- t.misses + 1;
+    `Stale found
+
 let lookup t k ~version =
   let k = normalise k in
   locked t (fun () ->
-      match Hashtbl.find_opt t.cache k with
-      | Some e when e.version = version ->
-        t.hits <- t.hits + 1;
-        Some (e.runtime, e.edges)
-      | Some _ ->
-        Hashtbl.remove t.cache k;
-        t.misses <- t.misses + 1;
-        None
-      | None ->
-        t.misses <- t.misses + 1;
-        None)
+      match find t k ~version with
+      | `Fresh e -> Some (e.runtime, e.edges)
+      | `Stale _ -> None)
 
-let store t k ~version runtime edges =
+type source = Hit | Extended of int | Built
+
+(* The stale entry [e]'s graph extended by the rows appended to [edges]
+   since it was built, with the count of those rows — when that is
+   provably the graph a fresh build would make: the key columns still
+   hold [e]'s rows as a prefix, and Runtime.extend finds the dictionary
+   ids unchanged (DESIGN.md §6). Composite keys always rebuild. *)
+let extension k e edges =
+  match k.src, k.dst with
+  | [ s ], [ d ] ->
+    let col tbl i = Storage.Table.column tbl i in
+    let kept i = Storage.Column.equal_prefix (col e.edges i) (col edges i) e.rows in
+    if kept s && kept d then
+      Graph.Runtime.extend e.runtime ~src:(col edges s) ~dst:(col edges d)
+        ~from:e.rows
+      |> Option.map (fun rt -> (rt, Storage.Table.nrows edges - e.rows))
+    else None
+  | _ -> None
+
+let obtain ?(check = Graph.Cancel.none) t k ~version ~edges =
   let k = normalise k in
-  locked t (fun () ->
-      if Hashtbl.mem t.enabled k then
-        Hashtbl.replace t.cache k { version; runtime; edges; weights = [] })
+  match locked t (fun () -> find t k ~version) with
+  | `Fresh e -> (e.runtime, e.edges, Hit)
+  | `Stale stale ->
+    let edges = edges () in
+    let rows = Storage.Table.nrows edges in
+    (* a last cancellation point before the long uncheckpointed
+       dictionary/CSR construction *)
+    Graph.Cancel.report check ~site:"graph_build" ();
+    let runtime, source =
+      match Option.bind stale (fun e -> extension k e edges) with
+      | Some (rt, appended) -> (rt, Extended appended)
+      | None ->
+        let col i = Storage.Table.column edges i in
+        ( Graph.Runtime.build_multi ~src:(List.map col k.src)
+            ~dst:(List.map col k.dst),
+          Built )
+    in
+    (* a cached graph will be traversed again: pay one O(V+E) pass now
+       for the reverse CSR so every later batch can direction-optimize *)
+    Graph.Runtime.prepare_bidir runtime;
+    locked t (fun () ->
+        if Hashtbl.mem t.enabled k then
+          Hashtbl.replace t.cache k
+            { version; rows; runtime; edges; weights = [] });
+    (runtime, edges, source)
 
 (* A weight expression may be memoized only when it reads nothing but the
    edge table's row: a subquery reads tables whose versions the entry does
@@ -138,39 +186,22 @@ let keys t =
   locked t (fun () -> Hashtbl.fold (fun k () acc -> k :: acc) t.enabled [])
   |> List.sort (fun a b -> String.compare a.table b.table)
 
-let clear_cache t = locked t (fun () -> Hashtbl.reset t.cache)
 let hits t = locked t (fun () -> t.hits)
 let misses t = locked t (fun () -> t.misses)
 
-(* [warm t ~catalog] — build (or refresh) the cached graph of every
-   enabled key whose base table exists in [catalog], exactly as the
-   executor would on a cache miss (build_multi + prepare_bidir, so both
-   traversal directions are ready).  The replica's apply loop calls this
-   after catching up, so the first post-failover path query is a cache
-   hit instead of paying the dominating construction cost.  Returns the
-   number of graphs built; keys whose table is absent are skipped. *)
+(* The replica's apply loop calls this after catching up, so the first
+   post-failover path query is a cache hit instead of paying the
+   dominating construction cost. *)
 let warm t ~catalog =
-  let built = ref 0 in
-  List.iter
-    (fun k ->
+  List.fold_left
+    (fun built k ->
       match Storage.Catalog.find catalog k.table with
-      | None -> ()
+      | None -> built
       | Some edges -> (
         let version =
-          match Storage.Catalog.version catalog k.table with
-          | Some v -> v
-          | None -> 0
+          Option.value (Storage.Catalog.version catalog k.table) ~default:0
         in
-        match lookup t k ~version with
-        | Some _ -> ()
-        | None ->
-          let col i = Storage.Table.column edges i in
-          let runtime =
-            Graph.Runtime.build_multi ~src:(List.map col k.src)
-              ~dst:(List.map col k.dst)
-          in
-          Graph.Runtime.prepare_bidir runtime;
-          store t k ~version runtime edges;
-          incr built))
-    (keys t);
-  !built
+        match obtain t k ~version ~edges:(fun () -> edges) with
+        | _, _, Hit -> built
+        | _, _, (Extended _ | Built) -> built + 1))
+    0 (keys t)

@@ -6,7 +6,9 @@
     cached graph instead of rebuilding it, removing the dominating
     construction cost for single-pair queries. Entries are validated
     against the catalog's per-table version, so updates to the underlying
-    table invalidate the index automatically. *)
+    table invalidate the index automatically; when the change only
+    appended edge rows (or left the key columns alone), the stale graph
+    is extended instead of rebuilt — see {!obtain}. *)
 
 type key = { table : string; src : int list; dst : int list }
 (** Base-table name (normalised) + source/destination column positions
@@ -24,13 +26,37 @@ val disable : t -> key -> unit
 
 val is_enabled : t -> key -> bool
 
-(** [lookup t key ~version] — the cached graph if fresh at [version]. *)
+(** [lookup t key ~version] — the cached graph if fresh at [version]. A
+    stale entry is dropped. *)
 val lookup : t -> key -> version:int -> (Graph.Runtime.t * Storage.Table.t) option
 
-(** [store t key ~version runtime edges] — cache a built graph; no-op when
-    the key is not enabled. *)
-val store :
-  t -> key -> version:int -> Graph.Runtime.t -> Storage.Table.t -> unit
+(** How {!obtain} came by its graph. [Extended n]: the stale entry's
+    graph plus the [n] rows appended since (0 when only non-key columns
+    changed). *)
+type source = Hit | Extended of int | Built
+
+(** [obtain ?check t key ~version ~edges] — the graph of [key] at
+    [version] and the edge table it was built from: the cached one when
+    fresh ([Hit]); otherwise [edges ()] is materialised and the graph is
+    extended or built, given its reverse CSR and cached (unless [key] was
+    disabled meanwhile). [check] fires once, at site ["graph_build"],
+    before either.
+
+    A stale entry is extended when that is provably the graph a fresh
+    build would make (DESIGN.md §6): the key is one source and one
+    destination column; the table has at least the rows the entry was
+    built from, and its key columns equal the entry's on those rows
+    (compared unboxed, or not at all when they are the same column);
+    and {!Graph.Runtime.extend} finds every appended key already holding
+    the id a fresh build would give it. Anything else is [Built] from
+    scratch. Both count as a miss in {!misses}. *)
+val obtain :
+  ?check:Graph.Cancel.checkpoint ->
+  t ->
+  key ->
+  version:int ->
+  edges:(unit -> Storage.Table.t) ->
+  Graph.Runtime.t * Storage.Table.t * source
 
 (** {2 Weight memo}
 
@@ -76,19 +102,15 @@ val store_weights :
 (** [keys t] — enabled keys, sorted by table name. *)
 val keys : t -> key list
 
-(** [clear_cache t] drops every cached graph (enabled keys stay). Used on
-    transaction rollback, where version counters may be reused. *)
-val clear_cache : t -> unit
-
 (** Lifetime cache-efficiency counters: {!lookup} outcomes. A stale entry
     (table changed under the index) counts as a miss. *)
 
 val hits : t -> int
 val misses : t -> int
 
-(** [warm t ~catalog] — pre-build the cached graph of every enabled key
-    whose base table exists in [catalog] (build + [prepare_bidir], as
-    the executor would on a miss); returns how many were built. The
+(** [warm t ~catalog] — {!obtain} the cached graph of every enabled key
+    whose base table exists in [catalog], as the executor would; returns
+    how many were built or extended. The
     replica's apply loop warms after catch-up so the first post-failover
     path query hits the cache. Thread-safe, like every operation here:
     one index instance is shared across the server's session threads. *)

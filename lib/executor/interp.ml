@@ -747,19 +747,12 @@ and exec_sort ?outer ctx input keys =
    cache when one is enabled for this (table, S, D). The third component
    is the index key when the graph is cached, for the weight memo. *)
 and obtain_graph ctx (op : L.graph_op) =
-  let build edges =
-    (* a last cancellation point before the long uncheckpointed
-       dictionary/CSR construction *)
-    Graph.Cancel.report ctx.check ~site:"graph_build" ();
-    let t0 = now () in
-    let rt =
-      Graph.Runtime.build_multi
-        ~src:(List.map (T.column edges) op.L.edge_src)
-        ~dst:(List.map (T.column edges) op.L.edge_dst)
-    in
-    ctx.st.graph_build_seconds <- ctx.st.graph_build_seconds +. (now () -. t0);
-    ctx.st.graphs_built <- ctx.st.graphs_built + 1;
+  (* a graph built (or extended) for this statement *)
+  let built rt =
     let bs = Graph.Runtime.stats rt in
+    ctx.st.graph_build_seconds <-
+      ctx.st.graph_build_seconds +. bs.Graph.Runtime.total_seconds;
+    ctx.st.graphs_built <- ctx.st.graphs_built + 1;
     ctx.st.build_dict_seconds <-
       ctx.st.build_dict_seconds +. bs.Graph.Runtime.dict_seconds;
     ctx.st.build_encode_seconds <-
@@ -768,53 +761,56 @@ and obtain_graph ctx (op : L.graph_op) =
       ctx.st.build_csr_seconds +. bs.Graph.Runtime.csr_seconds;
     note_ms ctx "dict" bs.Graph.Runtime.dict_seconds;
     note_ms ctx "encode" bs.Graph.Runtime.encode_seconds;
-    note_ms ctx "csr" bs.Graph.Runtime.csr_seconds;
-    rt
+    note_ms ctx "csr" bs.Graph.Runtime.csr_seconds
   in
   let describe rt =
     note ctx "vertices" (string_of_int (Graph.Runtime.vertex_count rt));
     note ctx "graph_edges" (string_of_int (Graph.Runtime.edge_count rt));
     if Graph.Runtime.has_bidir rt then note ctx "bidir" "on"
   in
-  match op.L.edge with
-  | L.Scan { table; _ } -> (
-    let key =
-      { Graph_index.table; src = op.L.edge_src; dst = op.L.edge_dst }
+  let key =
+    match op.L.edge with
+    | L.Scan { table; _ } ->
+      Some { Graph_index.table; src = op.L.edge_src; dst = op.L.edge_dst }
+    | _ -> None
+  in
+  match key with
+  | Some key when Graph_index.is_enabled ctx.indices key ->
+    let version =
+      Option.value
+        (Storage.Catalog.version ctx.catalog key.Graph_index.table)
+        ~default:0
     in
-    if Graph_index.is_enabled ctx.indices key then begin
-      let version =
-        Option.value (Storage.Catalog.version ctx.catalog table) ~default:0
-      in
-      match Graph_index.lookup ctx.indices key ~version with
-      | Some (rt, edges) ->
-        ctx.st.graphs_reused <- ctx.st.graphs_reused + 1;
-        ctx.st.index_hits <- ctx.st.index_hits + 1;
-        note ctx "cache" "hit";
-        describe rt;
-        (edges, rt, Some key)
-      | None ->
-        ctx.st.index_misses <- ctx.st.index_misses + 1;
-        let edges = run ctx op.L.edge in
-        note ctx "cache" "miss";
-        let rt = build edges in
-        (* A cached graph will be traversed again: pay one O(V+E) pass now
-           for the reverse CSR so every later batch can direction-optimize. *)
-        Graph.Runtime.prepare_bidir rt;
-        describe rt;
-        Graph_index.store ctx.indices key ~version rt edges;
-        (edges, rt, Some key)
-    end
-    else begin
-      let edges = run ctx op.L.edge in
-      note ctx "cache" "off";
-      let rt = build edges in
-      describe rt;
-      (edges, rt, None)
-    end)
+    let rt, edges, source =
+      Graph_index.obtain ~check:ctx.check ctx.indices key ~version
+        ~edges:(fun () -> run ctx op.L.edge)
+    in
+    (match source with
+    | Graph_index.Hit ->
+      ctx.st.graphs_reused <- ctx.st.graphs_reused + 1;
+      ctx.st.index_hits <- ctx.st.index_hits + 1;
+      note ctx "cache" "hit"
+    | Graph_index.Extended appended ->
+      ctx.st.index_misses <- ctx.st.index_misses + 1;
+      note ctx "cache" "extend";
+      note ctx "appended" (string_of_int appended);
+      built rt
+    | Graph_index.Built ->
+      ctx.st.index_misses <- ctx.st.index_misses + 1;
+      note ctx "cache" "miss";
+      built rt);
+    describe rt;
+    (edges, rt, Some key)
   | _ ->
     let edges = run ctx op.L.edge in
     note ctx "cache" "off";
-    let rt = build edges in
+    Graph.Cancel.report ctx.check ~site:"graph_build" ();
+    let rt =
+      Graph.Runtime.build_multi
+        ~src:(List.map (T.column edges) op.L.edge_src)
+        ~dst:(List.map (T.column edges) op.L.edge_dst)
+    in
+    built rt;
     describe rt;
     (edges, rt, None)
 

@@ -25,6 +25,7 @@ let now = Unix.gettimeofday
 let auto_compact_threshold = 4_000_000
 
 let compacted t = Ivec.is_packed t.targets
+let edge_count t = Ivec.length t.targets
 
 let memory_words t =
   Array.length t.offsets + Ivec.memory_words t.targets
@@ -95,6 +96,66 @@ let build ~vertex_count ~src ~dst = fst (build_timed ~vertex_count ~src ~dst)
 let build_repr ~compact ~vertex_count ~src ~dst =
   fst (build_timed_repr ~compact ~vertex_count ~src ~dst ())
 
+(* Copy [len] payloads of an Ivec into a plain array. *)
+let blit_ivec src pos dst dst_pos len =
+  match Ivec.words src with
+  | Some a -> Array.blit a pos dst dst_pos len
+  | None ->
+    for k = 0 to len - 1 do
+      dst.(dst_pos + k) <- Ivec.get src (pos + k)
+    done
+
+(* Rows appended to the edge table have the largest row numbers, so a
+   fresh build's counting sort puts each of them at the end of its
+   source's segment, after every old slot of that source. The merge does
+   exactly that: the old slots of vertex [v] move up by the number of new
+   slots of the vertices below [v] ([added.(v)] after the prefix sum),
+   then the new slots are scattered in row order. A run of vertices with
+   the same shift is one blit, and there is at most one run more than
+   there are new slots, so besides the O(V) offset pass the old slots
+   cost one memory copy. *)
+let extend ?compact t ~src ~dst ~first_row =
+  if Array.length src <> Array.length dst then
+    invalid_arg "Csr.extend: src/dst length mismatch";
+  let n = t.vertex_count in
+  let added = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun i s -> if s >= 0 && dst.(i) >= 0 then added.(s + 1) <- added.(s + 1) + 1)
+    src;
+  for v = 1 to n do
+    added.(v) <- added.(v) + added.(v - 1)
+  done;
+  let e = edge_count t + added.(n) in
+  let offsets = Array.init (n + 1) (fun v -> t.offsets.(v) + added.(v)) in
+  let targets = Array.make e 0 and edge_rows = Array.make e 0 in
+  let v = ref 0 in
+  while !v < n do
+    let shift = added.(!v) in
+    let w = ref (!v + 1) in
+    while !w < n && added.(!w) = shift do
+      incr w
+    done;
+    let first = t.offsets.(!v) in
+    let len = t.offsets.(!w) - first in
+    blit_ivec t.targets first targets (first + shift) len;
+    blit_ivec t.edge_rows first edge_rows (first + shift) len;
+    v := !w
+  done;
+  (* the new slots of [v] start after its old ones *)
+  let cursor = Array.init n (fun v -> t.offsets.(v + 1) + added.(v)) in
+  Array.iteri
+    (fun i s ->
+      let d = dst.(i) in
+      if s >= 0 && d >= 0 then begin
+        let slot = cursor.(s) in
+        targets.(slot) <- d;
+        edge_rows.(slot) <- first_row + i;
+        cursor.(s) <- slot + 1
+      end)
+    src;
+  let targets, edge_rows = seal ?compact ~targets ~edge_rows () in
+  { vertex_count = n; offsets; targets; edge_rows }
+
 (* Reverse adjacency by the same count/prefix/scatter passes, run over the
    forward CSR's slots instead of the raw edge list. The payload of a
    reverse slot is the *forward slot* it mirrors (not the edge-table row):
@@ -132,8 +193,6 @@ let reverse t =
     seal ~compact:(compacted t) ~targets:rev_targets ~edge_rows:rev_slots ()
   in
   { vertex_count = n; offsets; targets; edge_rows }
-
-let edge_count t = Ivec.length t.targets
 
 let out_degree t v =
   if v < 0 || v >= t.vertex_count then

@@ -36,6 +36,19 @@ val build : vertex_count:int -> src:int array -> dst:int array -> t
 val build_repr :
   compact:bool -> vertex_count:int -> src:int array -> dst:int array -> t
 
+(** [extend t ~src ~dst ~first_row] — [t], built over the first
+    [first_row] rows of an edge table, extended by the rows appended
+    after them: [src.(i)]/[dst.(i)] are the endpoint ids of row
+    [first_row + i], in the same dense domain as [t] (so every id is
+    below [t.vertex_count]; [-1] drops the row as in {!build}). The
+    result equals {!build} over all rows: each new slot goes to the end
+    of its source's segment, where the counting sort puts the largest
+    row numbers. One O(V + E) pass; the representation follows the same
+    rule as {!build} over the merged edge count, or [compact] as in
+    {!build_repr}. *)
+val extend :
+  ?compact:bool -> t -> src:int array -> dst:int array -> first_row:int -> t
+
 (** Edge count at and above which {!build} packs the slot arrays. *)
 val auto_compact_threshold : int
 

@@ -10,6 +10,3 @@
     row ids in source→destination order. The empty array when
     [source = dst]. Raises [Invalid_argument] if [dst] was not reached. *)
 val edge_rows : Workspace.t -> Csr.t -> source:int -> dst:int -> int array
-
-(** [hop_count ws ~source ~dst] — number of edges on the recorded path. *)
-val hop_count : Workspace.t -> source:int -> dst:int -> int

@@ -24,6 +24,9 @@ type t = {
          their counters in here when it releases them *)
   mu : Mutex.t;  (* guards [pool], [totals] and the sched_* counters *)
   stats : build_stats;
+  src_keys : int;
+      (* ids the dictionary handed out while scanning the source column:
+         1 + the largest encoded source id *)
   mutable rev : Csr.t option;  (* reverse CSR, built on demand, kept *)
   mutable pool : Workspace.t list;  (* spare search workspaces *)
   mutable pool_hits : int;
@@ -37,6 +40,33 @@ type t = {
   mutable sched_workers : int;
   mutable sched_imbalance : int;
 }
+
+let make ~dict ~csr ~src_keys ~dict_s ~encode_s ~csr_s =
+  {
+    dict;
+    csr;
+    totals = Workspace.create 0;
+    mu = Mutex.create ();
+    stats =
+      {
+        dict_seconds = dict_s;
+        encode_seconds = encode_s;
+        csr_seconds = csr_s;
+        total_seconds = dict_s +. encode_s +. csr_s;
+        vertex_count = Vertex_dict.cardinality dict;
+        edge_count = Csr.edge_count csr;
+      };
+    src_keys;
+    rev = None;
+    pool = [];
+    pool_hits = 0;
+    pool_misses = 0;
+    sched_tasks = 0;
+    sched_steals = 0;
+    sched_splits = 0;
+    sched_workers = 0;
+    sched_imbalance = 0;
+  }
 
 let build_multi ~src ~dst =
   (match src, dst with
@@ -59,32 +89,50 @@ let build_multi ~src ~dst =
     Tr.span "csr" (fun () -> Csr.build ~vertex_count ~src:src_ids ~dst:dst_ids)
   in
   let t3 = now () in
-  {
-    dict;
-    csr;
-    totals = Workspace.create 0;
-    mu = Mutex.create ();
-    stats =
-      {
-        dict_seconds = t1 -. t0;
-        encode_seconds = t2 -. t1;
-        csr_seconds = t3 -. t2;
-        total_seconds = t3 -. t0;
-        vertex_count;
-        edge_count = Csr.edge_count csr;
-      };
-    rev = None;
-    pool = [];
-    pool_hits = 0;
-    pool_misses = 0;
-    sched_tasks = 0;
-    sched_steals = 0;
-    sched_splits = 0;
-    sched_workers = 0;
-    sched_imbalance = 0;
-  }
+  make ~dict ~csr
+    ~src_keys:(Array.fold_left max (-1) src_ids + 1)
+    ~dict_s:(t1 -. t0) ~encode_s:(t2 -. t1) ~csr_s:(t3 -. t2)
 
 let build ~src ~dst = build_multi ~src:[ src ] ~dst:[ dst ]
+
+(* The dictionary hands out ids to the source column first, then to the
+   destination column, so a fresh build keeps every id exactly when each
+   appended source key is among the first [src_keys] ids and each
+   appended destination key has an id (DESIGN.md §6). *)
+let extend t ~src ~dst ~from =
+  if Storage.Column.length src <> Storage.Column.length dst then
+    invalid_arg "Runtime.extend: src/dst column length mismatch";
+  Tr.span "graph_build" @@ fun () ->
+  let t0 = now () in
+  let src_ids, dst_ids =
+    Tr.span "encode" (fun () ->
+        ( Vertex_dict.encode_column ~from t.dict src,
+          Vertex_dict.encode_column ~from t.dict dst ))
+  in
+  let known col ids ~below =
+    let rec ok i =
+      i >= Array.length ids
+      || (Storage.Column.is_null col (from + i)
+         || (ids.(i) >= 0 && ids.(i) < below))
+         && ok (i + 1)
+    in
+    ok 0
+  in
+  if
+    not
+      (known src src_ids ~below:t.src_keys
+      && known dst dst_ids ~below:t.stats.vertex_count)
+  then None
+  else
+    let t1 = now () in
+    let csr =
+      Tr.span "csr" (fun () ->
+          Csr.extend t.csr ~src:src_ids ~dst:dst_ids ~first_row:from)
+    in
+    let t2 = now () in
+    Some
+      (make ~dict:t.dict ~csr ~src_keys:t.src_keys ~dict_s:0.
+         ~encode_s:(t1 -. t0) ~csr_s:(t2 -. t1))
 
 let stats t = t.stats
 let vertex_count t = t.stats.vertex_count

@@ -38,6 +38,22 @@ val build : src:Storage.Column.t -> dst:Storage.Column.t -> t
 val build_multi :
   src:Storage.Column.t list -> dst:Storage.Column.t list -> t
 
+(** [extend t ~src ~dst ~from] — the graph of an edge table whose first
+    [from] rows are the ones [t] was built from (single-column keys:
+    the caller checks that prefix), extended by rows [from..] — or [None]
+    when a fresh {!build} would not hand out the same dictionary ids.
+    That holds when every appended non-NULL source key already has an id
+    below the count of ids the build handed out while scanning the
+    source column, and every appended non-NULL destination key already
+    has an id; "no new vertex key" is not enough, because a key seen
+    only as a destination gets a source id once it appears as a source
+    (DESIGN.md §6). The result shares [t]'s dictionary, encodes only the
+    new rows, merges them with {!Csr.extend} and starts with a fresh
+    workspace pool and counters and no reverse CSR; its {!stats} report
+    [dict_seconds = 0]. *)
+val extend :
+  t -> src:Storage.Column.t -> dst:Storage.Column.t -> from:int -> t option
+
 val stats : t -> build_stats
 val vertex_count : t -> int
 val edge_count : t -> int

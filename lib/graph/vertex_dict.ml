@@ -154,13 +154,14 @@ let decode t id =
       Storage.Value.Date values.(id)
     else Storage.Value.Int values.(id)
 
-let encode_column t col =
-  let n = Storage.Column.length col in
+let encode_column ?(from = 0) t col =
+  let n = Storage.Column.length col - from in
   match t with
   | Ints { ids; dtype; _ }
     when Storage.Dtype.equal (Storage.Column.dtype col) dtype ->
     (* unboxed fast path *)
     Array.init n (fun i ->
+        let i = from + i in
         if Storage.Column.is_null col i then -1
         else
           match Int_tbl.find_opt ids (Storage.Column.int_at col i) with
@@ -168,7 +169,7 @@ let encode_column t col =
           | None -> -1)
   | _ ->
     Array.init n (fun i ->
-        match encode t (Storage.Column.get col i) with
+        match encode t (Storage.Column.get col (from + i)) with
         | Some id -> id
         | None -> -1)
 (* Encode one endpoint's columns row-wise; -1 marks non-vertices. *)

@@ -28,9 +28,10 @@ val encode : t -> Storage.Value.t -> int option
     Raises [Invalid_argument] for ids outside [0..cardinality-1]. *)
 val decode : t -> int -> Storage.Value.t
 
-(** [encode_column t col] encodes a whole column;
-    [-1] marks values that are not vertices (or NULL). *)
-val encode_column : t -> Storage.Column.t -> int array
+(** [encode_column ?from t col] encodes rows [from..] of a column
+    ([from] defaults to 0, the whole column); element [i] is the id of
+    row [from + i], [-1] marks values that are not vertices (or NULL). *)
+val encode_column : ?from:int -> t -> Storage.Column.t -> int array
 
 (** Composite vertex keys — §2's "extending for multiple attributes". *)
 

@@ -250,8 +250,6 @@ let rec fold_cols f acc e =
 let cols_used e =
   List.sort_uniq Int.compare (fold_cols (fun acc i -> i :: acc) [] e)
 
-(** [max_col e] — highest referenced column index, or [-1]. *)
-let max_col e = fold_cols (fun acc i -> max acc i) (-1) e
 
 (** [contains_agg e] — does [e] contain a (not yet lifted) aggregate? *)
 let rec contains_agg e =

@@ -149,21 +149,12 @@ and plan =
 (** [schema_of plan] — the output schema of any plan node. *)
 val schema_of : plan -> Rschema.t
 
-(** [extras_of_op op] — the fields a graph operator appends to its input:
-    per CHEAPEST SUM, a cost column and optionally a path column carrying
-    the edge plan's schema. *)
-val extras_of_op : graph_op -> Rschema.field list
-
 (** Schema constructors used by binder and rewriter. *)
 
 val graph_select_schema : input:plan -> graph_op -> Rschema.t
 val graph_join_schema : left:plan -> right:plan -> graph_op -> Rschema.t
 
 (** Expression utilities. *)
-
-(** [map_cols f e] rewrites every local column reference through [f]
-    ([Outer_col]s and subquery plans are untouched). *)
-val map_cols : (int -> int) -> expr -> expr
 
 (** [shift_cols delta e]. *)
 val shift_cols : int -> expr -> expr
@@ -173,9 +164,6 @@ val fold_cols : ('a -> int -> 'a) -> 'a -> expr -> 'a
 
 (** [cols_used e] — referenced columns as a sorted, deduplicated list. *)
 val cols_used : expr -> int list
-
-(** [max_col e] — highest referenced column index, or [-1]. *)
-val max_col : expr -> int
 
 (** [contains_agg e] — does [e] contain a not-yet-lifted aggregate? *)
 val contains_agg : expr -> bool
@@ -192,10 +180,6 @@ val conjoin : expr list -> expr option
 
 val const : Value.t -> Dtype.t -> expr
 val bool_const : bool -> expr
-
-(** [expr_uses_outer e] — does [e] reference the enclosing scope directly?
-    (Nested correlated subqueries keep their own [Outer_col]s.) *)
-val expr_uses_outer : expr -> bool
 
 (** [plan_uses_outer p] — does any expression of [p] (not counting nested
     correlated subplans, whose outer is [p] itself) reference the

@@ -11,7 +11,6 @@ val of_fd : Unix.file_descr -> t
     takes ownership. *)
 
 val connect_unix : string -> t
-val connect_tcp : string -> int -> t
 val close : t -> unit
 
 val hello : ?timeout_ms:int -> t -> string

@@ -15,8 +15,6 @@ val bye : string -> string
 val row : Storage.Value.t list -> string
 (** [ROW] line: tab-separated escaped cell displays. *)
 
-val row_text : string -> string
-(** [ROW] line carrying one escaped text column (EXPLAIN output). *)
 
 val err : Sqlgraph.Error.t -> string
 (** [ERR <category> <message>] with category derived from the error

@@ -1,6 +1,8 @@
-(** The database catalog: named base tables, with a per-table version
-    counter so that caches built over a table (e.g. the graph indices of
-    DESIGN.md §6) can detect staleness. *)
+(** The database catalog: named base tables, each with a version so that
+    caches built over a table (e.g. the graph indices of DESIGN.md §6) can
+    detect staleness. Versions come from one catalog-wide counter, so a
+    name never sees the same version twice — not even after DROP and
+    CREATE, or a ROLLBACK that drops and restores it. *)
 
 type t
 
@@ -10,14 +12,15 @@ val create : unit -> t
     [name] (case-insensitive) is already bound. *)
 val add : t -> string -> Table.t -> unit
 
-(** [replace t name table] registers or overwrites, bumping the version. *)
+(** [replace t name table] registers or overwrites, with a fresh version. *)
 val replace : t -> string -> Table.t -> unit
 
 (** [replace_at t name table ~version] registers or overwrites, setting
     the version explicitly instead of bumping — a session catalog
     mirroring published tables adopts the publisher's version so that
     version-keyed caches (the shared graph-index cache) stay coherent
-    across every session holding a copy of the same published table. *)
+    across every session holding a copy of the same published table.
+    Later versions handed out by this catalog stay above [version]. *)
 val replace_at : t -> string -> Table.t -> version:int -> unit
 
 val find : t -> string -> Table.t option
@@ -26,8 +29,9 @@ val mem : t -> string -> bool
 (** [drop t name] removes a table; [false] when absent. *)
 val drop : t -> string -> bool
 
-(** [version t name] is a counter bumped by {!replace}, {!drop} and
-    {!touch}; [None] when the table does not exist. *)
+(** [version t name] — the version {!add}, {!replace}, {!touch} or
+    {!replace_at} last gave [name]; [None] when the table does not
+    exist. *)
 val version : t -> string -> int option
 
 (** [touch t name] marks a table as mutated in place (e.g. after INSERT). *)

@@ -74,4 +74,9 @@ val null_flags : t -> bool array
 (** [equal a b] — same type, length and cells. *)
 val equal : t -> t -> bool
 
+(** [equal_prefix a b n] — same type, both at least [n] rows long, and
+    equal cells on rows [0..n-1]. Int and date columns are compared
+    without boxing a cell. *)
+val equal_prefix : t -> t -> int -> bool
+
 val pp : Format.formatter -> t -> unit

@@ -167,6 +167,89 @@ let test_mutation_invalidates_graph_index () =
   ignore (Sqlgraph.Db.exec_exn db "DELETE FROM e WHERE a = 1");
   check tbool "after delete" true (dist () = None)
 
+let indexed db =
+  match Sqlgraph.Db.create_graph_index db ~table:"e" ~src:"a" ~dst:"b" with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s" (Sqlgraph.Error.to_string e)
+
+let explain_analyze db sql =
+  match Sqlgraph.Db.exec_exn db ("EXPLAIN ANALYZE " ^ sql) with
+  | Sqlgraph.Db.Explained out -> out
+  | _ -> Alcotest.fail "expected Explained"
+
+let has affix out = Astring.String.is_infix ~affix out
+
+(* Versions never repeat for a name: a table dropped and created again
+   must not be served the graph cached for the old one. *)
+let test_drop_create_invalidates_graph_index () =
+  let db = Sqlgraph.Db.create () in
+  let exec sql = ignore (Sqlgraph.Db.exec_exn db sql) in
+  exec "CREATE TABLE e (a INTEGER, b INTEGER)";
+  exec "INSERT INTO e VALUES (1, 2), (2, 3)";
+  indexed db;
+  let reaches () =
+    rows db "SELECT 1 WHERE 1 REACHES 3 OVER e EDGE (a, b)" <> []
+  in
+  check tbool "before" true (reaches ());
+  exec "DROP TABLE e";
+  exec "CREATE TABLE e (a INTEGER, b INTEGER)";
+  exec "INSERT INTO e VALUES (5, 6)";
+  check tbool "after drop + create" false (reaches ())
+
+(* The (cost, path) rows of [sql] on [db] and on a fresh database holding
+   a copy of the same edge table and no index. *)
+let same_as_fresh db sql =
+  let fresh = Sqlgraph.Db.create () in
+  Sqlgraph.Db.load_table fresh ~name:"e"
+    (Storage.Table.copy
+       (Option.get (Storage.Catalog.find (Sqlgraph.Db.catalog db) "e")));
+  rows db sql = rows fresh sql
+
+(* An appended edge between known vertices extends the cached graph; one
+   whose source was so far only a destination does not: a fresh build
+   would give that key another id. Rows (1,2),(1,3) give ids 1->0, 2->1,
+   3->2; after appending (3,2) a fresh build gives 2->2, 3->1. *)
+let test_insert_extends_graph_index () =
+  let db = Sqlgraph.Db.create () in
+  let exec sql = ignore (Sqlgraph.Db.exec_exn db sql) in
+  exec "CREATE TABLE e (a INTEGER, b INTEGER)";
+  exec "INSERT INTO e VALUES (1, 2), (1, 3)";
+  indexed db;
+  let q src dst =
+    Printf.sprintf
+      "SELECT T.c, R.a, R.b FROM (SELECT CHEAPEST SUM(1) AS (c, p) WHERE %d \
+       REACHES %d OVER e EDGE (a, b)) T, UNNEST(T.p) R"
+      src dst
+  in
+  check tbool "first read builds" true (has "cache=miss" (explain_analyze db (q 1 3)));
+  exec "INSERT INTO e VALUES (1, 3), (1, 2)";
+  let out = explain_analyze db (q 1 3) in
+  check tbool "known keys extend" true
+    (has "cache=extend" out && has "appended=2" out && has "dict=0.000ms" out);
+  check tbool "extended = fresh" true (same_as_fresh db (q 1 3));
+  exec "INSERT INTO e VALUES (3, 2)";
+  check tbool "destination reused as source rebuilds" true
+    (has "cache=miss" (explain_analyze db (q 3 2)));
+  List.iter
+    (fun (s, d) -> check tbool "rebuilt = fresh" true (same_as_fresh db (q s d)))
+    [ (3, 2); (1, 2); (1, 3); (2, 2) ]
+
+(* An UPDATE of the weight column leaves the key columns alone: the
+   graph extends by zero rows, and the new weights are evaluated. *)
+let test_weight_update_extends_by_zero_rows () =
+  let db = Sqlgraph.Db.create () in
+  let exec sql = ignore (Sqlgraph.Db.exec_exn db sql) in
+  exec "CREATE TABLE e (a INTEGER, b INTEGER, w INTEGER)";
+  exec "INSERT INTO e VALUES (1, 2, 5), (2, 3, 5), (1, 3, 20)";
+  indexed db;
+  let q = "SELECT CHEAPEST SUM(x: w) WHERE 1 REACHES 3 OVER e x EDGE (a, b)" in
+  check tbool "before" true (int_rows db q = [ [ 10 ] ]);
+  exec "UPDATE e SET w = 1 WHERE a = 1 AND b = 3";
+  let out = explain_analyze db q in
+  check tbool "extends by 0 rows" true
+    (has "cache=extend" out && has "appended=0" out);
+  check tbool "new weights" true (int_rows db q = [ [ 1 ] ])
+
 (* ------------------------------------------------------------------ *)
 (* Scalar functions                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -732,8 +815,8 @@ let test_txn_graph_index_safety () =
   ignore (Sqlgraph.Db.exec_exn db "INSERT INTO e VALUES (2, 3)");
   check tbool "inside txn: now reachable (cache refreshed)" true (reaches ());
   ignore (Sqlgraph.Db.exec_exn db "ROLLBACK");
-  (* the rollback reuses version numbers: a stale cached graph would make
-     this reachable again *)
+  (* the rollback restores the table under a new version: a stale cached
+     graph would make this reachable again *)
   check tbool "after rollback: unreachable again" false (reaches ())
 
 let () =
@@ -759,6 +842,12 @@ let () =
           Alcotest.test_case "delete" `Quick test_delete;
           Alcotest.test_case "mutations invalidate graph index" `Quick
             test_mutation_invalidates_graph_index;
+          Alcotest.test_case "drop + create invalidates graph index" `Quick
+            test_drop_create_invalidates_graph_index;
+          Alcotest.test_case "insert extends graph index" `Quick
+            test_insert_extends_graph_index;
+          Alcotest.test_case "weight update extends by 0 rows" `Quick
+            test_weight_update_extends_by_zero_rows;
         ] );
       ( "functions",
         [

@@ -124,6 +124,44 @@ let test_csr_empty () =
   let csr = Graph.Csr.build ~vertex_count:0 ~src:[||] ~dst:[||] in
   check tint "no edges" 0 (Graph.Csr.edge_count csr)
 
+(* Csr.extend over a build of the first rows equals a build over all of
+   them — plain, packed and at the automatic representation — and so do
+   their reverse CSRs. Small vertex counts give self-loops and parallel
+   edges; -1 endpoints drop a row; the appended part may be empty. *)
+let prop_csr_extend_equals_build =
+  let rows k =
+    QCheck.Gen.(list_size (int_range 0 k) (pair (int_range (-1) 9) (int_range (-1) 9)))
+  in
+  let show l =
+    String.concat "; " (List.map (fun (s, d) -> Printf.sprintf "%d->%d" s d) l)
+  in
+  QCheck.Test.make ~name:"csr: extend (build old) new = build (old @ new), reverse too"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (n, old_rows, new_rows) ->
+         Printf.sprintf "n=%d old=[%s] new=[%s]" n (show old_rows) (show new_rows))
+       QCheck.Gen.(triple (int_range 1 10) (rows 30) (rows 6)))
+    (fun (n, old_rows, new_rows) ->
+      let ids f l =
+        Array.of_list (List.map (fun r -> if f r < 0 then -1 else f r mod n) l)
+      in
+      let os = ids fst old_rows and od = ids snd old_rows in
+      let ns = ids fst new_rows and nd = ids snd new_rows in
+      List.for_all
+        (fun compact ->
+          let build ~src ~dst =
+            match compact with
+            | None -> Graph.Csr.build ~vertex_count:n ~src ~dst
+            | Some compact -> Graph.Csr.build_repr ~compact ~vertex_count:n ~src ~dst
+          in
+          let extended =
+            Graph.Csr.extend ?compact (build ~src:os ~dst:od) ~src:ns ~dst:nd
+              ~first_row:(Array.length os)
+          in
+          let full = build ~src:(Array.append os ns) ~dst:(Array.append od nd) in
+          extended = full && Graph.Csr.reverse extended = Graph.Csr.reverse full)
+        [ None; Some false; Some true ])
+
 let prop_csr_degree_sum =
   QCheck.Test.make ~name:"csr: degrees sum to edge count" ~count:200
     QCheck.(pair (int_range 1 20) (list_of_size (QCheck.Gen.int_range 0 50) (pair (int_range 0 19) (int_range 0 19))))
@@ -866,6 +904,7 @@ let () =
           Alcotest.test_case "empty graph" `Quick test_csr_empty;
           Alcotest.test_case "timed build phases" `Quick test_csr_timings;
           QCheck_alcotest.to_alcotest prop_csr_degree_sum;
+          QCheck_alcotest.to_alcotest prop_csr_extend_equals_build;
         ] );
       ( "heaps",
         [

@@ -805,6 +805,98 @@ let prop_weight_memo_matches_fresh_db =
             true)
         steps)
 
+(* ------------------------------------------------------------------ *)
+(* Graph index extended across edge INSERTs                             *)
+(* ------------------------------------------------------------------ *)
+
+(* INSERT-only edge DML over an initial graph on keys 1..8. Appended
+   endpoints range over 1..10, so they mix known keys, new ones and keys
+   so far seen only as a destination; [None] is a NULL endpoint. *)
+type insert_step =
+  | Read of int * int
+  | Append of int option * int option * int  (** a, b, weight *)
+
+let gen_insert_step =
+  QCheck.Gen.(
+    let key =
+      frequency [ (1, return None); (6, map Option.some (int_range 1 10)) ]
+    in
+    frequency
+      [
+        (2, map2 (fun s d -> Read (s, d)) (int_range 1 10) (int_range 1 10));
+        (3, map3 (fun a b w -> Append (a, b, w)) key key (int_range 1 9));
+      ])
+
+(* Every (cost, path) read after INSERTs equals a fresh database's, and
+   EXPLAIN ANALYZE shows cache=extend exactly when the dictionary keeps
+   its ids: every appended source key was already a source of the graph
+   last made, every appended destination key already one of its
+   vertices (DESIGN.md §6). *)
+let prop_insert_extension_matches_fresh_db =
+  QCheck.Test.make
+    ~name:"edge INSERTs: (cost, path) = fresh database, cache=extend iff ids kept"
+    ~count:150
+    (QCheck.make
+       QCheck.Gen.(pair gen_edges (list_size (int_range 1 16) gen_insert_step)))
+    (fun (edges, steps) ->
+      let db, _ = indexed_edge_db edges in
+      let rows = ref (List.map (fun e -> (Some e.src, Some e.dst)) edges) in
+      let next_id = ref (List.length edges) in
+      (* (sources, vertices) of the graph last made; rows appended since *)
+      let made = ref None and pending = ref [] in
+      let present f = List.filter_map f !rows in
+      let sql src dst =
+        Printf.sprintf
+          "SELECT T.c, R.id, R.ordinality FROM (SELECT CHEAPEST SUM(x: x.w) AS \
+           (c, p) WHERE %d REACHES %d OVER e x EDGE (a, b)) T LEFT JOIN \
+           UNNEST(T.p) WITH ORDINALITY AS R ON TRUE"
+          src dst
+      in
+      let key = function None -> "NULL" | Some k -> string_of_int k in
+      List.for_all
+        (function
+          | Append (a, b, w) ->
+            ignore
+              (Sqlgraph.Db.exec_exn db
+                 (Printf.sprintf "INSERT INTO e VALUES (%d, %s, %s, %d)" !next_id
+                    (key a) (key b) w));
+            incr next_id;
+            rows := !rows @ [ (a, b) ];
+            pending := (a, b) :: !pending;
+            true
+          | Read (src, dst) ->
+            let known set = function None -> true | Some k -> List.mem k set in
+            let want =
+              match !made with
+              | None -> "miss"
+              | Some _ when !pending = [] -> "hit"
+              | Some (srcs, vertices) ->
+                if
+                  List.for_all
+                    (fun (a, b) -> known srcs a && known vertices b)
+                    !pending
+                then "extend"
+                else "miss"
+            in
+            let srcs = present fst in
+            made := Some (srcs, srcs @ present snd);
+            pending := [];
+            let explained =
+              match Sqlgraph.Db.exec_exn db ("EXPLAIN ANALYZE " ^ sql src dst) with
+              | Sqlgraph.Db.Explained out -> out
+              | _ -> Alcotest.fail "expected Explained"
+            in
+            let fresh = Sqlgraph.Db.create () in
+            Sqlgraph.Db.load_table fresh ~name:"e"
+              (Storage.Table.copy
+                 (Option.get (Storage.Catalog.find (Sqlgraph.Db.catalog db) "e")));
+            let run db =
+              Sqlgraph.Resultset.rows (Sqlgraph.Db.query_exn db (sql src dst))
+            in
+            Astring.String.is_infix ~affix:("cache=" ^ want) explained
+            && run db = run fresh)
+        steps)
+
 (* Cost-only Q13 and bare REACHES on an indexed edge table — a single
    pair each, so the cached graph answers them with the bidirectional
    kernel — must equal Baselines.Native_bfs on the current rows, across
@@ -910,6 +1002,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_bidir_distance_equals_bfs;
           QCheck_alcotest.to_alcotest prop_bidir_sql_matches_native;
         ] );
+      ( "graph-index",
+        [ QCheck_alcotest.to_alcotest prop_insert_extension_matches_fresh_db ] );
       ( "explain-analyze",
         [
           Alcotest.test_case "phase times" `Quick test_phase_times_sum;
