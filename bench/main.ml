@@ -571,9 +571,9 @@ let pairs_bench ?json ~ratio ~sources ~seed () =
       (fun (a, b) -> (V.Int a, V.Int b))
       (Datagen.Workload.random_pairs ~seed:(seed + 11) ~ids:setup.ids sources)
   in
-  let run ?domains engine =
+  let run ?domains ?counts engine =
     Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted ?domains
-      ~engine ~pairs ()
+      ?counts ~engine ~pairs ()
   in
   (* Warm every configuration once — workspace pool, batch scratch and
      allocator — so no timed run pays first-use allocation. *)
@@ -581,30 +581,26 @@ let pairs_bench ?json ~ratio ~sources ~seed () =
   ignore (run `Batched);
   ignore (run ~domains:2 `Batched);
   ignore (run ~domains:4 `Batched);
-  let scalar, t_scalar = time (fun () -> run `Scalar) in
-  let scalar_workers =
-    (Graph.Runtime.sched_counters rt).Graph.Runtime.sc_workers
-  in
-  (* One batched measurement per domain count: counter deltas from the
-     first run (scheduling-independent, so any run would do), time as
-     the min of three — symmetric across configurations so the scaling
-     ratios compare floors, not noise. [workers] is what the scheduler
-     actually ran: [domains] clamped to the host's cores. *)
+  let scalar_counts = Graph.Runtime.fresh_counts () in
+  let scalar, t_scalar = time (fun () -> run ~counts:scalar_counts `Scalar) in
+  let scalar_workers = scalar_counts.Graph.Runtime.workers in
+  (* One batched measurement per domain count: the counts of the first
+     run (scheduling-independent, so any run would do), time as the min
+     of three — symmetric across configurations so the scaling ratios
+     compare floors, not noise. [workers] is what the scheduler actually
+     ran: [domains] clamped to the host's cores. *)
   let measure ?domains () =
-    let cb = Graph.Runtime.traversal_counters rt in
-    let sb = Graph.Runtime.sched_counters rt in
-    let outs, t1 = time (fun () -> run ?domains `Batched) in
-    let ca = Graph.Runtime.traversal_counters rt in
-    let sa = Graph.Runtime.sched_counters rt in
+    let c = Graph.Runtime.fresh_counts () in
+    let outs, t1 = time (fun () -> run ?domains ~counts:c `Batched) in
     let _, t2 = time (fun () -> ignore (run ?domains `Batched)) in
     let _, t3 = time (fun () -> ignore (run ?domains `Batched)) in
     ( outs,
       Float.min t1 (Float.min t2 t3),
-      ( ca.Graph.Workspace.waves - cb.Graph.Workspace.waves,
-        ca.Graph.Workspace.dir_switches - cb.Graph.Workspace.dir_switches,
-        sa.Graph.Runtime.sc_steals - sb.Graph.Runtime.sc_steals,
-        sa.Graph.Runtime.sc_tasks - sb.Graph.Runtime.sc_tasks ),
-      sa.Graph.Runtime.sc_workers )
+      ( c.Graph.Runtime.trav.Graph.Workspace.waves,
+        c.Graph.Runtime.trav.Graph.Workspace.dir_switches,
+        c.Graph.Runtime.steals,
+        c.Graph.Runtime.tasks ),
+      c.Graph.Runtime.workers )
   in
   let batched, t_batched, counters1, workers1 = measure () in
   let batched2, t_batched2, counters2, workers2 = measure ~domains:2 () in

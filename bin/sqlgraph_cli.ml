@@ -295,37 +295,37 @@ let statement_sinks db ~sql ~ms result =
   write_prometheus db;
   slow_query_check db ~sql ~ms result
 
+(* One line per declared [\stats] label, in declaration order:
+   "label: v key=v ...". A NaN gauge (no timeout) is left out. *)
 let print_stats db =
   match Sqlgraph.Db.last_stats db with
   | None -> print_endline "no query statistics yet"
   | Some s ->
-    let ms x = x *. 1000. in
-    Printf.printf "graphs: built=%d reused=%d  index: hits=%d misses=%d\n"
-      s.Executor.Interp.graphs_built s.Executor.Interp.graphs_reused
-      s.Executor.Interp.index_hits s.Executor.Interp.index_misses;
-    Printf.printf
-      "build: %.3fms (dict=%.3fms encode=%.3fms csr=%.3fms)  traverse: %.3fms\n"
-      (ms s.Executor.Interp.graph_build_seconds)
-      (ms s.Executor.Interp.build_dict_seconds)
-      (ms s.Executor.Interp.build_encode_seconds)
-      (ms s.Executor.Interp.build_csr_seconds)
-      (ms s.Executor.Interp.graph_traverse_seconds);
-    Printf.printf
-      "traversal: searches=%d settled=%d peak_frontier=%d edges_scanned=%d \
-       batched_waves=%d dir_switches=%d\n"
-      s.Executor.Interp.trav_searches s.Executor.Interp.trav_settled
-      s.Executor.Interp.trav_peak_frontier s.Executor.Interp.trav_edges
-      s.Executor.Interp.trav_waves s.Executor.Interp.trav_dir_switches;
-    if s.Executor.Interp.pool_hits + s.Executor.Interp.pool_misses > 0 then
-      Printf.printf "workspace pool: hits=%d misses=%d\n"
-        s.Executor.Interp.pool_hits s.Executor.Interp.pool_misses;
-    Printf.printf "evaluation: vectorized=%d row=%d\n"
-      s.Executor.Interp.vec_ops s.Executor.Interp.row_ops;
-    Printf.printf "governor: checks=%d steps=%d peak_frontier=%d paths=%d%s\n"
-      s.Executor.Interp.gov_checks s.Executor.Interp.gov_steps
-      s.Executor.Interp.gov_peak_frontier s.Executor.Interp.gov_paths
-      (let r = s.Executor.Interp.gov_budget_remaining_ms in
-       if Float.is_nan r then "" else Printf.sprintf " budget_remaining=%.1fms" r)
+    let item (c : Executor.Interp.counter) key =
+      let v =
+        match c.kind, c.get s with
+        | _, Executor.Interp.Int n -> Some (string_of_int n)
+        | Executor.Interp.Gauge, Executor.Interp.Float f ->
+          if Float.is_nan f then None else Some (Printf.sprintf "%.1fms" f)
+        | _, Executor.Interp.Float f ->
+          Some (Printf.sprintf "%.3fms" (f *. 1000.))
+      in
+      Option.map (fun v -> if key = "" then v else key ^ "=" ^ v) v
+    in
+    let items =
+      List.filter_map
+        (fun (c : Executor.Interp.counter) ->
+          Option.map (fun (label, key) -> (label, item c key)) c.line)
+        Executor.Interp.counters
+    in
+    List.fold_left
+      (fun seen (label, _) -> if List.mem label seen then seen else label :: seen)
+      [] items
+    |> List.rev
+    |> List.iter (fun label ->
+           List.filter_map (fun (l, i) -> if l = label then i else None) items
+           |> String.concat " "
+           |> Printf.printf "%s: %s\n" label)
 
 let execute db sql =
   let t0 = Unix.gettimeofday () in

@@ -64,8 +64,9 @@ for needle in "rows=" "time=" "traverse=" "settled=" "csr="; do
     exit 1
   }
 done
-grep -q '"schema": "sqlgraph-metrics-v1"' "$metrics" || {
-  echo "FAIL: --json-metrics did not emit sqlgraph-metrics-v1:"
+# sqlgraph-metrics-v1, with every declared counter in its "stats" object
+dune exec test/json_lint.exe -- --metrics "$metrics" || {
+  echo "FAIL: --json-metrics did not emit every declared sqlgraph-metrics-v1 counter:"
   cat "$metrics"
   exit 1
 }

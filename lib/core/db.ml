@@ -70,24 +70,31 @@ let refuse_reserved name =
              tables"
             name))
 
+(* The declared counters with a sqlgraph_stat_statements column, in
+   declaration order: the columns after [rows], and the order of each
+   Stat_store entry's [counters]. *)
+let stat_counters =
+  List.filter_map
+    (fun (c : Executor.Interp.counter) ->
+      let count s = match c.get s with Executor.Interp.Int n -> n | _ -> 0 in
+      Option.map (fun col -> (col, count)) c.column)
+    Executor.Interp.counters
+
 let stat_statements_schema =
   Storage.Schema.of_pairs
-    [
-      ("fingerprint", Storage.Dtype.TStr);
-      ("query", Storage.Dtype.TStr);
-      ("calls", Storage.Dtype.TInt);
-      ("failures", Storage.Dtype.TInt);
-      ("gov_aborts", Storage.Dtype.TInt);
-      ("total_ms", Storage.Dtype.TFloat);
-      ("min_ms", Storage.Dtype.TFloat);
-      ("max_ms", Storage.Dtype.TFloat);
-      ("mean_ms", Storage.Dtype.TFloat);
-      ("rows", Storage.Dtype.TInt);
-      ("index_hits", Storage.Dtype.TInt);
-      ("index_misses", Storage.Dtype.TInt);
-      ("waves", Storage.Dtype.TInt);
-      ("steals", Storage.Dtype.TInt);
-    ]
+    ([
+       ("fingerprint", Storage.Dtype.TStr);
+       ("query", Storage.Dtype.TStr);
+       ("calls", Storage.Dtype.TInt);
+       ("failures", Storage.Dtype.TInt);
+       ("gov_aborts", Storage.Dtype.TInt);
+       ("total_ms", Storage.Dtype.TFloat);
+       ("min_ms", Storage.Dtype.TFloat);
+       ("max_ms", Storage.Dtype.TFloat);
+       ("mean_ms", Storage.Dtype.TFloat);
+       ("rows", Storage.Dtype.TInt);
+     ]
+    @ List.map (fun (col, _) -> (col, Storage.Dtype.TInt)) stat_counters)
 
 let stat_statements_table store =
   Storage.Table.of_rows stat_statements_schema
@@ -106,11 +113,8 @@ let stat_statements_table store =
              (if e.Stat_store.calls = 0 then 0.
               else e.Stat_store.total_ms /. float_of_int e.Stat_store.calls);
            V.Int e.Stat_store.rows;
-           V.Int e.Stat_store.index_hits;
-           V.Int e.Stat_store.index_misses;
-           V.Int e.Stat_store.waves;
-           V.Int e.Stat_store.steals;
-         ])
+         ]
+         @ Array.to_list (Array.map (fun n -> V.Int n) e.Stat_store.counters))
        (Stat_store.entries store))
 
 let stat_graph_schema =
@@ -351,7 +355,7 @@ let run_select t ~params ~optimize ~gov q =
   merge_counters gov stats;
   Log.debug (fun m ->
       m "graphs built=%d reused=%d build=%.6fs traverse=%.6fs rows=%d"
-        stats.Executor.Interp.graphs_built stats.Executor.Interp.graphs_reused
+        stats.Executor.Interp.graphs_built stats.Executor.Interp.index_hits
         stats.Executor.Interp.graph_build_seconds
         stats.Executor.Interp.graph_traverse_seconds
         (Storage.Table.nrows table));
@@ -759,44 +763,23 @@ let absorb_stats t ~dt ~failed ~delta =
   match delta with
   | None -> ()
   | Some (s : Executor.Interp.stats) ->
-    let open Executor.Interp in
-    Reg.inc reg "sqlgraph_graphs_built_total" s.graphs_built
-      ~help:"Graphs built (dict+encode+CSR)";
-    Reg.inc reg "sqlgraph_graphs_reused_total" s.graphs_reused
-      ~help:"Graph-index cache hits";
-    Reg.inc reg "sqlgraph_traversal_searches_total" s.trav_searches
-      ~help:"Single-source searches run";
-    Reg.inc reg "sqlgraph_traversal_settled_total" s.trav_settled
-      ~help:"Vertices settled across traversals";
-    Reg.inc reg "sqlgraph_traversal_edges_scanned_total" s.trav_edges
-      ~help:"Edges scanned across traversals";
-    Reg.inc reg "sqlgraph_traversal_waves_total" s.trav_waves
-      ~help:"MS-BFS waves run";
-    Reg.inc reg "sqlgraph_traversal_dir_switches_total" s.trav_dir_switches
-      ~help:"Direction-optimizing BFS switches";
-    Reg.inc reg "sqlgraph_sched_tasks_total" s.trav_tasks
-      ~help:"Work-stealing scheduler tasks executed";
-    Reg.inc reg "sqlgraph_sched_steals_total" s.trav_steals
-      ~help:"Work-stealing scheduler successful steals";
-    Reg.inc reg "sqlgraph_sched_splits_total" s.trav_splits
-      ~help:"Work-stealing scheduler adaptive task splits";
-    Reg.inc reg "sqlgraph_workspace_pool_hits_total" s.pool_hits
-      ~help:"Workspace pool reuses";
-    Reg.inc reg "sqlgraph_workspace_pool_misses_total" s.pool_misses
-      ~help:"Workspace pool allocations";
-    Reg.inc reg "sqlgraph_vectorized_ops_total" s.vec_ops
-      ~help:"Vectorized evaluation ops";
-    Reg.inc reg "sqlgraph_row_ops_total" s.row_ops
-      ~help:"Row-at-a-time evaluation ops";
-    Reg.inc reg "sqlgraph_governor_checks_total" s.gov_checks
-      ~help:"Governor checkpoints evaluated";
-    if s.graphs_built > 0 then
-      Reg.observe reg "sqlgraph_graph_build_seconds" s.graph_build_seconds
-        ~help:"Graph construction time per statement (seconds)";
-    if s.trav_searches > 0 || s.trav_waves > 0 then
-      Reg.observe reg "sqlgraph_graph_traverse_seconds"
-        s.graph_traverse_seconds
-        ~help:"Traversal time per statement (seconds)"
+    (* counters first, then histograms: the registry renders in
+       registration order *)
+    List.iter
+      (fun (c : Executor.Interp.counter) ->
+        match c.registry, c.get s with
+        | Some (Executor.Interp.Total name), Executor.Interp.Int n ->
+          Reg.inc reg name n ~help:c.help
+        | _ -> ())
+      Executor.Interp.counters;
+    List.iter
+      (fun (c : Executor.Interp.counter) ->
+        match c.registry, c.get s with
+        | Some (Executor.Interp.Histogram (name, guard)), Executor.Interp.Float v
+          when guard s ->
+          Reg.observe reg name v ~help:c.help
+        | _ -> ())
+      Executor.Interp.counters
 
 let outcome_rows = function
   | Selected r -> Resultset.nrows r
@@ -843,19 +826,15 @@ let observe t ~rows_of (fp, norm) f =
   let gov_abort =
     match r with Error (Error.Resource_error _) -> true | _ -> false
   in
-  let hits, misses, waves, steals =
-    match delta with
-    | Some (s : Executor.Interp.stats) ->
-      ( s.Executor.Interp.index_hits,
-        s.Executor.Interp.index_misses,
-        s.Executor.Interp.trav_waves,
-        s.Executor.Interp.trav_steals )
-    | None -> (0, 0, 0, 0)
+  let counters =
+    Array.of_list
+      (List.map (fun (_, count) -> Option.fold ~none:0 ~some:count delta)
+         stat_counters)
   in
   Stat_store.record t.stat_store ~fingerprint:fp ~query:norm
     ~ms:(dt *. 1000.)
     ~rows:(match r with Ok v -> rows_of v | Error _ -> 0)
-    ~failed ~gov_abort ~index_hits:hits ~index_misses:misses ~waves ~steals;
+    ~failed ~gov_abort ~counters;
   r
 
 (* A statement refused before it runs still counts as a failed call of

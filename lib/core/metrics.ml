@@ -143,66 +143,23 @@ let registry_json reg =
   in
   Obj (List.rev fields)
 
+(* The "stats" object, from the counter declaration: a group's rows are
+   adjacent there, so each group nests as one object in declaration
+   order. *)
 let stats_json (s : Executor.Interp.stats) =
-  Obj
-    [
-      ("graph_build_seconds", num s.Executor.Interp.graph_build_seconds);
-      ("graph_traverse_seconds", num s.Executor.Interp.graph_traverse_seconds);
-      ("graphs_built", Int s.Executor.Interp.graphs_built);
-      ("graphs_reused", Int s.Executor.Interp.graphs_reused);
-      ( "build_phases",
-        Obj
-          [
-            ("dict_seconds", num s.Executor.Interp.build_dict_seconds);
-            ("encode_seconds", num s.Executor.Interp.build_encode_seconds);
-            ("csr_seconds", num s.Executor.Interp.build_csr_seconds);
-          ] );
-      ( "graph_index",
-        Obj
-          [
-            ("hits", Int s.Executor.Interp.index_hits);
-            ("misses", Int s.Executor.Interp.index_misses);
-          ] );
-      ( "traversal",
-        Obj
-          [
-            ("searches", Int s.Executor.Interp.trav_searches);
-            ("settled", Int s.Executor.Interp.trav_settled);
-            ("peak_frontier", Int s.Executor.Interp.trav_peak_frontier);
-            ("edges_scanned", Int s.Executor.Interp.trav_edges);
-            ("batched_waves", Int s.Executor.Interp.trav_waves);
-            ("dir_switches", Int s.Executor.Interp.trav_dir_switches);
-          ] );
-      ( "scheduler",
-        Obj
-          [
-            ("tasks", Int s.Executor.Interp.trav_tasks);
-            ("steals", Int s.Executor.Interp.trav_steals);
-            ("splits", Int s.Executor.Interp.trav_splits);
-          ] );
-      ( "workspace_pool",
-        Obj
-          [
-            ("hits", Int s.Executor.Interp.pool_hits);
-            ("misses", Int s.Executor.Interp.pool_misses);
-          ] );
-      ( "evaluation",
-        Obj
-          [
-            ("vectorized_ops", Int s.Executor.Interp.vec_ops);
-            ("row_ops", Int s.Executor.Interp.row_ops);
-          ] );
-      ( "governor",
-        Obj
-          [
-            ("checks", Int s.Executor.Interp.gov_checks);
-            ("steps", Int s.Executor.Interp.gov_steps);
-            ("peak_frontier", Int s.Executor.Interp.gov_peak_frontier);
-            ("paths", Int s.Executor.Interp.gov_paths);
-            ( "budget_remaining_ms",
-              num s.Executor.Interp.gov_budget_remaining_ms );
-          ] );
-    ]
+  let field (c : Executor.Interp.counter) fields =
+    let v =
+      match c.get s with
+      | Executor.Interp.Int i -> Int i
+      | Executor.Interp.Float f -> num f
+    in
+    match c.json, fields with
+    | [ group; key ], (g, Obj inner) :: rest when g = group ->
+      (group, Obj ((key, v) :: inner)) :: rest
+    | [ group; key ], _ -> (group, Obj [ (key, v) ]) :: fields
+    | path, _ -> (String.concat "." path, v) :: fields
+  in
+  Obj (List.fold_right field Executor.Interp.counters [])
 
 (* The sqlgraph_metrics system table (DESIGN.md §14): one row per
    counter/gauge value and per histogram percentile, so registry state

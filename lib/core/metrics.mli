@@ -35,8 +35,11 @@ val to_compact_string : json -> string
 val registry_json : Telemetry.Registry.t -> json
 
 (** [stats_json stats] — an {!Executor.Interp.stats} record as a JSON
-    object: top-level build/traverse timings plus [build_phases],
-    [graph_index], [traversal], [evaluation] and [governor] sub-objects. *)
+    object: every row of {!Executor.Interp.counters} at its [json] key
+    path, in declaration order (top-level build/traverse timings plus
+    [build_phases], [graph_index], [traversal], [scheduler],
+    [workspace_pool], [evaluation] and [governor] sub-objects).
+    Non-finite readings are [null]. *)
 val stats_json : Executor.Interp.stats -> json
 
 (** [write_file ~path j] — write [j] and a trailing newline to [path]

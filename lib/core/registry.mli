@@ -1,11 +1,12 @@
 (** Cumulative session metrics: named counters, gauges and log-scale
     histograms.
 
-    One registry lives on each [Db] session and absorbs the
-    per-statement [Interp.stats] / workspace counters that were
-    previously discarded after every query, so "what was p99 statement
-    latency over this workload?" has an answer at any point in the
-    session.
+    One registry lives on each [Db] session. After every statement the
+    session adds that statement's counters to it — the
+    [sqlgraph_*_total] counters and histograms named in
+    [Executor.Interp.counters] — so "what was p99 statement latency
+    over this workload?" has an answer at any point in the session.
+    The server keeps one more, for its own metrics.
 
     Histograms are log-scale: observations land in geometric buckets
     (4 per decade from 1e-7 to 1e3, plus +Inf), so quantile readbacks
@@ -17,8 +18,9 @@
     Renderings: {!to_prometheus} (text exposition format v0.0.4, for
     [--metrics-out]), {!to_table} (aligned human table, for [\metrics])
     and {!fold} (for the [session] section of the sqlgraph-metrics-v1
-    JSON).  A registry is not synchronized: statements execute
-    sequentially on the session thread, which is the only writer. *)
+    JSON).  A registry is not synchronized: a session's statements
+    execute sequentially on its thread, the only writer; the server
+    guards its shared one with a mutex of its own. *)
 
 type t
 

@@ -23,10 +23,7 @@ type entry = {
   mutable min_ms : float;
   mutable max_ms : float;
   mutable rows : int;
-  mutable index_hits : int;
-  mutable index_misses : int;
-  mutable waves : int; (* batched MS-BFS waves *)
-  mutable steals : int; (* work-stealing scheduler steals *)
+  counters : int array; (* summed per-statement counters, caller's order *)
 }
 
 type t = {
@@ -62,8 +59,7 @@ let evict_coldest_locked t =
     t.evicted <- t.evicted + 1
   | None -> ()
 
-let record t ~fingerprint ~query ~ms ~rows ~failed ~gov_abort ~index_hits
-    ~index_misses ~waves ~steals =
+let record t ~fingerprint ~query ~ms ~rows ~failed ~gov_abort ~counters =
   locked t (fun () ->
       let e =
         match Hashtbl.find_opt t.tbl fingerprint with
@@ -81,10 +77,7 @@ let record t ~fingerprint ~query ~ms ~rows ~failed ~gov_abort ~index_hits
               min_ms = infinity;
               max_ms = 0.;
               rows = 0;
-              index_hits = 0;
-              index_misses = 0;
-              waves = 0;
-              steals = 0;
+              counters = Array.make (Array.length counters) 0;
             }
           in
           Hashtbl.replace t.tbl fingerprint e;
@@ -97,10 +90,7 @@ let record t ~fingerprint ~query ~ms ~rows ~failed ~gov_abort ~index_hits
       if ms < e.min_ms then e.min_ms <- ms;
       if ms > e.max_ms then e.max_ms <- ms;
       e.rows <- e.rows + rows;
-      e.index_hits <- e.index_hits + index_hits;
-      e.index_misses <- e.index_misses + index_misses;
-      e.waves <- e.waves + waves;
-      e.steals <- e.steals + steals)
+      Array.iteri (fun i n -> e.counters.(i) <- e.counters.(i) + n) counters)
 
 let reset t =
   locked t (fun () ->
@@ -110,18 +100,17 @@ let reset t =
 let size t = locked t (fun () -> Hashtbl.length t.tbl)
 let evicted t = locked t (fun () -> t.evicted)
 
+let copy e = { e with counters = Array.copy e.counters }
+
 (* A consistent copy, hottest (total_ms) first — the natural reading
    order and the order sqlgraph_stat_statements materializes in. *)
 let entries t =
   locked t (fun () ->
-      Hashtbl.fold (fun _ e acc -> { e with fingerprint = e.fingerprint } :: acc) t.tbl []
+      Hashtbl.fold (fun _ e acc -> copy e :: acc) t.tbl []
       |> List.sort (fun a b -> compare b.total_ms a.total_ms))
 
 let find t fingerprint =
-  locked t (fun () ->
-      Option.map
-        (fun e -> { e with fingerprint = e.fingerprint })
-        (Hashtbl.find_opt t.tbl fingerprint))
+  locked t (fun () -> Option.map copy (Hashtbl.find_opt t.tbl fingerprint))
 
 let total_ms t =
   locked t

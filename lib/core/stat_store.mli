@@ -18,10 +18,10 @@ type entry = {
   mutable min_ms : float;
   mutable max_ms : float;
   mutable rows : int;  (** rows returned (SELECT) or affected (DML) *)
-  mutable index_hits : int;
-  mutable index_misses : int;
-  mutable waves : int;  (** batched MS-BFS waves *)
-  mutable steals : int;  (** work-stealing scheduler steals *)
+  counters : int array;
+      (** per-statement counters summed over the calls, in the order the
+          caller records them (the [column] rows of
+          [Executor.Interp.counters]) *)
 }
 
 type t
@@ -39,11 +39,10 @@ val record :
   rows:int ->
   failed:bool ->
   gov_abort:bool ->
-  index_hits:int ->
-  index_misses:int ->
-  waves:int ->
-  steals:int ->
+  counters:int array ->
   unit
+(** [counters] is added element-wise into the entry's; every call passes
+    the same length. *)
 
 val reset : t -> unit
 (** Zero the store (the [\stat reset] meta-command). The Db registry is

@@ -13,41 +13,145 @@ type stats = {
   mutable graph_build_seconds : float;
   mutable graph_traverse_seconds : float;
   mutable graphs_built : int;
-  mutable graphs_reused : int;
-  (* graph build phase breakdown, summed over every build this run *)
   mutable build_dict_seconds : float;
   mutable build_encode_seconds : float;
   mutable build_csr_seconds : float;
-  (* graph-index cache outcomes for edge tables with an enabled index *)
   mutable index_hits : int;
   mutable index_misses : int;
-  (* traversal counters, deltas accumulated per graph operator *)
   mutable trav_searches : int;
   mutable trav_settled : int;
   mutable trav_peak_frontier : int;
   mutable trav_edges : int;
   mutable trav_waves : int;
   mutable trav_dir_switches : int;
-  (* work-stealing scheduler counters for parallel traversal batches *)
   mutable trav_tasks : int;
   mutable trav_steals : int;
   mutable trav_splits : int;
-  (* workspace-pool outcomes for parallel traversal batches *)
   mutable pool_hits : int;
   mutable pool_misses : int;
-  (* expression-evaluation dispatch: column-at-a-time hits vs fallbacks *)
   mutable vec_ops : int;
   mutable row_ops : int;
-  (* governor observability, copied in by Db after each run: how many
-     cooperative checkpoints fired, traversal steps consumed, the largest
-     frontier seen, paths enumerated, and the wall-clock budget left
-     (nan when the query ran without a timeout) *)
+  (* copied in by Db from the governor after each run *)
   mutable gov_checks : int;
   mutable gov_steps : int;
   mutable gov_peak_frontier : int;
   mutable gov_paths : int;
   mutable gov_budget_remaining_ms : float;
 }
+
+(* The counter declaration: one row per counter, in the order of the
+   sqlgraph-metrics-v1 "stats" object, naming it on every surface (see
+   interp.mli). Db, Metrics and the CLI render from this list only. *)
+type kind = Count | Seconds | Peak | Gauge
+type value = Int of int | Float of float
+type registry = Total of string | Histogram of string * (stats -> bool)
+
+type counter = {
+  json : string list;
+  registry : registry option;
+  column : string option;
+  line : (string * string) option;
+  note : string option;
+  help : string;
+  kind : kind;
+  get : stats -> value;
+}
+
+let counters =
+  let row ?registry ?column ?line ?note json kind help get =
+    { json; registry; column; line; note; help; kind; get }
+  in
+  [
+    row [ "graph_build_seconds" ] Seconds
+      "Graph construction time per statement (seconds)"
+      ~registry:
+        (Histogram
+           ("sqlgraph_graph_build_seconds", fun s -> s.graphs_built > 0))
+      ~line:("build", "") (fun s -> Float s.graph_build_seconds);
+    row [ "graph_traverse_seconds" ] Seconds
+      "Traversal time per statement (seconds)" ~note:"traverse"
+      ~registry:
+        (Histogram
+           ( "sqlgraph_graph_traverse_seconds",
+             fun s -> s.trav_searches > 0 || s.trav_waves > 0 ))
+      ~line:("traverse", "") (fun s -> Float s.graph_traverse_seconds);
+    row [ "graphs_built" ] Count "Graphs built (dict+encode+CSR)"
+      ~registry:(Total "sqlgraph_graphs_built_total")
+      ~line:("graphs", "built") (fun s -> Int s.graphs_built);
+    row [ "graphs_reused" ] Count "Graph-index cache hits"
+      ~registry:(Total "sqlgraph_graphs_reused_total")
+      ~line:("graphs", "reused") (fun s -> Int s.index_hits);
+    row [ "build_phases"; "dict_seconds" ] Seconds "Graph build: dictionary"
+      ~line:("build", "dict") ~note:"dict"
+      (fun s -> Float s.build_dict_seconds);
+    row [ "build_phases"; "encode_seconds" ] Seconds "Graph build: encoding"
+      ~line:("build", "encode") ~note:"encode"
+      (fun s -> Float s.build_encode_seconds);
+    row [ "build_phases"; "csr_seconds" ] Seconds "Graph build: CSR"
+      ~line:("build", "csr") ~note:"csr" (fun s -> Float s.build_csr_seconds);
+    row [ "graph_index"; "hits" ] Count "Graph-index lookups served cached"
+      ~column:"index_hits" ~line:("index", "hits") (fun s -> Int s.index_hits);
+    row [ "graph_index"; "misses" ] Count "Graph-index misses: built/extended"
+      ~column:"index_misses" ~line:("index", "misses")
+      (fun s -> Int s.index_misses);
+    row [ "traversal"; "searches" ] Count "Single-source searches run"
+      ~registry:(Total "sqlgraph_traversal_searches_total") ~note:"groups"
+      ~line:("traversal", "searches") (fun s -> Int s.trav_searches);
+    row [ "traversal"; "settled" ] Count "Vertices settled across traversals"
+      ~registry:(Total "sqlgraph_traversal_settled_total") ~note:"settled"
+      ~line:("traversal", "settled") (fun s -> Int s.trav_settled);
+    row [ "traversal"; "peak_frontier" ] Peak "Largest frontier of any batch"
+      ~line:("traversal", "peak_frontier") ~note:"peak_frontier"
+      (fun s -> Int s.trav_peak_frontier);
+    row [ "traversal"; "edges_scanned" ] Count "Edges scanned across traversals"
+      ~registry:(Total "sqlgraph_traversal_edges_scanned_total")
+      ~line:("traversal", "edges_scanned") ~note:"edges_scanned"
+      (fun s -> Int s.trav_edges);
+    row [ "traversal"; "batched_waves" ] Count "MS-BFS waves run"
+      ~registry:(Total "sqlgraph_traversal_waves_total") ~column:"waves"
+      ~line:("traversal", "batched_waves") ~note:"batched_waves"
+      (fun s -> Int s.trav_waves);
+    row [ "traversal"; "dir_switches" ] Count "Direction-optimizing switches"
+      ~registry:(Total "sqlgraph_traversal_dir_switches_total")
+      ~line:("traversal", "dir_switches") ~note:"dir_switches"
+      (fun s -> Int s.trav_dir_switches);
+    row [ "scheduler"; "tasks" ] Count "Work-stealing scheduler tasks executed"
+      ~registry:(Total "sqlgraph_sched_tasks_total") ~note:"tasks"
+      ~line:("scheduler", "tasks") (fun s -> Int s.trav_tasks);
+    row [ "scheduler"; "steals" ] Count
+      "Work-stealing scheduler successful steals"
+      ~registry:(Total "sqlgraph_sched_steals_total") ~column:"steals"
+      ~line:("scheduler", "steals") ~note:"steals" (fun s -> Int s.trav_steals);
+    row [ "scheduler"; "splits" ] Count
+      "Work-stealing scheduler adaptive task splits"
+      ~registry:(Total "sqlgraph_sched_splits_total") ~note:"splits"
+      ~line:("scheduler", "splits") (fun s -> Int s.trav_splits);
+    row [ "workspace_pool"; "hits" ] Count "Workspace pool reuses"
+      ~registry:(Total "sqlgraph_workspace_pool_hits_total")
+      ~line:("workspace pool", "hits") (fun s -> Int s.pool_hits);
+    row [ "workspace_pool"; "misses" ] Count "Workspace pool allocations"
+      ~registry:(Total "sqlgraph_workspace_pool_misses_total")
+      ~line:("workspace pool", "misses") (fun s -> Int s.pool_misses);
+    row [ "evaluation"; "vectorized_ops" ] Count "Vectorized evaluation ops"
+      ~registry:(Total "sqlgraph_vectorized_ops_total") ~note:"vectorized"
+      ~line:("evaluation", "vectorized") (fun s -> Int s.vec_ops);
+    row [ "evaluation"; "row_ops" ] Count "Row-at-a-time evaluation ops"
+      ~registry:(Total "sqlgraph_row_ops_total") ~note:"row_eval"
+      ~line:("evaluation", "row") (fun s -> Int s.row_ops);
+    row [ "governor"; "checks" ] Count "Governor checkpoints evaluated"
+      ~registry:(Total "sqlgraph_governor_checks_total")
+      ~line:("governor", "checks") (fun s -> Int s.gov_checks);
+    row [ "governor"; "steps" ] Count "Governor: traversal steps"
+      ~line:("governor", "steps") (fun s -> Int s.gov_steps);
+    row [ "governor"; "peak_frontier" ] Peak "Governor: largest frontier"
+      ~line:("governor", "peak_frontier") (fun s -> Int s.gov_peak_frontier);
+    row [ "governor"; "paths" ] Count "Governor: paths enumerated"
+      ~line:("governor", "paths") (fun s -> Int s.gov_paths);
+    row [ "governor"; "budget_remaining_ms" ] Gauge
+      "Governor: wall-clock budget left (ms)"
+      ~line:("governor", "budget_remaining")
+      (fun s -> Float s.gov_budget_remaining_ms);
+  ]
 
 (* EXPLAIN ANALYZE instrumentation: one entry per completed operator.
    Entries are emitted in completion (post-) order; [tr_depth] lets a
@@ -101,7 +205,6 @@ let create_ctx ~catalog ?(indices = Graph_index.create ()) ?(vectorize = true)
         graph_build_seconds = 0.;
         graph_traverse_seconds = 0.;
         graphs_built = 0;
-        graphs_reused = 0;
         build_dict_seconds = 0.;
         build_encode_seconds = 0.;
         build_csr_seconds = 0.;
@@ -246,47 +349,22 @@ let finish_state (a : L.agg) st =
 (* The interpreter                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Time a traversal batch and attribute the graph runtime's counter
-   deltas (searches started, vertices settled, edges scanned, per-batch
-   peak frontier) to this execution's stats. *)
-let timed_traversal ctx rt f =
-  let before = Graph.Runtime.traversal_counters rt in
-  let sched_before = Graph.Runtime.sched_counters rt in
-  let t0 = now () in
-  let r = f () in
-  let dt = now () -. t0 in
-  ctx.st.graph_traverse_seconds <- ctx.st.graph_traverse_seconds +. dt;
-  let after = Graph.Runtime.traversal_counters rt in
-  ctx.st.trav_searches <-
-    ctx.st.trav_searches + after.Graph.Workspace.searches
-    - before.Graph.Workspace.searches;
-  ctx.st.trav_settled <-
-    ctx.st.trav_settled + after.Graph.Workspace.settled
-    - before.Graph.Workspace.settled;
-  ctx.st.trav_edges <-
-    ctx.st.trav_edges + after.Graph.Workspace.edges_scanned
-    - before.Graph.Workspace.edges_scanned;
-  ctx.st.trav_waves <-
-    ctx.st.trav_waves + after.Graph.Workspace.waves
-    - before.Graph.Workspace.waves;
-  ctx.st.trav_dir_switches <-
-    ctx.st.trav_dir_switches + after.Graph.Workspace.dir_switches
-    - before.Graph.Workspace.dir_switches;
-  let sched_after = Graph.Runtime.sched_counters rt in
-  ctx.st.trav_tasks <-
-    ctx.st.trav_tasks + sched_after.Graph.Runtime.sc_tasks
-    - sched_before.Graph.Runtime.sc_tasks;
-  ctx.st.trav_steals <-
-    ctx.st.trav_steals + sched_after.Graph.Runtime.sc_steals
-    - sched_before.Graph.Runtime.sc_steals;
-  ctx.st.trav_splits <-
-    ctx.st.trav_splits + sched_after.Graph.Runtime.sc_splits
-    - sched_before.Graph.Runtime.sc_splits;
-  (* run_pairs resets the workspace peak per batch, so [after] is this
-     batch's peak exactly *)
-  ctx.st.trav_peak_frontier <-
-    max ctx.st.trav_peak_frontier after.Graph.Workspace.peak_frontier;
-  r
+(* Add one traversal batch's own counts to the statement's stats. *)
+let add_batch st (c : Graph.Runtime.counts) ~seconds =
+  let w = c.Graph.Runtime.trav in
+  st.graph_traverse_seconds <- st.graph_traverse_seconds +. seconds;
+  st.trav_searches <- st.trav_searches + w.Graph.Workspace.searches;
+  st.trav_settled <- st.trav_settled + w.Graph.Workspace.settled;
+  st.trav_peak_frontier <-
+    max st.trav_peak_frontier w.Graph.Workspace.peak_frontier;
+  st.trav_edges <- st.trav_edges + w.Graph.Workspace.edges_scanned;
+  st.trav_waves <- st.trav_waves + w.Graph.Workspace.waves;
+  st.trav_dir_switches <- st.trav_dir_switches + w.Graph.Workspace.dir_switches;
+  st.trav_tasks <- st.trav_tasks + c.Graph.Runtime.tasks;
+  st.trav_steals <- st.trav_steals + c.Graph.Runtime.steals;
+  st.trav_splits <- st.trav_splits + c.Graph.Runtime.splits;
+  st.pool_hits <- st.pool_hits + c.Graph.Runtime.pool_hits;
+  st.pool_misses <- st.pool_misses + c.Graph.Runtime.pool_misses
 
 let node_label = function
   | L.Scan { table; _ } -> "Scan " ^ table
@@ -787,7 +865,6 @@ and obtain_graph ctx (op : L.graph_op) =
     in
     (match source with
     | Graph_index.Hit ->
-      ctx.st.graphs_reused <- ctx.st.graphs_reused + 1;
       ctx.st.index_hits <- ctx.st.index_hits + 1;
       note ctx "cache" "hit"
     | Graph_index.Extended appended ->
@@ -883,63 +960,48 @@ and is_unweighted (c : L.cheapest) =
 and run_cheapests ctx rt edges cached (op : L.graph_op) pairs =
   note ctx "pairs" (string_of_int (Array.length pairs));
   if ctx.domains > 1 then note ctx "domains" (string_of_int ctx.domains);
+  (* one record per batch: the statement's stats and this operator's
+     notes read the same counts *)
   let traverse f =
-    let before = Graph.Runtime.traversal_counters rt in
-    let sched_before = Graph.Runtime.sched_counters rt in
-    let pool_before_h, pool_before_m = Graph.Runtime.pool_stats rt in
+    let c = Graph.Runtime.fresh_counts () in
     let t0 = now () in
-    let r = timed_traversal ctx rt f in
+    let r = f c in
     let dt = now () -. t0 in
-    let after = Graph.Runtime.traversal_counters rt in
-    let sched_after = Graph.Runtime.sched_counters rt in
-    let pool_after_h, pool_after_m = Graph.Runtime.pool_stats rt in
-    ctx.st.pool_hits <- ctx.st.pool_hits + pool_after_h - pool_before_h;
-    ctx.st.pool_misses <- ctx.st.pool_misses + pool_after_m - pool_before_m;
-    note ctx "groups"
-      (string_of_int (after.Graph.Workspace.searches - before.Graph.Workspace.searches));
-    note ctx "settled"
-      (string_of_int (after.Graph.Workspace.settled - before.Graph.Workspace.settled));
-    note ctx "edges_scanned"
-      (string_of_int
-         (after.Graph.Workspace.edges_scanned - before.Graph.Workspace.edges_scanned));
-    note ctx "peak_frontier" (string_of_int after.Graph.Workspace.peak_frontier);
-    (let waves = after.Graph.Workspace.waves - before.Graph.Workspace.waves in
-     if waves > 0 then note ctx "batched_waves" (string_of_int waves));
-    (let sw =
-       after.Graph.Workspace.dir_switches - before.Graph.Workspace.dir_switches
-     in
-     if sw > 0 then note ctx "dir_switches" (string_of_int sw));
+    add_batch ctx.st c ~seconds:dt;
+    let w = c.Graph.Runtime.trav in
+    let note_int key n = note ctx key (string_of_int n) in
+    note_int "groups" w.Graph.Workspace.searches;
+    note_int "settled" w.Graph.Workspace.settled;
+    note_int "edges_scanned" w.Graph.Workspace.edges_scanned;
+    note_int "peak_frontier" w.Graph.Workspace.peak_frontier;
+    if w.Graph.Workspace.waves > 0 then
+      note_int "batched_waves" w.Graph.Workspace.waves;
+    if w.Graph.Workspace.dir_switches > 0 then
+      note_int "dir_switches" w.Graph.Workspace.dir_switches;
     (* Work-stealing scheduler section: present whenever this batch ran
        the scheduler — every batch but the bidirectional single pair,
        serial ones included (workers=1). *)
-    (let tasks =
-       sched_after.Graph.Runtime.sc_tasks - sched_before.Graph.Runtime.sc_tasks
-     in
-     if tasks > 0 then begin
-       note ctx "tasks" (string_of_int tasks);
-       note ctx "steals"
-         (string_of_int
-            (sched_after.Graph.Runtime.sc_steals
-            - sched_before.Graph.Runtime.sc_steals));
-       note ctx "workers"
-         (string_of_int sched_after.Graph.Runtime.sc_workers);
-       note ctx "imbalance"
-         (string_of_int sched_after.Graph.Runtime.sc_imbalance_pct ^ "%")
-     end);
-    (if pool_after_h + pool_after_m > pool_before_h + pool_before_m then
+    if c.Graph.Runtime.tasks > 0 then begin
+      note_int "tasks" c.Graph.Runtime.tasks;
+      note_int "steals" c.Graph.Runtime.steals;
+      note_int "splits" c.Graph.Runtime.splits;
+      note_int "workers" c.Graph.Runtime.workers;
+      note ctx "imbalance"
+        (string_of_int c.Graph.Runtime.imbalance_pct ^ "%")
+    end;
+    (let taken = c.Graph.Runtime.pool_hits + c.Graph.Runtime.pool_misses in
+     if taken > 0 then
        note ctx "pool_reuse"
-         (Printf.sprintf "%d/%d"
-            (pool_after_h - pool_before_h)
-            (pool_after_h - pool_before_h + pool_after_m - pool_before_m)));
+         (Printf.sprintf "%d/%d" c.Graph.Runtime.pool_hits taken));
     note_ms ctx "traverse" dt;
     r
   in
   match op.L.cheapests with
   | [] ->
     let reach =
-      traverse (fun () ->
+      traverse (fun counts ->
           Graph.Runtime.reachable ~check:ctx.check ~domains:ctx.domains
-            ~note:(note ctx) rt ~pairs)
+            ~note:(note ctx) ~counts rt ~pairs)
     in
     (reach, [])
   | cheapests ->
@@ -951,10 +1013,10 @@ and run_cheapests ctx rt edges cached (op : L.graph_op) pairs =
             else Graph.Runtime.Aligned (cheapest_weights ctx rt edges cached c)
           in
           ( c,
-            traverse (fun () ->
+            traverse (fun counts ->
                 Graph.Runtime.run_pairs rt ~weights ~domains:ctx.domains
                   ~check:ctx.check ~paths:(c.L.path_name <> None)
-                  ~note:(note ctx) ~pairs ()) ))
+                  ~note:(note ctx) ~counts ~pairs ()) ))
         cheapests
     in
     let _, first = List.hd outcomes in

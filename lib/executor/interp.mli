@@ -7,25 +7,17 @@
     store lets REACHES predicates over indexed base tables skip the
     dominating graph-construction phase. *)
 
-(** Per-execution counters. Graph timings split the build into its
-    dictionary/encode/CSR phases ([build_*_seconds], which sum to
-    [graph_build_seconds] up to clock granularity); [index_*] count
-    {!Graph_index} cache outcomes; [trav_*] accumulate traversal-kernel
-    work (searches run, vertices settled, edges scanned, peak frontier
-    across any single batch, batched MS-BFS waves, top-down/bottom-up
-    direction switches); [pool_*] count workspace-pool outcomes of
-    parallel traversal batches; [vec_ops]/[row_ops] count expression
-    evaluations dispatched to the vectorized vs row-at-a-time engine.
-    [gov_*] are resource-governor observability (checkpoints fired,
-    traversal steps, peak frontier, paths enumerated, wall-clock budget
-    remaining — [nan] when no timeout applied; filled in by
-    [Sqlgraph.Db] after each governed run). All timings use the shared
-    wall clock ([Unix.gettimeofday]). *)
+(** Per-execution counters; {!counters} says what each one means and
+    where it surfaces. Traversal, scheduler and pool counts are each
+    batch's own ({!Graph.Runtime.counts}), added as the batch joins, so a
+    statement is never charged for another session's batch on a shared
+    cached graph. [gov_*] are filled in by [Sqlgraph.Db] after each
+    governed run; [gov_budget_remaining_ms] is [nan] without a timeout.
+    All timings use the shared wall clock ([Unix.gettimeofday]). *)
 type stats = {
   mutable graph_build_seconds : float;
   mutable graph_traverse_seconds : float;
   mutable graphs_built : int;
-  mutable graphs_reused : int;
   mutable build_dict_seconds : float;
   mutable build_encode_seconds : float;
   mutable build_csr_seconds : float;
@@ -50,6 +42,46 @@ type stats = {
   mutable gov_paths : int;
   mutable gov_budget_remaining_ms : float;
 }
+
+(** {2 The counter declaration}
+
+    {!counters} is the one list every statement-counter surface renders
+    from: the session registry ([Sqlgraph.Db]), the ["stats"] object of
+    the sqlgraph-metrics-v1 JSON, the counter columns of
+    [sqlgraph_stat_statements] and the CLI's [\stats]. A counter is a
+    {!stats} field, its increment and its row here; a traversal counter
+    is bumped on a {!Graph.Workspace.counters} field and summed per batch
+    into {!stats} by the executor. *)
+
+(** [Count]: summed. [Seconds]: wall-clock seconds, summed. [Peak]: the
+    largest value seen. [Gauge]: a level in milliseconds, [nan] when
+    unset. [Count] and [Peak] read as [Int], the others as [Float]. *)
+type kind = Count | Seconds | Peak | Gauge
+
+type value = Int of int | Float of float
+
+(** Added to a registry counter, or observed into a registry histogram
+    when the guard holds. *)
+type registry = Total of string | Histogram of string * (stats -> bool)
+
+type counter = {
+  json : string list;
+      (** key in the metrics JSON ["stats"] object, or group and key of a
+          nested one; a group's rows are adjacent *)
+  registry : registry option;
+  column : string option;  (** [sqlgraph_stat_statements]; [Count] only *)
+  line : (string * string) option;
+      (** [\stats] line label and key; key [""] prints the bare value *)
+  note : string option;
+      (** EXPLAIN ANALYZE operator note that sums (for [Peak]: maxes) to
+          this counter *)
+  help : string;  (** also the registry help string *)
+  kind : kind;
+  get : stats -> value;
+}
+
+(** In the order of the metrics JSON ["stats"] object. *)
+val counters : counter list
 
 type ctx
 

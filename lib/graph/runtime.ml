@@ -19,24 +19,14 @@ type build_stats = {
 type t = {
   dict : Vertex_dict.t;
   csr : Csr.t;
-  totals : Workspace.t;
-      (* counters only: every batch runs on pooled workspaces and folds
-         their counters in here when it releases them *)
-  mu : Mutex.t;  (* guards [pool], [totals] and the sched_* counters *)
+  mu : Mutex.t;  (* guards [pool] and the sched_* fields *)
   stats : build_stats;
   src_keys : int;
       (* ids the dictionary handed out while scanning the source column:
          1 + the largest encoded source id *)
   mutable rev : Csr.t option;  (* reverse CSR, built on demand, kept *)
   mutable pool : Workspace.t list;  (* spare search workspaces *)
-  mutable pool_hits : int;
-  mutable pool_misses : int;
-  (* Work-stealing scheduler observability (every scheduled batch):
-     tasks/steals/splits accumulate across batches; workers and
-     imbalance describe the most recent one. *)
-  mutable sched_tasks : int;
-  mutable sched_steals : int;
-  mutable sched_splits : int;
+  (* workers and imbalance of the most recent scheduled batch *)
   mutable sched_workers : int;
   mutable sched_imbalance : int;
 }
@@ -45,7 +35,6 @@ let make ~dict ~csr ~src_keys ~dict_s ~encode_s ~csr_s =
   {
     dict;
     csr;
-    totals = Workspace.create 0;
     mu = Mutex.create ();
     stats =
       {
@@ -59,11 +48,6 @@ let make ~dict ~csr ~src_keys ~dict_s ~encode_s ~csr_s =
     src_keys;
     rev = None;
     pool = [];
-    pool_hits = 0;
-    pool_misses = 0;
-    sched_tasks = 0;
-    sched_steals = 0;
-    sched_splits = 0;
     sched_workers = 0;
     sched_imbalance = 0;
   }
@@ -143,7 +127,29 @@ let prepare_bidir t =
   match t.rev with None -> t.rev <- Some (Csr.reverse t.csr) | Some _ -> ()
 
 let has_bidir t = t.rev <> None
-let pool_stats t = Mutex.protect t.mu (fun () -> (t.pool_hits, t.pool_misses))
+
+type counts = {
+  trav : Workspace.counters;
+  mutable tasks : int;
+  mutable steals : int;
+  mutable splits : int;
+  mutable workers : int;
+  mutable imbalance_pct : int;
+  mutable pool_hits : int;
+  mutable pool_misses : int;
+}
+
+let fresh_counts () =
+  {
+    trav = Workspace.fresh_counters ();
+    tasks = 0;
+    steals = 0;
+    splits = 0;
+    workers = 0;
+    imbalance_pct = 0;
+    pool_hits = 0;
+    pool_misses = 0;
+  }
 
 (* Workspace pool. A runtime cached in the graph index is shared by every
    session thread, so no search may run on a workspace another batch can
@@ -152,48 +158,30 @@ let pool_stats t = Mutex.protect t.mu (fun () -> (t.pool_hits, t.pool_misses))
    batch's coordinating thread — before Domain.spawn and after
    Domain.join, whose happens-before edge makes reading the domain's
    counter writes safe — under [t.mu] against concurrent batches.
-   Released workspaces first fold their counters into [t.totals], then
-   reset, so a pooled workspace always starts clean. *)
-let acquire_ws t =
+   Released workspaces add their counters into the batch's own [counts]
+   and take fresh ones, so a pooled workspace always starts clean and no
+   batch ever sees another's counts. *)
+let acquire_ws t counts =
   Mutex.protect t.mu (fun () ->
       match t.pool with
       | ws :: rest ->
         t.pool <- rest;
-        t.pool_hits <- t.pool_hits + 1;
+        counts.pool_hits <- counts.pool_hits + 1;
         ws
       | [] ->
-        t.pool_misses <- t.pool_misses + 1;
+        counts.pool_misses <- counts.pool_misses + 1;
         Workspace.create t.stats.vertex_count)
 
-let release_ws t ws =
-  Mutex.protect t.mu (fun () ->
-      Workspace.absorb_counters ~into:t.totals ws;
-      Workspace.reset_counters ws;
-      t.pool <- ws :: t.pool)
+let release_ws t counts ws =
+  Workspace.add_counters ~into:counts.trav ws.Workspace.counters;
+  ws.Workspace.counters <- Workspace.fresh_counters ();
+  Mutex.protect t.mu (fun () -> t.pool <- ws :: t.pool)
 
-(* Cumulative traversal counters live in [t.totals]; every batch absorbs
-   its workspaces back into it, so a snapshot before/after any batch
-   yields a per-batch delta. *)
-let traversal_counters t =
-  Mutex.protect t.mu (fun () -> Workspace.snapshot_counters t.totals)
-
-type sched_counters = {
-  sc_tasks : int;
-  sc_steals : int;
-  sc_splits : int;
-  sc_workers : int;
-  sc_imbalance_pct : int;
-}
+type sched_counters = { sc_workers : int; sc_imbalance_pct : int }
 
 let sched_counters t =
   Mutex.protect t.mu (fun () ->
-      {
-        sc_tasks = t.sched_tasks;
-        sc_steals = t.sched_steals;
-        sc_splits = t.sched_splits;
-        sc_workers = t.sched_workers;
-        sc_imbalance_pct = t.sched_imbalance;
-      })
+      { sc_workers = t.sched_workers; sc_imbalance_pct = t.sched_imbalance })
 
 type slot_weights = [ `None | `Int of int array | `Float of float array ]
 
@@ -378,13 +366,13 @@ let run_wave t ~check ~rev ~paths ~out ws groups =
 
    Because the partition is fixed, every workspace counter depends only
    on the batch — identical for any domain count — and the per-worker
-   workspaces are absorbed into the shared one *after* every worker has
-   joined, on the coordinator, in worker-index order: absorption is
+   workspaces are added into the batch's [counts] *after* every worker
+   has joined, on the coordinator, in worker-index order: the sum is
    deterministic and conserves every count. The governor checkpoint is
    still shared across workers (its budget counters are monotone and
    advisory); a raise in any kernel stops the other workers at their
    next task boundary and resurfaces after the join. *)
-let run_sched t ~slot_w ~heap ~check ~rev ~paths ~out ~domains
+let run_sched t ~counts ~slot_w ~heap ~check ~rev ~paths ~out ~domains
     ~oversubscribe ~batched group_list =
   let batched_groups =
     if batched then
@@ -399,7 +387,7 @@ let run_sched t ~slot_w ~heap ~check ~rev ~paths ~out ~domains
     else Array.length scalar_groups
   in
   let workers = Sched.plan ~oversubscribe ~domains ntasks in
-  let wss = Array.init workers (fun _ -> acquire_ws t) in
+  let wss = Array.init workers (fun _ -> acquire_ws t counts) in
   let exec ~worker (lo, hi) =
     let ws = wss.(worker) in
     (if batched then begin
@@ -431,25 +419,23 @@ let run_sched t ~slot_w ~heap ~check ~rev ~paths ~out ~domains
   in
   let stats =
     Fun.protect
-      ~finally:(fun () -> Array.iter (release_ws t) wss)
+      ~finally:(fun () -> Array.iter (release_ws t counts) wss)
       (fun () -> Sched.run ~around ~workers ~tasks ~exec ())
   in
+  counts.tasks <- counts.tasks + stats.Sched.tasks;
+  counts.steals <- counts.steals + stats.Sched.steals;
+  counts.splits <- counts.splits + stats.Sched.splits;
+  counts.workers <- stats.Sched.workers;
+  counts.imbalance_pct <- Sched.imbalance_pct stats;
   Mutex.protect t.mu (fun () ->
-      t.sched_tasks <- t.sched_tasks + stats.Sched.tasks;
-      t.sched_steals <- t.sched_steals + stats.Sched.steals;
-      t.sched_splits <- t.sched_splits + stats.Sched.splits;
-      t.sched_workers <- stats.Sched.workers;
-      t.sched_imbalance <- Sched.imbalance_pct stats)
+      t.sched_workers <- counts.workers;
+      t.sched_imbalance <- counts.imbalance_pct)
 
 let run_pairs t ~weights ?(heap = Dijkstra.Radix) ?(domains = 1)
     ?(check = Cancel.none) ?(engine = `Auto) ?(oversubscribe = false)
-    ?(paths = true) ?(note = fun _ _ -> ()) ~pairs () =
+    ?(paths = true) ?(note = fun _ _ -> ()) ?(counts = fresh_counts ())
+    ~pairs () =
   Tr.span "traversal_batch" @@ fun () ->
-  (* searches/settled/edges accumulate across batches (delta-friendly);
-     the peak frontier restarts per batch so callers can attribute an
-     exact per-batch peak. *)
-  Mutex.protect t.mu (fun () ->
-      (Workspace.counters t.totals).Workspace.peak_frontier <- 0);
   let slot_w = (align_weights t weights).slot_w in
   let encoded = encode_pairs t pairs in
   let alias = dedup_pairs encoded in
@@ -479,8 +465,8 @@ let run_pairs t ~weights ?(heap = Dijkstra.Radix) ?(domains = 1)
   | `None, `Auto, Some rev, [ (source, [ (idx, dest) ]) ] when not paths -> (
     (* the cost-only single pair meets in the middle (Bfs.distance) *)
     note "search" "bidir";
-    let ws = acquire_ws t in
-    Fun.protect ~finally:(fun () -> release_ws t ws) @@ fun () ->
+    let ws = acquire_ws t counts in
+    Fun.protect ~finally:(fun () -> release_ws t counts ws) @@ fun () ->
     match
       Tr.span "bidir_bfs" (fun () ->
           Bfs.distance ~check ws t.csr ~rev ~source ~dest)
@@ -493,14 +479,15 @@ let run_pairs t ~weights ?(heap = Dijkstra.Radix) ?(domains = 1)
        are shared read-only, every worker owns a private (pooled)
        workspace, and outcomes land in disjoint slots — see [run_sched]
        for the task partition and the determinism argument. *)
-    run_sched t ~slot_w ~heap ~check ~rev ~paths ~out ~domains
+    run_sched t ~counts ~slot_w ~heap ~check ~rev ~paths ~out ~domains
       ~oversubscribe ~batched group_list);
   (* Fan the canonical outcomes back out to the deduplicated pairs. *)
   Array.iteri (fun idx a -> if a >= 0 then out.(idx) <- out.(a)) alias;
   out
 
-let reachable ?(check = Cancel.none) ?domains ?note t ~pairs =
+let reachable ?(check = Cancel.none) ?domains ?note ?counts t ~pairs =
   let outcomes =
-    run_pairs t ~weights:Unweighted ~check ?domains ~paths:false ?note ~pairs ()
+    run_pairs t ~weights:Unweighted ~check ?domains ~paths:false ?note ?counts
+      ~pairs ()
   in
   Array.map (function Unreachable -> false | Reached _ -> true) outcomes

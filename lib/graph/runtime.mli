@@ -49,7 +49,7 @@ val build_multi :
     only as a destination gets a source id once it appears as a source
     (DESIGN.md §6). The result shares [t]'s dictionary, encodes only the
     new rows, merges them with {!Csr.extend} and starts with a fresh
-    workspace pool and counters and no reverse CSR; its {!stats} report
+    workspace pool and no reverse CSR; its {!stats} report
     [dict_seconds = 0]. *)
 val extend :
   t -> src:Storage.Column.t -> dst:Storage.Column.t -> from:int -> t option
@@ -67,37 +67,33 @@ val prepare_bidir : t -> unit
 
 val has_bidir : t -> bool
 
-(** [pool_stats t] — [(hits, misses)] of the workspace pool every batch
-    draws its search workspaces from (one per worker): a hit reuses a
-    workspace released by an earlier batch, a miss allocates a fresh one.
-    Batches never share a workspace, so concurrent {!run_pairs} calls on
-    one runtime (sessions sharing a cached graph) are safe. *)
-val pool_stats : t -> int * int
-
-(** [traversal_counters t] — a snapshot of the cumulative traversal
-    counters (searches, settled vertices, peak frontier, edges scanned)
-    accumulated by every batch run against this graph. Every batch folds
-    its per-worker counters in deterministically (on the coordinator, in
-    worker-index order, after every worker has joined) before
-    {!run_pairs} returns, so before/after snapshots delimit one batch
-    exactly and the totals are conserved and identical for any domain
-    count. *)
-val traversal_counters : t -> Workspace.counters
-
-(** Work-stealing scheduler observability, for every batch except the
-    bidirectional single pair (which runs no scheduler).
-    [sc_tasks]/[sc_steals]/[sc_splits] accumulate across batches
-    (delta-friendly, like {!traversal_counters}); [sc_workers] (the
-    workers that actually ran, 1 for a serial batch) and
-    [sc_imbalance_pct] (100·(max−min)/max over per-worker task counts)
-    describe the most recent scheduled batch. *)
-type sched_counters = {
-  sc_tasks : int;
-  sc_steals : int;
-  sc_splits : int;
-  sc_workers : int;
-  sc_imbalance_pct : int;
+(** One batch's own counts, added into the record its caller passes to
+    {!run_pairs} as the batch joins: [trav] sums every worker's workspace
+    counters (peak frontier by max), [tasks]/[steals]/[splits] the
+    scheduler's work (none for the bidirectional single pair), and
+    [pool_hits]/[pool_misses] the workspaces taken from the runtime's
+    pool. [workers] (1 for a serial batch) and [imbalance_pct]
+    (100·(max−min)/max over per-worker task counts) describe the last
+    scheduled batch added. No batch writes a record it was not given, so
+    sessions sharing a cached runtime each read only their own work. *)
+type counts = {
+  trav : Workspace.counters;
+  mutable tasks : int;
+  mutable steals : int;
+  mutable splits : int;
+  mutable workers : int;
+  mutable imbalance_pct : int;
+  mutable pool_hits : int;
+  mutable pool_misses : int;
 }
+
+(** [fresh_counts ()] — all zero. *)
+val fresh_counts : unit -> counts
+
+(** Workers and imbalance of the most recent scheduled batch on this
+    runtime, whoever ran it (0 before any): a gauge for dashboards. A
+    statement reads its own batches from {!counts}. *)
+type sched_counters = { sc_workers : int; sc_imbalance_pct : int }
 
 val sched_counters : t -> sched_counters
 
@@ -185,6 +181,10 @@ type outcome =
     same closure is shared by all of them and a raise stops the others
     at their next task boundary, resurfacing after the join.
 
+    [counts] (default: a fresh record the caller never sees) receives
+    this batch's traversal, scheduler and pool counts when the batch
+    joins — the same on every domain count (see {!counts}).
+
     Raises {!Weight_error} on invalid weights (checked for every edge that
     participates in the graph, before any traversal, by
     {!align_weights}). *)
@@ -198,6 +198,7 @@ val run_pairs :
   ?oversubscribe:bool ->
   ?paths:bool ->
   ?note:(string -> string -> unit) ->
+  ?counts:counts ->
   pairs:(Storage.Value.t * Storage.Value.t) array ->
   unit ->
   outcome array
@@ -206,11 +207,12 @@ val run_pairs :
     [~paths:false], so no path is extracted (the paper's runtime "still
     performs a BFS … discarding the computed shortest paths") and a
     single pair on a cached graph takes the bidirectional kernel.
-    [domains] and [note] as in {!run_pairs}. *)
+    [domains], [note] and [counts] as in {!run_pairs}. *)
 val reachable :
   ?check:Cancel.checkpoint ->
   ?domains:int ->
   ?note:(string -> string -> unit) ->
+  ?counts:counts ->
   t ->
   pairs:(Storage.Value.t * Storage.Value.t) array ->
   bool array

@@ -49,7 +49,7 @@ type t = {
   parent_vertex : int array;
   parent_slot : int array;
   mutable epoch : int;
-  counters : counters;
+  mutable counters : counters;
   vertex_count : int;
   mutable batch : batch option;
   mutable radix : Radix_heap.t option;
@@ -245,16 +245,6 @@ let clear_target t v = t.target_stamp.(v) <- 0
 
 let counters t = t.counters
 
-let snapshot_counters t =
-  {
-    searches = t.counters.searches;
-    settled = t.counters.settled;
-    peak_frontier = t.counters.peak_frontier;
-    edges_scanned = t.counters.edges_scanned;
-    waves = t.counters.waves;
-    dir_switches = t.counters.dir_switches;
-  }
-
 let note_settled t = t.counters.settled <- t.counters.settled + 1
 
 let note_frontier t n =
@@ -267,20 +257,10 @@ let note_wave t = t.counters.waves <- t.counters.waves + 1
 let note_dir_switch t =
   t.counters.dir_switches <- t.counters.dir_switches + 1
 
-let absorb_counters ~into src =
-  let c = into.counters in
-  c.searches <- c.searches + src.counters.searches;
-  c.settled <- c.settled + src.counters.settled;
-  c.peak_frontier <- max c.peak_frontier src.counters.peak_frontier;
-  c.edges_scanned <- c.edges_scanned + src.counters.edges_scanned;
-  c.waves <- c.waves + src.counters.waves;
-  c.dir_switches <- c.dir_switches + src.counters.dir_switches
-
-let reset_counters t =
-  let c = t.counters in
-  c.searches <- 0;
-  c.settled <- 0;
-  c.peak_frontier <- 0;
-  c.edges_scanned <- 0;
-  c.waves <- 0;
-  c.dir_switches <- 0
+let add_counters ~into:c src =
+  c.searches <- c.searches + src.searches;
+  c.settled <- c.settled + src.settled;
+  c.peak_frontier <- max c.peak_frontier src.peak_frontier;
+  c.edges_scanned <- c.edges_scanned + src.edges_scanned;
+  c.waves <- c.waves + src.waves;
+  c.dir_switches <- c.dir_switches + src.dir_switches

@@ -11,10 +11,10 @@
     {!batch} scratch of per-vertex lane bitmasks, frontier vertex lists
     and per-discovery parent records. *)
 
-(** Cumulative traversal counters, fed by the kernels and read by the
-    executor's [EXPLAIN ANALYZE] instrumentation. A workspace accumulates
-    across searches; snapshot before/after an operator and subtract to
-    attribute counts to it. *)
+(** Traversal counters, fed by the kernels. A workspace accumulates
+    them across the searches of one batch; the batch adds them into its
+    caller's {!Runtime.counts} and gives the workspace fresh ones when it
+    hands it back to the pool. *)
 type counters = {
   mutable searches : int;  (** searches started (one per source, incl. MS-BFS lanes) *)
   mutable settled : int;  (** vertices settled (BFS pops / final Dijkstra pops) *)
@@ -67,12 +67,15 @@ type t = {
   parent_vertex : int array;
   parent_slot : int array;    (** forward CSR slot that discovered the vertex; -1 at source *)
   mutable epoch : int;
-  counters : counters;
+  mutable counters : counters;
   vertex_count : int;
   mutable batch : batch option;
   mutable radix : Radix_heap.t option;
   mutable bidir : bidir option;
 }
+
+(** [fresh_counters ()] — all zero. *)
+val fresh_counters : unit -> counters
 
 (** [create vertex_count]. *)
 val create : int -> t
@@ -131,9 +134,6 @@ val clear_target : t -> int -> unit
 
 val counters : t -> counters
 
-(** [snapshot_counters t] — an independent copy (for before/after deltas). *)
-val snapshot_counters : t -> counters
-
 val note_settled : t -> unit
 
 (** [note_frontier t n] — record a frontier of size [n] (tracks the peak). *)
@@ -147,9 +147,7 @@ val note_wave : t -> unit
 (** [note_dir_switch t] — count one top-down <-> bottom-up switch. *)
 val note_dir_switch : t -> unit
 
-(** [absorb_counters ~into src] — fold [src]'s counters into [into]
-    (sums; peak frontier by max). Used to merge the private workspaces of
-    parallel traversal domains back into the shared one. *)
-val absorb_counters : into:t -> t -> unit
-
-val reset_counters : t -> unit
+(** [add_counters ~into src] — fold [src] into [into] (sums; peak
+    frontier by max). Used to add each worker's workspace counters into
+    its batch's counts. *)
+val add_counters : into:counters -> counters -> unit

@@ -6,6 +6,12 @@
      json_lint --ndjson FILE
        Every non-empty line of FILE must be a valid JSON document; at
        least one line required.
+     json_lint --metrics FILE
+       FILE must be a sqlgraph-metrics-v1 document (the CLI's
+       --json-metrics dump) whose "stats" object holds every counter of
+       Executor.Interp.counters at its declared key path: an integer for
+       a count or peak, a number for seconds, a number or null for a
+       gauge.
      json_lint --bench-pairs FILE
        FILE must be a bench `pairs` document.  Traversal counters
        (waves, dir_switches, steals, tasks) must be null on the scalar
@@ -62,6 +68,35 @@ let lint_ndjson path =
       | Error m -> fail "%s line %d: %s" path (i + 1) m)
     lines;
   Printf.printf "%s: %d NDJSON records ok\n" path (List.length lines)
+
+let lint_metrics path =
+  let open Testjson.Json_support in
+  let doc = parse_doc path (read_file path) in
+  (match member "schema" doc with
+  | Some (Metrics.String "sqlgraph-metrics-v1") -> ()
+  | _ -> fail "%s: schema is not sqlgraph-metrics-v1" path);
+  let stats =
+    match member "stats" doc with
+    | Some (Metrics.Obj _ as stats) -> stats
+    | _ -> fail "%s: no stats object" path
+  in
+  List.iter
+    (fun (c : Executor.Interp.counter) ->
+      let key = String.concat "." c.json in
+      let v =
+        List.fold_left (fun j k -> Option.bind j (member k)) (Some stats) c.json
+      in
+      match c.kind, v with
+      | (Executor.Interp.Count | Executor.Interp.Peak), Some (Metrics.Int _)
+      | Executor.Interp.Seconds, Some (Metrics.Float _ | Metrics.Int _)
+      | Executor.Interp.Gauge, Some (Metrics.Float _ | Metrics.Int _ | Metrics.Null)
+        ->
+        ()
+      | _, None -> fail "%s: stats.%s missing" path key
+      | _, Some _ -> fail "%s: stats.%s has the wrong type" path key)
+    Executor.Interp.counters;
+  Printf.printf "%s: %d declared counters ok\n" path
+    (List.length Executor.Interp.counters)
 
 let counter_fields = [ "waves"; "dir_switches"; "steals"; "tasks" ]
 
@@ -235,6 +270,7 @@ let () =
     | [] -> (mode, List.rev requires, min_tracks, file)
     | "--catapult" :: rest -> go `Catapult requires min_tracks file rest
     | "--ndjson" :: rest -> go `Ndjson requires min_tracks file rest
+    | "--metrics" :: rest -> go `Metrics requires min_tracks file rest
     | "--bench-pairs" :: rest -> go `Bench_pairs requires min_tracks file rest
     | "--bench-repl" :: rest -> go `Bench_repl requires min_tracks file rest
     | "--require" :: name :: rest ->
@@ -256,12 +292,14 @@ let () =
     | Some f -> f
     | None ->
       fail
-        "usage: json_lint [--catapult|--ndjson|--bench-pairs|--bench-repl] \
-         FILE [--require NAME]... [--min-tracks N]"
+        "usage: json_lint \
+         [--catapult|--ndjson|--metrics|--bench-pairs|--bench-repl] FILE \
+         [--require NAME]... [--min-tracks N]"
   in
   match mode with
   | `Plain -> lint_plain file
   | `Ndjson -> lint_ndjson file
+  | `Metrics -> lint_metrics file
   | `Bench_pairs -> lint_bench_pairs file
   | `Bench_repl -> lint_bench_repl file
   | `Catapult -> lint_catapult file requires min_tracks

@@ -535,7 +535,7 @@ let test_graph_index_reuse_and_invalidation () =
   let s1 = run () in
   check tint "first run builds" 1 s1.Executor.Interp.graphs_built;
   let s2 = run () in
-  check tint "second run reuses" 1 s2.Executor.Interp.graphs_reused;
+  check tint "second run reuses" 1 s2.Executor.Interp.index_hits;
   check tint "second run builds nothing" 0 s2.Executor.Interp.graphs_built;
   (* mutating the table invalidates the cached graph *)
   ignore
@@ -547,7 +547,7 @@ let test_graph_index_reuse_and_invalidation () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "drop index: %s" (Sqlgraph.Error.to_string e));
   let s4 = run () in
-  check tint "no reuse after drop" 0 s4.Executor.Interp.graphs_reused
+  check tint "no reuse after drop" 0 s4.Executor.Interp.index_hits
 
 let test_graph_index_unknown_table () =
   let db = paper_db () in
@@ -590,7 +590,7 @@ let test_weight_memo_sees_edge_dml () =
   check tvalues "first (evaluated)" [ V.Int 10 ] (costs db [ "x.w" ]);
   check tvalues "second (memoized)" [ V.Int 10 ] (costs db [ "x.w" ]);
   check tint "second run reused the graph" 1
-    (Option.get (Sqlgraph.Db.last_stats db)).Executor.Interp.graphs_reused;
+    (Option.get (Sqlgraph.Db.last_stats db)).Executor.Interp.index_hits;
   e "INSERT INTO e VALUES (1, 4, 1), (4, 3, 2)";
   check tvalues "after INSERT" [ V.Int 3 ] (costs db [ "x.w" ]);
   e "UPDATE e SET w = 1 WHERE a = 1 AND b = 3";
@@ -606,7 +606,7 @@ let test_weight_memo_skips_subqueries () =
      never memoizing the subquery weight keeps this answer right *)
   check tvalues "k = 3" [ V.Int 30 ] (costs db [ w ]);
   check tint "same cached graph" 1
-    (Option.get (Sqlgraph.Db.last_stats db)).Executor.Interp.graphs_reused
+    (Option.get (Sqlgraph.Db.last_stats db)).Executor.Interp.index_hits
 
 let test_weight_memo_never_stores_invalid () =
   let db = memo_db () in
@@ -784,6 +784,86 @@ let prop_sql_q13_matches_reference =
       done;
       !ok)
 
+
+(* A statement on a cached graph is charged for its own batches only.
+   Sessions share the cached runtime, so another session's batch can run
+   while this statement's is in flight; here one runs from inside the
+   statement's own traversal (its first "bfs" checkpoint), on the same
+   runtime. The statement's stats must equal those of the same statement
+   run alone. *)
+let test_graph_index_interleaved_batch_stats () =
+  let rng = Random.State.make [| 18 |] in
+  let vertices = 3000 in
+  let vertex () = V.Int (Random.State.int rng vertices) in
+  let edge_schema =
+    Storage.Schema.of_pairs [ ("a", Storage.Dtype.TInt); ("b", Storage.Dtype.TInt) ]
+  in
+  let pair_schema =
+    Storage.Schema.of_pairs [ ("s", Storage.Dtype.TInt); ("d", Storage.Dtype.TInt) ]
+  in
+  let db = Sqlgraph.Db.create () in
+  Sqlgraph.Db.load_table db ~name:"e"
+    (Storage.Table.of_rows edge_schema
+       (List.init 20_000 (fun _ -> [ vertex (); vertex () ])));
+  let pairs = List.init 64 (fun i -> (V.Int i, vertex ())) in
+  Sqlgraph.Db.load_table db ~name:"pairs"
+    (Storage.Table.of_rows pair_schema (List.map (fun (s, d) -> [ s; d ]) pairs));
+  (match Sqlgraph.Db.create_graph_index db ~table:"e" ~src:"a" ~dst:"b" with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "index: %s" (Sqlgraph.Error.to_string e));
+  let catalog = Sqlgraph.Db.catalog db and indices = Sqlgraph.Db.indices db in
+  ignore (Executor.Graph_index.warm indices ~catalog);
+  let rt =
+    let key = { Executor.Graph_index.table = "e"; src = [ 0 ]; dst = [ 1 ] } in
+    let version = Option.value ~default:0 (Storage.Catalog.version catalog "e") in
+    fst (Option.get (Executor.Graph_index.lookup indices key ~version))
+  in
+  let other = Array.init 64 (fun i -> (V.Int (vertices - 1 - i), vertex ())) in
+  let plan =
+    match
+      Sql.Parser.parse_stmt
+        "SELECT s, d, CHEAPEST SUM(1) AS c FROM pairs WHERE s REACHES d OVER e \
+         EDGE (a, b)"
+    with
+    | Sql.Ast.Select q ->
+      Relalg.Rewriter.rewrite ~options:Relalg.Rewriter.default_options
+        (Relalg.Binder.bind_query ~catalog ~params:[||] q)
+    | _ -> Alcotest.fail "expected a SELECT"
+  in
+  let run ~interleave =
+    let pending = ref interleave in
+    let interleave_at (p : Graph.Cancel.progress) =
+      if !pending && p.Graph.Cancel.c_site = "bfs" then begin
+        pending := false;
+        ignore
+          (Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
+             ~pairs:other ())
+      end
+    in
+    let ctx =
+      Executor.Interp.create_ctx ~catalog ~indices ~check:interleave_at ()
+    in
+    let rows = Storage.Table.nrows (Executor.Interp.run ctx plan) in
+    check tbool "the other batch ran" false !pending;
+    let s = Executor.Interp.stats ctx in
+    Executor.Interp.
+      ( rows,
+        [
+          s.index_hits; s.index_misses; s.graphs_built; s.trav_searches;
+          s.trav_settled; s.trav_peak_frontier; s.trav_edges; s.trav_waves;
+          s.trav_dir_switches; s.trav_tasks; s.trav_steals; s.trav_splits;
+          s.pool_hits; s.pool_misses;
+        ] )
+  in
+  (* the first batch on the fresh runtime allocates its workspace; from
+     then on every run reuses one from the pool *)
+  ignore (run ~interleave:false);
+  let alone = run ~interleave:false in
+  let interleaved = run ~interleave:true in
+  check
+    Alcotest.(pair int (list int))
+    "stats with another batch interleaved = stats alone" alone interleaved
+
 let () =
   Alcotest.run "e2e"
     [
@@ -848,6 +928,8 @@ let () =
             test_weight_memo_keeps_expressions_apart;
           Alcotest.test_case "weight memo keys and bound" `Quick
             test_weight_memo_keys_and_bound;
+          Alcotest.test_case "interleaved batch on a shared graph" `Quick
+            test_graph_index_interleaved_batch_stats;
         ] );
       ( "optimizer",
         [

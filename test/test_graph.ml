@@ -668,18 +668,18 @@ let test_sched_skewed_steals () =
   let rt, pairs, _ = skewed_setup () in
   let stole = ref false in
   let attempts = ref 0 in
+  let tasks = ref 0 in
   while (not !stole) && !attempts < 10 do
     incr attempts;
-    let before = (Graph.Runtime.sched_counters rt).Graph.Runtime.sc_steals in
+    let counts = Graph.Runtime.fresh_counts () in
     ignore
       (Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
-         ~engine:`Batched ~domains:4 ~oversubscribe:true ~pairs ());
-    let after = (Graph.Runtime.sched_counters rt).Graph.Runtime.sc_steals in
-    if after > before then stole := true
+         ~engine:`Batched ~domains:4 ~oversubscribe:true ~counts ~pairs ());
+    tasks := counts.Graph.Runtime.tasks;
+    if counts.Graph.Runtime.steals > 0 then stole := true
   done;
   check tbool "steals observed under skew" true !stole;
-  let sc = Graph.Runtime.sched_counters rt in
-  check tbool "wave tasks executed" true (sc.Graph.Runtime.sc_tasks > 0)
+  check tbool "wave tasks executed" true (!tasks > 0)
 
 (* Deterministic counter absorption: the wave partition is fixed by the
    batch alone (never by worker count or steal order), so the per-worker
@@ -688,17 +688,12 @@ let test_sched_skewed_steals () =
 let test_sched_counter_conservation () =
   let rt, pairs, nsources = skewed_setup () in
   let delta domains =
-    let b = Graph.Runtime.traversal_counters rt in
+    let counts = Graph.Runtime.fresh_counts () in
     ignore
       (Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
-         ~engine:`Batched ~domains ~oversubscribe:true ~pairs ());
-    let a = Graph.Runtime.traversal_counters rt in
-    Graph.Workspace.
-      ( a.searches - b.searches,
-        a.settled - b.settled,
-        a.edges_scanned - b.edges_scanned,
-        a.waves - b.waves,
-        a.dir_switches - b.dir_switches )
+         ~engine:`Batched ~domains ~oversubscribe:true ~counts ~pairs ());
+    let a = counts.Graph.Runtime.trav in
+    Graph.Workspace.(a.searches, a.settled, a.edges_scanned, a.waves, a.dir_switches)
   in
   let d1 = delta 1 in
   let d2 = delta 2 in

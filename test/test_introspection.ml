@@ -156,7 +156,7 @@ let record store ~fp ~calls =
   for _ = 1 to calls do
     Store.record store ~fingerprint:(Int64.of_int fp)
       ~query:(Printf.sprintf "q%d" fp) ~ms:1.0 ~rows:1 ~failed:false
-      ~gov_abort:false ~index_hits:0 ~index_misses:0 ~waves:0 ~steals:0
+      ~gov_abort:false ~counters:[| 0; 0; 0; 0 |]
   done
 
 let test_store_bound () =

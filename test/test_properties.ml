@@ -395,19 +395,15 @@ let prop_sched_identical_all_domains =
           ~engine:`Scalar ~pairs:vp ()
       in
       let run domains =
-        let b = Graph.Runtime.traversal_counters rt in
+        let counts = Graph.Runtime.fresh_counts () in
         let out =
           Graph.Runtime.run_pairs rt ~weights:Graph.Runtime.Unweighted
-            ~engine:`Batched ~domains ~oversubscribe:true ~pairs:vp ()
+            ~engine:`Batched ~domains ~oversubscribe:true ~counts ~pairs:vp ()
         in
-        let a = Graph.Runtime.traversal_counters rt in
+        let a = counts.Graph.Runtime.trav in
         ( out,
           Graph.Workspace.
-            ( a.searches - b.searches,
-              a.settled - b.settled,
-              a.edges_scanned - b.edges_scanned,
-              a.waves - b.waves,
-              a.dir_switches - b.dir_switches ) )
+            (a.searches, a.settled, a.edges_scanned, a.waves, a.dir_switches) )
       in
       let out1, counters1 = run 1 in
       outcomes_identical serial out1
@@ -975,6 +971,192 @@ let test_serial_scheduler_notes () =
     "cost-only single pair meets in the middle, no scheduler" true
     (has "search=bidir" single && not (has "tasks=" single))
 
+
+(* ------------------------------------------------------------------ *)
+(* One counter declaration, every surface                              *)
+(* ------------------------------------------------------------------ *)
+
+module Reg = Telemetry.Registry
+module Interp = Executor.Interp
+
+let registry_snapshot db =
+  Reg.fold (Sqlgraph.Db.registry db) ~init:[] ~f:(fun acc name ~help:_ m ->
+      (name, m) :: acc)
+
+(* fingerprint -> (column name -> value) of sqlgraph_stat_statements *)
+let stat_statements db =
+  let r = Sqlgraph.Db.query_exn db "SELECT * FROM sqlgraph_stat_statements" in
+  let names = Sqlgraph.Resultset.column_names r in
+  List.map
+    (fun row ->
+      match row with
+      | V.Str fp :: _ -> (fp, List.combine names row)
+      | _ -> Alcotest.fail "stat_statements row without a fingerprint")
+    (Sqlgraph.Resultset.rows r)
+
+(* key -> values of every EXPLAIN ANALYZE operator note, all operators *)
+let explain_notes out =
+  let analyzed =
+    match Astring.String.cut ~sep:"-- analyze --" out with
+    | Some (_, a) -> a
+    | None -> Alcotest.fail "no analyze section"
+  in
+  List.concat_map
+    (fun line ->
+      let line = String.trim line in
+      let n = String.length line in
+      if n >= 2 && line.[0] = '[' && line.[n - 1] = ']' then
+        List.filter_map
+          (fun kv -> Astring.String.cut ~sep:"=" kv)
+          (Astring.String.cuts ~sep:", " (String.sub line 1 (n - 2)))
+      else [])
+    (String.split_on_char '\n' analyzed)
+
+(* Run [sql] and check that every declared counter reads the same in
+   Db.last_stats, Metrics.stats_json (through its JSON text), the session
+   registry's delta and the statement's sqlgraph_stat_statements delta;
+   with [explain], also in the sum (max, for a peak) of its operator
+   notes. *)
+let counters_agree db ~explain sql =
+  let sql = if explain then "EXPLAIN ANALYZE " ^ sql else sql in
+  let stat_before = stat_statements db in
+  let reg_before = registry_snapshot db in
+  let out =
+    match Sqlgraph.Db.exec_exn db sql with
+    | Sqlgraph.Db.Explained out -> out
+    | _ -> ""
+  in
+  let s = Option.get (Sqlgraph.Db.last_stats db) in
+  let reg_after = registry_snapshot db in
+  let fp = Option.get (Sqlgraph.Db.last_fingerprint db) in
+  let json =
+    Testjson.Json_support.parse
+      (Sqlgraph.Metrics.to_string (Sqlgraph.Metrics.stats_json s))
+  in
+  let stat_after = stat_statements db in
+  let notes = if explain then explain_notes out else [] in
+  let column col =
+    let read rows =
+      match List.assoc_opt fp rows with
+      | Some cols -> (
+        match List.assoc col cols with V.Int n -> n | _ -> -1)
+      | None -> 0
+    in
+    read stat_after - read stat_before
+  in
+  let reg name snapshot = List.assoc_opt name snapshot in
+  let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1. (Float.abs a) in
+  List.for_all
+    (fun (c : Interp.counter) ->
+      let v = c.get s in
+      let in_json =
+        match
+          List.fold_left
+            (fun j k -> Option.bind j (Testjson.Json_support.member k))
+            (Some json) c.json, v
+        with
+        | Some (Sqlgraph.Metrics.Int a), Interp.Int b -> a = b
+        | Some (Sqlgraph.Metrics.Float a), Interp.Float b -> a = b
+        | Some Sqlgraph.Metrics.Null, Interp.Float b -> Float.is_nan b
+        | _ -> false
+      in
+      let in_registry =
+        match c.registry, v with
+        | None, _ -> true
+        | Some (Interp.Total name), Interp.Int n -> (
+          match reg name reg_after, reg name reg_before with
+          | Some (Reg.Counter a), Some (Reg.Counter b) -> a - b = n
+          | Some (Reg.Counter a), None -> a = n
+          | _ -> false)
+        | Some (Interp.Histogram (name, guard)), Interp.Float f -> (
+          let count_sum = function
+            | Some (Reg.Histogram p) -> (p.Reg.count, p.Reg.sum)
+            | _ -> (0, 0.)
+          in
+          let ca, sa = count_sum (reg name reg_after)
+          and cb, sb = count_sum (reg name reg_before) in
+          if guard s then ca - cb = 1 && close (sa -. sb) f else ca = cb)
+        | _ -> false
+      in
+      let in_column =
+        match c.column, v with
+        | None, _ -> true
+        | Some col, Interp.Int n -> column col = n
+        | Some _, Interp.Float _ -> false
+      in
+      let in_notes =
+        match c.note, v with
+        | Some key, _ when explain -> (
+          let values =
+            List.filter_map (fun (k, x) -> if k = key then Some x else None) notes
+          in
+          match c.kind, v with
+          | Interp.Count, Interp.Int n ->
+            List.fold_left (fun acc x -> acc + int_of_string x) 0 values = n
+          | Interp.Peak, Interp.Int n ->
+            List.fold_left (fun acc x -> max acc (int_of_string x)) 0 values = n
+          | Interp.Seconds, Interp.Float f ->
+            let ms x = float_of_string (String.sub x 0 (String.length x - 2)) in
+            Float.abs (List.fold_left (fun acc x -> acc +. ms x) 0. values -. (f *. 1000.))
+            <= 0.0006 *. float_of_int (List.length values)
+          | _ -> false)
+        | _ -> true
+      in
+      if not (in_json && in_registry && in_column && in_notes) then
+        QCheck.Test.fail_reportf "%s: %s (json %b, registry %b, column %b, notes %b)"
+          sql (String.concat "." c.json) in_json in_registry in_column in_notes;
+      true)
+    Interp.counters
+
+let prop_counters_agree_across_surfaces =
+  QCheck.Test.make
+    ~name:
+      "every declared counter reads the same in last_stats, JSON, registry, \
+       stat_statements and EXPLAIN ANALYZE (domains 1/2)"
+    ~count:40
+    (QCheck.make gen_graph_and_pairs)
+    (fun (edges, pairs) ->
+      let db = load_graph edges in
+      Sqlgraph.Db.load_table db ~name:"f" (edge_table edges);
+      Sqlgraph.Db.load_table db ~name:"p"
+        (Storage.Table.of_rows
+           (Storage.Schema.of_pairs
+              [ ("s", Storage.Dtype.TInt); ("d", Storage.Dtype.TInt) ])
+           (List.map (fun (s, d) -> [ V.Int s; V.Int d ]) pairs));
+      (match Sqlgraph.Db.create_graph_index db ~table:"e" ~src:"a" ~dst:"b" with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "index: %s" (Sqlgraph.Error.to_string e));
+      let s0, d0 = List.hd pairs in
+      let statements =
+        List.concat_map
+          (fun g ->
+            [
+              Printf.sprintf
+                "SELECT s, d, CHEAPEST SUM(1) AS c FROM p WHERE s REACHES d \
+                 OVER %s EDGE (a, b)"
+                g;
+              Printf.sprintf
+                "SELECT s, d, CHEAPEST SUM(x: x.w) AS (c, path) FROM p WHERE s \
+                 REACHES d OVER %s x EDGE (a, b)"
+                g;
+              Printf.sprintf
+                "SELECT CHEAPEST SUM(1) WHERE %d REACHES %d OVER %s EDGE (a, b)"
+                s0 d0 g;
+              Printf.sprintf
+                "SELECT s, d FROM p WHERE s REACHES d OVER %s EDGE (a, b)" g;
+            ])
+          [ "e"; "f" ]
+      in
+      List.for_all
+        (fun domains ->
+          Sqlgraph.Db.set_parallelism db domains;
+          List.for_all
+            (fun sql ->
+              counters_agree db ~explain:false sql
+              && counters_agree db ~explain:true sql)
+            statements)
+        [ 1; 2 ])
+
 let () =
   Alcotest.run "properties"
     [
@@ -1012,4 +1194,6 @@ let () =
         ] );
       ( "weight-memo",
         [ QCheck_alcotest.to_alcotest prop_weight_memo_matches_fresh_db ] );
+      ( "counters",
+        [ QCheck_alcotest.to_alcotest prop_counters_agree_across_surfaces ] );
     ]
