@@ -878,19 +878,36 @@ let wal_bench ?json ~rows () =
    COMMITs instead of one fsync each.  Both measurements run the same
    code path (in-process server over socketpairs, fsync'd WAL, every
    INSERT acknowledged only after its covering fsync lands); only the
-   client count differs, so the ratio isolates the batching win. *)
+   client count differs, so the ratio isolates the batching win.
+
+   The group-commit run is repeated over tables that already hold
+   [preloads] rows. Each batch of commits publishes a snapshot of the
+   table, so throughput that falls with the table's size means
+   publication costs O(table) rather than O(delta). *)
+let preloads = [ 1_000; 100_000; 1_000_000 ]
+
 let server_bench ?json ~commits ~clients () =
   print_header "Multi-session server (durable commit throughput)";
   if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let module Server = Sqlgraph_server.Server in
   let module Client = Sqlgraph_server.Client in
-  let run_at c total =
+  let run_at ?(preload = 0) c total =
     with_temp_dir (fun dir ->
         match Sqlgraph.Wal.open_dir ~fsync:true dir with
         | Error e -> failwith (Sqlgraph.Error.to_string e)
         | Ok (store, db, _) ->
           Sqlgraph.Db.exec_exn db "CREATE TABLE t (client INTEGER, v INTEGER)"
           |> ignore;
+          (* bulk-loaded, not logged: only the timed commits are durable *)
+          if preload > 0 then begin
+            let t = Option.get (Storage.Catalog.find (Sqlgraph.Db.catalog db) "t") in
+            Sqlgraph.Db.load_table db ~name:"t"
+              (Storage.Table.of_columns (Storage.Table.schema t)
+                 [
+                   Storage.Column.of_int_array (Array.make preload (-1));
+                   Storage.Column.of_int_array (Array.init preload Fun.id);
+                 ])
+          end;
           let config =
             {
               Sqlgraph_server.Scheduler.default_config with
@@ -1001,17 +1018,44 @@ let server_bench ?json ~commits ~clients () =
   let nclients = clients in
   let r_group, t_group, n_group, mean_group = run_at nclients commits in
   let ratio = r_group /. r_single in
+  let preloaded =
+    List.map
+      (fun rows ->
+        let r, t, _, _ = run_at ~preload:rows nclients commits in
+        (rows, r, t))
+      preloads
+  in
+  let rate rows =
+    let _, r, _ = List.find (fun (n, _, _) -> n = rows) preloaded in
+    r
+  in
+  let flat = rate 100_000 /. rate 1_000 in
   Printf.printf "%-28s %14s %14s\n" "mode" "commits/sec" "seconds";
   Printf.printf "%-28s %14.0f %14.6f   (%d commits)\n" "1 session, fsync each"
     r_single t_single n_single;
   Printf.printf "%-28s %14.0f %14.6f   (%d commits)\n"
     (Printf.sprintf "%d sessions, group commit" nclients)
     r_group t_group n_group;
-  Printf.printf "group-commit speedup: %.2fx (mean batch %.1f commits/fsync)\n%!"
+  List.iter
+    (fun (rows, r, t) ->
+      Printf.printf "%-28s %14.0f %14.6f\n"
+        (Printf.sprintf "  ... over %d rows" rows)
+        r t)
+    preloaded;
+  Printf.printf "group-commit speedup: %.2fx (mean batch %.1f commits/fsync)\n"
     ratio mean_group;
+  Printf.printf "commits/sec over 100k rows vs over 1k rows: %.2fx\n%!" flat;
   match json with
   | None -> ()
   | Some path ->
+    let entry ?(extra = []) name r t =
+      Sqlgraph.Metrics.Obj
+        ((("name", Sqlgraph.Metrics.String name) :: extra)
+        @ [
+            ("commits_per_sec", Sqlgraph.Metrics.num r);
+            ("seconds", Sqlgraph.Metrics.num t);
+          ])
+    in
     Sqlgraph.Metrics.write_file ~path
       (Sqlgraph.Metrics.Obj
          [
@@ -1019,24 +1063,23 @@ let server_bench ?json ~commits ~clients () =
            ("suite", Sqlgraph.Metrics.String "server");
            ("commits", Sqlgraph.Metrics.Int commits);
            ("clients", Sqlgraph.Metrics.Int nclients);
+           ( "host_cores",
+             Sqlgraph.Metrics.Int (Domain.recommended_domain_count ()) );
+           ("ocaml_version", Sqlgraph.Metrics.String Sys.ocaml_version);
            ( "results",
              Sqlgraph.Metrics.List
-               [
-                 Sqlgraph.Metrics.Obj
-                   [
-                     ("name", Sqlgraph.Metrics.String "server/single-fsync");
-                     ("commits_per_sec", Sqlgraph.Metrics.num r_single);
-                     ("seconds", Sqlgraph.Metrics.num t_single);
-                   ];
-                 Sqlgraph.Metrics.Obj
-                   [
-                     ("name", Sqlgraph.Metrics.String "server/group-commit");
-                     ("commits_per_sec", Sqlgraph.Metrics.num r_group);
-                     ("seconds", Sqlgraph.Metrics.num t_group);
-                   ];
-               ] );
+               (entry "server/single-fsync" r_single t_single
+               :: entry "server/group-commit" r_group t_group
+               :: List.map
+                    (fun (rows, r, t) ->
+                      entry
+                        ~extra:[ ("preloaded_rows", Sqlgraph.Metrics.Int rows) ]
+                        (Printf.sprintf "server/group-commit-rows%d" rows)
+                        r t)
+                    preloaded) );
            ("mean_group_size", Sqlgraph.Metrics.num mean_group);
            ("group_vs_single_x", Sqlgraph.Metrics.num ratio);
+           ("rows100k_vs_rows1k_x", Sqlgraph.Metrics.num flat);
          ]);
     Printf.printf "wrote %s\n%!" path
 

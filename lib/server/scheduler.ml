@@ -13,8 +13,10 @@
 
    - Readers never take the writer lock.  After each committed write the
      writer *publishes* a snapshot: for every table whose catalog
-     version moved since the last publication, an immutable Table.copy
-     goes into [published] and [published_version] bumps.  A reader
+     version moved since the last publication, a Table.copy goes into
+     [published] and [published_version] bumps.  The copy is O(columns):
+     it shares the writer's append-only column storage, frozen at the
+     current length, so later appends never show through it.  A reader
      session refreshes its private Db from that map (structurally
      sharing unchanged tables) and runs statements against it — path
      queries never block behind DML, and each session's observed
@@ -426,8 +428,9 @@ let snapshot_version t =
 (* Bring a session's private Db up to the latest published snapshot:
    load only the entries whose version differs from what the session
    already holds ([seen]), drop vanished tables, and return the snapshot
-   version.  Published tables are immutable (fresh copies on publish),
-   so loading is structural sharing, not copying. *)
+   version.  A published table never changes (its columns are frozen at
+   the length they had when published), so loading is structural
+   sharing, not copying. *)
 let refresh_snapshot t ~session_db ~seen ~last_version =
   Mutex.lock t.mu;
   let v = t.published_version in

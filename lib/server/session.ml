@@ -219,11 +219,10 @@ let refresh t =
   if v > t.last_version then t.last_version <- v
 
 (* A batch context: consecutive autocommit writes in one burst share
-   the writer lock and a single publish (the snapshot copy is O(table
-   size), so per-statement publication is the dominant cost of a write
-   burst).  [wlock] is true while the batch holds the writer lock for
-   such a run of writes; any statement that needs the published
-   snapshot — or the lock — flushes first. *)
+   the writer lock, a single publish and one durability wait.  [wlock]
+   is true while the batch holds the writer lock for such a run of
+   writes; any statement that needs the published snapshot — or the
+   lock — flushes first. *)
 type batch = {
   mutable wlock : bool;
   mutable vrefs : int ref list; (* deferred writes awaiting their version *)

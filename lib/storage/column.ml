@@ -5,11 +5,20 @@ type data =
   | DStr of string array
   | DBox of Value.t array (* boxed cells: backs TPath *)
 
+(* Storage is append-only: [append] writes the slot at [len] and nothing
+   writes below a column's length. So [copy] shares [data] instead of
+   copying it. A column either owns its storage or shares it with the
+   column it was copied from. Only the owner writes into [data], and only
+   at slots at or above its own length; every copy's length is at or
+   below that, so a writer appending to the owner and a reader of a copy
+   never touch the same slot. A sharing column's first [append] moves it
+   to private storage. *)
 type t = {
   ty : Dtype.t;
   mutable data : data;
   mutable len : int;
   nulls : Nullmask.t;
+  mutable owner : bool;
 }
 
 let data_capacity = function
@@ -29,15 +38,24 @@ let alloc ty n =
 
 let create ?(capacity = 16) ty =
   let capacity = max capacity 1 in
-  { ty; data = alloc ty capacity; len = 0; nulls = Nullmask.create () }
+  {
+    ty;
+    data = alloc ty capacity;
+    len = 0;
+    nulls = Nullmask.create ();
+    owner = true;
+  }
 
 let dtype t = t.ty
 let length t = t.len
 
+(* Move the [len] rows to a fresh buffer of twice that many slots. Sized
+   from the length, not the old capacity: a copy's buffer may be far
+   larger than its rows, and doubling that on every copy-then-append
+   round would grow without bound. A gather of zero rows leaves a
+   zero-capacity buffer: never double 0. *)
 let grow t =
-  (* a gather of zero rows leaves a zero-capacity buffer: never double 0 *)
-  let cap = max 1 (data_capacity t.data) in
-  let fresh = alloc t.ty (2 * cap) in
+  let fresh = alloc t.ty (2 * max 1 t.len) in
   (match t.data, fresh with
   | DInt src, DInt dst -> Array.blit src 0 dst 0 t.len
   | DFloat src, DFloat dst -> Array.blit src 0 dst 0 t.len
@@ -45,10 +63,11 @@ let grow t =
   | DStr src, DStr dst -> Array.blit src 0 dst 0 t.len
   | DBox src, DBox dst -> Array.blit src 0 dst 0 t.len
   | (DInt _ | DFloat _ | DBool _ | DStr _ | DBox _), _ -> assert false);
-  t.data <- fresh
+  t.data <- fresh;
+  t.owner <- true
 
 let append t v =
-  if t.len = data_capacity t.data then grow t;
+  if (not t.owner) || t.len = data_capacity t.data then grow t;
   let store_default () = () in
   (match v, t.data with
   | Value.Null, _ -> store_default ()
@@ -93,6 +112,7 @@ let of_int_array ?nulls a =
     data = DInt (Array.copy a);
     len = Array.length a;
     nulls = mask_of_bools (Array.length a) nulls;
+    owner = true;
   }
 
 let of_float_array ?nulls a =
@@ -101,6 +121,7 @@ let of_float_array ?nulls a =
     data = DFloat (Array.copy a);
     len = Array.length a;
     nulls = mask_of_bools (Array.length a) nulls;
+    owner = true;
   }
 
 let of_bool_array ?nulls a =
@@ -113,6 +134,7 @@ let of_bool_array ?nulls a =
     data = DBool bytes;
     len = Array.length a;
     nulls = mask_of_bools (Array.length a) nulls;
+    owner = true;
   }
 
 let is_null t i = Nullmask.get t.nulls i
@@ -184,7 +206,7 @@ let take t idx =
     | DStr a -> DStr (Array.map (fun i -> a.(i)) idx)
     | DBox a -> DBox (Array.map (fun i -> a.(i)) idx)
   in
-  { ty = t.ty; data; len = m; nulls }
+  { ty = t.ty; data; len = m; nulls; owner = true }
 
 let to_list t =
   let rec loop i acc = if i < 0 then acc else loop (i - 1) (get t i :: acc) in
@@ -195,44 +217,43 @@ let iter f t =
     f (get t i)
   done
 
-(* Blit the backing store instead of round-tripping every cell through
-   [get]/[append]: the server publishes a copy of each changed table on
-   every commit, so this is on the write hot path. *)
-let copy t =
-  let data =
-    match t.data with
-    | DInt a -> DInt (Array.copy a)
-    | DFloat a -> DFloat (Array.copy a)
-    | DBool b -> DBool (Bytes.copy b)
-    | DStr a -> DStr (Array.copy a)
-    | DBox a -> DBox (Array.copy a)
-  in
-  { ty = t.ty; data; len = t.len; nulls = Nullmask.copy t.nulls }
+(* O(1): the copy shares [data] (see [t]) and the null mask's bits. The
+   server publishes a copy of each changed table on every commit, so this
+   is on the write hot path. *)
+let copy t = { t with nulls = Nullmask.copy t.nulls; owner = false }
 
-(* Int payloads are compared unboxed: the graph index checks a whole key
-   column this way on every edge INSERT, where boxing each cell costs
-   tens of milliseconds at SF1. A NULL row's payload is not compared. *)
+let same_null_flags a b n =
+  let rec loop i = i >= n || (is_null a i = is_null b i && loop (i + 1)) in
+  not (Nullmask.any_null a.nulls || Nullmask.any_null b.nulls) || loop 0
+
+(* Columns that share storage hold the same payload on every row below
+   both lengths, so only their null flags are compared: the graph index
+   checks a whole key column this way on every edge INSERT. Other int
+   payloads are compared unboxed, where boxing each cell costs tens of
+   milliseconds at SF1. A NULL row's payload is not compared. *)
 let equal_prefix a b n =
   Dtype.equal a.ty b.ty && n <= a.len && n <= b.len
   && (a == b
      ||
-     match a.data, b.data with
-     | DInt x, DInt y ->
-       let nulls = Nullmask.any_null a.nulls || Nullmask.any_null b.nulls in
-       let rec loop i =
-         i >= n
-         || (if nulls then
-               let null = is_null a i in
-               null = is_null b i && (null || x.(i) = y.(i))
-             else x.(i) = y.(i))
-            && loop (i + 1)
-       in
-       loop 0
-     | _ ->
-       let rec loop i =
-         i >= n || (Value.equal (get a i) (get b i) && loop (i + 1))
-       in
-       loop 0)
+     if a.data == b.data then same_null_flags a b n
+     else
+       match a.data, b.data with
+       | DInt x, DInt y ->
+         let nulls = Nullmask.any_null a.nulls || Nullmask.any_null b.nulls in
+         let rec loop i =
+           i >= n
+           || (if nulls then
+                 let null = is_null a i in
+                 null = is_null b i && (null || x.(i) = y.(i))
+               else x.(i) = y.(i))
+              && loop (i + 1)
+         in
+         loop 0
+       | _ ->
+         let rec loop i =
+           i >= n || (Value.equal (get a i) (get b i) && loop (i + 1))
+         in
+         loop 0)
 
 let equal a b = a.len = b.len && equal_prefix a b a.len
 

@@ -58,6 +58,12 @@ val to_list : t -> Value.t list
 (** [iter f col] applies [f] to every cell in row order. *)
 val iter : (Value.t -> unit) -> t -> unit
 
+(** [copy col] is a column holding [col]'s current rows, in O(1): it
+    shares [col]'s storage, null mask included.
+    Storage is append-only: nothing writes a row below a column's length,
+    so later appends to [col] never change the copy, and the copy's first
+    [append] moves it to storage of its own. A copy may therefore be read
+    by one thread while another appends to [col]. *)
 val copy : t -> t
 
 (** Raw views for column-at-a-time evaluation. The arrays are the backing
@@ -75,8 +81,9 @@ val null_flags : t -> bool array
 val equal : t -> t -> bool
 
 (** [equal_prefix a b n] — same type, both at least [n] rows long, and
-    equal cells on rows [0..n-1]. Int and date columns are compared
-    without boxing a cell. *)
+    equal cells on rows [0..n-1]. Columns that share storage (one copied
+    from the other) compare only their null flags; other int and date
+    columns are compared without boxing a cell. *)
 val equal_prefix : t -> t -> int -> bool
 
 val pp : Format.formatter -> t -> unit

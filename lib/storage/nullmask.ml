@@ -1,22 +1,25 @@
+(* Append-only, like a column's payload (see Column): [copy] shares
+   [bits] with the mask it was copied from, and only the owner writes
+   into them, at bits at or above its own length. A bit is written as
+   part of its byte, so the owner's append rewrites the low bits of a
+   byte a copy may read; it rewrites them with the values they already
+   hold. A sharing mask's first append moves it to bits of its own. *)
 type t = {
   mutable bits : Bytes.t;
   mutable len : int;
   mutable nulls : int;
+  mutable owner : bool;
 }
 
 let create ?(capacity = 64) () =
-  { bits = Bytes.make ((capacity + 7) / 8) '\000'; len = 0; nulls = 0 }
+  {
+    bits = Bytes.make ((capacity + 7) / 8) '\000';
+    len = 0;
+    nulls = 0;
+    owner = true;
+  }
 
 let length t = t.len
-
-let ensure_capacity t n =
-  let need = (n + 7) / 8 in
-  if need > Bytes.length t.bits then begin
-    let cap = max need (2 * Bytes.length t.bits) in
-    let bits = Bytes.make cap '\000' in
-    Bytes.blit t.bits 0 bits 0 (Bytes.length t.bits);
-    t.bits <- bits
-  end
 
 let unsafe_get t i =
   Char.code (Bytes.unsafe_get t.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
@@ -31,28 +34,21 @@ let unsafe_set t i null =
   let fresh = if null then old lor bit else old land lnot bit in
   Bytes.unsafe_set t.bits byte (Char.chr fresh)
 
-let set t i null =
-  if i < 0 || i >= t.len then invalid_arg "Nullmask.set: index out of bounds";
-  let was = unsafe_get t i in
-  if was <> null then begin
-    t.nulls <- (if null then t.nulls + 1 else t.nulls - 1);
-    unsafe_set t i null
-  end
-
+(* Sized from the length, as Column.grow is. Bits past [len] copied with
+   the last byte are overwritten by the appends that reach them. *)
 let append t null =
-  ensure_capacity t (t.len + 1);
+  let need = (t.len + 8) / 8 in
+  if (not t.owner) || need > Bytes.length t.bits then begin
+    let bits = Bytes.make (2 * need) '\000' in
+    Bytes.blit t.bits 0 bits 0 ((t.len + 7) / 8);
+    t.bits <- bits;
+    t.owner <- true
+  end;
   unsafe_set t t.len null;
   if null then t.nulls <- t.nulls + 1;
   t.len <- t.len + 1
 
 let null_count t = t.nulls
 let any_null t = t.nulls > 0
-
-let copy t = { bits = Bytes.copy t.bits; len = t.len; nulls = t.nulls }
-
+let copy t = { t with owner = false }
 let to_bool_array t = Array.init t.len (fun i -> unsafe_get t i)
-
-let of_bool_array flags =
-  let t = create ~capacity:(Array.length flags) () in
-  Array.iter (append t) flags;
-  t

@@ -14,19 +14,15 @@ val append : t -> bool -> unit
     of bounds. *)
 val get : t -> int -> bool
 
-(** [set t i null] updates an existing slot. *)
-val set : t -> int -> bool -> unit
-
 (** [null_count t] is the number of NULL slots. *)
 val null_count : t -> int
 
 (** [any_null t] is [null_count t > 0], in O(1). *)
 val any_null : t -> bool
 
+(** [copy t] is the mask's current slots, in O(1): it shares [t]'s bits,
+    which later appends to either mask leave unchanged. *)
 val copy : t -> t
 
 (** [to_bool_array t] — the mask as a fresh bool array (true = NULL). *)
 val to_bool_array : t -> bool array
-
-(** [of_bool_array flags]. *)
-val of_bool_array : bool array -> t

@@ -52,5 +52,8 @@ val project : t -> int array -> t
 val to_rows : t -> Value.t list list
 
 val equal : t -> t -> bool
+
+(** [copy t] — [t]'s current rows, in O(columns): every column is a
+    {!Column.copy}, so appends to [t] never show through it. *)
 val copy : t -> t
 val pp : Format.formatter -> t -> unit

@@ -396,6 +396,76 @@ let test_rollback_invisible () =
       check tstr "rolled back" "ROW 3" (List.hd resp);
       Client.close c)
 
+(* A published table shares storage with the writer's table (a column
+   copy is O(1)), so the writer's later appends land in the very buffer a
+   reader holds. Every snapshot kept along the way must still read as it
+   did when it was loaded: across a capacity doubling of the writer's
+   buffer, an UPDATE and a DELETE (which write new tables), and a
+   rolled-back transaction whose restored table then takes an INSERT. *)
+let test_published_snapshot_intact () =
+  let db = Db.create () in
+  exec_exn db "CREATE TABLE e (a INTEGER, b INTEGER, w FLOAT, tag VARCHAR)";
+  exec_exn db "INSERT INTO e VALUES (1, 2, 0.5, 'x'), (2, NULL, 1.5, NULL), (3, 4, NULL, 'y')";
+  with_server db (fun srv ->
+      let sched = Server.scheduler srv in
+      let load () =
+        let session_db = Db.create () in
+        ignore
+          (Scheduler.refresh_snapshot sched ~session_db ~seen:(Hashtbl.create 4)
+             ~last_version:(-1));
+        Option.get (Storage.Catalog.find (Db.catalog session_db) "e")
+      in
+      let writer_table () = Option.get (Storage.Catalog.find (Db.catalog db) "e") in
+      let kept = ref [] in
+      let keep tbl = kept := (tbl, Storage.Table.to_rows tbl) :: !kept in
+      let check_kept step =
+        List.iteri
+          (fun i (tbl, rows) ->
+            check tbool (Printf.sprintf "%s: snapshot %d intact" step i) true
+              (List.equal (List.equal V.equal) rows (Storage.Table.to_rows tbl)))
+          !kept;
+        check tbool (step ^ ": fresh refresh = serial state") true
+          (Storage.Table.equal (load ()) (writer_table ()))
+      in
+      let locked f =
+        (match Scheduler.writer_acquire sched with
+        | `Ok -> ()
+        | `Busy _ -> Alcotest.fail "writer lock busy");
+        f ();
+        Scheduler.publish sched;
+        Scheduler.writer_release sched
+      in
+      let write sqls = locked (fun () -> List.iter (exec_exn db) sqls) in
+      keep (load ());
+      for i = 4 to 40 do
+        write
+          [ Printf.sprintf "INSERT INTO e VALUES (%d, %d, %d.25, 'r%d')" i (i + 1) i i ];
+        if i mod 9 = 0 then keep (load ())
+      done;
+      check_kept "insert burst";
+      write [ "UPDATE e SET w = w + 1 WHERE a < 10" ];
+      check_kept "update";
+      keep (load ());
+      write [ "DELETE FROM e WHERE a % 3 = 0" ];
+      check_kept "delete";
+      (* leaves spare capacity, so the transaction's insert lands in the
+         buffer the BEGIN snapshot shares *)
+      write [ "INSERT INTO e VALUES (50, 51, 0.0, 'spare')" ];
+      keep (load ());
+      locked (fun () ->
+          exec_exn db "BEGIN";
+          exec_exn db "INSERT INTO e VALUES (100, 101, NULL, 'rb')";
+          (* the writer's in-transaction table, as a graph index built by
+             a read inside the transaction would hold it: the restored
+             table must not append into its rows *)
+          keep (writer_table ());
+          exec_exn db "ROLLBACK");
+      check_kept "rollback";
+      write [ "INSERT INTO e VALUES (200, 201, 2.5, 'after')" ];
+      check_kept "insert after rollback";
+      check tint "rows after rollback + insert" 29
+        (Storage.Table.nrows (load ())))
+
 (* ------------------------------------------------------------------ *)
 (* Group commit: concurrent committers, one fsync per batch *)
 
@@ -1104,6 +1174,8 @@ let () =
         [
           Alcotest.test_case "snapshot isolation" `Quick test_snapshot_isolation;
           Alcotest.test_case "rollback invisible" `Quick test_rollback_invisible;
+          Alcotest.test_case "published snapshot stays intact" `Quick
+            test_published_snapshot_intact;
           Alcotest.test_case "concurrent readers of a cached graph" `Quick
             test_concurrent_cached_readers;
         ] );

@@ -169,9 +169,13 @@ let test_nullmask_basic () =
   check tbool "1" true (Storage.Nullmask.get m 1);
   check tbool "2" false (Storage.Nullmask.get m 2);
   check tint "count" 1 (Storage.Nullmask.null_count m);
-  Storage.Nullmask.set m 1 false;
-  check tint "count after clear" 0 (Storage.Nullmask.null_count m);
-  check tbool "any" false (Storage.Nullmask.any_null m)
+  let c = Storage.Nullmask.copy m in
+  Storage.Nullmask.append m true;
+  Storage.Nullmask.append c false;
+  check tint "count after append" 2 (Storage.Nullmask.null_count m);
+  check tint "copy count" 1 (Storage.Nullmask.null_count c);
+  check tbool "copy bit" false (Storage.Nullmask.get c 3);
+  check tbool "source bit" true (Storage.Nullmask.get m 3)
 
 let test_nullmask_growth () =
   let m = Storage.Nullmask.create ~capacity:1 () in
@@ -304,6 +308,125 @@ let prop_column_roundtrip =
       in
       let c = C.of_values D.TInt vals in
       List.for_all2 V.equal vals (C.to_list c))
+
+(* A copy shares its source's storage: model-check random append/copy
+   sequences over a pool of columns against plain value lists. [Rebuild]
+   adds a column with a copy's cells in storage of its own, so
+   [equal_prefix] is exercised on shared and unshared pairs alike. *)
+
+type V.nested += Test_path
+
+type pool_op = Append of int * V.t | Copy of int | Rebuild of int
+
+let dtypes = [ D.TInt; D.TFloat; D.TBool; D.TStr; D.TDate; D.TPath ]
+
+let gen_cell ty =
+  let open QCheck.Gen in
+  let cell =
+    match ty with
+    | D.TInt -> map (fun i -> V.Int i) small_signed_int
+    | D.TFloat -> map (fun f -> V.Float f) (float_bound_inclusive 100.)
+    | D.TBool -> map (fun b -> V.Bool b) bool
+    | D.TStr -> map (fun s -> V.Str s) (string_size ~gen:printable (0 -- 3))
+    | D.TDate -> map (fun d -> V.Date d) (int_range (-100) 100)
+    | D.TPath ->
+      map
+        (fun l -> V.Path { tag = Test_path; rows = Array.of_list l })
+        (list_size (0 -- 3) (0 -- 9))
+  in
+  frequency [ (1, return V.Null); (4, cell) ]
+
+let gen_pool_run =
+  let open QCheck.Gen in
+  let* ty = oneofl dtypes in
+  let op =
+    frequency
+      [
+        (6, map2 (fun k v -> Append (k, v)) nat (gen_cell ty));
+        (2, map (fun k -> Copy k) nat);
+        (1, map (fun k -> Rebuild k) nat);
+      ]
+  in
+  let* ops = list_size (0 -- 300) op in
+  let* pairs = list_size (1 -- 20) (triple nat nat (0 -- 100)) in
+  return (ty, ops, pairs)
+
+let print_pool_run (ty, ops, pairs) =
+  let op = function
+    | Append (k, v) -> Printf.sprintf "append %d %s" k (V.to_display v)
+    | Copy k -> Printf.sprintf "copy %d" k
+    | Rebuild k -> Printf.sprintf "rebuild %d" k
+  in
+  Printf.sprintf "%s: [%s] pairs [%s]" (D.name ty)
+    (String.concat "; " (List.map op ops))
+    (String.concat "; "
+       (List.map (fun (i, j, n) -> Printf.sprintf "(%d,%d,%d)" i j n) pairs))
+
+let prop_column_shared_storage =
+  QCheck.Test.make ~name:"column: copies sharing storage match their models"
+    ~count:300
+    (QCheck.make ~print:print_pool_run gen_pool_run)
+    (fun (ty, ops, pairs) ->
+      (* each slot: a column and its cells, in row order *)
+      let pool = ref [| (C.create ~capacity:1 ty, []) |] in
+      let slot k = !pool.(k mod Array.length !pool) in
+      let push c cells = pool := Array.append !pool [| (c, cells) |] in
+      List.iter
+        (function
+          | Append (k, v) ->
+            let k = k mod Array.length !pool in
+            let c, cells = !pool.(k) in
+            C.append c v;
+            !pool.(k) <- (c, cells @ [ v ])
+          | Copy k ->
+            let c, cells = slot k in
+            push (C.copy c) cells
+          | Rebuild k ->
+            let _, cells = slot k in
+            push (C.of_values ty cells) cells)
+        ops;
+      let matches (c, cells) =
+        let n = List.length cells in
+        C.length c = n
+        && List.for_all2 V.equal (C.to_list c) cells
+        && List.for_all
+             (fun i ->
+               let v = List.nth cells i in
+               V.equal (C.get c i) v && C.is_null c i = V.is_null v)
+             (List.init n Fun.id)
+        && C.null_count c = List.length (List.filter V.is_null cells)
+      in
+      let rec prefix_equal n a b =
+        n = 0
+        ||
+        match a, b with
+        | x :: a, y :: b -> V.equal x y && prefix_equal (n - 1) a b
+        | _ -> false
+      in
+      let prefix_agrees (i, j, n) =
+        let a, ma = slot i and b, mb = slot j in
+        C.equal_prefix a b n
+        = (n <= List.length ma && n <= List.length mb && prefix_equal n ma mb)
+      in
+      Array.for_all matches !pool && List.for_all prefix_agrees pairs)
+
+(* A copy that appends moves to storage sized from its length. Sized from
+   the shared buffer's capacity instead, each copy-then-append round (as
+   in a WITH RECURSIVE step) would double the buffer: the allocation bound
+   catches that within ~17 rounds instead of running out of memory. *)
+let test_column_copy_append_rounds () =
+  let start = Gc.allocated_bytes () in
+  let c = ref (C.of_values D.TInt [ V.Int 0 ]) in
+  for i = 1 to 64 do
+    let d = C.copy !c in
+    C.append d (V.Int i);
+    c := d;
+    if Gc.allocated_bytes () -. start > 1e6 then
+      Alcotest.failf "round %d: %.0f bytes allocated" i
+        (Gc.allocated_bytes () -. start)
+  done;
+  check tbool "cells" true
+    (List.equal V.equal (C.to_list !c) (List.init 65 (fun i -> V.Int i)))
 
 (* ------------------------------------------------------------------ *)
 (* Schema                                                              *)
@@ -467,6 +590,9 @@ let () =
           Alcotest.test_case "of arrays" `Quick test_column_of_arrays;
           Alcotest.test_case "equal and copy" `Quick test_column_equal_copy;
           QCheck_alcotest.to_alcotest prop_column_roundtrip;
+          Alcotest.test_case "copy then append, 64 rounds" `Quick
+            test_column_copy_append_rounds;
+          QCheck_alcotest.to_alcotest prop_column_shared_storage;
         ] );
       ( "schema",
         [
