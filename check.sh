@@ -45,6 +45,38 @@ grep -q "| 2" "$out" || {
   exit 1
 }
 
+echo "== DML scale gate (UPDATE + DELETE over 200k rows, 20 s budget)"
+# UPDATE and DELETE evaluate column-at-a-time and rebuild each touched
+# column in one pass, so both are linear in the table; a quadratic
+# rewrite of a 200k-row table does not fit the budget.
+dune build bin/sqlgraph_cli.exe
+awk 'BEGIN {
+  print "CREATE TABLE big (x INTEGER, v INTEGER, w FLOAT, s VARCHAR);"
+  for (b = 0; b < 200; b++) {
+    line = "INSERT INTO big VALUES "
+    for (j = 0; j < 1000; j++) {
+      r = b * 1000 + j
+      line = line (j ? ", " : "") "(" r ", " r ", " r ".5, '"'"'s" r "'"'"')"
+    }
+    print line ";"
+  }
+  print "UPDATE big SET v = v + 1;"
+  print "DELETE FROM big WHERE x < 100000;"
+  print "SELECT COUNT(*), SUM(v) FROM big;"
+}' > "$script"
+timeout 20 _build/default/bin/sqlgraph_cli.exe run "$script" > "$out" 2>&1 || {
+  echo "FAIL: the DML script failed or exceeded 20 s:"
+  tail -5 "$out"
+  exit 1
+}
+for needle in "UPDATE 200000" "DELETE 100000" "| 100000 | 15000050000 |"; do
+  grep -qF "$needle" "$out" || {
+    echo "FAIL: DML scale gate output missing '$needle':"
+    tail -5 "$out"
+    exit 1
+  }
+done
+
 echo "== EXPLAIN ANALYZE smoke"
 ea_script=$(mktemp /tmp/sqlgraph_check_XXXXXX.sql)
 metrics=$(mktemp /tmp/sqlgraph_check_XXXXXX.json)
@@ -704,7 +736,7 @@ psock="$fpdir/primary.sock"
 rsock="$frdir/standby.sock"
 plog=$(mktemp /tmp/sqlgraph_check_XXXXXX.plog)
 rlog=$(mktemp /tmp/sqlgraph_check_XXXXXX.rlog)
-trap 'rm -f "$script" "$out" "$ea_script" "$metrics" "$ms_script" "$obs_script" "$prom" "$slowlog" "$ack" "$srv_log" "$plog" "$rlog" BENCH_smoke.json BENCH_pairs_smoke.json BENCH_pairs_scaling.json TRACE_smoke.json BENCH_wal_smoke.json BENCH_server_smoke.json BENCH_sim_smoke.json BENCH_repl_smoke.json; rm -rf "$ddir" "$sdir" "$ackdir" "$idir" "$fpdir" "$frdir" "$fackdir"' EXIT
+trap 'rm -f "$script" "$out" "$ea_script" "$metrics" "$ms_script" "$obs_script" "$prom" "$slowlog" "$ack" "$srv_log" "$plog" "$rlog" BENCH_smoke.json BENCH_pairs_smoke.json BENCH_pairs_scaling.json TRACE_smoke.json BENCH_wal_smoke.json BENCH_server_smoke.json BENCH_sim_smoke.json BENCH_repl_smoke.json; rm -rf "$ddir" "$sdir" "$ackdir" "$idir" "$gdir" "$fpdir" "$frdir" "$fackdir"' EXIT
 "$cli" serve --socket "$psock" --data-dir "$fpdir" > "$plog" 2>&1 &
 ppid=$!
 i=0

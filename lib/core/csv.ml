@@ -6,23 +6,27 @@ exception Csv_error = Error.Csv_error
 let err fmt = Printf.ksprintf (fun s -> raise (Csv_error s)) fmt
 
 (* A small state machine over the raw text; handles quoted fields with
-   doubled quotes, bare CR before LF, and a missing final newline. *)
-let parse_string s =
+   doubled quotes, bare CR before LF, and a missing final newline. Calls
+   [f line fields] per row, [line] being the file line the row starts on
+   (blank lines are skipped, a quoted newline stays inside its field). *)
+let iter_rows f s =
   let n = String.length s in
-  let rows = ref [] in
   let fields = ref [] in
   let buf = Buffer.create 32 in
   let started = ref false in
   (* row has content *)
+  let line = ref 1 in
+  let row_line = ref 1 in
   let flush_field () =
     fields := Buffer.contents buf :: !fields;
     Buffer.clear buf
   in
   let flush_row () =
     flush_field ();
-    rows := List.rev !fields :: !rows;
+    let row = List.rev !fields in
     fields := [];
-    started := false
+    started := false;
+    f !row_line row
   in
   let i = ref 0 in
   while !i < n do
@@ -44,6 +48,7 @@ let parse_string s =
             incr i
           end
         else begin
+          if s.[!i] = '\n' then incr line;
           Buffer.add_char buf s.[!i];
           incr i
         end
@@ -52,14 +57,21 @@ let parse_string s =
     | ',' ->
       started := true;
       flush_field ()
-    | '\n' -> if !started || Buffer.length buf > 0 || !fields <> [] then flush_row ()
+    | '\n' ->
+      if !started || Buffer.length buf > 0 || !fields <> [] then flush_row ();
+      incr line;
+      row_line := !line
     | '\r' -> () (* swallow; the \n does the work *)
     | c ->
       started := true;
       Buffer.add_char buf c);
     incr i
   done;
-  if !started || Buffer.length buf > 0 || !fields <> [] then flush_row ();
+  if !started || Buffer.length buf > 0 || !fields <> [] then flush_row ()
+
+let parse_string s =
+  let rows = ref [] in
+  iter_rows (fun _ row -> rows := row :: !rows) s;
   List.rev !rows
 
 let cell_of_string ty text =
@@ -69,25 +81,28 @@ let cell_of_string ty text =
     | Ok v -> v
     | Error m -> err "CSV: %s" m
 
-let table_of_string ~schema ?(header = true) s =
-  let rows = parse_string s in
-  let rows = if header && rows <> [] then List.tl rows else rows in
+(* The row step of typed and untyped loads alike. *)
+let append_line table line fields =
+  let schema = Storage.Table.schema table in
   let arity = Storage.Schema.arity schema in
-  let table = Storage.Table.create schema in
-  List.iteri
-    (fun rownum fields ->
-      if List.length fields <> arity then
-        err "CSV row %d has %d fields, expected %d" (rownum + 1)
-          (List.length fields) arity;
-      let cells =
-        List.mapi
+  if List.length fields <> arity then
+    err "CSV line %d has %d fields, expected %d" line (List.length fields)
+      arity;
+  Storage.Table.append_row table
+    (Array.of_list
+       (List.mapi
           (fun col text ->
             cell_of_string (Storage.Schema.field schema col).Storage.Schema.ty
               text)
-          fields
-      in
-      Storage.Table.append_row table (Array.of_list cells))
-    rows;
+          fields))
+
+let table_of_string ~schema ?(header = true) s =
+  let table = Storage.Table.create schema in
+  let skip = ref header in
+  iter_rows
+    (fun line fields ->
+      if !skip then skip := false else append_line table line fields)
+    s;
   table
 
 let load_file db ~path ~table ~schema ?(header = true) () =
@@ -104,35 +119,25 @@ let load_file db ~path ~table ~schema ?(header = true) () =
 let import_untyped db ~path ~table =
   Db.protect (fun () ->
       let text = In_channel.with_open_text path In_channel.input_all in
-      let rows = parse_string text in
-      match rows with
-      | [] -> err "CSV import: %s is empty" path
-      | header :: body ->
-        let fields =
-          List.mapi
-            (fun i name ->
+      let loaded = ref None in
+      iter_rows
+        (fun line fields ->
+          match !loaded with
+          | Some t -> append_line t line fields
+          | None ->
+            let column i name =
               let name = String.trim name in
               let name = if name = "" then Printf.sprintf "c%d" i else name in
-              { Storage.Schema.name; ty = Storage.Dtype.TStr })
-            header
-        in
-        let schema = Storage.Schema.make fields in
-        let arity = List.length fields in
-        let t = Storage.Table.create schema in
-        List.iteri
-          (fun rownum cells ->
-            if List.length cells <> arity then
-              err "CSV row %d has %d fields, expected %d" (rownum + 2)
-                (List.length cells) arity;
-            let cells =
-              List.map
-                (fun text ->
-                  if text = "" then Storage.Value.Null
-                  else Storage.Value.Str text)
-                cells
+              { Storage.Schema.name; ty = Storage.Dtype.TStr }
             in
-            Storage.Table.append_row t (Array.of_list cells))
-          body;
+            loaded :=
+              Some
+                (Storage.Table.create
+                   (Storage.Schema.make (List.mapi column fields))))
+        text;
+      match !loaded with
+      | None -> err "CSV import: %s is empty" path
+      | Some t ->
         Db.load_table db ~name:table t;
         Storage.Table.nrows t)
 

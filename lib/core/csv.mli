@@ -13,7 +13,7 @@ val parse_string : string -> string list list
 (** [table_of_string ~schema ?header s] — build a typed table. Fields are
     cast to the schema's column types ([""] becomes NULL); [header]
     (default [true]) skips the first row. Raises {!Csv_error} on arity or
-    conversion failures. *)
+    conversion failures; an arity error names the file line of the row. *)
 val table_of_string :
   schema:Storage.Schema.t -> ?header:bool -> string -> Storage.Table.t
 
@@ -31,7 +31,9 @@ val load_file :
 
 (** [import_untyped db ~path ~table] — read a CSV file whose schema is
     derived from its header row (every column [TStr]; empty header
-    cells become [c0], [c1], ...). The CLI's [\i] path. *)
+    cells become [c0], [c1], ...). The CLI's [\i] path. Rows are loaded
+    by the same loop as {!table_of_string}, so errors name the same
+    file line. *)
 val import_untyped :
   Db.t -> path:string -> table:string -> (int, Error.t) result
 

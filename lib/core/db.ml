@@ -276,8 +276,9 @@ type exec_outcome =
   | Rolled_back
 
 (* Run [f], mapping every layer's exception into Error.t. Statements are
-   atomic by construction (UPDATE/DELETE build a replacement table before
-   touching the catalog, INSERT evaluates every row before appending any),
+   atomic by construction (UPDATE/DELETE evaluate and cast everything into
+   a replacement table before one [Catalog.replace], INSERT evaluates every
+   row before appending any),
    so unwinding here never leaves a table half-mutated — a failed
    statement inside an open transaction leaves the snapshot intact and
    COMMIT/ROLLBACK working. *)
@@ -362,105 +363,110 @@ let run_select t ~params ~optimize ~gov q =
   t.last_stats <- Some stats;
   Resultset.of_table table
 
-(* Evaluate a bound predicate/expression per row of a base table. The
-   per-row checkpoint (site "dml") is what makes UPDATE/DELETE statements
-   governable — they never enter the interpreter's operator tree, so
-   without it a runaway DML scan could not be timed out or cancelled. *)
-let eval_over_rows t gov table bexpr =
-  let ctx = fresh_ctx t gov in
-  let run_subplan p = Executor.Interp.run ctx p in
-  let n = Storage.Table.nrows table in
-  let env = Executor.Eval.single ~run_subplan table 0 in
-  List.init n (fun row ->
-      Governor.check gov ~site:"dml" ~steps:1 ();
-      env.Executor.Eval.segments.(0) <- (table, row);
-      Executor.Eval.eval env bexpr)
-
 let find_table t name =
   match Storage.Catalog.find t.catalog name with
   | Some tbl -> tbl
   | None ->
     raise (Relalg.Binder.Bind_error (Printf.sprintf "unknown table %s" name))
 
-let exec_update t ~params ~gov ~table ~assignments ~where =
-  let target = find_table t table in
-  let schema = Storage.Table.schema target in
-  let bind e =
-    Relalg.Binder.bind_over_table ~catalog:t.catalog ~params ~schema e
-  in
-  let bound_assignments =
-    List.map
-      (fun (col, e) ->
-        match Storage.Schema.index_of schema col with
-        | None ->
-          raise
-            (Relalg.Binder.Bind_error
-               (Printf.sprintf "unknown column %s in UPDATE" col))
-        | Some i -> (i, bind e))
-      assignments
-  in
+let runtime_error m = Relalg.Scalar.Runtime_error m
+
+(* The rows of [target] an UPDATE/DELETE touches, as a per-row mask and
+   as ascending positions. The governor's "dml" site fires once per
+   statement, charged the scanned rows; the WHERE then runs through the
+   executor's own evaluator, whose primitives checkpoint as in a query. *)
+let dml_hits t gov ~stmt ~params target where =
+  let n = Storage.Table.nrows target in
   let pred =
     Option.map
       (fun w ->
-        let bw = bind w in
+        let bw =
+          Relalg.Binder.bind_over_table ~catalog:t.catalog ~params
+            ~schema:(Storage.Table.schema target) w
+        in
         if not (Storage.Dtype.equal bw.Relalg.Lplan.ty Storage.Dtype.TBool)
-        then
-          raise (Relalg.Binder.Bind_error "UPDATE WHERE must be boolean");
+        then raise (Relalg.Binder.Bind_error (stmt ^ " WHERE must be boolean"));
         bw)
       where
   in
+  Governor.check gov ~site:"dml" ~steps:n ();
+  let ctx = fresh_ctx t gov in
   let hits =
     match pred with
-    | None -> List.init (Storage.Table.nrows target) (fun _ -> true)
-    | Some p -> List.map Relalg.Scalar.is_true (eval_over_rows t gov target p)
+    | None -> Array.init n Fun.id
+    | Some p -> Executor.Interp.eval_filter ctx target p
   in
-  let new_cells =
-    List.map (fun (i, e) -> (i, eval_over_rows t gov target e)) bound_assignments
-  in
-  let out = Storage.Table.create schema in
-  let updated = ref 0 in
-  List.iteri
-    (fun row hit ->
-      let cells = Storage.Table.row target row in
-      if hit then begin
-        incr updated;
-        List.iter
-          (fun (i, values) ->
-            let v = List.nth values row in
-            let ty = (Storage.Schema.field schema i).Storage.Schema.ty in
-            match Storage.Value.cast v ty with
-            | Ok v' -> cells.(i) <- v'
-            | Error m -> raise (Relalg.Scalar.Runtime_error ("UPDATE: " ^ m)))
-          new_cells
-      end;
-      Storage.Table.append_row out cells)
-    hits;
-  Storage.Catalog.replace t.catalog table out;
-  Updated !updated
+  let hit = Array.make n false in
+  Array.iter (fun row -> hit.(row) <- true) hits;
+  (ctx, hit, hits)
 
-let exec_delete t ~params ~gov ~table ~where =
+(* Each SET expression is evaluated over the matched rows only, always
+   against the old row. An unassigned column is a storage-sharing copy;
+   an assigned one is one pass merging old cells with the new ones. *)
+let exec_update t ~params ~gov ~table ~assignments ~where =
   let target = find_table t table in
   let schema = Storage.Table.schema target in
-  let hits =
-    match where with
-    | None -> List.init (Storage.Table.nrows target) (fun _ -> true)
-    | Some w ->
-      let bw =
-        Relalg.Binder.bind_over_table ~catalog:t.catalog ~params ~schema w
+  let positions =
+    Relalg.Binder.target_positions ~stmt:"UPDATE" schema
+      (Some (List.map fst assignments))
+  in
+  let exprs =
+    List.map
+      (fun (_, e) ->
+        Relalg.Binder.bind_over_table ~catalog:t.catalog ~params ~schema e)
+      assignments
+  in
+  let ctx, hit, hits = dml_hits t gov ~stmt:"UPDATE" ~params target where in
+  let matched =
+    if Array.length hits = Storage.Table.nrows target then target
+    else Storage.Table.take target hits
+  in
+  (* reversed, so a later assignment to the same column wins *)
+  let fresh =
+    List.rev_map2
+      (fun pos e -> (pos, Executor.Interp.eval_column ctx matched e))
+      positions exprs
+  in
+  let column pos =
+    let old = Storage.Table.column target pos in
+    match List.assoc_opt pos fresh with
+    | None -> Storage.Column.copy old
+    | Some cells ->
+      let n = Storage.Table.nrows target in
+      let col =
+        Storage.Column.create ~capacity:(max 1 n) (Storage.Column.dtype old)
       in
-      if not (Storage.Dtype.equal bw.Relalg.Lplan.ty Storage.Dtype.TBool) then
-        raise (Relalg.Binder.Bind_error "DELETE WHERE must be boolean");
-      List.map Relalg.Scalar.is_true (eval_over_rows t gov target bw)
+      let k = ref 0 in
+      for row = 0 to n - 1 do
+        if hit.(row) then begin
+          Storage.Column.append col
+            (Relalg.Binder.cast_cell ~fail:runtime_error ~stmt:"UPDATE" schema
+               pos
+               (Storage.Column.get cells !k));
+          incr k
+        end
+        else Storage.Column.append col (Storage.Column.get old row)
+      done;
+      col
   in
+  let out =
+    Storage.Table.of_columns ~nrows:(Storage.Table.nrows target) schema
+      (List.init (Storage.Schema.arity schema) column)
+  in
+  Storage.Catalog.replace t.catalog table out;
+  Updated (Array.length hits)
+
+(* The kept rows are the complement of the hits: a NULL WHERE keeps. *)
+let exec_delete t ~params ~gov ~table ~where =
+  let target = find_table t table in
+  let _, hit, hits = dml_hits t gov ~stmt:"DELETE" ~params target where in
   let keep =
-    hits
-    |> List.mapi (fun row hit -> if hit then None else Some row)
-    |> List.filter_map Fun.id
-    |> Array.of_list
+    Array.of_seq
+      (Seq.filter (fun row -> not hit.(row))
+         (Seq.init (Storage.Table.nrows target) Fun.id))
   in
-  let deleted = Storage.Table.nrows target - Array.length keep in
   Storage.Catalog.replace t.catalog table (Storage.Table.take target keep);
-  Deleted deleted
+  Deleted (Array.length hits)
 
 let txn_error m = raise (Relalg.Binder.Bind_error m)
 
@@ -633,18 +639,7 @@ let exec_stmt_mem t ~params ~optimize ~gov stmt =
         let rs = run_select t ~params ~optimize ~gov q in
         let src = Resultset.to_table rs in
         let positions =
-          match columns with
-          | None -> List.init (Storage.Schema.arity schema) Fun.id
-          | Some cols ->
-            List.map
-              (fun c ->
-                match Storage.Schema.index_of schema c with
-                | Some i -> i
-                | None ->
-                  raise
-                    (Relalg.Binder.Bind_error
-                       (Printf.sprintf "unknown column %s in INSERT" c)))
-              cols
+          Relalg.Binder.target_positions ~stmt:"INSERT" schema columns
         in
         if Storage.Table.arity src <> List.length positions then
           raise
@@ -661,12 +656,10 @@ let exec_stmt_mem t ~params ~optimize ~gov stmt =
               let cells = Array.make arity Storage.Value.Null in
               List.iteri
                 (fun srccol pos ->
-                  let v = Storage.Table.get src ~row ~col:srccol in
-                  let ty = (Storage.Schema.field schema pos).Storage.Schema.ty in
-                  match Storage.Value.cast v ty with
-                  | Ok v' -> cells.(pos) <- v'
-                  | Error m ->
-                    raise (Relalg.Scalar.Runtime_error ("INSERT: " ^ m)))
+                  cells.(pos) <-
+                    Relalg.Binder.cast_cell ~fail:runtime_error ~stmt:"INSERT"
+                      schema pos
+                      (Storage.Table.get src ~row ~col:srccol))
                 positions;
               cells)
         in

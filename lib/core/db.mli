@@ -150,8 +150,8 @@ val query_exn :
 (** [protect f] — run [f] under the same exception-to-[Error.t] mapping
     statements get: parse/bind/runtime errors, [Resource_error], injected
     faults, CSV and I/O errors, [Stack_overflow], [Out_of_memory]. Used
-    by {!Csv} and the CLI so auxiliary operations (imports) fail like
-    statements instead of killing the session. *)
+    by {!Csv}, {!Persist} and the CLI so auxiliary operations (imports,
+    saves, loads) fail like statements instead of killing the session. *)
 val protect : (unit -> 'a) -> ('a, Error.t) result
 
 (** [explain db ?params ?optimize sql] — the bound, rewritten plan as an

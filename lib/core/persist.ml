@@ -1,41 +1,35 @@
 let manifest_file = "_manifest.csv"
 
-let guard f =
-  match f () with
-  | v -> Ok v
-  | exception Sys_error m -> Error (Error.Runtime_error m)
-  | exception Csv.Csv_error m -> Error (Error.Runtime_error m)
-  | exception Relalg.Scalar.Runtime_error m -> Error (Error.Runtime_error m)
-  | exception Invalid_argument m -> Error (Error.Runtime_error m)
-  | exception Unix.Unix_error (e, fn, arg) ->
-    Error
-      (Error.Runtime_error
-         (Printf.sprintf "%s %s: %s" fn arg (Unix.error_message e)))
-  | exception Fault.Injected { site; checks } ->
-    Error
-      (Error.Resource_error
-         {
-           kind = Error.Fault;
-           spent = float_of_int checks;
-           limit = float_of_int checks;
-           site;
-         })
+(* A signal landing mid-write makes [Unix.write] raise [EINTR] (nothing
+   written) or return short (partially written).  Treat EINTR as a
+   zero-byte transfer and stay in the short-write loop — the SIGINT
+   cancellation handler makes interrupts routine. *)
+let write_retry op =
+  match op () with
+  | n -> n
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> 0
+
+let write_all fd s =
+  let n = String.length s in
+  let w = ref 0 in
+  while !w < n do
+    w := !w + write_retry (fun () -> Unix.write_substring fd s !w (n - !w))
+  done
 
 (* fsync a file or directory by path (directory fsync persists the
    entry rename itself, not just the bytes). *)
 let fsync_path path =
   let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () -> Unix.fsync fd)
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
 
+(* [lstat], so a symlink is removed, never followed into its target. *)
 let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
 let write_file_synced path text =
   let fd =
@@ -44,12 +38,7 @@ let write_file_synced path text =
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
-      let n = String.length text in
-      let written = ref 0 in
-      while !written < n do
-        written :=
-          !written + Unix.write_substring fd text !written (n - !written)
-      done;
+      write_all fd text;
       Unix.fsync fd)
 
 (* Render every table into (filename, contents) pairs, re-raising the
@@ -90,7 +79,7 @@ let render db =
    not a sqlgraph save, and overwriting it would scribble CSVs over
    arbitrary user data. *)
 let save db ~dir =
-  guard (fun () ->
+  Db.protect (fun () ->
       if Sys.file_exists dir then begin
         if not (Sys.is_directory dir) then
           raise (Sys_error (dir ^ ": exists and is not a directory"));
@@ -136,7 +125,7 @@ let save db ~dir =
       try fsync_path (Filename.dirname dir) with _ -> ())
 
 let load ~dir =
-  guard (fun () ->
+  Db.protect (fun () ->
       let manifest_text =
         In_channel.with_open_text
           (Filename.concat dir manifest_file)

@@ -20,3 +20,21 @@ val save : Db.t -> dir:string -> (unit, Error.t) result
 (** [load ~dir] — a fresh database containing every table of a saved
     directory. *)
 val load : dir:string -> (Db.t, Error.t) result
+
+(** {2 Durable-file helpers, shared with the WAL and the server's sockets} *)
+
+(** [write_retry op] — [op ()], or [0] if it raised [EINTR]. *)
+val write_retry : (unit -> int) -> int
+
+(** [write_all fd s] — all of [s], retrying short and interrupted writes. *)
+val write_all : Unix.file_descr -> string -> unit
+
+(** [write_file_synced path text] — create or truncate, write, fsync. *)
+val write_file_synced : string -> string -> unit
+
+(** [fsync_path path] — fsync a file or a directory (persisting renames). *)
+val fsync_path : string -> unit
+
+(** [rm_rf path] — remove a file or tree; absent is fine, symlinks are
+    removed, not followed. *)
+val rm_rf : string -> unit

@@ -473,23 +473,6 @@ let check_usable t =
             why))
   | None -> ()
 
-(* A signal landing mid-write makes [Unix.write] raise [EINTR] (nothing
-   written) or return short (partially written); both used to abort the
-   append and leave a torn frame for recovery-time truncation to clean
-   up.  Treat EINTR as a zero-byte write and stay in the short-write
-   loop — the SIGINT cancellation handler makes interrupts routine. *)
-let write_retry op =
-  match op () with
-  | n -> n
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> 0
-
-let write_all fd s =
-  let n = String.length s in
-  let w = ref 0 in
-  while !w < n do
-    w := !w + write_retry (fun () -> Unix.write_substring fd s !w (n - !w))
-  done
-
 (* Write the buffered tail out.  On a partial write the unwritten suffix
    stays buffered and [offset] counts only what landed, so a retry (or a
    truncate repair) still sees a consistent picture. *)
@@ -500,7 +483,10 @@ let flush t =
     let w = ref 0 in
     (try
        while !w < n do
-         w := !w + write_retry (fun () -> Unix.write t.fd a.a_data !w (n - !w))
+         w :=
+           !w
+           + Persist.write_retry (fun () ->
+                 Unix.write t.fd a.a_data !w (n - !w))
        done
      with e ->
        t.offset <- t.offset + !w;
@@ -513,10 +499,6 @@ let flush t =
   end
 
 let logical_end t = t.offset + t.out.a_len
-
-let fsync_path path =
-  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
 
 (* Append one framed record at the log's logical end.  The "wal_torn"
    fault site simulates a physical torn write: it leaves *half* the
@@ -536,7 +518,8 @@ let append_payload t ~kind ~sql ~params =
     encode_payload tmp ~kind ~sql ~params;
     let framed = frame (Bytes.sub_string tmp.a_data 0 tmp.a_len) in
     (try flush t with _ -> ());
-    (try write_all t.fd (String.sub framed 0 (String.length framed / 2))
+    (try
+       Persist.write_all t.fd (String.sub framed 0 (String.length framed / 2))
      with _ -> ());
     t.poisoned <- Some "injected torn write";
     raise e
@@ -628,7 +611,9 @@ let read_range t ~pos ~len =
         let b = Bytes.create len in
         let r = ref 0 in
         while !r < len do
-          let n = write_retry (fun () -> Unix.read fd b !r (len - !r)) in
+          let n =
+            Persist.write_retry (fun () -> Unix.read fd b !r (len - !r))
+          in
           if n = 0 then
             raise (Sys_error "wal: range read beyond the flushed end");
           r := !r + n
@@ -642,7 +627,7 @@ let read_range t ~pos ~len =
 let append_frames t ~count s =
   check_usable t;
   flush t;
-  write_all t.fd s;
+  Persist.write_all t.fd s;
   t.offset <- t.offset + String.length s;
   t.stmt_start <- t.offset;
   t.stats.c_records <- t.stats.c_records + count;
@@ -762,24 +747,9 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let write_file_atomic path text =
   let tmp = path ^ ".tmp" in
-  let fd =
-    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      write_all fd text;
-      Unix.fsync fd);
+  Persist.write_file_synced tmp text;
   Sys.rename tmp path;
-  try fsync_path (Filename.dirname path) with _ -> ()
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
+  try Persist.fsync_path (Filename.dirname path) with _ -> ()
 
 (* Create wal-g with its magic header, fully synced; returns an append
    fd positioned after the header. *)
@@ -793,7 +763,7 @@ let create_wal_file ~do_fsync dir g =
       0o644
   in
   (try
-     write_all fd magic;
+     Persist.write_all fd magic;
      if do_fsync then Unix.fsync fd
    with e ->
      (try Unix.close fd with _ -> ());
@@ -830,7 +800,7 @@ let gc_stale dir ~keep =
         || stale_gen "checkpoint-" ""
         || contains_sub entry ".tmp"
         || contains_sub entry ".old."
-      then try rm_rf full with _ -> ())
+      then try Persist.rm_rf full with _ -> ())
     (Sys.readdir dir)
 
 (* Replay scanned records against [db].  'A' records apply immediately;
@@ -1009,7 +979,7 @@ let checkpoint t db =
           | Error e ->
             raise (Sys_error ("checkpoint save failed: " ^ Error.to_string e)));
           let cleanup_new () =
-            (try rm_rf (ckpt_dir t.dir g') with _ -> ());
+            (try Persist.rm_rf (ckpt_dir t.dir g') with _ -> ());
             try Sys.remove (wal_file t.dir g') with _ -> ()
           in
           let fd' =
@@ -1039,7 +1009,7 @@ let checkpoint t db =
           t.out.a_len <- 0;
           t.stats.c_checkpoints <- t.stats.c_checkpoints + 1;
           sync_registry t;
-          (try rm_rf (ckpt_dir t.dir old_gen) with _ -> ());
+          (try Persist.rm_rf (ckpt_dir t.dir old_gen) with _ -> ());
           (try Sys.remove (wal_file t.dir old_gen) with _ -> ())))
 
 (* ------------------------------------------------------------------ *)

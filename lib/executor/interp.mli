@@ -132,3 +132,16 @@ val trace : ctx -> trace_entry list
     faults (division by zero, scalar subquery cardinality, non-positive
     shortest-path weights, ...). *)
 val run : ?outer:Eval.env -> ctx -> Relalg.Lplan.plan -> Storage.Table.t
+
+(** The Filter and Project evaluators, also used by UPDATE and DELETE:
+    {!Vectorized} first, else {!Eval}, counted in [vec_ops]/[row_ops].
+    [eval_filter] returns the rows where [pred] is true, ascending. *)
+val eval_filter :
+  ?outer:Eval.env -> ctx -> Storage.Table.t -> Relalg.Lplan.expr -> int array
+
+val eval_column :
+  ?outer:Eval.env ->
+  ctx ->
+  Storage.Table.t ->
+  Relalg.Lplan.expr ->
+  Storage.Column.t

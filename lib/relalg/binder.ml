@@ -1422,40 +1422,38 @@ let bind_over_table ~catalog ~params ~schema e =
   bind_expr ctx scope plain_mode e
 
 (* ------------------------------------------------------------------ *)
-(* INSERT ... VALUES                                                   *)
+(* Write rules: INSERT ... VALUES, INSERT ... SELECT and UPDATE         *)
 (* ------------------------------------------------------------------ *)
+
+let target_positions ~stmt schema = function
+  | None -> List.init (Storage.Schema.arity schema) Fun.id
+  | Some cols ->
+    List.map
+      (fun c ->
+        match Storage.Schema.index_of schema c with
+        | Some i -> i
+        | None -> err "unknown column %s in %s" c stmt)
+      cols
+
+let cast_cell ~fail ~stmt schema pos v =
+  match V.cast v (Storage.Schema.field schema pos).Storage.Schema.ty with
+  | Ok v -> v
+  | Error m -> raise (fail (stmt ^ ": " ^ m))
 
 let bind_values ~catalog ~params ~schema ~columns rows =
   let ctx = { catalog; params; env = []; outer_scope = [] } in
-  let arity = Storage.Schema.arity schema in
-  let positions =
-    match columns with
-    | None -> List.init arity Fun.id
-    | Some cols ->
-      List.map
-        (fun c ->
-          match Storage.Schema.index_of schema c with
-          | Some i -> i
-          | None -> err "unknown column %s in INSERT" c)
-        cols
-  in
+  let positions = target_positions ~stmt:"INSERT" schema columns in
   List.map
     (fun row ->
       if List.length row <> List.length positions then
         err "INSERT row has %d values, expected %d" (List.length row)
           (List.length positions);
-      let cells = Array.make arity V.Null in
+      let cells = Array.make (Storage.Schema.arity schema) V.Null in
       List.iter2
         (fun pos e ->
-          let be = bind_expr ctx [] plain_mode e in
-          let v = Const_eval.eval_exn be in
-          let target_ty = (Storage.Schema.field schema pos).Storage.Schema.ty in
-          let v =
-            match V.cast v target_ty with
-            | Ok v' -> v'
-            | Error m -> err "INSERT: %s" m
-          in
-          cells.(pos) <- v)
+          let v = Const_eval.eval_exn (bind_expr ctx [] plain_mode e) in
+          cells.(pos) <-
+            cast_cell ~fail:(fun m -> Bind_error m) ~stmt:"INSERT" schema pos v)
         positions row;
       cells)
     rows

@@ -38,6 +38,25 @@ val bind_over_table :
   Sql.Ast.expr ->
   Lplan.expr
 
+(** [target_positions ~stmt schema columns] — the schema positions an
+    INSERT's optional column list (or an UPDATE's assigned columns)
+    writes: every column in order for [None]. Raises {!Bind_error}
+    ["unknown column c in <stmt>"]. *)
+val target_positions :
+  stmt:string -> Storage.Schema.t -> string list option -> int list
+
+(** [cast_cell ~fail ~stmt schema pos v] — [v] cast to the type of
+    column [pos]; raises [fail "<stmt>: <reason>"] when it does not cast.
+    The one cast rule of INSERT ... VALUES ([fail] = {!Bind_error}),
+    INSERT ... SELECT and UPDATE ({!Scalar.Runtime_error}). *)
+val cast_cell :
+  fail:(string -> exn) ->
+  stmt:string ->
+  Storage.Schema.t ->
+  int ->
+  Storage.Value.t ->
+  Storage.Value.t
+
 (** [bind_values ~catalog ~params ~schema ~columns rows] — typecheck and
     evaluate the rows of an [INSERT ... VALUES] against a table schema
     ([columns] is the optional explicit column list). Returns full-width

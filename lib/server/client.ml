@@ -74,15 +74,9 @@ let hello ?timeout_ms t =
     t.greeting <- Some g;
     g
 
-let rec write_all fd s off len =
-  if len > 0 then
-    match Unix.write_substring fd s off len with
-    | n -> write_all fd s (off + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
-
 let send_line t line =
   let payload = line ^ "\n" in
-  try write_all t.fd payload 0 (String.length payload)
+  try Sqlgraph.Persist.write_all t.fd payload
   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
     raise (Closed "server closed the connection")
 

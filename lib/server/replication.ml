@@ -42,15 +42,9 @@ module Fault = Sqlgraph.Fault
 
 let now () = Unix.gettimeofday ()
 
-let rec write_all fd s off len =
-  if len > 0 then
-    match Unix.write_substring fd s off len with
-    | n -> write_all fd s (off + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
-
 let send_line fd line =
   let payload = line ^ "\n" in
-  write_all fd payload 0 (String.length payload)
+  Sqlgraph.Persist.write_all fd payload
 
 let read_whole_file path =
   let ic = open_in_bin path in

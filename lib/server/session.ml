@@ -64,17 +64,11 @@ let cancel t =
 
 (* --- socket I/O ---------------------------------------------------- *)
 
-let rec write_all fd s off len =
-  if len > 0 then
-    match Unix.write_substring fd s off len with
-    | n -> write_all fd s (off + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
-
 exception Peer_gone
 
 let send t lines =
   let payload = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
-  try write_all t.fd payload 0 (String.length payload)
+  try Sqlgraph.Persist.write_all t.fd payload
   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
     raise Peer_gone
 

@@ -295,14 +295,6 @@ let mutate_graph db ~ids ~seed ~statements =
 (* ------------------------------------------------------------------ *)
 (* The run *)
 
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
 let fresh_temp_dir () =
   let path = Filename.temp_file "sqlgraph-sim" "" in
   Sys.remove path;
@@ -376,7 +368,7 @@ let run cfg =
   let cleanup_ctx = ref (fun () -> ()) in
   let finally () =
     !cleanup_ctx ();
-    if own_dir then rm_rf dir
+    if own_dir then Sqlgraph.Persist.rm_rf dir
   in
   Fun.protect ~finally (fun () ->
       let ctx =

@@ -15,6 +15,9 @@ type op =
   | Update_all_b of int
   | Delete_eq of int  (* WHERE a = key *)
   | Delete_lt of int  (* WHERE b < threshold *)
+  | Update_div  (* SET b = 100 / a WHERE a <> 0: SET sees matched rows only *)
+  | Update_shift of int  (* SET a = a + 1, b = a WHERE a = key: b gets the old a *)
+  | Delete_b_gt_a  (* WHERE b > a: NULL on a NULL b, which keeps the row *)
 
 let gen_op =
   QCheck.Gen.(
@@ -26,6 +29,9 @@ let gen_op =
         (1, map (fun b -> Update_all_b b) (int_range (-20) 20));
         (2, map (fun k -> Delete_eq k) (int_range 0 9));
         (1, map (fun t -> Delete_lt t) (int_range (-20) 20));
+        (1, return Update_div);
+        (1, map (fun k -> Update_shift k) (int_range 0 9));
+        (1, return Delete_b_gt_a);
       ])
 
 let gen_ops = QCheck.Gen.(list_size (int_range 0 40) gen_op)
@@ -46,6 +52,12 @@ let model_apply rows = function
     List.filter
       (fun (_, b) -> match b with None -> true | Some x -> x >= threshold)
       rows
+  | Update_div ->
+    List.map (fun (a, b) -> if a <> 0 then (a, Some (100 / a)) else (a, b)) rows
+  | Update_shift key ->
+    List.map (fun (a, b) -> if a = key then (a + 1, Some a) else (a, b)) rows
+  | Delete_b_gt_a ->
+    List.filter (fun (a, b) -> match b with None -> true | Some x -> x <= a) rows
 
 let sql_of_op = function
   | Insert (a, b) -> Printf.sprintf "INSERT INTO t VALUES (%d, %d)" a b
@@ -55,6 +67,10 @@ let sql_of_op = function
   | Update_all_b v -> Printf.sprintf "UPDATE t SET b = %d" v
   | Delete_eq k -> Printf.sprintf "DELETE FROM t WHERE a = %d" k
   | Delete_lt t -> Printf.sprintf "DELETE FROM t WHERE b < %d" t
+  | Update_div -> "UPDATE t SET b = 100 / a WHERE a <> 0"
+  | Update_shift k ->
+    Printf.sprintf "UPDATE t SET a = a + 1, b = a WHERE a = %d" k
+  | Delete_b_gt_a -> "DELETE FROM t WHERE b > a"
 
 let engine_rows db =
   match Sqlgraph.Db.query db "SELECT a, b FROM t" with

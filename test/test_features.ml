@@ -589,8 +589,8 @@ let test_persist_graph_workload () =
 
 let test_persist_missing_dir () =
   match Sqlgraph.Persist.load ~dir:"/nonexistent/sqlgraph" with
-  | Error (Sqlgraph.Error.Runtime_error _) -> ()
-  | _ -> Alcotest.fail "expected an error"
+  | Error (Sqlgraph.Error.Io_error _) -> ()
+  | _ -> Alcotest.fail "expected an I/O error"
 
 (* ------------------------------------------------------------------ *)
 (* WITH RECURSIVE                                                      *)
@@ -748,6 +748,26 @@ let test_csv_file_roundtrip () =
   | Error e -> Alcotest.failf "load: %s" (Sqlgraph.Error.to_string e));
   check tbool "identical contents" true
     (rows db "SELECT * FROM t ORDER BY n, s" = rows db "SELECT * FROM t2 ORDER BY n, s");
+  Sys.remove path
+
+(* a short row is reported at its file line, typed or untyped; the
+   quoted newline in row 2 makes the file line differ from the row count *)
+let test_csv_short_row_line () =
+  let db = fresh_db () in
+  let path = Filename.temp_file "sqlgraph_test" ".csv" in
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc "n,s\n1,\"a\nb\"\n\n2\n3,c\n");
+  let schema =
+    Storage.Schema.of_pairs [ ("n", Storage.Dtype.TInt); ("s", Storage.Dtype.TStr) ]
+  in
+  let expect what = function
+    | Error (Sqlgraph.Error.Io_error m) ->
+      check Alcotest.string what "CSV line 5 has 1 fields, expected 2" m
+    | Error e -> Alcotest.failf "%s: %s" what (Sqlgraph.Error.to_string e)
+    | Ok _ -> Alcotest.failf "%s: short row accepted" what
+  in
+  expect "typed load" (Sqlgraph.Csv.load_file db ~path ~table:"t2" ~schema ());
+  expect "untyped import" (Sqlgraph.Csv.import_untyped db ~path ~table:"t3");
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)
@@ -909,5 +929,6 @@ let () =
           Alcotest.test_case "csv parsing" `Quick test_csv_parse;
           Alcotest.test_case "csv typed tables" `Quick test_csv_table_roundtrip;
           Alcotest.test_case "csv file roundtrip" `Quick test_csv_file_roundtrip;
+          Alcotest.test_case "csv short row line" `Quick test_csv_short_row_line;
         ] );
     ]

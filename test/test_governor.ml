@@ -362,7 +362,7 @@ let test_txn_snapshot_survives_fault () =
   exec_exn db "INSERT INTO t VALUES (4, 40)";
   let before = rows_of db "SELECT * FROM t ORDER BY id" in
   (* kill an UPDATE mid-statement, inside the open transaction (DML
-     statements checkpoint per scanned row at site "dml") *)
+     statements checkpoint at site "dml" before evaluating) *)
   Fault.set (Some (Fault.At_site "dml"));
   check_kind "update killed" Err.Fault
     (Sqlgraph.Db.exec db "UPDATE t SET v = v + 1 WHERE id >= 1");
