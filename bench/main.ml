@@ -702,7 +702,7 @@ let pairs_bench ?json ~ratio ~sources ~seed () =
     in
     Sqlgraph.Metrics.write_file ~path
       (Sqlgraph.Metrics.Obj
-         [
+         ([
            ("schema", Sqlgraph.Metrics.String "sqlgraph-bench-v1");
            ("suite", Sqlgraph.Metrics.String "pairs");
            ("ratio", Sqlgraph.Metrics.num ratio);
@@ -711,8 +711,9 @@ let pairs_bench ?json ~ratio ~sources ~seed () =
            ("edges", Sqlgraph.Metrics.Int n_edges);
            ("sources", Sqlgraph.Metrics.Int sources);
            ("identical", Sqlgraph.Metrics.Bool identical);
-           ( "host_cores",
-             Sqlgraph.Metrics.Int (Domain.recommended_domain_count ()) );
+         ]
+         @ Sqlgraph.Metrics.host ()
+         @ [
            ( "results",
              Sqlgraph.Metrics.List
                [
@@ -740,7 +741,7 @@ let pairs_bench ?json ~ratio ~sources ~seed () =
            ( "trace_off_overhead_pct",
              Sqlgraph.Metrics.num trace_off_overhead_pct );
            ("trace_on_overhead_pct", Sqlgraph.Metrics.num trace_on_overhead_pct);
-         ]);
+         ]));
     Printf.printf "wrote %s\n%!" path
 
 (* ------------------------------------------------------------------ *)
@@ -837,11 +838,14 @@ let wal_bench ?json ~rows () =
   | Some path ->
     Sqlgraph.Metrics.write_file ~path
       (Sqlgraph.Metrics.Obj
-         [
+         ([
            ("schema", Sqlgraph.Metrics.String "sqlgraph-bench-v1");
            ("suite", Sqlgraph.Metrics.String "wal");
            ("rows", Sqlgraph.Metrics.Int rows);
            ("fsync_rows", Sqlgraph.Metrics.Int fsync_rows);
+         ]
+         @ Sqlgraph.Metrics.host ()
+         @ [
            ( "results",
              Sqlgraph.Metrics.List
                [
@@ -865,7 +869,7 @@ let wal_bench ?json ~rows () =
                    ];
                ] );
            ("nofsync_vs_memory_pct", Sqlgraph.Metrics.num overhead_pct);
-         ]);
+         ]));
     Printf.printf "wrote %s\n%!" path
 
 (* ------------------------------------------------------------------ *)
@@ -1058,14 +1062,14 @@ let server_bench ?json ~commits ~clients () =
     in
     Sqlgraph.Metrics.write_file ~path
       (Sqlgraph.Metrics.Obj
-         [
+         ([
            ("schema", Sqlgraph.Metrics.String "sqlgraph-bench-v1");
            ("suite", Sqlgraph.Metrics.String "server");
            ("commits", Sqlgraph.Metrics.Int commits);
            ("clients", Sqlgraph.Metrics.Int nclients);
-           ( "host_cores",
-             Sqlgraph.Metrics.Int (Domain.recommended_domain_count ()) );
-           ("ocaml_version", Sqlgraph.Metrics.String Sys.ocaml_version);
+         ]
+         @ Sqlgraph.Metrics.host ()
+         @ [
            ( "results",
              Sqlgraph.Metrics.List
                (entry "server/single-fsync" r_single t_single
@@ -1080,7 +1084,7 @@ let server_bench ?json ~commits ~clients () =
            ("mean_group_size", Sqlgraph.Metrics.num mean_group);
            ("group_vs_single_x", Sqlgraph.Metrics.num ratio);
            ("rows100k_vs_rows1k_x", Sqlgraph.Metrics.num flat);
-         ]);
+         ]));
     Printf.printf "wrote %s\n%!" path
 
 (* ------------------------------------------------------------------ *)
@@ -1204,12 +1208,15 @@ let repl_bench ?json ~rows ~commits () =
                   | Some path ->
                     Sqlgraph.Metrics.write_file ~path
                       (Sqlgraph.Metrics.Obj
-                         [
+                         ([
                            ( "schema",
                              Sqlgraph.Metrics.String "sqlgraph-bench-v1" );
                            ("suite", Sqlgraph.Metrics.String "repl");
                            ("rows", Sqlgraph.Metrics.Int rows);
                            ("commits", Sqlgraph.Metrics.Int commits);
+                         ]
+                         @ Sqlgraph.Metrics.host ()
+                         @ [
                            ( "catchup_bytes",
                              Sqlgraph.Metrics.Int catchup_bytes );
                            ("catchup_seconds", Sqlgraph.Metrics.num catchup_s);
@@ -1221,7 +1228,7 @@ let repl_bench ?json ~rows ~commits () =
                            ( "steady_lag_bytes_max",
                              Sqlgraph.Metrics.Int !lag_max );
                            ("drain_seconds", Sqlgraph.Metrics.num drain_s);
-                         ]);
+                         ]));
                     Printf.printf "wrote %s\n%!" path)))
 
 (* ------------------------------------------------------------------ *)

@@ -13,6 +13,15 @@ dune build
 echo "== dune runtest"
 dune runtest
 
+echo "== every committed BENCH_*.json records its host"
+for f in BENCH_*.json; do
+  case "$f" in *_smoke.json|*_scaling.json) continue ;; esac
+  dune exec test/json_lint.exe -- --bench-host "$f" || {
+    echo "FAIL: $f has no host record (host_cores, ocaml_version)"
+    exit 1
+  }
+done
+
 echo "== fault-injection e2e (SQLGRAPH_FAULT=site=bfs)"
 script=$(mktemp /tmp/sqlgraph_check_XXXXXX.sql)
 out=$(mktemp /tmp/sqlgraph_check_XXXXXX.out)

@@ -199,6 +199,12 @@ let registry_rows reg =
 let registry_table regs =
   Storage.Table.of_rows registry_schema (List.concat_map registry_rows regs)
 
+let host () =
+  [
+    ("host_cores", Int (Domain.recommended_domain_count ()));
+    ("ocaml_version", String Sys.ocaml_version);
+  ]
+
 let write_file ~path j =
   let oc = open_out path in
   Fun.protect

@@ -42,6 +42,10 @@ val registry_json : Telemetry.Registry.t -> json
     Non-finite readings are [null]. *)
 val stats_json : Executor.Interp.stats -> json
 
+(** [host ()] — the host record every [BENCH_*.json] document carries:
+    [host_cores] (the cores the runtime may use) and [ocaml_version]. *)
+val host : unit -> (string * json) list
+
 (** [write_file ~path j] — write [j] and a trailing newline to [path]
     (truncating). *)
 val write_file : path:string -> json -> unit

@@ -5,39 +5,25 @@ module Trace = Telemetry.Trace
 (* ------------------------------------------------------------------ *)
 (* CRC32 (IEEE 802.3, polynomial 0xEDB88320) — table-driven, pure int. *)
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  for i = 0 to String.length s - 1 do
-    c :=
-      Array.unsafe_get table
-        ((!c lxor Char.code (String.unsafe_get s i)) land 0xff)
-      lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFFFFFF
-
-(* slice-by-8 tables: crc_tables.(k).(b) folds byte [b] sitting [k]
-   positions ahead, so eight bytes fold with eight table lookups and no
-   inter-byte dependency chain — ~4x the byte-at-a-time loop, which
-   matters because every appended record is checksummed inline *)
+(* slice-by-8 tables: crc_tables.(0) is the classic byte table and
+   crc_tables.(k).(b) folds byte [b] sitting [k] positions ahead, so
+   eight bytes fold with eight table lookups and no inter-byte
+   dependency chain — ~4x a byte-at-a-time loop, which matters because
+   every appended record is checksummed inline *)
 let crc_tables =
   lazy
-    (let t0 = Lazy.force crc_table in
-     let ts = Array.make_matrix 8 256 0 in
-     ts.(0) <- Array.copy t0;
+    (let ts = Array.make_matrix 8 256 0 in
      for n = 0 to 255 do
-       let c = ref t0.(n) in
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       ts.(0).(n) <- !c
+     done;
+     for n = 0 to 255 do
+       let c = ref ts.(0).(n) in
        for k = 1 to 7 do
-         c := t0.(!c land 0xff) lxor (!c lsr 8);
+         c := ts.(0).(!c land 0xff) lxor (!c lsr 8);
          ts.(k).(n) <- !c
        done
      done;
@@ -77,6 +63,8 @@ let crc32_sub b off len =
       lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
+
+let crc32 s = crc32_sub (Bytes.unsafe_of_string s) 0 (String.length s)
 
 (* A tiny growable byte arena used as the log's append buffer.  Records
    are framed in place (length and crc backpatched after encoding) and
@@ -192,8 +180,6 @@ let kind_of_char = function
   | 'C' -> Some Commit_marker
   | _ -> None
 
-let add_u32 buf n = Buffer.add_int32_le buf (Int32.of_int n)
-
 let encode_param a (v : V.t) =
   match v with
   | V.Null -> put_char a 'n'
@@ -228,12 +214,23 @@ let encode_payload a ~kind ~sql ~params =
   Array.iter (encode_param a) params;
   put_string a sql
 
-let frame payload =
-  let buf = Buffer.create (String.length payload + frame_overhead) in
-  add_u32 buf (String.length payload);
-  add_u32 buf (crc32 payload);
-  Buffer.add_string buf payload;
-  Buffer.contents buf
+(* The one framer: append one framed record at the arena's end in place
+   — reserve the length and crc words, encode the payload after them,
+   then backpatch — so framing costs no per-record copy.  Returns the
+   payload length; an encoding error leaves the arena as it was. *)
+let frame_into a ~kind ~sql ~params =
+  let hdr = a.a_len in
+  arena_ensure a frame_overhead;
+  a.a_len <- hdr + frame_overhead;
+  (match encode_payload a ~kind ~sql ~params with
+  | () -> ()
+  | exception e ->
+    a.a_len <- hdr;
+    raise e);
+  let plen = a.a_len - hdr - frame_overhead in
+  patch_u32 a hdr plen;
+  patch_u32 a (hdr + 4) (crc32_sub a.a_data (hdr + frame_overhead) plen);
+  plen
 
 exception Corrupt of string
 
@@ -276,82 +273,66 @@ let decode_payload s =
    over the wire and tests synthesize. *)
 let encode_record ~kind ~sql ~params =
   let a = arena_create 256 in
-  encode_payload a ~kind ~sql ~params;
-  frame (Bytes.sub_string a.a_data 0 a.a_len)
+  ignore (frame_into a ~kind ~sql ~params);
+  Bytes.sub_string a.a_data 0 a.a_len
 
-(* Reassembly buffer: the replica receives the primary's log as raw byte
-   chunks split at arbitrary boundaries (mid-header, mid-crc, mid-
-   payload).  Frames are extracted only once complete and crc-checked,
-   so a partial tail never reaches the replica's own log — its log is
-   frame-aligned by construction and a torn local tail can only come
-   from the replica's own crash. *)
-module Reassembly = struct
-  type buf = { b : Buffer.t; mutable consumed : int }
-
-  let create () = { b = Buffer.create 4096; consumed = 0 }
-  let feed r s = Buffer.add_string r.b s
-  let pending r = Buffer.length r.b - r.consumed
-
-  let compact r =
-    if r.consumed > 0 then
-      if r.consumed = Buffer.length r.b then begin
-        Buffer.clear r.b;
-        r.consumed <- 0
-      end
-      else if r.consumed > 1 lsl 16 then begin
-        let rest = Buffer.sub r.b r.consumed (pending r) in
-        Buffer.clear r.b;
-        Buffer.add_string r.b rest;
-        r.consumed <- 0
-      end
-
-  let pop r =
-    let avail = pending r in
-    let pos = r.consumed in
-    if avail < frame_overhead then None
+(* The one frame walker: fold [f acc pos plen] over the frames of [s]
+   from [pos] to [stop], reading only the length words.  Raises
+   [Corrupt] at the first frame that is torn (runs past [stop]) or
+   claims an absurd length; [f] sees only whole frames, and checks
+   their crc itself when it needs the payload. *)
+let fold_frames f acc s ~pos ~stop =
+  let rec go acc pos =
+    if pos >= stop then acc
     else begin
-      let hdr = Buffer.sub r.b pos frame_overhead in
-      let plen = read_u32 hdr 0 in
-      let crc = read_u32 hdr 4 in
+      if pos + frame_overhead > stop then raise (Corrupt "torn header");
+      let plen = read_u32 s pos in
       if plen > max_payload then raise (Corrupt "absurd record length");
-      if avail < frame_overhead + plen then None
-      else begin
-        let payload = Buffer.sub r.b (pos + frame_overhead) plen in
-        if crc32 payload <> crc then raise (Corrupt "checksum mismatch");
-        let raw = Buffer.sub r.b pos (frame_overhead + plen) in
-        r.consumed <- pos + frame_overhead + plen;
-        compact r;
-        Some (raw, decode_payload payload)
-      end
+      if pos + frame_overhead + plen > stop then raise (Corrupt "torn record");
+      go (f acc pos plen) (pos + frame_overhead + plen)
     end
+  in
+  go acc pos
 
-  let clear r =
-    Buffer.clear r.b;
-    r.consumed <- 0
-end
+let decode_frame s pos plen =
+  let body = pos + frame_overhead in
+  if crc32_sub (Bytes.unsafe_of_string s) body plen <> read_u32 s (pos + 4)
+  then raise (Corrupt "checksum mismatch");
+  decode_payload (String.sub s body plen)
+
+let decode_frames s =
+  List.rev
+    (fold_frames
+       (fun acc pos plen -> decode_frame s pos plen :: acc)
+       [] s ~pos:0 ~stop:(String.length s))
+
+(* Chunking runs on the group-commit path, so it reads length words
+   only: the bytes are the primary's own durable log, already checked
+   when they were framed. *)
+let chunk_frames s ~max_bytes =
+  let n = String.length s in
+  let cstart, ccount, acc =
+    fold_frames
+      (fun (cstart, ccount, acc) pos plen ->
+        if ccount > 0 && pos + frame_overhead + plen - cstart > max_bytes then
+          (pos, 1, (cstart, pos - cstart, ccount) :: acc)
+        else (cstart, ccount + 1, acc))
+      (0, 0, []) s ~pos:0 ~stop:n
+  in
+  List.rev (if ccount > 0 then (cstart, n - cstart, ccount) :: acc else acc)
 
 (* [scan text] walks the log body after the magic header and returns the
    decoded records plus the byte offset of the first torn, checksum-
    failing or undecodable record — everything at and after that offset is
    garbage to be truncated away.  A clean log returns its full length. *)
 let scan text =
-  let len = String.length text in
-  let records = ref [] in
-  let pos = ref header_size in
-  let valid_end = ref header_size in
+  let records = ref [] and valid_end = ref header_size in
   (try
-     while !pos < len do
-       if !pos + frame_overhead > len then raise (Corrupt "torn header");
-       let plen = read_u32 text !pos in
-       let crc = read_u32 text (!pos + 4) in
-       if plen > max_payload then raise (Corrupt "absurd record length");
-       if !pos + frame_overhead + plen > len then raise (Corrupt "torn record");
-       let payload = String.sub text (!pos + frame_overhead) plen in
-       if crc32 payload <> crc then raise (Corrupt "checksum mismatch");
-       records := decode_payload payload :: !records;
-       pos := !pos + frame_overhead + plen;
-       valid_end := !pos
-     done
+     fold_frames
+       (fun () pos plen ->
+         records := decode_frame text pos plen :: !records;
+         valid_end := pos + frame_overhead + plen)
+       () text ~pos:header_size ~stop:(String.length text)
    with Corrupt _ -> ());
   (List.rev !records, !valid_end)
 
@@ -515,11 +496,10 @@ let append_payload t ~kind ~sql ~params =
   | Some e ->
     (* flush what came before, leave half the frame on disk, poison *)
     let tmp = arena_create 256 in
-    encode_payload tmp ~kind ~sql ~params;
-    let framed = frame (Bytes.sub_string tmp.a_data 0 tmp.a_len) in
+    ignore (frame_into tmp ~kind ~sql ~params);
     (try flush t with _ -> ());
     (try
-       Persist.write_all t.fd (String.sub framed 0 (String.length framed / 2))
+       Persist.write_all t.fd (Bytes.sub_string tmp.a_data 0 (tmp.a_len / 2))
      with _ -> ());
     t.poisoned <- Some "injected torn write";
     raise e
@@ -529,27 +509,15 @@ let append_payload t ~kind ~sql ~params =
      body would capture is the hot path's one remaining allocation *)
   let sp = if Trace.enabled () then Trace.begin_span "wal_append" else -1 in
   let plen =
-    (* frame in place: reserve the length and crc words, encode the
-       payload after them, then backpatch — no per-record copy *)
-    let a = t.out in
-    let hdr = a.a_len in
-    arena_ensure a frame_overhead;
-    a.a_len <- hdr + frame_overhead;
-    (match encode_payload a ~kind ~sql ~params with
-    | () -> ()
-    | exception e ->
-      a.a_len <- hdr;
-      if sp >= 0 then Trace.end_span sp;
-      raise e);
-    let plen = a.a_len - hdr - frame_overhead in
-    patch_u32 a hdr plen;
-    patch_u32 a (hdr + 4) (crc32_sub a.a_data (hdr + frame_overhead) plen);
-    (match if a.a_len >= flush_threshold then flush t with
-    | () -> ()
+    match
+      let plen = frame_into t.out ~kind ~sql ~params in
+      if t.out.a_len >= flush_threshold then flush t;
+      plen
+    with
+    | plen -> plen
     | exception e ->
       if sp >= 0 then Trace.end_span sp;
-      raise e);
-    plen
+      raise e
   in
   if sp >= 0 then Trace.end_span sp;
   t.stats.c_records <- t.stats.c_records + 1;
@@ -803,30 +771,33 @@ let gc_stale dir ~keep =
       then try Persist.rm_rf full with _ -> ())
     (Sys.readdir dir)
 
-(* Replay scanned records against [db].  'A' records apply immediately;
-   'S' records buffer until their 'C' marker — a trailing run of 'S'
-   with no marker is an unacknowledged transaction and is discarded. *)
+(* The one commit-marker rule.  Replay decoded records against [db]:
+   'A' records apply immediately, 'S' records buffer until their 'C'
+   marker.  The trailing run of 'S' with no marker is returned unapplied,
+   in log order: recovery discards it (a transaction whose COMMIT was
+   never acknowledged), a standby keeps it and replays it ahead of the
+   next records shipped to it. *)
 let replay db records =
-  let replayed = ref 0 and skipped = ref 0 in
-  let apply (sql, params) =
+  let replayed = ref 0 and failed = ref 0 in
+  let apply (_, params, sql) =
     match Db.exec db ~params sql with
     | Ok _ -> incr replayed
     | Error _ ->
       (* the statement failed when first executed too (its error was
          reported then); recovery preserves the surviving prefix *)
-      incr skipped
+      incr failed
   in
   let pending = ref [] in
   List.iter
-    (fun (kind, params, sql) ->
+    (fun ((kind, _, _) as r) ->
       match kind with
-      | Autocommit -> apply (sql, params)
-      | Txn_stmt -> pending := (sql, params) :: !pending
+      | Autocommit -> apply r
+      | Txn_stmt -> pending := r :: !pending
       | Commit_marker ->
         List.iter apply (List.rev !pending);
         pending := [])
     records;
-  (!replayed, !skipped)
+  (!replayed, !failed, List.rev !pending)
 
 let open_dir ?(fsync = true) ?(readonly = false) ?(replica = false) dir =
   Db.protect (fun () ->
@@ -900,7 +871,7 @@ let open_dir ?(fsync = true) ?(readonly = false) ?(replica = false) dir =
                 Unix.ftruncate fd valid_end;
                 if fsync then Unix.fsync fd)
           end;
-          let replayed, skipped = replay db records in
+          let replayed, failed, uncommitted = replay db records in
           let fd =
             if readonly then Unix.openfile path [ Unix.O_RDONLY ] 0
             else Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0
@@ -947,7 +918,7 @@ let open_dir ?(fsync = true) ?(readonly = false) ?(replica = false) dir =
             {
               rec_gen = gen;
               rec_replayed = replayed;
-              rec_skipped = skipped;
+              rec_skipped = failed + List.length uncommitted;
               rec_truncated_bytes = truncated;
             } )))
 

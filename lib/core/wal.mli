@@ -125,10 +125,12 @@ val crc32 : string -> int
 (** {1 Replication (lib/server/replication.ml, DESIGN.md §15)}
 
     A hot standby mirrors the primary's data directory byte for byte:
-    the primary re-reads durable log ranges and ships them raw; the
-    replica reassembles complete frames from the byte stream, appends
-    them verbatim to its own log (same offsets), and applies each
-    statement to its in-memory database.  Fault site: [promote_fence]. *)
+    the primary re-reads durable log ranges, cuts them into
+    frame-aligned chunks ({!chunk_frames}) and ships them raw; the
+    replica decodes each chunk whole ({!decode_frames}), appends it
+    verbatim to its own log (same offsets), and applies the records
+    with the recovery rule ({!replay}).  The frame format is known only
+    to this module.  Fault site: [promote_fence]. *)
 
 type kind = Autocommit | Txn_stmt | Commit_marker
 (** Record kinds: 'A' applies immediately, 'S' buffers until its 'C'
@@ -150,29 +152,17 @@ val encode_record :
 (** Render one record as its framed wire/log bytes
     ([u32 LE length | u32 LE crc32 | payload]). *)
 
-(** Reassembles framed records from a byte stream split at arbitrary
-    chunk boundaries (mid-header, mid-crc, mid-payload).  Frames surface
-    only once complete and checksum-verified, so partial bytes never
-    reach the replica's log. *)
-module Reassembly : sig
-  type buf
+val decode_frames : string -> record list
+(** Decode a frame-aligned byte string whole, checking every frame's
+    crc.  Raises {!Corrupt} unless every byte belongs to a valid frame
+    — a torn last frame, a bad length word or a checksum mismatch. *)
 
-  val create : unit -> buf
-
-  val feed : buf -> string -> unit
-  (** Append a received chunk. *)
-
-  val pop : buf -> (string * record) option
-  (** Next complete frame as [(raw bytes, decoded record)], or [None]
-      when only a partial frame is buffered.  Raises {!Corrupt} on a
-      checksum or length violation (the stream is unrecoverable). *)
-
-  val pending : buf -> int
-  (** Buffered bytes not yet consumed (nonzero = a frame in flight). *)
-
-  val clear : buf -> unit
-  (** Drop buffered bytes — promotion fences a partial frame away. *)
-end
+val chunk_frames : string -> max_bytes:int -> (int * int * int) list
+(** Cut a frame-aligned byte string into [(start, len, frames)] chunks
+    of at most [max_bytes] each, never splitting a frame (a frame larger
+    than [max_bytes] gets a chunk of its own).  Reads the length words
+    only — no checksum work.  Raises {!Corrupt} when the string is not
+    frame-aligned. *)
 
 val read_range : t -> pos:int -> len:int -> string
 (** Re-read [len] bytes of the live log starting at byte [pos], through
@@ -186,9 +176,13 @@ val append_frames : t -> count:int -> string -> unit
     enabled, syncs — a crash between append and apply replays from the
     local log. *)
 
-val replay : Db.t -> record list -> int * int
-(** Apply decoded records to [db] with the recovery semantics ('S'
-    buffers until 'C'); returns [(replayed, skipped)]. *)
+val replay : Db.t -> record list -> int * int * record list
+(** Apply decoded records to [db] with the recovery rule: 'A' applies
+    at once, 'S' buffers until its 'C' marker.  Returns [(replayed,
+    failed, uncommitted)]: statements applied, statements that errored,
+    and the trailing 'S' run with no marker, unapplied and in log order.
+    Recovery discards that run; a standby keeps it and passes it back
+    ahead of the next records it receives. *)
 
 val open_replica :
   ?fsync:bool -> string -> (t * Db.t * recovery, Error.t) result

@@ -4,36 +4,36 @@
 
 type t = {
   fd : Unix.file_descr;
-  buf : Buffer.t;
-  chunk : Bytes.t;
+  lines : Protocol.Lines.t;
   mutable greeting : string option;
 }
 
 exception Closed of string
 
-let of_fd fd = { fd; buf = Buffer.create 256; chunk = Bytes.create 4096; greeting = None }
+let of_fd fd = { fd; lines = Protocol.Lines.create (); greeting = None }
 
-let connect_unix path =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_UNIX path)
+let connect_addr domain addr =
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd addr
    with e ->
      (try Unix.close fd with _ -> ());
      raise e);
   of_fd fd
+
+let connect_unix path = connect_addr Unix.PF_UNIX (Unix.ADDR_UNIX path)
 
 let connect_tcp host port =
   let addr =
     try (Unix.gethostbyname host).Unix.h_addr_list.(0)
     with Not_found -> Unix.inet_addr_of_string host
   in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_INET (addr, port))
-   with e ->
-     (try Unix.close fd with _ -> ());
-     raise e);
-  of_fd fd
+  connect_addr Unix.PF_INET (Unix.ADDR_INET (addr, port))
 
 let close t = try Unix.close t.fd with _ -> ()
+
+(* Wake a read blocked on this connection from another thread: the
+   read sees end of stream and raises [Closed]. *)
+let shutdown t = try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with _ -> ()
 
 (* Read one line, blocking up to [timeout_ms] ([None] = forever). *)
 let read_line ?timeout_ms t =
@@ -41,13 +41,8 @@ let read_line ?timeout_ms t =
     Option.map (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.)) timeout_ms
   in
   let rec take () =
-    match String.index_opt (Buffer.contents t.buf) '\n' with
-    | Some i ->
-      let all = Buffer.contents t.buf in
-      let line = String.sub all 0 i in
-      Buffer.clear t.buf;
-      Buffer.add_substring t.buf all (i + 1) (String.length all - i - 1);
-      line
+    match Protocol.Lines.pop t.lines with
+    | Some line -> line
     | None ->
       (match deadline with
       | Some d ->
@@ -58,9 +53,9 @@ let read_line ?timeout_ms t =
         | [], _, _ -> raise (Closed "client read timeout")
         | _ -> ())
       | None -> ());
-      (match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
+      (match Protocol.Lines.read t.lines t.fd with
       | 0 -> raise (Closed "server closed the connection")
-      | n -> Buffer.add_subbytes t.buf t.chunk 0 n
+      | _ -> ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       take ()
   in

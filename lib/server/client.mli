@@ -17,6 +17,15 @@ val hello : ?timeout_ms:int -> t -> string
 (** The server greeting ([HELLO sqlgraph ...]); read lazily once. *)
 
 val read_line : ?timeout_ms:int -> t -> string
+(** The next line, without its ['\n'], blocking up to [timeout_ms]
+    ([None] = forever).  Linear in the line's length however it arrives
+    ({!Protocol.Lines}).  Raises {!Closed} at end of stream or on
+    timeout. *)
+
+val shutdown : t -> unit
+(** Shut the socket down in both directions, so a {!read_line} blocked
+    in another thread returns {!Closed}.  The fd stays open until
+    {!close}. *)
 
 val request : ?timeout_ms:int -> t -> string -> string list
 (** One round trip: send [sql], collect response lines until a terminal

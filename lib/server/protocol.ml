@@ -134,6 +134,73 @@ let clean_request line =
   else line
 
 (* ------------------------------------------------------------------ *)
+(* Line splitting, shared by the session's request reader and the
+   client's response reader (which the standby uses too).  Unpopped
+   bytes are [buf.[start..stop)] and the newline search resumes at
+   [scanned], so a multi-megabyte line costs linear time, where
+   re-searching the whole buffer after every read costs quadratic. *)
+
+module Lines = struct
+  type t = {
+    mutable buf : Bytes.t;
+    mutable start : int;
+    mutable stop : int;
+    mutable scanned : int;
+  }
+
+  let read_size = 4096
+  let create () = { buf = Bytes.create read_size; start = 0; stop = 0; scanned = 0 }
+  let pending t = t.stop - t.start
+
+  let clear t =
+    t.start <- 0;
+    t.stop <- 0;
+    t.scanned <- 0
+
+  let rec newline buf i stop =
+    if i >= stop then -1
+    else if Bytes.unsafe_get buf i = '\n' then i
+    else newline buf (i + 1) stop
+
+  let pop t =
+    let i = newline t.buf t.scanned t.stop in
+    if i < 0 then begin
+      t.scanned <- t.stop;
+      None
+    end
+    else begin
+      let line = Bytes.sub_string t.buf t.start (i - t.start) in
+      t.start <- i + 1;
+      t.scanned <- i + 1;
+      if t.start = t.stop then clear t;
+      Some line
+    end
+
+  (* One [Unix.read] into the free tail, first making room for at least
+     [read_size] bytes: slide the unpopped bytes to the front when they
+     fill at most half the buffer, else double it.  Either way each byte
+     moves O(1) times amortized.  Returns the byte count (0 at EOF);
+     [Unix_error] propagates. *)
+  let read t fd =
+    let cap = Bytes.length t.buf in
+    if cap - t.stop < read_size then begin
+      let live = pending t in
+      let dst =
+        if live + read_size <= cap / 2 then t.buf
+        else Bytes.create (max (2 * cap) (live + read_size))
+      in
+      Bytes.blit t.buf t.start dst 0 live;
+      t.buf <- dst;
+      t.scanned <- t.scanned - t.start;
+      t.stop <- live;
+      t.start <- 0
+    end;
+    let n = Unix.read fd t.buf t.stop (Bytes.length t.buf - t.stop) in
+    t.stop <- t.stop + n;
+    n
+end
+
+(* ------------------------------------------------------------------ *)
 (* Replication verbs (DESIGN.md §15).
 
    A standby opens an ordinary connection and, instead of SQL, sends

@@ -53,6 +53,33 @@ val retry_ms_of_line : string -> int option
 (** Parse the backoff hint off an [ERR busy retry_ms=<n> ...] line;
     [None] for every other line. *)
 
+(** {1 Line splitting}
+
+    The reader side of the framing, shared by the server's sessions and
+    {!Client}: a byte buffer with a scan offset.  Each received byte is
+    scanned for a newline once, and a popped line is copied once, so
+    reading a line of [n] bytes costs O(n) however the stream is split
+    into reads. *)
+module Lines : sig
+  type t
+
+  val create : unit -> t
+
+  val read : t -> Unix.file_descr -> int
+  (** One [Unix.read] from the fd into the buffer; returns the byte
+      count ([0] at end of stream).  [Unix.Unix_error] propagates. *)
+
+  val pop : t -> string option
+  (** The next complete line, without its ['\n'], or [None] when no
+      newline is buffered. *)
+
+  val pending : t -> int
+  (** Buffered bytes not yet popped. *)
+
+  val clear : t -> unit
+  (** Drop every buffered byte. *)
+end
+
 (** {1 Replication verbs} (DESIGN.md §15)
 
     A standby sends [REPLICA gen=<g> offset=<o>] instead of SQL; the

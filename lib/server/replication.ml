@@ -8,21 +8,26 @@
      tails the stream from the standby's offset (byte-identical mirror:
      same generation, offset within the durable log) or ships a full
      resync first (the current checkpoint's files, then the log from its
-     start).  From then on the group-commit leader's ship hook forwards
-     every newly durable byte range *before* the batch's commits are
+     start).  Log ranges travel as [REPL WAL] lines cut by
+     {!Wal.chunk_frames} at frame boundaries, at most 256 KiB each.
+     From then on the group-commit leader's ship hook forwards every
+     newly durable byte range *before* the batch's commits are
      acknowledged: once a client sees OK, the frames are in the kernel
      socket buffer to each live replica, so [kill -9] of the primary
      process loses no acknowledged commit.  A replica whose socket
      errors (or stalls past the send timeout) is dropped from the set —
      replication never fails a commit.
 
-   - {!Standby} runs on the replica.  It connects to the primary,
-     handshakes with its local generation + log offset, reassembles
-     complete frames from the stream (partial bytes never reach the
-     local log), appends them verbatim (log-before-apply), and applies
-     each statement to the shared database under the scheduler's writer
-     lock — buffering in-transaction 'S' records until their 'C' commit
-     marker, so a transaction the primary never acknowledged is never
+   - {!Standby} runs on the replica.  It connects to the primary
+     through {!Client} (whose line reader is linear, so a multi-megabyte
+     [REPL FILE] line costs no more than its bytes), handshakes with its
+     local generation + log offset, decodes each frame-aligned chunk
+     whole with {!Wal.decode_frames} (a chunk with a torn or corrupt
+     frame never reaches the local log), appends it verbatim
+     (log-before-apply), and applies the records to the shared database
+     under the scheduler's writer lock with {!Wal.replay}'s commit-marker
+     rule — the trailing 'S' run waits for its 'C' marker in a later
+     chunk, so a transaction the primary never acknowledged is never
      visible (no fabricated rows).  After each applied batch it
      publishes a snapshot — with a version floor taken from the [snap=]
      values riding the stream, so post-failover reads stay monotone —
@@ -46,64 +51,7 @@ let send_line fd line =
   let payload = line ^ "\n" in
   Sqlgraph.Persist.write_all fd payload
 
-let read_whole_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* --- frame walking -------------------------------------------------- *)
-
-let u32 s i =
-  Char.code s.[i]
-  lor (Char.code s.[i + 1] lsl 8)
-  lor (Char.code s.[i + 2] lsl 16)
-  lor (Char.code s.[i + 3] lsl 24)
-
-(* Split a frame-aligned byte range into [(start, len, frame count)]
-   chunks of at most [max_bytes] each, never cutting a frame (a single
-   oversized frame gets a chunk of its own).  Durable log ranges are
-   frame-aligned by construction — appends, flushes and abort-repairs
-   all move in whole frames — so a torn walk here is a logic error. *)
-let chunk_frames bytes ~max_bytes =
-  let n = String.length bytes in
-  let rec go i cstart ccount acc =
-    if i >= n then
-      List.rev (if ccount > 0 then (cstart, i - cstart, ccount) :: acc else acc)
-    else begin
-      let flen = 8 + u32 bytes i in
-      if i + flen > n then
-        failwith "replication: durable log range is not frame-aligned";
-      if ccount > 0 && i + flen - cstart > max_bytes then
-        go i i 0 ((cstart, i - cstart, ccount) :: acc)
-      else go (i + flen) cstart (ccount + 1) acc
-    end
-  in
-  go 0 0 0 []
-
 let max_ship_chunk = 256 * 1024
-
-(* --- buffered line reader ------------------------------------------ *)
-
-type reader = { r_fd : Unix.file_descr; r_buf : Buffer.t; r_chunk : Bytes.t }
-
-let reader fd = { r_fd = fd; r_buf = Buffer.create 4096; r_chunk = Bytes.create 65536 }
-
-let rec read_line r =
-  match String.index_opt (Buffer.contents r.r_buf) '\n' with
-  | Some i ->
-    let all = Buffer.contents r.r_buf in
-    let line = String.sub all 0 i in
-    Buffer.clear r.r_buf;
-    Buffer.add_substring r.r_buf all (i + 1) (String.length all - i - 1);
-    line
-  | None -> (
-    match Unix.read r.r_fd r.r_chunk 0 (Bytes.length r.r_chunk) with
-    | 0 -> raise End_of_file
-    | n ->
-      Buffer.add_subbytes r.r_buf r.r_chunk 0 n;
-      read_line r
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line r)
 
 let peer_name fd =
   match Unix.getpeername fd with
@@ -171,7 +119,7 @@ module Hub = struct
         send_line fd
           (Protocol.repl_wal ~off:(base + cstart) ~count:ccount ~snap
              ~data:(String.sub bytes cstart clen)))
-      (chunk_frames bytes ~max_bytes:max_ship_chunk)
+      (Wal.chunk_frames bytes ~max_bytes:max_ship_chunk)
 
   (* The group-commit leader's ship hook: forward [from, upto) — already
      durable on the primary — to every live replica, before any commit
@@ -250,7 +198,9 @@ module Hub = struct
                 (fun name ->
                   send_line fd
                     (Protocol.repl_file ~name
-                       ~data:(read_whole_file (Filename.concat ckpt name))))
+                       ~data:
+                         (In_channel.with_open_bin (Filename.concat ckpt name)
+                            In_channel.input_all)))
                 files;
               Wal.header_size
             end
@@ -378,18 +328,17 @@ module Standby = struct
     db : Db.t; (* the standby server's shared database *)
     primary : Client.endpoint;
     reconnect_ms : int;
-    mu : Mutex.t; (* guards state / fd / counters *)
+    mu : Mutex.t; (* guards state / conn / counters *)
     mutable st : state;
-    mutable fd : Unix.file_descr option;
+    mutable conn : Client.t option;
     mutable shipped_upto : int; (* highest offset the primary named *)
     mutable last_heartbeat : float;
     mutable pending : Wal.record list;
-        (* reversed 'S' run of an in-flight transaction, awaiting its
-           'C' marker — possibly spanning several REPL WAL messages.
-           Never applied without the marker: the primary did not
-           acknowledge that transaction, so surfacing it would fabricate
-           rows a failed-over client never wrote. *)
-    mutable applied_records : int;
+        (* the 'S' run of an in-flight transaction, in log order,
+           awaiting its 'C' marker — possibly spanning several REPL WAL
+           messages.  Never applied without the marker: the primary did
+           not acknowledge that transaction, so surfacing it would
+           fabricate rows a failed-over client never wrote. *)
     mutable thread : Thread.t option;
   }
 
@@ -424,28 +373,6 @@ module Standby = struct
     Mutex.unlock t.mu;
     Storage.Table.of_rows Db.stat_replication_schema [ row ]
 
-  (* Apply decoded records to the shared db.  Caller holds the writer
-     lock; the db is read-only between batches (sessions must never
-     write a standby), so the flag is toggled just around the replay. *)
-  let apply_records t records =
-    Db.set_readonly t.db false;
-    Fun.protect
-      ~finally:(fun () -> Db.set_readonly t.db true)
-      (fun () ->
-        List.iter
-          (fun ((kind, _, _) as r) ->
-            match (kind : Wal.kind) with
-            | Wal.Autocommit ->
-              ignore (Wal.replay t.db [ r ]);
-              t.applied_records <- t.applied_records + 1
-            | Wal.Txn_stmt -> t.pending <- r :: t.pending
-            | Wal.Commit_marker ->
-              let txn = List.rev (r :: t.pending) in
-              t.pending <- [];
-              ignore (Wal.replay t.db txn);
-              t.applied_records <- t.applied_records + List.length txn)
-          records)
-
   (* Publish the applied state (writer lock held), with the stream's
      snapshot version as a floor, and re-warm the enabled graph indices
      so the first post-failover path query is a cache hit.  Publish
@@ -468,10 +395,10 @@ module Standby = struct
       (float_of_int (lag t))
       ~help:"Shipped-but-unapplied bytes"
 
-  (* One [REPL WAL] message: reassemble complete frames, append them
-     verbatim to the local log, apply, publish.  The hub only ever sends
-     frame-aligned chunks, so leftover bytes are a protocol violation
-     (the reconnect handshake resynchronizes). *)
+  (* One [REPL WAL] message: decode its frames (the hub sends whole
+     frames only, so any leftover byte is a protocol violation and the
+     reconnect handshake resynchronizes), append the bytes verbatim to
+     the local log, apply, publish. *)
   let handle_wal t ~off ~count ~snap ~data =
     Fault.hit ~site:"repl_apply";
     if off <> Wal.logical_end t.store then
@@ -479,35 +406,28 @@ module Standby = struct
         (Stream_error
            (Printf.sprintf "stream offset %d, local log end %d" off
               (Wal.logical_end t.store)));
-    let buf = Wal.Reassembly.create () in
-    Wal.Reassembly.feed buf data;
-    let raws = Buffer.create (String.length data) in
-    let records = ref [] in
-    let n = ref 0 in
-    (try
-       let rec drain () =
-         match Wal.Reassembly.pop buf with
-         | Some (raw, r) ->
-           Buffer.add_string raws raw;
-           records := r :: !records;
-           incr n;
-           drain ()
-         | None -> ()
-       in
-       drain ()
-     with Wal.Corrupt msg -> raise (Stream_error ("corrupt frame: " ^ msg)));
-    if Wal.Reassembly.pending buf > 0 then
-      raise (Stream_error "partial frame in ship chunk");
-    if !n <> count then
-      raise (Stream_error (Printf.sprintf "expected %d frames, got %d" count !n));
+    let records =
+      try Wal.decode_frames data
+      with Wal.Corrupt msg -> raise (Stream_error ("corrupt frame: " ^ msg))
+    in
+    let n = List.length records in
+    if n <> count then
+      raise (Stream_error (Printf.sprintf "expected %d frames, got %d" count n));
     let wl = Scheduler.writer_lock t.sched in
     Mutex.lock wl;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock wl)
       (fun () ->
         if state t = Promoted then raise (Stream_error "promoted");
-        Wal.append_frames t.store ~count (Buffer.contents raws);
-        apply_records t (List.rev !records);
+        Wal.append_frames t.store ~count data;
+        (* the db is read-only between batches (sessions must never
+           write a standby), so the flag is dropped just for the replay *)
+        Db.set_readonly t.db false;
+        Fun.protect
+          ~finally:(fun () -> Db.set_readonly t.db true)
+          (fun () ->
+            let _, _, uncommitted = Wal.replay t.db (t.pending @ records) in
+            t.pending <- uncommitted);
         publish_applied t ~snap);
     Mutex.lock t.mu;
     t.shipped_upto <- max t.shipped_upto (Wal.logical_end t.store);
@@ -518,11 +438,11 @@ module Standby = struct
   (* A full resync: land the checkpoint files atomically, fence the
      local log onto the primary's generation, and reload the database
      from the shipped checkpoint. *)
-  let handle_snap t rd ~gen ~files =
+  let handle_snap t conn ~gen ~files =
     let ckpt = Wal.checkpoint_path ~dir:(Wal.dir t.store) ~gen in
     (try Unix.mkdir ckpt 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     for _ = 1 to files do
-      let line = read_line rd in
+      let line = Client.read_line conn in
       match (Protocol.name_field line, Protocol.data_field line) with
       | Some name, Some data when Filename.basename name = name ->
         Wal.write_file_atomic (Filename.concat ckpt name) data
@@ -568,7 +488,7 @@ module Standby = struct
     Scheduler.metric_inc t.sched "sqlgraph_repl_resyncs_total" 1
       ~help:"Full checkpoint resyncs performed"
 
-  let dispatch t rd line =
+  let dispatch t conn line =
     if String.length line >= 9 && String.sub line 0 9 = "REPL WAL " then
       match
         ( Protocol.int_field line "off",
@@ -594,7 +514,7 @@ module Standby = struct
     end
     else if String.length line >= 10 && String.sub line 0 10 = "REPL SNAP " then (
       match (Protocol.int_field line "gen", Protocol.int_field line "files") with
-      | Some gen, Some files -> handle_snap t rd ~gen ~files
+      | Some gen, Some files -> handle_snap t conn ~gen ~files
       | _ -> raise (Stream_error ("bad REPL SNAP line: " ^ line)))
     else if String.length line >= 10 && String.sub line 0 10 = "REPL TAIL " then (
       match (Protocol.int_field line "gen", Protocol.int_field line "from") with
@@ -617,26 +537,6 @@ module Standby = struct
     | _ -> t.st <- s);
     Mutex.unlock t.mu
 
-  let connect_fd = function
-    | Client.Unix_ep p ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_UNIX p)
-       with e ->
-         (try Unix.close fd with _ -> ());
-         raise e);
-      fd
-    | Client.Tcp_ep (h, p) ->
-      let addr =
-        try (Unix.gethostbyname h).Unix.h_addr_list.(0)
-        with Not_found -> Unix.inet_addr_of_string h
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_INET (addr, p))
-       with e ->
-         (try Unix.close fd with _ -> ());
-         raise e);
-      fd
-
   (* The standby's receive loop: connect, handshake, stream, and on any
      failure reconnect with a fixed pause — the handshake re-negotiates
      the exact resume point, so a dropped connection costs nothing but
@@ -645,29 +545,28 @@ module Standby = struct
     let live () = match state t with Promoted | Stopped -> false | _ -> true in
     while live () do
       set_state t Connecting;
-      (match connect_fd t.primary with
+      (match Client.connect_endpoint t.primary with
       | exception _ -> Unix.sleepf (float_of_int t.reconnect_ms /. 1000.)
-      | fd -> (
+      | conn -> (
         Mutex.lock t.mu;
-        t.fd <- Some fd;
+        t.conn <- Some conn;
         Mutex.unlock t.mu;
-        let rd = reader fd in
         (try
-           let _hello = read_line rd in
-           send_line fd
+           ignore (Client.hello conn);
+           Client.send_line conn
              (Protocol.replica_handshake ~gen:(Wal.gen t.store)
                 ~offset:(Wal.logical_end t.store));
            set_state t Syncing;
            while live () do
-             dispatch t rd (read_line rd)
+             dispatch t conn (Client.read_line conn)
            done
          with
-        | End_of_file | Stream_error _ | Unix.Unix_error _ | Wal.Corrupt _ -> ()
+        | Client.Closed _ | Stream_error _ | Unix.Unix_error _ | Wal.Corrupt _ -> ()
         | _ -> ());
         Mutex.lock t.mu;
-        t.fd <- None;
+        t.conn <- None;
         Mutex.unlock t.mu;
-        (try Unix.close fd with _ -> ());
+        Client.close conn;
         if live () then Unix.sleepf (float_of_int t.reconnect_ms /. 1000.)))
     done
 
@@ -688,9 +587,7 @@ module Standby = struct
       Error "standby stopped"
     | _ ->
       t.st <- Promoted;
-      (match t.fd with
-      | Some fd -> ( try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
-      | None -> ());
+      Option.iter Client.shutdown t.conn;
       Mutex.unlock t.mu;
       let wl = Scheduler.writer_lock t.sched in
       Mutex.lock wl;
@@ -722,11 +619,10 @@ module Standby = struct
         reconnect_ms;
         mu = Mutex.create ();
         st = Connecting;
-        fd = None;
+        conn = None;
         shipped_upto = 0;
         last_heartbeat = 0.;
         pending = [];
-        applied_records = 0;
         thread = None;
       }
     in
@@ -739,9 +635,7 @@ module Standby = struct
   let stop t =
     Mutex.lock t.mu;
     if t.st <> Promoted then t.st <- Stopped;
-    (match t.fd with
-    | Some fd -> ( try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
-    | None -> ());
+    Option.iter Client.shutdown t.conn;
     Mutex.unlock t.mu;
     (match t.thread with Some th -> Thread.join th | None -> ());
     t.thread <- None

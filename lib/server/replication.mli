@@ -6,11 +6,13 @@
     no acknowledged commit — the frames are already in each replica's
     socket buffer), and heartbeats idle replicas.
 
-    {!Standby} runs on the replica: it reassembles complete frames from
-    the stream, appends them verbatim to its own log (a byte-identical
-    mirror), applies committed statements to the shared database —
-    in-transaction records buffer until their commit marker, so an
-    unacknowledged transaction is never visible — publishes snapshots
+    {!Standby} runs on the replica, reading the stream through
+    {!Client}: it decodes each frame-aligned chunk whole
+    ({!Sqlgraph.Wal.decode_frames}), appends it verbatim to its own log
+    (a byte-identical mirror), applies committed statements to the
+    shared database with {!Sqlgraph.Wal.replay} — in-transaction records
+    wait for their commit marker, so an unacknowledged transaction is
+    never visible — publishes snapshots
     with a version floor carried on the stream, keeps the graph-index
     cache warm, and serves [PROMOTE].
 

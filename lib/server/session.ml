@@ -78,36 +78,32 @@ let send t lines =
    mid-read. *)
 type read_event = Line of string | Eof | Idle | Stop | Oversized | Died of exn
 
-let rec take_line buf discarding =
-  match String.index_opt (Buffer.contents buf) '\n' with
-  | Some i ->
-    let all = Buffer.contents buf in
-    let line = String.sub all 0 i in
-    Buffer.clear buf;
-    Buffer.add_substring buf all (i + 1) (String.length all - i - 1);
+let rec take_line lines discarding =
+  match Protocol.Lines.pop lines with
+  | Some line ->
     if !discarding then begin
       (* the tail of an oversized request: swallow it and resume *)
       discarding := false;
-      take_line buf discarding
+      take_line lines discarding
     end
     else Some (if line <> "" && line.[String.length line - 1] = '\r' then
                  String.sub line 0 (String.length line - 1)
                else line)
   | None ->
-    if !discarding then Buffer.clear buf;
+    if !discarding then Protocol.Lines.clear lines;
     None
 
-let read_event t buf chunk discarding =
+let read_event t lines discarding =
   let cfg = Scheduler.config t.sched in
   let stop = Scheduler.stop_fd t.sched in
   let rec go () =
-    match take_line buf discarding with
+    match take_line lines discarding with
     | Some line ->
       (* a complete line can still breach the frame cap *)
       if String.length line > cfg.max_line_bytes then Oversized else Line line
     | None ->
-      if Buffer.length buf > cfg.max_line_bytes then begin
-        Buffer.clear buf;
+      if Protocol.Lines.pending lines > cfg.max_line_bytes then begin
+        Protocol.Lines.clear lines;
         discarding := true;
         Oversized
       end
@@ -135,12 +131,10 @@ let read_event t buf chunk discarding =
           | _ -> (
             match
               Fault.hit ~site:"session_read";
-              Unix.read t.fd chunk 0 (Bytes.length chunk)
+              Protocol.Lines.read lines t.fd
             with
             | 0 -> Eof
-            | n ->
-              Buffer.add_subbytes buf chunk 0 n;
-              go ()
+            | _ -> go ()
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
             | exception exn -> Died exn)
         in
@@ -478,14 +472,13 @@ let bye_close t reason =
 let run t =
   Telemetry.Trace.register_thread_track t.sid;
   let cfg = Scheduler.config t.sched in
-  let buf = Buffer.create 256 in
-  let chunk = Bytes.create 4096 in
+  let lines = Protocol.Lines.create () in
   let discarding = ref false in
   (try
      refresh t;
      send t [ Protocol.hello ~sid:t.sid ~snapshot:t.last_version ];
      let rec loop () =
-       match read_event t buf chunk discarding with
+       match read_event t lines discarding with
        | Stop -> bye_close t "server shutting down"
        | Eof -> cleanup t
        | Idle ->
@@ -534,7 +527,7 @@ let run t =
             write (run_batch) *)
          let rest = ref [] in
          let rec drain () =
-           match take_line buf discarding with
+           match take_line lines discarding with
            | Some l ->
              rest := l :: !rest;
              drain ()

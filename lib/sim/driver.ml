@@ -835,7 +835,7 @@ let run cfg =
 let json_report cfg (r : report) =
   let module M = Sqlgraph.Metrics in
   M.Obj
-    [
+    ([
       ("schema", M.String "sqlgraph-bench-v1");
       ("suite", M.String "sim");
       ( "backend",
@@ -846,6 +846,9 @@ let json_report cfg (r : report) =
       ("seed", M.Int cfg.seed);
       ("clients", M.Int cfg.clients);
       ("domains", M.Int cfg.domains);
+    ]
+    @ M.host ()
+    @ [
       ("statements", M.Int r.statements);
       ("events", M.Int r.events);
       ("vertices", M.Int r.vertices);
@@ -875,7 +878,7 @@ let json_report cfg (r : report) =
                    ("max_seconds", M.num c.lat_max);
                  ])
              r.classes) );
-    ]
+    ])
 
 let print_report (r : report) =
   Printf.printf

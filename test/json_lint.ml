@@ -26,6 +26,11 @@
        (steady_lag_bytes_mean/max) present and non-negative, and the
        drain time bounded — a replica that never drains is not a
        standby.
+     json_lint --bench-host FILE
+       FILE must be a sqlgraph-bench-v1 document that records its host
+       (Metrics.host): host_cores an integer >= 1 and ocaml_version a
+       non-empty string, so a figure is never read without the machine
+       it was measured on.
      json_lint --catapult FILE [--require NAME]... [--min-tracks N]
        FILE must be a Chrome trace-event (catapult) dump: an object with
        a "traceEvents" array holding > 0 complete spans (every "B" event
@@ -189,6 +194,20 @@ let lint_bench_repl path =
                  %.0f B)\n"
     path mbps mean lag_max
 
+let lint_bench_host path =
+  let open Testjson.Json_support in
+  let doc = parse_doc path (read_file path) in
+  (match member "schema" doc with
+  | Some (Metrics.String "sqlgraph-bench-v1") -> ()
+  | _ -> fail "%s: not a sqlgraph-bench-v1 document" path);
+  (match member "host_cores" doc with
+  | Some (Metrics.Int n) when n >= 1 -> ()
+  | _ -> fail "%s: host_cores missing or not an integer >= 1" path);
+  match member "ocaml_version" doc with
+  | Some (Metrics.String v) when v <> "" ->
+    Printf.printf "%s: host record ok\n" path
+  | _ -> fail "%s: ocaml_version missing or empty" path
+
 let lint_catapult path requires min_tracks =
   let open Testjson.Json_support in
   let doc = parse_doc path (read_file path) in
@@ -273,6 +292,7 @@ let () =
     | "--metrics" :: rest -> go `Metrics requires min_tracks file rest
     | "--bench-pairs" :: rest -> go `Bench_pairs requires min_tracks file rest
     | "--bench-repl" :: rest -> go `Bench_repl requires min_tracks file rest
+    | "--bench-host" :: rest -> go `Bench_host requires min_tracks file rest
     | "--require" :: name :: rest ->
       go mode (name :: requires) min_tracks file rest
     | "--min-tracks" :: n :: rest ->
@@ -293,7 +313,8 @@ let () =
     | None ->
       fail
         "usage: json_lint \
-         [--catapult|--ndjson|--metrics|--bench-pairs|--bench-repl] FILE \
+         [--catapult|--ndjson|--metrics|--bench-pairs|--bench-repl|--bench-host] \
+         FILE \
          [--require NAME]... [--min-tracks N]"
   in
   match mode with
@@ -302,4 +323,5 @@ let () =
   | `Metrics -> lint_metrics file
   | `Bench_pairs -> lint_bench_pairs file
   | `Bench_repl -> lint_bench_repl file
+  | `Bench_host -> lint_bench_host file
   | `Catapult -> lint_catapult file requires min_tracks

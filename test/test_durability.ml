@@ -191,6 +191,34 @@ let test_rollback_not_replayed () =
         (states_equal want (db_state db2));
       Wal.close store2)
 
+(* A log that ends in whole 'S' frames with no 'C' marker holds a
+   transaction whose COMMIT was never acknowledged: recovery discards
+   those statements and reports them as skipped. *)
+let test_uncommitted_tail_skipped () =
+  with_temp_dir (fun dir ->
+      let store, db, _ = open_exn dir in
+      exec_exn db "CREATE TABLE t (a INTEGER)";
+      exec_exn db ~params:[| V.Int 1 |] "INSERT INTO t VALUES (?)";
+      let want = db_state db in
+      let path = Wal.wal_path store in
+      Wal.crash_for_testing store;
+      let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0 in
+      List.iter
+        (fun a ->
+          let frame =
+            Wal.encode_record ~kind:Wal.Txn_stmt ~sql:"INSERT INTO t VALUES (?)"
+              ~params:[| V.Int a |]
+          in
+          ignore (Unix.write_substring fd frame 0 (String.length frame)))
+        [ 2; 3 ];
+      Unix.close fd;
+      let store2, db2, recov = open_exn dir in
+      check tint "replayed" 2 recov.Wal.rec_replayed;
+      check tint "uncommitted tail skipped" 2 recov.Wal.rec_skipped;
+      check tint "whole frames are not torn" 0 recov.Wal.rec_truncated_bytes;
+      check tbool "tail not applied" true (states_equal want (db_state db2));
+      Wal.close store2)
+
 (* ------------------------------------------------------------------ *)
 (* Torn tails *)
 
@@ -795,6 +823,8 @@ let () =
             test_param_codec_roundtrip;
           Alcotest.test_case "rolled-back txn not replayed" `Quick
             test_rollback_not_replayed;
+          Alcotest.test_case "uncommitted tail counted as skipped" `Quick
+            test_uncommitted_tail_skipped;
           Alcotest.test_case "torn tail truncated" `Quick
             test_torn_tail_truncated;
           Alcotest.test_case "garbage tail truncated" `Quick

@@ -1,5 +1,5 @@
-(* WAL-streaming hot standby (DESIGN.md §15): the frame reassembler
-   under adversarial chunking, torn-tail fencing at promotion, catch-up
+(* WAL-streaming hot standby (DESIGN.md §15): the hub's frame-aligned
+   ship chunks and their whole-chunk decode, torn-tail fencing at promotion, catch-up
    and steady-state streaming, full checkpoint resync, the client
    failover pool, wire promotion — and the seeded chaos loop.
 
@@ -147,40 +147,9 @@ let connect srv =
   (Client.of_fd b, b)
 
 (* ------------------------------------------------------------------ *)
-(* Reassembly: arbitrary chunk boundaries *)
+(* Ship chunks: frame-aligned cuts, each decoded whole *)
 
 let encode (kind, sql, params) = Wal.encode_record ~kind ~sql ~params
-
-let drain_all buf =
-  let rec go raws records =
-    match Wal.Reassembly.pop buf with
-    | Some (raw, r) -> go (raw :: raws) (r :: records)
-    | None -> (List.rev raws, List.rev records)
-  in
-  go [] []
-
-(* Feed [bytes] split into chunks whose sizes cycle through [sizes];
-   surface frames after every chunk, as the standby does. *)
-let feed_chunked bytes sizes =
-  let buf = Wal.Reassembly.create () in
-  let n = String.length bytes in
-  let raws = ref [] and records = ref [] in
-  let i = ref 0 and k = ref 0 in
-  while !i < n do
-    let sz =
-      match sizes with
-      | [] -> 1
-      | _ -> max 1 (List.nth sizes (!k mod List.length sizes))
-    in
-    let len = min sz (n - !i) in
-    Wal.Reassembly.feed buf (String.sub bytes !i len);
-    i := !i + len;
-    incr k;
-    let rs, ds = drain_all buf in
-    raws := List.rev_append rs !raws;
-    records := List.rev_append ds !records
-  done;
-  (String.concat "" (List.rev !raws), List.rev !records, Wal.Reassembly.pending buf)
 
 let gen_records =
   QCheck.Gen.(
@@ -190,64 +159,70 @@ let gen_records =
          (string_size ~gen:printable (int_range 0 48))
          (oneofl [ [||]; [| V.Int 7 |]; [| V.Str "x"; V.Int 3 |]; [| V.Null |] ])))
 
-let arb_stream =
+let arb_chunking =
   QCheck.make
-    ~print:(fun (rs, sizes) ->
-      Printf.sprintf "%d records, chunks %s" (List.length rs)
-        (String.concat "," (List.map string_of_int sizes)))
-    QCheck.Gen.(pair gen_records (list_size (int_range 0 6) (int_range 1 9)))
+    ~print:(fun (rs, max_bytes) ->
+      Printf.sprintf "%d records, max_bytes %d" (List.length rs) max_bytes)
+    QCheck.Gen.(pair gen_records (int_range 1 160))
 
-let test_reassembly_chunking =
+(* The hub's cut: the chunks concatenate to the input, each fits
+   [max_bytes] unless it is one frame larger than that, and each decodes
+   whole to exactly the frame count the hub announces for it. *)
+let test_chunking =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make
-       ~name:"reassembly: any chunking reassembles byte-identically"
-       ~count:300 arb_stream
-       (fun (rs, sizes) ->
+    (QCheck.Test.make ~name:"chunks: concat, fit, decode" ~count:300
+       arb_chunking (fun (rs, max_bytes) ->
          let bytes = String.concat "" (List.map encode rs) in
-         let raw, records, pending = feed_chunked bytes sizes in
-         raw = bytes
-         && pending = 0
-         && List.map (fun (k, _, s) -> (k, s)) records
+         let chunks = Wal.chunk_frames bytes ~max_bytes in
+         let pieces =
+           List.map (fun (start, len, _) -> String.sub bytes start len) chunks
+         in
+         String.concat "" pieces = bytes
+         && List.for_all
+              (fun (_, len, count) -> len <= max_bytes || count = 1)
+              chunks
+         && List.for_all2
+              (fun (_, _, count) piece ->
+                List.length (Wal.decode_frames piece) = count)
+              chunks pieces
+         && List.concat_map Wal.decode_frames pieces
+            |> List.map (fun (k, _, s) -> (k, s))
             = List.map (fun (k, s, _) -> (k, s)) rs))
 
-(* Every split point of a two-frame stream — including mid-length-word,
-   mid-CRC and mid-payload — must surface both frames unchanged. *)
-let test_reassembly_every_split () =
-  let rs =
-    [
-      (Wal.Txn_stmt, "INSERT INTO t VALUES (1)", [| V.Int 1 |]);
-      (Wal.Commit_marker, "", [||]);
-    ]
+(* A chunk the standby receives must be consumed whole: cut a two-frame
+   stream anywhere but a frame boundary — mid-length-word, mid-crc,
+   mid-payload — and neither side decodes. *)
+let test_cut_chunk_corrupt () =
+  let first = encode (Wal.Txn_stmt, "INSERT INTO t VALUES (1)", [| V.Int 1 |]) in
+  let bytes = first ^ encode (Wal.Commit_marker, "", [||]) in
+  let corrupt s =
+    match Wal.decode_frames s with exception Wal.Corrupt _ -> true | _ -> false
   in
-  let bytes = String.concat "" (List.map encode rs) in
   for cut = 1 to String.length bytes - 1 do
-    let buf = Wal.Reassembly.create () in
-    Wal.Reassembly.feed buf (String.sub bytes 0 cut);
-    Wal.Reassembly.feed buf
-      (String.sub bytes cut (String.length bytes - cut));
-    let raws, records = drain_all buf in
-    check tbool
-      (Printf.sprintf "cut %d: byte-identical" cut)
-      true
-      (String.concat "" raws = bytes);
-    check tint (Printf.sprintf "cut %d: frames" cut) 2 (List.length records);
-    check tint
-      (Printf.sprintf "cut %d: no pending" cut)
-      0
-      (Wal.Reassembly.pending buf)
-  done
+    if cut <> String.length first then begin
+      check tbool (Printf.sprintf "prefix cut at %d" cut) true
+        (corrupt (String.sub bytes 0 cut));
+      check tbool (Printf.sprintf "suffix cut at %d" cut) true
+        (corrupt (String.sub bytes cut (String.length bytes - cut)))
+    end
+  done;
+  check tint "frame boundary decodes" 2 (List.length (Wal.decode_frames bytes))
 
-let test_reassembly_corrupt () =
-  let good = encode (Wal.Autocommit, "INSERT INTO t VALUES (1)", [||]) in
-  let bad = Bytes.of_string good in
-  Bytes.set bad (Bytes.length bad - 1)
-    (Char.chr (Char.code (Bytes.get bad (Bytes.length bad - 1)) lxor 1));
-  let buf = Wal.Reassembly.create () in
-  Wal.Reassembly.feed buf (Bytes.to_string bad);
-  check tbool "corrupt frame raises" true
-    (match Wal.Reassembly.pop buf with
-    | exception Wal.Corrupt _ -> true
-    | _ -> false)
+(* One flipped bit anywhere in a chunk — length word, crc or payload —
+   raises [Corrupt]. *)
+let test_flipped_byte_corrupt () =
+  let bytes =
+    encode (Wal.Autocommit, "INSERT INTO t VALUES (1)", [||])
+    ^ encode (Wal.Txn_stmt, "DELETE FROM t", [| V.Str "x" |])
+  in
+  for i = 0 to String.length bytes - 1 do
+    let bad = Bytes.of_string bytes in
+    Bytes.set bad i (Char.chr (Char.code bytes.[i] lxor 1));
+    check tbool (Printf.sprintf "flip at %d" i) true
+      (match Wal.decode_frames (Bytes.to_string bad) with
+      | exception Wal.Corrupt _ -> true
+      | _ -> false)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Torn tail at handoff *)
@@ -675,12 +650,12 @@ let () =
   if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Alcotest.run "replication"
     [
-      ( "reassembly",
+      ( "ship-chunks",
         [
-          test_reassembly_chunking;
-          Alcotest.test_case "every split point" `Quick
-            test_reassembly_every_split;
-          Alcotest.test_case "corrupt frame" `Quick test_reassembly_corrupt;
+          test_chunking;
+          Alcotest.test_case "cut at a non-frame offset" `Quick
+            test_cut_chunk_corrupt;
+          Alcotest.test_case "flipped byte" `Quick test_flipped_byte_corrupt;
         ] );
       ( "handoff",
         [

@@ -129,6 +129,70 @@ let test_snapshot_parse () =
     (Protocol.snapshot_of_line "ERR busy retry_ms=50 shed");
   check tstr "clean" "SELECT 1" (Protocol.clean_request "  SELECT 1 ;  ")
 
+(* The line splitter pops exactly the lines [String.split_on_char]
+   finds, however the stream is split into reads, and keeps the
+   unterminated rest buffered. *)
+let test_lines_any_split =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"lines: any split = split_on_char" ~count:300
+       QCheck.(
+         pair
+           (string_gen_of_size (Gen.int_range 0 200) (Gen.oneofl [ 'a'; 'b'; '\n' ]))
+           (list_of_size (Gen.int_range 1 12) (int_range 1 40)))
+       (fun (stream, sizes) ->
+         let r, w = Unix.pipe ~cloexec:true () in
+         Fun.protect
+           ~finally:(fun () ->
+             Unix.close r;
+             Unix.close w)
+           (fun () ->
+             let lines = Protocol.Lines.create () in
+             let popped = ref [] in
+             let rec drain () =
+               match Protocol.Lines.pop lines with
+               | Some l ->
+                 popped := l :: !popped;
+                 drain ()
+               | None -> ()
+             in
+             let n = String.length stream in
+             let pos = ref 0 and k = ref 0 in
+             while !pos < n do
+               let len = min (List.nth sizes (!k mod List.length sizes)) (n - !pos) in
+               ignore (Unix.write_substring w stream !pos len);
+               let got = ref 0 in
+               while !got < len do
+                 got := !got + Protocol.Lines.read lines r;
+                 drain ()
+               done;
+               pos := !pos + len;
+               incr k
+             done;
+             let expect = List.rev (String.split_on_char '\n' stream) in
+             List.rev !popped = List.rev (List.tl expect)
+             && Protocol.Lines.pending lines = String.length (List.hd expect))))
+
+(* A single multi-megabyte line (a full resync's REPL FILE) must read in
+   linear time: 8 MiB through a socketpair well under 2 s. *)
+let test_long_line_linear () =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let size = 8 * 1024 * 1024 in
+  let writer =
+    Thread.create
+      (fun () ->
+        Sqlgraph.Persist.write_all a (String.make size 'x' ^ "\n");
+        Unix.close a)
+      ()
+  in
+  let c = Client.of_fd b in
+  let t0 = Unix.gettimeofday () in
+  let line = Client.read_line ~timeout_ms:30_000 c in
+  let dt = Unix.gettimeofday () -. t0 in
+  Thread.join writer;
+  Client.close c;
+  check tint "whole line" size (String.length line);
+  check tbool (Printf.sprintf "read in %.3f s (< 2 s)" dt) true (dt < 2.0)
+
 (* ------------------------------------------------------------------ *)
 (* Robustness case table: hostile inputs -> structured error, no hang *)
 
@@ -1156,6 +1220,9 @@ let () =
           test_escape_roundtrip;
           Alcotest.test_case "terminal lines" `Quick test_terminal_lines;
           Alcotest.test_case "snapshot parse" `Quick test_snapshot_parse;
+          test_lines_any_split;
+          Alcotest.test_case "8 MiB line reads linearly" `Quick
+            test_long_line_linear;
         ] );
       ( "robustness",
         [
