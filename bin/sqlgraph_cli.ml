@@ -1075,12 +1075,18 @@ let client_main socket host port endpoints retries backoff_ms exec_sql =
   let failed = ref false in
   let round sql =
     match C.Pool.request pool sql with
-    | lines ->
+    | lines -> (
       List.iter print_endline lines;
-      let terminal = C.terminal lines in
       if not (C.is_ok lines) then failed := true;
       (* BYE means the server is done with us *)
-      String.length terminal >= 3 && String.sub terminal 0 3 = "BYE"
+      match Sqlgraph_server.Protocol.decode_reply (C.terminal lines) with
+      | Some (Sqlgraph_server.Protocol.Bye _) -> true
+      | _ -> false)
+    | exception Invalid_argument msg ->
+      (* a statement with a line break: refused, nothing was sent *)
+      Printf.eprintf "error: %s\n" msg;
+      failed := true;
+      false
     | exception C.Pool.Exhausted msg ->
       Printf.eprintf "error: %s\n" msg;
       C.Pool.close pool;
@@ -1164,7 +1170,7 @@ let promote_main socket host port endpoints =
       (Printexc.to_string e);
     exit 2
   | c ->
-    let lines = C.request ~timeout_ms:30_000 c "PROMOTE" in
+    let lines = C.request ~timeout_ms:30_000 c Sqlgraph_server.Protocol.promote in
     List.iter print_endline lines;
     C.close c;
     exit (if C.is_ok lines then 0 else 1)

@@ -13,6 +13,17 @@ dune build
 echo "== dune runtest"
 dune runtest
 
+echo "== wire-verb literals live only in lib/server/protocol.ml"
+# Protocol owns the wire grammar in both directions; any other module
+# that spells a verb matches on text instead of on a decoded reply.
+verbs=$(grep -rnE '"(OK|ERR|BYE|HELLO|ROW|REPL|REPLICA|QUIT|PROMOTE)( |")' \
+  lib bin --include=*.ml | grep -v '^lib/server/protocol\.ml:' || true)
+if [ -n "$verbs" ]; then
+  echo "FAIL: wire-verb string literals outside lib/server/protocol.ml:"
+  echo "$verbs"
+  exit 1
+fi
+
 echo "== every committed BENCH_*.json records its host"
 for f in BENCH_*.json; do
   case "$f" in *_smoke.json|*_scaling.json) continue ;; esac

@@ -70,8 +70,9 @@ let hello ?timeout_ms t =
     g
 
 let send_line t line =
-  let payload = line ^ "\n" in
-  try Sqlgraph.Persist.write_all t.fd payload
+  if String.exists (fun c -> c = '\n' || c = '\r') line then
+    invalid_arg "Client.send_line: a request must not contain a line break";
+  try Protocol.write_lines t.fd [ line ]
   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
     raise (Closed "server closed the connection")
 
@@ -90,11 +91,11 @@ let request ?timeout_ms t sql =
 let terminal lines =
   match List.rev lines with last :: _ -> last | [] -> ""
 
-let is_ok lines =
-  let l = terminal lines in
-  String.length l >= 2 && String.sub l 0 2 = "OK"
+let decoded lines = Protocol.decode_reply (terminal lines)
+let is_ok lines = match decoded lines with Some (Protocol.Ok _) -> true | _ -> false
 
-let snapshot lines = Protocol.snapshot_of_line (terminal lines)
+let snapshot lines =
+  match decoded lines with Some (Protocol.Ok o) -> Some o.snapshot | _ -> None
 
 (* --- endpoints ------------------------------------------------------ *)
 
@@ -137,7 +138,7 @@ let connect_endpoint = function
      promoted yet — the failover grace window.  Rotate and retry.
 
    Snapshot monotonicity across failover: the pool records the highest
-   [snapshot=<v>] it has observed; after a reconnect it refuses to use a
+   snapshot of any HELLO or OK line; after a reconnect it refuses to use a
    connection whose HELLO reports an older version (the standby's
    publish floor catches up from the stream, so this resolves within a
    retry or two) — a client of the pool never reads a snapshot older
@@ -196,30 +197,16 @@ module Pool = struct
     | None ->
       let c = connect_endpoint (endpoint t) in
       let g = hello ?timeout_ms:t.timeout_ms c in
-      (match Protocol.snapshot_of_line g with
-      | Some v when v < t.last_snapshot ->
+      (match Protocol.decode_reply g with
+      | Some (Protocol.Hello { snapshot; _ }) when snapshot < t.last_snapshot ->
         conn_close c;
         raise (Closed "stale snapshot (standby catching up)")
-      | Some v -> t.last_snapshot <- max t.last_snapshot v
-      | None ->
+      | Some (Protocol.Hello { snapshot; _ }) -> t.last_snapshot <- snapshot
+      | _ ->
         conn_close c;
-        raise (Closed "bad greeting"))
-      ;
+        raise (Closed "bad greeting"));
       t.conn <- Some c;
       c
-
-  (* The read-only refusal a not-yet-promoted standby sends for DML. *)
-  let is_readonly_err line =
-    let has_sub s sub =
-      let n = String.length s and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-      go 0
-    in
-    String.length line >= 4
-    && String.sub line 0 4 = "ERR "
-    (* the session-level refusal, not any error that merely mentions
-       read-only-ness (e.g. "sqlgraph_* tables are read-only") *)
-    && has_sub line "read-only session"
 
   let request t sql =
     let backoff = ref t.backoff_ms in
@@ -230,6 +217,12 @@ module Pool = struct
       backoff := min (ms * 2) t.backoff_cap_ms
     in
     let rec go attempt =
+      let retry ?hint ?(rotating = true) msg =
+        last_err := msg;
+        if rotating then rotate t;
+        sleep_backoff ?hint ();
+        go (attempt + 1)
+      in
       if attempt > t.retries then
         raise
           (Exhausted
@@ -240,45 +233,23 @@ module Pool = struct
           let c = ensure_conn t in
           request ?timeout_ms:t.timeout_ms c sql
         with
-        | exception Closed msg ->
-          last_err := msg;
-          rotate t;
-          sleep_backoff ();
-          go (attempt + 1)
-        | exception Unix.Unix_error (e, _, _) ->
-          last_err := Unix.error_message e;
-          rotate t;
-          sleep_backoff ();
-          go (attempt + 1)
+        | exception Closed msg -> retry msg
+        | exception Unix.Unix_error (e, _, _) -> retry (Unix.error_message e)
         | lines -> (
-          let term = terminal lines in
-          match Protocol.retry_ms_of_line term with
-          | Some hint ->
-            last_err := term;
-            sleep_backoff ~hint ();
-            go (attempt + 1)
-          | None ->
-            if is_readonly_err term then begin
-              (* standby in the failover grace window: rotate and retry *)
-              last_err := term;
-              rotate t;
-              sleep_backoff ();
-              go (attempt + 1)
-            end
-            else if
-              String.length term >= 3 && String.sub term 0 3 = "BYE"
-            then begin
-              last_err := term;
-              rotate t;
-              sleep_backoff ();
-              go (attempt + 1)
-            end
-            else begin
-              (match Protocol.snapshot_of_line term with
-              | Some v when v > t.last_snapshot -> t.last_snapshot <- v
-              | _ -> ());
-              lines
-            end)
+          match decoded lines with
+          | Some (Protocol.Err { retry_ms = Some hint; _ }) ->
+            retry ~hint ~rotating:false (terminal lines)
+          | Some (Protocol.Err { category = "runtime"; message; _ })
+            when String.starts_with ~prefix:"runtime error: read-only session" message ->
+            (* a standby in the failover grace window refused DML: the
+               session-level refusal, not any message that mentions
+               read-only-ness ("sqlgraph_* tables are read-only") *)
+            retry (terminal lines)
+          | Some (Protocol.Bye _) -> retry (terminal lines)
+          | Some (Protocol.Ok { snapshot; _ }) ->
+            t.last_snapshot <- max t.last_snapshot snapshot;
+            lines
+          | _ -> lines)
     in
     go 0
 end

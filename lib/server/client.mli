@@ -1,5 +1,6 @@
 (** Blocking line-protocol client — shared by the CLI's [client]
-    subcommand, the server benchmark and the tests. *)
+    subcommand, the server benchmark and the tests.  Replies are read
+    with {!Protocol.decode_reply}. *)
 
 type t
 
@@ -33,12 +34,17 @@ val request : ?timeout_ms:int -> t -> string -> string list
     has not been consumed yet. *)
 
 val send_line : t -> string -> unit
+(** Raises [Invalid_argument], and sends nothing, on a ['\n'] or ['\r']:
+    the server would answer each part, and every later reply on the
+    connection would answer the request before it. *)
 
 val terminal : string list -> string
 (** The terminal line of a {!request} response ([""] if empty). *)
 
 val is_ok : string list -> bool
+
 val snapshot : string list -> int option
+(** The snapshot of a terminal [OK]; [None] for anything else. *)
 
 (** {1 Endpoints} *)
 
@@ -81,7 +87,7 @@ module Pool : sig
   (** Like {!Client.request}, across failover. *)
 
   val last_snapshot : t -> int
-  (** Highest [snapshot=<v>] observed ([-1] before the first). *)
+  (** Highest snapshot of a [HELLO] or [OK] line ([-1] before the first). *)
 
   val endpoint : t -> endpoint
   (** The endpoint the live (or next) connection targets. *)

@@ -1,24 +1,26 @@
-(* Wire format of the multi-session server (DESIGN.md §12).
+(* Wire format of the multi-session server (DESIGN.md §12, §15).  Every
+   line is written by an encoder here and read back by the decoder next
+   to it; no other module knows the grammar.
 
-   Requests: one SQL statement per newline-terminated line (a trailing
-   ';' is tolerated and stripped), or the verb QUIT.  Statements cannot
-   span lines — SQL has no mandatory newlines, and one-line framing is
-   what lets a session resynchronize after garbage bytes.
-
-   Responses: one or more lines, the last of which always starts with a
-   terminal verb (OK / ERR / BYE), so a client reads until it sees one:
+   Requests are raw lines: one SQL statement (a trailing ';' is
+   stripped), QUIT or PROMOTE.  A request is never unescaped, so a
+   statement cannot span lines, and one-line framing is what lets a
+   session resynchronize after garbage bytes.  A response is zero or
+   more ROW lines and one terminal OK / ERR / BYE line:
 
      HELLO sqlgraph 1 sid=<n> snapshot=<v>      connection greeting
      ROW <cell>\t<cell>...                      one result row
-     OK <verb> [n] [rows=<n>] snapshot=<v>      statement succeeded
+     OK <verb> [<name>] [<n>] [rows=<n>] [qid=<q>] snapshot=<v>
+     OK PROMOTE gen=<g> snapshot=<v>            standby promoted
      ERR <category> <message>                   statement failed
-     BYE <reason>                               server is closing the session
+     ERR busy retry_ms=<n> <message>            load shed: back off
+     BYE <reason>                               session is closing
 
-   Cells and messages are escaped (\\, \t, \n, \r) so every response is
-   exactly one line.  ERR categories mirror Error.t ("parse", "bind",
+   Cells, messages and reasons are escaped (\\, \t, \n, \r), so every
+   response is one line.  ERR categories mirror Error.t ("parse", "bind",
    "runtime", "resource:<kind>", "io", "internal") plus the server's own
-   "protocol" (framing violations), "busy" (admission control /
-   load-shed; the message begins with retry_ms=<n>) and "shutdown". *)
+   "protocol" (framing violations) and "busy" (load shed).  A message and
+   a reason are free text: no field is ever read out of them. *)
 
 let version = 1
 
@@ -55,6 +57,97 @@ let unescape s =
   done;
   Buffer.contents b
 
+(* ------------------------------------------------------------------ *)
+(* The one field reader.  Past its verb words a line is a run of
+   space-separated words, each [key=value] or a bare positional word
+   (key [""]).  A [data=] word is always last and runs to the end of the
+   line, because its escaped payload may hold spaces.  Decoders call this
+   on fixed-format words only: never on an ERR message or a BYE reason. *)
+
+let starts_at line i p =
+  let m = String.length p in
+  i + m <= String.length line
+  &&
+  let rec eq k = k = m || (line.[i + k] = p.[k] && eq (k + 1)) in
+  eq 0
+
+let rest line pos = String.sub line pos (String.length line - pos)
+
+(* The word at [pos] and the offset just past its space. *)
+let word line pos =
+  match String.index_from_opt line pos ' ' with
+  | Some j -> (String.sub line pos (j - pos), j + 1)
+  | None -> (rest line pos, String.length line)
+
+let fields line pos =
+  let rec go i acc =
+    if i >= String.length line then List.rev acc
+    else if starts_at line i "data=" then
+      List.rev (("data", rest line (i + 5)) :: acc)
+    else
+      let w, j = word line i in
+      let kv =
+        match String.index_opt w '=' with
+        | Some e -> (String.sub w 0 e, rest w (e + 1))
+        | None -> ("", w)
+      in
+      go j (if w = "" then acc else kv :: acc)
+  in
+  go pos []
+
+let positional f = List.filter_map (fun (k, v) -> if k = "" then Some v else None) f
+
+(* A decoder's lookups raise [Missing] on an absent or malformed field;
+   [decoded] turns that into [None]. *)
+exception Missing
+
+let str k f = match List.assoc_opt k f with Some v -> v | None -> raise_notrace Missing
+
+let int k f =
+  match int_of_string_opt (str k f) with Some n -> n | None -> raise_notrace Missing
+
+let decoded f = try Some (f ()) with Missing -> None
+
+(* ------------------------------------------------------------------ *)
+(* Requests *)
+
+type request = Empty | Quit | Promote | Sql of string
+
+let promote = "PROMOTE"
+
+let request line =
+  let sql = String.trim line in
+  let n = String.length sql in
+  let sql =
+    if n > 0 && sql.[n - 1] = ';' then String.trim (String.sub sql 0 (n - 1))
+    else sql
+  in
+  match String.uppercase_ascii sql with
+  | "" -> Empty
+  | "QUIT" -> Quit
+  | "PROMOTE" -> Promote
+  | _ -> Sql sql
+
+(* ------------------------------------------------------------------ *)
+(* Responses *)
+
+type ok = {
+  verb : string;
+  name : string option;
+  count : int option;
+  rows : int option;
+  gen : int option;
+  qid : string option;
+  snapshot : int;
+}
+
+type reply =
+  | Hello of { sid : int; snapshot : int }
+  | Row of string list
+  | Ok of ok
+  | Err of { category : string; message : string; retry_ms : int option }
+  | Bye of string
+
 let hello ~sid ~snapshot =
   Printf.sprintf "HELLO sqlgraph %d sid=%d snapshot=%d" version sid snapshot
 
@@ -62,8 +155,6 @@ let bye reason = "BYE " ^ escape reason
 
 let row cells =
   "ROW " ^ String.concat "\t" (List.map (fun c -> escape (Storage.Value.to_display c)) cells)
-
-let row_text line = "ROW " ^ escape line
 
 let error_category (e : Sqlgraph.Error.t) =
   match e with
@@ -82,6 +173,16 @@ let err e =
 let err_protocol msg = "ERR protocol " ^ escape msg
 let err_busy ~retry_ms msg = Printf.sprintf "ERR busy retry_ms=%d %s" retry_ms (escape msg)
 
+(* The terminal OK line, in the field order {!decode_reply} reads. *)
+let ok_line ?name ?count ?rows ?gen ?qid ~snapshot verb =
+  let opt f = Option.fold ~none:"" ~some:f in
+  String.concat ""
+    [
+      "OK "; verb; opt (( ^ ) " ") name; opt (Printf.sprintf " %d") count;
+      opt (Printf.sprintf " rows=%d") rows; opt (Printf.sprintf " gen=%d") gen;
+      opt (( ^ ) " qid=") qid; Printf.sprintf " snapshot=%d" snapshot;
+    ]
+
 (* Render one successful outcome as its response lines (ROW lines plus
    the terminal OK).  [snapshot] is the session's table-version-vector
    sequence number — the fuzzer asserts it never decreases per session.
@@ -90,48 +191,72 @@ let err_busy ~retry_ms msg = Printf.sprintf "ERR busy retry_ms=%d %s" retry_ms (
    joins against the server's sqlgraph_stat_statements /
    sqlgraph_stat_sessions rows. *)
 let ok_outcome ?qid ~snapshot (o : Sqlgraph.Db.exec_outcome) =
-  let q = match qid with None -> "" | Some q -> " qid=" ^ q in
-  let fin verb = [ Printf.sprintf "OK %s%s snapshot=%d" verb q snapshot ] in
+  let fin = ok_line ?qid ~snapshot in
   match o with
   | Sqlgraph.Db.Selected r ->
-    let rows = List.map row (Sqlgraph.Resultset.rows r) in
-    rows
-    @ [
-        Printf.sprintf "OK SELECT rows=%d%s snapshot=%d"
-          (Sqlgraph.Resultset.nrows r) q snapshot;
-      ]
+    List.map row (Sqlgraph.Resultset.rows r)
+    @ [ fin ~rows:(Sqlgraph.Resultset.nrows r) "SELECT" ]
   | Sqlgraph.Db.Explained text ->
     let lines =
       String.split_on_char '\n' text |> List.filter (fun l -> l <> "")
     in
-    List.map row_text lines
-    @ [
-        Printf.sprintf "OK EXPLAIN rows=%d%s snapshot=%d" (List.length lines) q
-          snapshot;
-      ]
-  | Sqlgraph.Db.Inserted n -> fin (Printf.sprintf "INSERT %d" n)
-  | Sqlgraph.Db.Updated n -> fin (Printf.sprintf "UPDATE %d" n)
-  | Sqlgraph.Db.Deleted n -> fin (Printf.sprintf "DELETE %d" n)
-  | Sqlgraph.Db.Created -> fin "CREATE"
-  | Sqlgraph.Db.Dropped -> fin "DROP"
-  | Sqlgraph.Db.Option_set (name, v) -> fin (Printf.sprintf "SET %s %d" name v)
-  | Sqlgraph.Db.Began -> fin "BEGIN"
-  | Sqlgraph.Db.Committed -> fin "COMMIT"
-  | Sqlgraph.Db.Rolled_back -> fin "ROLLBACK"
+    List.map (fun l -> row [ Storage.Value.Str l ]) lines
+    @ [ fin ~rows:(List.length lines) "EXPLAIN" ]
+  | Sqlgraph.Db.Inserted n -> [ fin ~count:n "INSERT" ]
+  | Sqlgraph.Db.Updated n -> [ fin ~count:n "UPDATE" ]
+  | Sqlgraph.Db.Deleted n -> [ fin ~count:n "DELETE" ]
+  | Sqlgraph.Db.Created -> [ fin "CREATE" ]
+  | Sqlgraph.Db.Dropped -> [ fin "DROP" ]
+  | Sqlgraph.Db.Option_set (name, v) -> [ fin ~name ~count:v "SET" ]
+  | Sqlgraph.Db.Began -> [ fin "BEGIN" ]
+  | Sqlgraph.Db.Committed -> [ fin "COMMIT" ]
+  | Sqlgraph.Db.Rolled_back -> [ fin "ROLLBACK" ]
+
+let ok_promote ~gen ~snapshot = ok_line ~gen ~snapshot promote
+
+let decode_reply line =
+  let opt k f = decoded (fun () -> int k f) in
+  match word line 0 with
+  | "ROW", i ->
+    Some (Row (List.map unescape (String.split_on_char '\t' (rest line i))))
+  | "OK", i ->
+    decoded (fun () ->
+        match fields line i with
+        | ("", verb) :: f ->
+          (* positional words: SET's name, then a count *)
+          let words = positional f in
+          let count = List.find_map int_of_string_opt words in
+          let name = List.find_opt (fun w -> int_of_string_opt w = None) words in
+          Ok
+            { verb; name; count; rows = opt "rows" f; gen = opt "gen" f;
+              qid = List.assoc_opt "qid" f; snapshot = int "snapshot" f }
+        | _ -> raise_notrace Missing)
+  | "ERR", i ->
+    let category, i = word line i in
+    (* only a busy ERR carries a field, and only as its first word *)
+    let retry_ms, i =
+      match (category, word line i) with
+      | "busy", (w, j) when starts_at w 0 "retry_ms=" -> (
+        match int_of_string_opt (rest w 9) with
+        | Some ms -> (Some ms, j)
+        | None -> (None, i))
+      | _ -> (None, i)
+    in
+    Some (Err { category; message = unescape (rest line i); retry_ms })
+  | "BYE", i -> Some (Bye (unescape (rest line i)))
+  | "HELLO", i ->
+    let f = fields line i in
+    decoded (fun () -> Hello { sid = int "sid" f; snapshot = int "snapshot" f })
+  | _ -> None
 
 (* A line that terminates a response (clients read until one). *)
 let is_terminal line =
-  let pre p = String.length line >= String.length p && String.sub line 0 (String.length p) = p in
-  pre "OK" && (String.length line = 2 || line.[2] = ' ')
-  || pre "ERR " || pre "BYE"
+  let pre = starts_at line 0 in
+  (pre "OK" && (String.length line = 2 || line.[2] = ' ')) || pre "ERR " || pre "BYE"
 
-(* Strip trailing whitespace and at most one trailing ';' from a request
-   line, so clients pasting repl-style statements just work. *)
-let clean_request line =
-  let line = String.trim line in
-  let n = String.length line in
-  if n > 0 && line.[n - 1] = ';' then String.trim (String.sub line 0 (n - 1))
-  else line
+(* The one line writer: every line plus its newline in one write. *)
+let write_lines fd lines =
+  Sqlgraph.Persist.write_all fd (String.concat "\n" (lines @ [ "" ]))
 
 (* ------------------------------------------------------------------ *)
 (* Line splitting, shared by the session's request reader and the
@@ -201,15 +326,11 @@ module Lines = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Replication verbs (DESIGN.md §15).
-
-   A standby opens an ordinary connection and, instead of SQL, sends
-
-     REPLICA gen=<g> offset=<o>
-
-   naming the generation + log offset it already holds.  The session
-   hands the fd to the replication hub, which answers with either a
-   direct tail stream or a full resync:
+(* Replication verbs (DESIGN.md §15).  A standby opens an ordinary
+   connection and, instead of SQL, sends [REPLICA gen=<g> offset=<o>]:
+   the generation and log offset it already holds.  The session hands
+   the fd to the replication hub, which answers with an optional full
+   resync, then the log:
 
      REPL SNAP gen=<g> files=<n>         full resync: checkpoint follows
      REPL FILE name=<esc> data=<esc>     one checkpoint file (n times)
@@ -222,124 +343,40 @@ end
    promoted replica publishes at or above every version a client has
    already observed (cross-failover snapshot monotonicity).  Escaped
    [data] is binary-safe: {!escape} maps exactly the bytes that could
-   break one-line framing.  A PROMOTE verb on a replica session fences
-   the standby and turns it into a primary (OK PROMOTE gen=<g>). *)
+   break one-line framing.  A checkpoint file name holds no space, so its
+   escaped [name] is one word. *)
 
-let replica_handshake ~gen ~offset =
-  Printf.sprintf "REPLICA gen=%d offset=%d" gen offset
+type repl =
+  | Replica of { gen : int; offset : int }
+  | Snap of { gen : int; files : int }
+  | File of { name : string; data : string }
+  | Tail of { gen : int; from : int }
+  | Wal of { off : int; count : int; snap : int; data : string }
+  | Ping of { upto : int; snap : int }
 
-let repl_snap ~gen ~files = Printf.sprintf "REPL SNAP gen=%d files=%d" gen files
+let encode_repl = function
+  | Replica { gen; offset } -> Printf.sprintf "REPLICA gen=%d offset=%d" gen offset
+  | Snap { gen; files } -> Printf.sprintf "REPL SNAP gen=%d files=%d" gen files
+  | File { name; data } ->
+    Printf.sprintf "REPL FILE name=%s data=%s" (escape name) (escape data)
+  | Tail { gen; from } -> Printf.sprintf "REPL TAIL gen=%d from=%d" gen from
+  | Wal { off; count; snap; data } ->
+    Printf.sprintf "REPL WAL off=%d count=%d snap=%d data=%s" off count snap
+      (escape data)
+  | Ping { upto; snap } -> Printf.sprintf "REPL PING upto=%d snap=%d" upto snap
 
-let repl_file ~name ~data =
-  Printf.sprintf "REPL FILE name=%s data=%s" (escape name) (escape data)
-
-let repl_tail ~gen ~from = Printf.sprintf "REPL TAIL gen=%d from=%d" gen from
-
-let repl_wal ~off ~count ~snap ~data =
-  Printf.sprintf "REPL WAL off=%d count=%d snap=%d data=%s" off count snap
-    (escape data)
-
-let repl_ping ~upto ~snap = Printf.sprintf "REPL PING upto=%d snap=%d" upto snap
-
-(* Parse [key=<int>] out of a space-separated line. *)
-let int_field line key =
-  let key = key ^ "=" in
-  let kl = String.length key in
-  let n = String.length line in
-  let rec find i =
-    if i + kl > n then None
-    else if
-      String.sub line i kl = key && (i = 0 || line.[i - 1] = ' ')
-    then begin
-      let j = ref (i + kl) in
-      while !j < n && line.[!j] >= '0' && line.[!j] <= '9' do
-        incr j
-      done;
-      int_of_string_opt (String.sub line (i + kl) (!j - i - kl))
-    end
-    else find (i + 1)
-  in
-  find 0
-
-(* The [data=] field runs to end of line (escaped bytes may contain
-   spaces); everything before it is fixed-format fields. *)
-let data_field line =
-  let key = " data=" in
-  let kl = String.length key in
-  let n = String.length line in
-  let rec find i =
-    if i + kl > n then None
-    else if String.sub line i kl = key then
-      Some (unescape (String.sub line (i + kl) (n - i - kl)))
-    else find (i + 1)
-  in
-  find 0
-
-(* [name=<esc>] — a file name: escaped, no spaces once escaped since
-   checkpoint file names never contain any. *)
-let name_field line =
-  let key = " name=" in
-  let kl = String.length key in
-  let n = String.length line in
-  let rec find i =
-    if i + kl > n then None
-    else if String.sub line i kl = key then begin
-      let j = ref (i + kl) in
-      while !j < n && line.[!j] <> ' ' do
-        incr j
-      done;
-      Some (unescape (String.sub line (i + kl) (!j - i - kl)))
-    end
-    else find (i + 1)
-  in
-  find 0
-
-let has_prefix line p =
-  String.length line >= String.length p && String.sub line 0 (String.length p) = p
-
-let parse_replica_handshake line =
-  if not (has_prefix line "REPLICA") then None
+let decode_repl line =
+  if not (starts_at line 0 "REPL") then None
   else
-    match (int_field line "gen", int_field line "offset") with
-    | Some gen, Some offset -> Some (gen, offset)
-    | _ -> None
-
-(* Parse the backoff hint off an [ERR busy retry_ms=<n> ...] line. *)
-let retry_ms_of_line line =
-  if has_prefix line "ERR busy" then int_field line "retry_ms" else None
-
-(* Parse "qid=<fp>:<seq>" off a terminal OK line. *)
-let qid_of_line line =
-  let key = " qid=" in
-  let kl = String.length key in
-  let n = String.length line in
-  let rec find i =
-    if i + kl > n then None
-    else if String.sub line i kl = key then begin
-      let j = ref (i + kl) in
-      while !j < n && line.[!j] <> ' ' do
-        incr j
-      done;
-      Some (String.sub line (i + kl) (!j - i - kl))
-    end
-    else find (i + 1)
-  in
-  find 0
-
-(* Parse "snapshot=<n>" off a terminal OK line ([None] on ERR/BYE). *)
-let snapshot_of_line line =
-  let key = "snapshot=" in
-  let kl = String.length key in
-  let n = String.length line in
-  let rec find i =
-    if i + kl > n then None
-    else if String.sub line i kl = key then begin
-      let j = ref (i + kl) in
-      while !j < n && line.[!j] >= '0' && line.[!j] <= '9' do
-        incr j
-      done;
-      int_of_string_opt (String.sub line (i + kl) (!j - i - kl))
-    end
-    else find (i + 1)
-  in
-  find 0
+    let f = fields line 0 in
+    let int k = int k f and esc k = unescape (str k f) in
+    decoded (fun () ->
+        match positional f with
+        | [ "REPLICA" ] -> Replica { gen = int "gen"; offset = int "offset" }
+        | [ "REPL"; "SNAP" ] -> Snap { gen = int "gen"; files = int "files" }
+        | [ "REPL"; "FILE" ] -> File { name = esc "name"; data = esc "data" }
+        | [ "REPL"; "TAIL" ] -> Tail { gen = int "gen"; from = int "from" }
+        | [ "REPL"; "WAL" ] ->
+          Wal { off = int "off"; count = int "count"; snap = int "snap"; data = esc "data" }
+        | [ "REPL"; "PING" ] -> Ping { upto = int "upto"; snap = int "snap" }
+        | _ -> raise_notrace Missing)

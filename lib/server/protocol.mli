@@ -1,20 +1,58 @@
-(** Wire format of the multi-session server: newline-framed requests,
-    escaped single-line responses terminated by [OK] / [ERR] / [BYE].
-    See the implementation header (and DESIGN.md §12) for the grammar. *)
-
-val version : int
+(** Wire format of the multi-session server (grammar: the implementation
+    header, DESIGN.md §12 and §15).  This module owns both directions of
+    every line: each encoder has its decoder next to it. *)
 
 val escape : string -> string
 (** One-line encoding: backslash-escape [\\], tab, newline, CR. *)
 
 val unescape : string -> string
 
+val write_lines : Unix.file_descr -> string list -> unit
+(** Every line and its ['\n'] in one {!Sqlgraph.Persist.write_all}. *)
+
+(** {1 Requests} *)
+
+type request =
+  | Empty  (** blank, or only [';'] *)
+  | Quit
+  | Promote
+  | Sql of string  (** trimmed, one trailing [';'] stripped *)
+
+val request : string -> request
+(** Classify one request line; the verbs are case-insensitive. *)
+
+val promote : string
+(** The [PROMOTE] request verb. *)
+
+(** {1 Responses} *)
+
+type ok = {
+  verb : string;  (** [SELECT], [INSERT], ..., [SET], [PROMOTE] *)
+  name : string option;  (** [SET]'s option name *)
+  count : int option;  (** [INSERT]/[UPDATE]/[DELETE]'s count, [SET]'s value *)
+  rows : int option;  (** [SELECT]/[EXPLAIN]'s [rows=] *)
+  gen : int option;  (** [PROMOTE]'s new generation *)
+  qid : string option;  (** [<fingerprint-hex>:<seq>] *)
+  snapshot : int;
+}
+
+type reply =
+  | Hello of { sid : int; snapshot : int }
+  | Row of string list  (** unescaped cells *)
+  | Ok of ok
+  | Err of { category : string; message : string; retry_ms : int option }
+      (** [retry_ms] is set on a [busy] ERR only *)
+  | Bye of string
+
+val decode_reply : string -> reply option
+(** [None] for a line no encoder below writes.  No field is ever read
+    out of an ERR message or a BYE reason. *)
+
 val hello : sid:int -> snapshot:int -> string
 val bye : string -> string
 
 val row : Storage.Value.t list -> string
 (** [ROW] line: tab-separated escaped cell displays. *)
-
 
 val err : Sqlgraph.Error.t -> string
 (** [ERR <category> <message>] with category derived from the error
@@ -37,21 +75,11 @@ val ok_outcome :
     server's [sqlgraph_stat_statements] / [sqlgraph_stat_sessions]
     rows. *)
 
+val ok_promote : gen:int -> snapshot:int -> string
+(** [OK PROMOTE gen=<g> snapshot=<v>]: the standby is now a primary. *)
+
 val is_terminal : string -> bool
 (** The line ends a response ([OK] / [ERR] / [BYE] prefixed). *)
-
-val clean_request : string -> string
-(** Trim whitespace and a trailing [';'] from a request line. *)
-
-val snapshot_of_line : string -> int option
-(** Parse [snapshot=<n>] out of a terminal line, if present. *)
-
-val qid_of_line : string -> string option
-(** Parse [qid=<fp>:<seq>] out of a terminal line, if present. *)
-
-val retry_ms_of_line : string -> int option
-(** Parse the backoff hint off an [ERR busy retry_ms=<n> ...] line;
-    [None] for every other line. *)
 
 (** {1 Line splitting}
 
@@ -85,24 +113,17 @@ end
     A standby sends [REPLICA gen=<g> offset=<o>] instead of SQL; the
     primary answers with an optional [REPL SNAP]/[REPL FILE]* full
     resync, then [REPL TAIL] and a stream of [REPL WAL] / [REPL PING]
-    lines.  The escaped [data=] field is binary-safe and always last on
-    its line. *)
+    lines. *)
 
-val replica_handshake : gen:int -> offset:int -> string
-val repl_snap : gen:int -> files:int -> string
-val repl_file : name:string -> data:string -> string
-val repl_tail : gen:int -> from:int -> string
-val repl_wal : off:int -> count:int -> snap:int -> data:string -> string
-val repl_ping : upto:int -> snap:int -> string
+type repl =
+  | Replica of { gen : int; offset : int }
+  | Snap of { gen : int; files : int }
+  | File of { name : string; data : string }  (** [name] holds no space *)
+  | Tail of { gen : int; from : int }
+  | Wal of { off : int; count : int; snap : int; data : string }
+  | Ping of { upto : int; snap : int }
 
-val parse_replica_handshake : string -> (int * int) option
-(** [(gen, offset)] from a [REPLICA ...] line; [None] otherwise. *)
+val encode_repl : repl -> string
 
-val int_field : string -> string -> int option
-(** [int_field line key] — parse a space-delimited [key=<int>] field. *)
-
-val data_field : string -> string option
-(** The unescaped [data=] payload (runs to end of line). *)
-
-val name_field : string -> string option
-(** The unescaped [name=] field of a [REPL FILE] line. *)
+val decode_repl : string -> repl option
+(** [None] for any line {!encode_repl} does not write. *)

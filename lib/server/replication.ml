@@ -47,9 +47,7 @@ module Fault = Sqlgraph.Fault
 
 let now () = Unix.gettimeofday ()
 
-let send_line fd line =
-  let payload = line ^ "\n" in
-  Sqlgraph.Persist.write_all fd payload
+let send_repl fd m = Protocol.write_lines fd [ Protocol.encode_repl m ]
 
 let max_ship_chunk = 256 * 1024
 
@@ -116,9 +114,8 @@ module Hub = struct
     List.iter
       (fun (cstart, clen, ccount) ->
         Fault.hit ~site:"repl_send";
-        send_line fd
-          (Protocol.repl_wal ~off:(base + cstart) ~count:ccount ~snap
-             ~data:(String.sub bytes cstart clen)))
+        let data = String.sub bytes cstart clen in
+        send_repl fd (Wal { off = base + cstart; count = ccount; snap; data }))
       (Wal.chunk_frames bytes ~max_bytes:max_ship_chunk)
 
   (* The group-commit leader's ship hook: forward [from, upto) — already
@@ -192,20 +189,19 @@ module Hub = struct
                   Sys.readdir ckpt |> Array.to_list |> List.sort compare
                 else []
               in
-              send_line fd
-                (Protocol.repl_snap ~gen:my_gen ~files:(List.length files));
+              send_repl fd (Snap { gen = my_gen; files = List.length files });
               List.iter
                 (fun name ->
-                  send_line fd
-                    (Protocol.repl_file ~name
-                       ~data:
-                         (In_channel.with_open_bin (Filename.concat ckpt name)
-                            In_channel.input_all)))
+                  let data =
+                    In_channel.with_open_bin (Filename.concat ckpt name)
+                      In_channel.input_all
+                  in
+                  send_repl fd (File { name; data }))
                 files;
               Wal.header_size
             end
           in
-          send_line fd (Protocol.repl_tail ~gen:my_gen ~from);
+          send_repl fd (Tail { gen = my_gen; from });
           if upto > from then
             ship_range fd ~base:from
               ~bytes:(Wal.read_range t.store ~pos:from ~len:(upto - from))
@@ -238,8 +234,7 @@ module Hub = struct
           (fun rc ->
             if now () -. rc.rc_last_send >= interval then
               match
-                send_line rc.rc_fd
-                  (Protocol.repl_ping ~upto:rc.rc_sent_upto ~snap)
+                send_repl rc.rc_fd (Ping { upto = rc.rc_sent_upto; snap })
               with
               | () -> rc.rc_last_send <- now ()
               | exception _ ->
@@ -443,8 +438,8 @@ module Standby = struct
     (try Unix.mkdir ckpt 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     for _ = 1 to files do
       let line = Client.read_line conn in
-      match (Protocol.name_field line, Protocol.data_field line) with
-      | Some name, Some data when Filename.basename name = name ->
+      match Protocol.decode_repl line with
+      | Some (Protocol.File { name; data }) when Filename.basename name = name ->
         Wal.write_file_atomic (Filename.concat ckpt name) data
       | _ -> raise (Stream_error ("bad REPL FILE line: " ^ line))
     done;
@@ -489,46 +484,28 @@ module Standby = struct
       ~help:"Full checkpoint resyncs performed"
 
   let dispatch t conn line =
-    if String.length line >= 9 && String.sub line 0 9 = "REPL WAL " then
-      match
-        ( Protocol.int_field line "off",
-          Protocol.int_field line "count",
-          Protocol.int_field line "snap",
-          Protocol.data_field line )
-      with
-      | Some off, Some count, Some snap, Some data ->
-        handle_wal t ~off ~count ~snap ~data
-      | _ -> raise (Stream_error ("bad REPL WAL line: " ^ line))
-    else if String.length line >= 10 && String.sub line 0 10 = "REPL PING " then begin
-      (match Protocol.int_field line "upto" with
-      | Some upto ->
-        Mutex.lock t.mu;
-        t.shipped_upto <- max t.shipped_upto upto;
-        t.last_heartbeat <- now ();
-        Mutex.unlock t.mu
-      | None -> ());
-      (match Protocol.int_field line "snap" with
-      | Some snap -> Scheduler.set_publish_floor t.sched snap
-      | None -> ());
+    match Protocol.decode_repl line with
+    | Some (Protocol.Wal { off; count; snap; data }) ->
+      handle_wal t ~off ~count ~snap ~data
+    | Some (Protocol.Ping { upto; snap }) ->
+      Mutex.lock t.mu;
+      t.shipped_upto <- max t.shipped_upto upto;
+      t.last_heartbeat <- now ();
+      Mutex.unlock t.mu;
+      Scheduler.set_publish_floor t.sched snap;
       note_metrics t
-    end
-    else if String.length line >= 10 && String.sub line 0 10 = "REPL SNAP " then (
-      match (Protocol.int_field line "gen", Protocol.int_field line "files") with
-      | Some gen, Some files -> handle_snap t conn ~gen ~files
-      | _ -> raise (Stream_error ("bad REPL SNAP line: " ^ line)))
-    else if String.length line >= 10 && String.sub line 0 10 = "REPL TAIL " then (
-      match (Protocol.int_field line "gen", Protocol.int_field line "from") with
-      | Some gen, Some from ->
-        if gen <> Wal.gen t.store || from <> Wal.logical_end t.store then
-          raise
-            (Stream_error
-               (Printf.sprintf "tail gen=%d from=%d vs local gen=%d end=%d" gen
-                  from (Wal.gen t.store) (Wal.logical_end t.store)));
-        Mutex.lock t.mu;
-        if t.st = Syncing then t.st <- Streaming;
-        Mutex.unlock t.mu
-      | _ -> raise (Stream_error ("bad REPL TAIL line: " ^ line)))
-    else raise (Stream_error ("unexpected line from primary: " ^ line))
+    | Some (Protocol.Snap { gen; files }) -> handle_snap t conn ~gen ~files
+    | Some (Protocol.Tail { gen; from }) ->
+      if gen <> Wal.gen t.store || from <> Wal.logical_end t.store then
+        raise
+          (Stream_error
+             (Printf.sprintf "tail gen=%d from=%d vs local gen=%d end=%d" gen
+                from (Wal.gen t.store) (Wal.logical_end t.store)));
+      Mutex.lock t.mu;
+      if t.st = Syncing then t.st <- Streaming;
+      Mutex.unlock t.mu
+    | Some (Protocol.Replica _ | Protocol.File _) | None ->
+      raise (Stream_error ("unexpected line from primary: " ^ line))
 
   let set_state t s =
     Mutex.lock t.mu;
@@ -554,8 +531,8 @@ module Standby = struct
         (try
            ignore (Client.hello conn);
            Client.send_line conn
-             (Protocol.replica_handshake ~gen:(Wal.gen t.store)
-                ~offset:(Wal.logical_end t.store));
+             (Protocol.encode_repl
+                (Replica { gen = Wal.gen t.store; offset = Wal.logical_end t.store }));
            set_state t Syncing;
            while live () do
              dispatch t conn (Client.read_line conn)

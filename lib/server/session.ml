@@ -67,8 +67,7 @@ let cancel t =
 exception Peer_gone
 
 let send t lines =
-  let payload = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
-  try Sqlgraph.Persist.write_all t.fd payload
+  try Protocol.write_lines t.fd lines
   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
     raise Peer_gone
 
@@ -377,14 +376,13 @@ let run_batch t batch =
                           cfg.max_line_bytes);
                    ])
             else
-              let sql = Protocol.clean_request line in
-              if sql = "" then
+              match Protocol.request line with
+              | Protocol.Empty ->
                 Some (Immediate [ Protocol.err_protocol "empty request" ])
-              else if String.uppercase_ascii sql = "QUIT" then begin
+              | Protocol.Quit ->
                 quit := true;
                 None
-              end
-              else if String.uppercase_ascii sql = "PROMOTE" then
+              | Protocol.Promote ->
                 (* standby promotion (DESIGN.md §15): fence the old
                    generation and start accepting writes.  Only
                    meaningful on a server whose Replication.Replica
@@ -398,12 +396,9 @@ let run_batch t batch =
                        match f () with
                        | Ok gen ->
                          t.last_version <- Scheduler.snapshot_version t.sched;
-                         [
-                           Printf.sprintf "OK PROMOTE gen=%d snapshot=%d" gen
-                             t.last_version;
-                         ]
+                         [ Protocol.ok_promote ~gen ~snapshot:t.last_version ]
                        | Error msg -> [ Protocol.err_protocol msg ])))
-              else begin
+              | Protocol.Sql sql ->
                 let t0 = Unix.gettimeofday () in
                 let item = execute t b sql in
                 Scheduler.metric_observe t.sched
@@ -412,8 +407,7 @@ let run_batch t batch =
                   ~help:"Served statement latency";
                 Scheduler.session_note t.sched ~sid:t.sid ~qid:t.last_qid
                   ~snapshot:t.last_version ~in_txn:t.holding_writer;
-                Some item
-              end)
+                Some item)
           batch)
   in
   let acked =
@@ -506,37 +500,36 @@ let run t =
                (Printf.sprintf "request exceeds %d bytes" cfg.max_line_bytes);
            ];
          loop ()
-       | Line first when Protocol.parse_replica_handshake first <> None -> (
-         (* A standby announcing itself (DESIGN.md §15): hand the socket
-            to the replication hub and leave the session slot — the fd
-            now belongs to the hub, so skip the usual close. *)
-         let gen, offset =
-           Option.get (Protocol.parse_replica_handshake first)
-         in
-         match Scheduler.repl_attach t.sched with
-         | None ->
-           send t [ Protocol.err_protocol "replication not enabled" ];
-           loop ()
-         | Some attach ->
-           Telemetry.Trace.unregister_thread_track ();
-           Scheduler.leave t.sched ~sid:t.sid;
-           attach t.fd ~gen ~offset)
-       | Line first ->
-         (* drain every complete request already buffered: they form one
-            batch with a single shared durability wait and one response
-            write (run_batch) *)
-         let rest = ref [] in
-         let rec drain () =
-           match take_line lines discarding with
-           | Some l ->
-             rest := l :: !rest;
-             drain ()
-           | None -> ()
-         in
-         drain ();
-         (match run_batch t (first :: List.rev !rest) with
-         | `Quit -> bye_close t "client quit"
-         | `Continue -> loop ())
+       | Line first -> (
+         match Protocol.decode_repl first with
+         | Some (Protocol.Replica { gen; offset }) -> (
+           (* A standby announcing itself (DESIGN.md §15): hand the socket
+              to the replication hub and leave the session slot — the fd
+              now belongs to the hub, so skip the usual close. *)
+           match Scheduler.repl_attach t.sched with
+           | None ->
+             send t [ Protocol.err_protocol "replication not enabled" ];
+             loop ()
+           | Some attach ->
+             Telemetry.Trace.unregister_thread_track ();
+             Scheduler.leave t.sched ~sid:t.sid;
+             attach t.fd ~gen ~offset)
+         | _ ->
+           (* drain every complete request already buffered: they form
+              one batch with a single shared durability wait and one
+              response write (run_batch) *)
+           let rest = ref [] in
+           let rec drain () =
+             match take_line lines discarding with
+             | Some l ->
+               rest := l :: !rest;
+               drain ()
+             | None -> ()
+           in
+           drain ();
+           (match run_batch t (first :: List.rev !rest) with
+           | `Quit -> bye_close t "client quit"
+           | `Continue -> loop ()))
      in
      loop ()
    with

@@ -45,6 +45,7 @@ module Error = Sqlgraph.Error
 module Registry = Telemetry.Registry
 module Server = Sqlgraph_server.Server
 module Client = Sqlgraph_server.Client
+module Protocol = Sqlgraph_server.Protocol
 module Scheduler = Sqlgraph_server.Scheduler
 
 type backend = Inproc | Server_sessions
@@ -441,27 +442,14 @@ let run cfg =
         in
         let term = Client.terminal resp in
         let summary =
-          if Client.is_ok resp then begin
-            match String.split_on_char ' ' term with
-            | "OK" :: "SELECT" :: rest | "OK" :: "EXPLAIN" :: rest -> (
-              match
-                List.find_map
-                  (fun tok ->
-                    if String.length tok > 5 && String.sub tok 0 5 = "rows=" then
-                      int_of_string_opt
-                        (String.sub tok 5 (String.length tok - 5))
-                    else None)
-                  rest
-              with
-              | Some n -> Printf.sprintf "ok:rows=%d" n
-              | None -> "ok")
-            | "OK" :: "INSERT" :: n :: _ ->
-              Printf.sprintf "ok:ins=%s" n
-            | "OK" :: "DELETE" :: n :: _ ->
-              Printf.sprintf "ok:del=%s" n
-            | _ -> "ok"
-          end
-          else "err:" ^ term
+          match Protocol.decode_reply term with
+          | Some (Protocol.Ok { rows = Some n; _ }) -> Printf.sprintf "ok:rows=%d" n
+          | Some (Protocol.Ok { verb = "INSERT"; count = Some n; _ }) ->
+            Printf.sprintf "ok:ins=%d" n
+          | Some (Protocol.Ok { verb = "DELETE"; count = Some n; _ }) ->
+            Printf.sprintf "ok:del=%d" n
+          | Some (Protocol.Ok _) -> "ok"
+          | _ -> "err:" ^ term
         in
         (summary, term)
       in
@@ -517,17 +505,16 @@ let run cfg =
                        (Printf.sprintf "SELECT COUNT(*) FROM %s" table))
                 with Client.Closed _ -> []
               in
-              let row =
-                List.find_opt
-                  (fun l -> String.length l > 4 && String.sub l 0 4 = "ROW ")
+              match
+                List.find_map
+                  (fun l ->
+                    match Protocol.decode_reply l with
+                    | Some (Protocol.Row [ cell ]) -> Some cell
+                    | _ -> None)
                   resp
-              in
-              match row with
-              | Some l -> (
-                match
-                  int_of_string_opt
-                    (String.trim (String.sub l 4 (String.length l - 4)))
-                with
+              with
+              | Some cell -> (
+                match int_of_string_opt (String.trim cell) with
                 | Some n when n <> expect ->
                   violate "%s: %s has %d rows, oracle %d" site table n expect
                 | _ -> ())

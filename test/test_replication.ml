@@ -450,10 +450,9 @@ let test_wire_promotion_and_failover () =
           let lines = Client.request rc "PROMOTE" in
           check tbool "OK PROMOTE" true (Client.is_ok lines);
           check tbool "promote names a fresh generation" true
-            (let t = Client.terminal lines in
-             match Sqlgraph_server.Protocol.int_field t "gen" with
-             | Some g -> g > 0
-             | None -> false);
+            (match Sqlgraph_server.Protocol.decode_reply (Client.terminal lines) with
+            | Some (Sqlgraph_server.Protocol.Ok { gen = Some g; _ }) -> g > 0
+            | _ -> false);
           check tbool "second promote refused" true
             (not (Client.is_ok (Client.request rc "PROMOTE")));
           Client.close rc;

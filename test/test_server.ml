@@ -86,6 +86,14 @@ let raw_round c bytes =
   in
   collect []
 
+(* The decoded terminal OK of a response, if it ends in one. *)
+let ok_of lines =
+  match Protocol.decode_reply (Client.terminal lines) with
+  | Some (Protocol.Ok o) -> Some o
+  | _ -> None
+
+let qid_of_reply lines = Option.bind (ok_of lines) (fun o -> o.Protocol.qid)
+
 let count_db db table =
   match Db.query db (Printf.sprintf "SELECT COUNT(*) FROM %s" table) with
   | Ok r -> (
@@ -122,12 +130,193 @@ let test_terminal_lines () =
     ]
 
 let test_snapshot_parse () =
-  check (Alcotest.option tint) "parses"
-    (Some 42)
-    (Protocol.snapshot_of_line "OK INSERT 1 snapshot=42");
+  let snapshot line = Option.map (fun o -> o.Protocol.snapshot) (ok_of [ line ]) in
+  check (Alcotest.option tint) "parses" (Some 42)
+    (snapshot "OK INSERT 1 snapshot=42");
   check (Alcotest.option tint) "absent" None
-    (Protocol.snapshot_of_line "ERR busy retry_ms=50 shed");
-  check tstr "clean" "SELECT 1" (Protocol.clean_request "  SELECT 1 ;  ")
+    (snapshot "ERR busy retry_ms=50 shed");
+  check tbool "clean" true
+    (Protocol.request "  SELECT 1 ;  " = Protocol.Sql "SELECT 1")
+
+(* decode (encode m) = m for every encoder.  Free text — ERR messages,
+   BYE reasons, cells, replication payloads — quotes every field key and
+   every escaped byte, so a decoder that read a field out of free text,
+   or split on an escaped byte, fails here. *)
+let gen_text =
+  QCheck.Gen.(
+    let piece =
+      oneof
+        [
+          string_size ~gen:char (int_range 0 6);
+          oneofl
+            [
+              "snapshot=99999"; " qid=zz:1"; "retry_ms=7 "; " data=x"; "rows=3";
+              "\t"; "\n"; "\r"; "\\"; " "; "=";
+            ];
+        ]
+    in
+    map (String.concat "") (list_size (int_range 0 6) piece))
+
+let gen_reply_case =
+  let open QCheck.Gen in
+  let nat = int_range 0 1_000_000 in
+  let err category message = Protocol.Err { category; message; retry_ms = None } in
+  let errors =
+    [
+      ("parse", fun m -> Sqlgraph.Error.Parse_error { message = m; line = 1; col = 2 });
+      ("bind", fun m -> Sqlgraph.Error.Bind_error m);
+      ("runtime", fun m -> Sqlgraph.Error.Runtime_error m);
+      ( "resource:timeout",
+        fun m ->
+          Sqlgraph.Error.Resource_error
+            { kind = Sqlgraph.Error.Timeout; spent = 2.; limit = 1.; site = m } );
+      ("io", fun m -> Sqlgraph.Error.Io_error m);
+      ("internal", fun m -> Sqlgraph.Error.Internal_error m);
+    ]
+  in
+  (* one ok_outcome shape: the outcome, its ROW cells, and the OK fields *)
+  let outcome =
+    let ok ?name ?count ?rows verb = (verb, name, count, rows) in
+    oneof
+      [
+        map (fun n -> (Db.Inserted n, [], ok ~count:n "INSERT")) nat;
+        map (fun n -> (Db.Updated n, [], ok ~count:n "UPDATE")) nat;
+        map (fun n -> (Db.Deleted n, [], ok ~count:n "DELETE")) nat;
+        map2
+          (fun name v -> (Db.Option_set (name, v), [], ok ~name ~count:v "SET"))
+          (oneofl [ "parallelism"; "timeout_ms" ])
+          nat;
+        oneofl
+          [
+            (Db.Created, [], ok "CREATE");
+            (Db.Dropped, [], ok "DROP");
+            (Db.Began, [], ok "BEGIN");
+            (Db.Committed, [], ok "COMMIT");
+            (Db.Rolled_back, [], ok "ROLLBACK");
+          ];
+        map
+          (fun cells ->
+            let tbl =
+              Storage.Table.of_rows
+                (Storage.Schema.of_pairs [ ("c", Storage.Dtype.TStr) ])
+                (List.map (fun c -> [ V.Str c ]) cells)
+            in
+            ( Db.Selected (Sqlgraph.Resultset.of_table tbl),
+              List.map (fun c -> [ c ]) cells,
+              ok ~rows:(List.length cells) "SELECT" ))
+          (list_size (int_range 0 4) gen_text);
+        map
+          (fun text ->
+            let lines =
+              List.filter (( <> ) "") (String.split_on_char '\n' text)
+            in
+            ( Db.Explained text,
+              List.map (fun l -> [ l ]) lines,
+              ok ~rows:(List.length lines) "EXPLAIN" ))
+          gen_text;
+      ]
+  in
+  oneof
+    [
+      map2
+        (fun sid snapshot ->
+          ([ Protocol.hello ~sid ~snapshot ], [ Protocol.Hello { sid; snapshot } ]))
+        nat nat;
+      map (fun r -> ([ Protocol.bye r ], [ Protocol.Bye r ])) gen_text;
+      map
+        (fun cells ->
+          ( [ Protocol.row (List.map (fun c -> V.Str c) cells) ],
+            [ Protocol.Row cells ] ))
+        (list_size (int_range 1 4) gen_text);
+      map2
+        (fun ms m ->
+          ( [ Protocol.err_busy ~retry_ms:ms m ],
+            [ Protocol.Err { category = "busy"; message = m; retry_ms = Some ms } ] ))
+        nat gen_text;
+      map (fun m -> ([ Protocol.err_protocol m ], [ err "protocol" m ])) gen_text;
+      map2
+        (fun (category, mk) m ->
+          let e = mk m in
+          ([ Protocol.err e ], [ err category (Sqlgraph.Error.to_string e) ]))
+        (oneofl errors) gen_text;
+      map2
+        (fun gen snapshot ->
+          ( [ Protocol.ok_promote ~gen ~snapshot ],
+            [
+              Protocol.Ok
+                {
+                  verb = "PROMOTE";
+                  name = None;
+                  count = None;
+                  rows = None;
+                  gen = Some gen;
+                  qid = None;
+                  snapshot;
+                };
+            ] ))
+        nat nat;
+      map3
+        (fun (o, cells, (verb, name, count, rows)) qid snapshot ->
+          ( Protocol.ok_outcome ?qid ~snapshot o,
+            List.map (fun c -> Protocol.Row c) cells
+            @ [ Protocol.Ok { verb; name; count; rows; gen = None; qid; snapshot } ] ))
+        outcome
+        (opt (map2 (Printf.sprintf "%016x:%d") nat nat))
+        nat;
+    ]
+
+let test_reply_roundtrip =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"protocol: decode_reply inverts every reply encoder"
+       ~count:1000
+       (QCheck.make
+          ~print:(fun (lines, _) -> String.concat "\n" lines)
+          gen_reply_case)
+       (fun (lines, expect) ->
+         List.map Protocol.decode_reply lines = List.map Option.some expect))
+
+let test_repl_roundtrip =
+  let open QCheck.Gen in
+  let nat = int_range 0 1_000_000 in
+  (* checkpoint file names never hold a space: the name is one word *)
+  let name = string_size ~gen:(map (fun c -> if c = ' ' then '_' else c) char) (int_range 0 12) in
+  let data = string_size ~gen:char (int_range 0 64) in
+  let msg =
+    oneof
+      [
+        map2 (fun gen offset -> Protocol.Replica { gen; offset }) nat nat;
+        map2 (fun gen files -> Protocol.Snap { gen; files }) nat nat;
+        map2 (fun name data -> Protocol.File { name; data }) name data;
+        map2 (fun gen from -> Protocol.Tail { gen; from }) nat nat;
+        map3
+          (fun (off, count) snap data -> Protocol.Wal { off; count; snap; data })
+          (pair nat nat) nat data;
+        map2 (fun upto snap -> Protocol.Ping { upto; snap }) nat nat;
+      ]
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"protocol: decode_repl inverts encode_repl"
+       ~count:1000
+       (QCheck.make ~print:Protocol.encode_repl msg)
+       (fun m ->
+         let line = Protocol.encode_repl m in
+         Protocol.decode_repl line = Some m
+         (* a replication line is no reply *)
+         && Protocol.decode_reply line = None))
+
+let test_request_classes () =
+  List.iter
+    (fun (line, expect) -> check tbool line true (Protocol.request line = expect))
+    [
+      ("  SELECT 1 ;  ", Protocol.Sql "SELECT 1");
+      ("", Protocol.Empty);
+      (" ; ", Protocol.Empty);
+      ("quit", Protocol.Quit);
+      ("PROMOTE;", Protocol.Promote);
+      ("QUIT now", Protocol.Sql "QUIT now");
+    ];
+  check tbool "SQL is no replication line" true
+    (Protocol.decode_repl "SELECT 1" = None)
 
 (* The line splitter pops exactly the lines [String.split_on_char]
    finds, however the stream is split into reads, and keeps the
@@ -412,6 +601,73 @@ let test_quit_and_shutdown () =
         | line -> has_prefix ~prefix:"BYE" line
         | exception Client.Closed _ -> true);
       Client.close c2)
+
+(* User text inside an ERR message is never read as a field.  Both
+   statements fail with an error that quotes the text. *)
+let forged_snapshot = "SELECT CAST('snapshot=99999' AS INTEGER)"
+let forged_qid = "INSERT INTO t VALUES ('a qid=zz snapshot=123456')"
+
+let test_forged_fields () =
+  with_server (fresh_db ()) (fun srv ->
+      let c = connect1 srv in
+      let resp = Client.request ~timeout_ms:5_000 c forged_snapshot in
+      check tbool "the cast fails" false (Client.is_ok resp);
+      check (Alcotest.option tint) "no snapshot from an ERR" None
+        (Client.snapshot resp);
+      let resp = Client.request ~timeout_ms:5_000 c forged_qid in
+      check tbool "the insert fails" false (Client.is_ok resp);
+      check (Alcotest.option tstr) "no qid from an ERR" None (qid_of_reply resp);
+      check (Alcotest.option tint) "no snapshot either" None
+        (Client.snapshot resp);
+      Client.close c)
+
+(* A pool that receives such an ERR keeps its floor at the server's real
+   version, so its next connection is not refused as stale. *)
+let test_pool_forged_snapshot () =
+  with_temp_dir (fun dir ->
+      Sys.mkdir dir 0o755;
+      let sock = Filename.concat dir "s.sock" in
+      let srv = Server.create ~db:(fresh_db ()) ~store:None () in
+      Server.listen_unix srv sock;
+      Fun.protect
+        ~finally:(fun () -> Server.shutdown srv)
+        (fun () ->
+          let pool =
+            Client.Pool.create ~retries:2 ~backoff_ms:1 [ Client.Unix_ep sock ]
+          in
+          let real =
+            match Client.snapshot (Client.Pool.request pool "SELECT COUNT(*) FROM t") with
+            | Some v -> v
+            | None -> Alcotest.fail "no snapshot on the OK"
+          in
+          ignore (Client.Pool.request pool forged_snapshot);
+          check tint "floor stays at the real version" real
+            (Client.Pool.last_snapshot pool);
+          (* drop the connection: the reconnect's HELLO must pass *)
+          Client.Pool.close pool;
+          let resp = Client.Pool.request pool "SELECT COUNT(*) FROM t" in
+          check tbool "reconnect is not refused as stale" true (Client.is_ok resp);
+          Client.Pool.close pool))
+
+(* A line break would split one request into two, and every later reply
+   would answer the request before it: the client refuses to send it. *)
+let test_line_break_refused () =
+  with_server (fresh_db ()) (fun srv ->
+      let c = connect1 srv in
+      List.iter
+        (fun sql ->
+          check tbool (String.escaped sql ^ " refused") true
+            (match Client.request ~timeout_ms:5_000 c sql with
+            | exception Invalid_argument _ -> true
+            | _ -> false))
+        [ "SELECT a\nFROM t"; "SELECT 1\r"; "SELECT 1\r\nSELECT 2" ];
+      List.iter
+        (fun (sql, row) ->
+          check (Alcotest.list tstr) sql [ row ]
+            (List.filter (has_prefix ~prefix:"ROW ")
+               (Client.request ~timeout_ms:5_000 c sql)))
+        [ ("SELECT 1 + 1", "ROW 2"); ("SELECT 2 + 2", "ROW 4") ];
+      Client.close c)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot isolation *)
@@ -933,9 +1189,9 @@ let test_qid_parse () =
     (Alcotest.option tstr)
     "parses"
     (Some "00c0ffee00c0ffee:7")
-    (Protocol.qid_of_line "OK INSERT 1 qid=00c0ffee00c0ffee:7 snapshot=42");
+    (qid_of_reply [ "OK INSERT 1 qid=00c0ffee00c0ffee:7 snapshot=42" ]);
   check (Alcotest.option tstr) "absent" None
-    (Protocol.qid_of_line "OK INSERT 1 snapshot=42")
+    (qid_of_reply [ "OK INSERT 1 snapshot=42" ])
 
 let qid_parts q =
   match String.index_opt q ':' with
@@ -957,7 +1213,7 @@ let test_wire_introspection () =
         resp
       in
       let qid_of sql =
-        match Protocol.qid_of_line (Client.terminal (req sql)) with
+        match qid_of_reply (req sql) with
         | Some q -> q
         | None -> Alcotest.failf "no qid on the OK line of %S" sql
       in
@@ -1069,7 +1325,7 @@ let test_two_session_qids () =
       let qid_of c sql =
         let resp = Client.request ~timeout_ms:5_000 c sql in
         check tbool (sql ^ " ok") true (Client.is_ok resp);
-        match Protocol.qid_of_line (Client.terminal resp) with
+        match qid_of_reply resp with
         | Some q -> q
         | None -> Alcotest.failf "no qid on %S" sql
       in
@@ -1223,6 +1479,9 @@ let () =
           test_lines_any_split;
           Alcotest.test_case "8 MiB line reads linearly" `Quick
             test_long_line_linear;
+          test_reply_roundtrip;
+          test_repl_roundtrip;
+          Alcotest.test_case "request classes" `Quick test_request_classes;
         ] );
       ( "robustness",
         [
@@ -1236,6 +1495,10 @@ let () =
           Alcotest.test_case "load shed retry (virtual clock)" `Quick
             test_load_shed_retry;
           Alcotest.test_case "quit and shutdown" `Quick test_quit_and_shutdown;
+          Alcotest.test_case "forged fields in an ERR" `Quick test_forged_fields;
+          Alcotest.test_case "pool ignores a forged snapshot" `Quick
+            test_pool_forged_snapshot;
+          Alcotest.test_case "line break refused" `Quick test_line_break_refused;
         ] );
       ( "isolation",
         [
