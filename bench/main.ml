@@ -767,9 +767,43 @@ let with_temp_dir f =
    is one buffered append per statement), while the fsync'd mode shows
    the true price of "this statement survives power loss".  Each mode
    runs [rows] single-row INSERTs through the full statement path;
-   in-memory and no-fsync report min-of-3 (fsync'd runs once — its cost
-   is the disk's, not the scheduler's). *)
-let wal_bench ?json ~rows () =
+   in-memory and no-fsync report the median of 7 paired runs (fsync'd
+   runs once — its cost is the disk's, not the scheduler's).  A last row
+   times recovery: [Wal.open_dir] on a checkpoint of the seeded SF1
+   [friends] and [persons] tables, the restart a served engine pays
+   before its first statement (median of 5 opens, with the bytes each
+   one allocates). *)
+let wal_recover ~seed =
+  let g = Datagen.Snb.generate ~scale_factor:1 ~seed () in
+  let nrows =
+    Storage.Table.nrows g.Datagen.Snb.friends
+    + Storage.Table.nrows g.Datagen.Snb.persons
+  in
+  let ok = function
+    | Ok v -> v
+    | Error e -> failwith (Sqlgraph.Error.to_string e)
+  in
+  with_temp_dir (fun dir ->
+      let store, db, _ = ok (Sqlgraph.Wal.open_dir ~fsync:false dir) in
+      Sqlgraph.Db.load_table db ~name:"friends" g.Datagen.Snb.friends;
+      Sqlgraph.Db.load_table db ~name:"persons" g.Datagen.Snb.persons;
+      ok (Sqlgraph.Wal.checkpoint store db);
+      Sqlgraph.Wal.close store;
+      let once () =
+        Gc.compact ();
+        let a0 = Gc.allocated_bytes () in
+        let (store, _, _), dt =
+          time (fun () -> ok (Sqlgraph.Wal.open_dir dir))
+        in
+        let mb = (Gc.allocated_bytes () -. a0) /. 1e6 in
+        Sqlgraph.Wal.close store;
+        (dt, mb)
+      in
+      let runs = List.sort compare (List.init 5 (fun _ -> once ())) in
+      let dt, mb = List.nth runs 2 in
+      (nrows, dt, mb))
+
+let wal_bench ?json ~rows ~seed () =
   print_header "WAL overhead (single-row INSERT throughput)";
   let workload db n =
     for i = 1 to n do
@@ -827,12 +861,16 @@ let wal_bench ?json ~rows () =
   let r_nofsync = rate rows t_nofsync in
   let r_fsync = rate fsync_rows t_fsync in
   let overhead_pct = 100. *. (r_mem -. r_nofsync) /. r_mem in
+  let recover_rows, t_recover, mb_recover = wal_recover ~seed in
+  let r_recover = rate recover_rows t_recover in
   Printf.printf "%-28s %14s %14s\n" "mode" "stmts/sec" "seconds";
   Printf.printf "%-28s %14.0f %14.6f\n" "in-memory" r_mem t_mem;
   Printf.printf "%-28s %14.0f %14.6f\n" "wal --no-fsync" r_nofsync t_nofsync;
   Printf.printf "%-28s %14.0f %14.6f   (%d rows)\n" "wal fsync-per-commit"
     r_fsync t_fsync fsync_rows;
-  Printf.printf "no-fsync overhead vs in-memory: %.2f%%\n%!" overhead_pct;
+  Printf.printf "no-fsync overhead vs in-memory: %.2f%%\n" overhead_pct;
+  Printf.printf "recover (%d rows): %.3f s, %.0f rows/s, %.0f MB allocated\n%!"
+    recover_rows t_recover r_recover mb_recover;
   match json with
   | None -> ()
   | Some path ->
@@ -866,6 +904,14 @@ let wal_bench ?json ~rows () =
                      ("name", Sqlgraph.Metrics.String "wal/fsync");
                      ("stmts_per_sec", Sqlgraph.Metrics.num r_fsync);
                      ("seconds", Sqlgraph.Metrics.num t_fsync);
+                   ];
+                 Sqlgraph.Metrics.Obj
+                   [
+                     ("name", Sqlgraph.Metrics.String "wal/recover");
+                     ("rows", Sqlgraph.Metrics.Int recover_rows);
+                     ("rows_per_sec", Sqlgraph.Metrics.num r_recover);
+                     ("seconds", Sqlgraph.Metrics.num t_recover);
+                     ("alloc_mb", Sqlgraph.Metrics.num mb_recover);
                    ];
                ] );
            ("nofsync_vs_memory_pct", Sqlgraph.Metrics.num overhead_pct);
@@ -1529,10 +1575,10 @@ let wal_json_arg =
 let wal_cmd =
   cmd "wal"
     "Write-ahead-log overhead: INSERT throughput in-memory vs --no-fsync vs \
-     fsync'd."
+     fsync'd, and recovery from an SF1 checkpoint."
     Term.(
-      const (fun rows json -> wal_bench ?json ~rows ())
-      $ wal_rows_arg $ wal_json_arg)
+      const (fun rows seed json -> wal_bench ?json ~rows ~seed ())
+      $ wal_rows_arg $ seed_arg $ wal_json_arg)
 
 let server_commits_arg =
   let doc = "Total durable single-row INSERTs per concurrency level." in
@@ -1682,7 +1728,7 @@ let run_everything ratio sfs batches reps seed =
   ablation_vectorized ~ratio ~sfs ~seed;
   baselines_bench ~ratio ~sfs ~reps ~seed;
   pairs_bench ~ratio ~sources:512 ~seed ();
-  wal_bench ~rows:25000 ();
+  wal_bench ~rows:25000 ~seed ();
   server_bench ~commits:800 ~clients:16 ();
   micro ~ratio ~seed ()
 

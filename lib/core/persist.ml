@@ -157,15 +157,27 @@ let load ~dir =
           | _ -> raise (Csv.Csv_error "malformed manifest row"))
         rows;
       let db = Db.create () in
+      (* one [ckpt_load] span per table, closed with its row count *)
       List.iter
         (fun table ->
           let cols = List.rev (Hashtbl.find tables table) in
           let schema = Storage.Schema.of_pairs cols in
-          let text =
-            In_channel.with_open_text
-              (Filename.concat dir (table ^ ".csv"))
-              In_channel.input_all
+          let sp =
+            Telemetry.Trace.begin_span ~attrs:[ ("table", table) ] "ckpt_load"
           in
-          Db.load_table db ~name:table (Csv.table_of_string ~schema text))
+          match
+            Csv.table_of_string ~schema
+              (In_channel.with_open_text
+                 (Filename.concat dir (table ^ ".csv"))
+                 In_channel.input_all)
+          with
+          | t ->
+            Telemetry.Trace.end_span
+              ~attrs:[ ("rows", string_of_int (Storage.Table.nrows t)) ]
+              sp;
+            Db.load_table db ~name:table t
+          | exception e ->
+            Telemetry.Trace.end_span sp;
+            raise e)
         (List.rev !order);
       db)

@@ -18,7 +18,9 @@
 val save : Db.t -> dir:string -> (unit, Error.t) result
 
 (** [load ~dir] — a fresh database containing every table of a saved
-    directory. *)
+    directory, each file read by one typed scan ({!Csv.table_of_string}).
+    When tracing is on, each table is a [ckpt_load] span carrying its
+    [table] name and [rows]. *)
 val load : dir:string -> (Db.t, Error.t) result
 
 (** {2 Durable-file helpers, shared with the WAL and the server's sockets} *)

@@ -17,9 +17,24 @@ let value t =
   cell t ~row:0 ~col:0
 
 let csv_escape s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
+  if String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
+  then
     "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
   else s
+
+(* A DOUBLE's CSV text reads back as the same float: the display text
+   when it does, else the shortest of 15, 16 and 17 significant digits
+   that does (17 always do for a finite double). *)
+let float_text x =
+  let exact text = Float.equal (float_of_string text) x in
+  let display = Storage.Value.to_display (Storage.Value.Float x) in
+  if exact display then display
+  else
+    let rec shortest p =
+      let text = Printf.sprintf "%.*g" p x in
+      if p >= 17 || exact text then text else shortest (p + 1)
+    in
+    shortest 15
 
 let to_csv t =
   let buf = Buffer.create 256 in
@@ -33,6 +48,7 @@ let to_csv t =
              round-trip through Csv.table_of_string) *)
           match cell t ~row ~col with
           | Storage.Value.Null -> ""
+          | Storage.Value.Float x -> float_text x
           | v -> csv_escape (Storage.Value.to_display v))
     in
     Buffer.add_string buf (String.concat "," cells);

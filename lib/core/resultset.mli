@@ -20,7 +20,9 @@ val cell : t -> row:int -> col:int -> Storage.Value.t
     Raises [Invalid_argument] otherwise. *)
 val value : t -> Storage.Value.t
 
-(** [to_csv t] — RFC-4180-ish CSV with a header line. *)
+(** [to_csv t] — RFC-4180-ish CSV with a header line. NULL is the empty
+    field; a field holding a comma, a double quote, LF or CR is quoted; a
+    DOUBLE is written with enough digits to read back as the same double. *)
 val to_csv : t -> string
 
 (** [to_string t] — an aligned ASCII table with a row-count footer. *)

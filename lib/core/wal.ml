@@ -855,23 +855,26 @@ let open_dir ?(fsync = true) ?(readonly = false) ?(replica = false) dir =
             let fd = create_wal_file ~do_fsync:fsync dir gen in
             try Unix.close fd with _ -> ()
           end;
-          let text = read_file path in
-          if
-            String.length text < header_size
-            || not (String.equal (String.sub text 0 header_size) magic)
-          then raise (Sys_error (path ^ ": bad WAL magic"));
-          let records, valid_end = scan text in
-          let truncated = String.length text - valid_end in
-          if truncated > 0 && not readonly then begin
-            Fault.hit ~site:"wal_truncate";
-            let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
-            Fun.protect
-              ~finally:(fun () -> Unix.close fd)
-              (fun () ->
-                Unix.ftruncate fd valid_end;
-                if fsync then Unix.fsync fd)
-          end;
-          let replayed, failed, uncommitted = replay db records in
+          let valid_end, truncated, (replayed, failed, uncommitted) =
+            Trace.span "log_replay" (fun () ->
+                let text = read_file path in
+                if
+                  String.length text < header_size
+                  || not (String.equal (String.sub text 0 header_size) magic)
+                then raise (Sys_error (path ^ ": bad WAL magic"));
+                let records, valid_end = scan text in
+                let truncated = String.length text - valid_end in
+                if truncated > 0 && not readonly then begin
+                  Fault.hit ~site:"wal_truncate";
+                  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+                  Fun.protect
+                    ~finally:(fun () -> Unix.close fd)
+                    (fun () ->
+                      Unix.ftruncate fd valid_end;
+                      if fsync then Unix.fsync fd)
+                end;
+                (valid_end, truncated, replay db records))
+          in
           let fd =
             if readonly then Unix.openfile path [ Unix.O_RDONLY ] 0
             else Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0

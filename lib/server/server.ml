@@ -38,6 +38,11 @@ let create ?config ~db ~store () =
 
 let scheduler t = t.sched
 
+(* Best effort: the peer may already be gone. *)
+let refuse fd lines =
+  (try Protocol.write_lines fd lines with _ -> ());
+  try Unix.close fd with _ -> ()
+
 (* Admit one connected fd: either spawn a session or refuse on the
    socket itself.  Shared by the accept loops and [attach] (the
    socketpair harness used by tests and the bench). *)
@@ -51,18 +56,13 @@ let serve_fd t fd =
     Mutex.unlock t.mu
   | `Full ->
     let cfg = Scheduler.config t.sched in
-    let line =
-      Protocol.err_busy ~retry_ms:cfg.busy_retry_ms "server at session capacity"
-      ^ "\n" ^ Protocol.bye "session cap" ^ "\n"
-    in
-    (try ignore (Unix.write_substring fd line 0 (String.length line))
-     with _ -> ());
-    (try Unix.close fd with _ -> ())
-  | `Stopping ->
-    let line = Protocol.bye "server shutting down" ^ "\n" in
-    (try ignore (Unix.write_substring fd line 0 (String.length line))
-     with _ -> ());
-    (try Unix.close fd with _ -> ())
+    refuse fd
+      [
+        Protocol.err_busy ~retry_ms:cfg.busy_retry_ms
+          "server at session capacity";
+        Protocol.bye "session cap";
+      ]
+  | `Stopping -> refuse fd [ Protocol.bye "server shutting down" ]
 
 let attach t fd =
   try serve_fd t fd

@@ -36,12 +36,32 @@ let to_ymd t =
   let year = if month <= 2 then y + 1 else y in
   (year, month, day)
 
+let is_digit s i = s.[i] >= '0' && s.[i] <= '9'
+let digit s i = Char.code s.[i] - 48
+
+(* [YYYY-MM-DD] exactly: four, two and two digits *)
+let is_strict s =
+  String.length s = 10
+  && s.[4] = '-'
+  && s.[7] = '-'
+  && is_digit s 0 && is_digit s 1 && is_digit s 2 && is_digit s 3
+  && is_digit s 5 && is_digit s 6 && is_digit s 8 && is_digit s 9
+
+(* The strict form is read directly; [Scanf] keeps every other spelling
+   it accepts (signs, shorter or longer fields). *)
 let of_string s =
-  let parse () =
-    Scanf.sscanf s "%d-%d-%d%!" (fun year month day ->
-        of_ymd ~year ~month ~day)
-  in
-  match parse () with
+  match
+    if is_strict s then
+      of_ymd
+        ~year:
+          ((1000 * digit s 0) + (100 * digit s 1) + (10 * digit s 2)
+          + digit s 3)
+        ~month:((10 * digit s 5) + digit s 6)
+        ~day:((10 * digit s 8) + digit s 9)
+    else
+      Scanf.sscanf s "%d-%d-%d%!" (fun year month day ->
+          of_ymd ~year ~month ~day)
+  with
   | d -> Some d
   | exception (Scanf.Scan_failure _ | Failure _ | Invalid_argument _
               | End_of_file) ->

@@ -14,7 +14,9 @@ val of_ymd : year:int -> month:int -> day:int -> t
 (** [to_ymd t] is the [(year, month, day)] triple for epoch day [t]. *)
 val to_ymd : t -> int * int * int
 
-(** [of_string s] parses ["YYYY-MM-DD"]. *)
+(** [of_string s] parses ["YYYY-MM-DD"]: the strict form directly, and
+    the looser ones [Scanf "%d-%d-%d"] accepts (["2011-5-3"], signed or
+    long years). [None] for anything else or an impossible date. *)
 val of_string : string -> t option
 
 (** [to_string t] formats as ["YYYY-MM-DD"]. *)

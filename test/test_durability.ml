@@ -716,60 +716,116 @@ let test_save_crash_leaves_old_state () =
             | None -> Alcotest.failf "%s: table lost" site))
         [ "persist_write"; "persist_rename" ])
 
-(* CSV round-trip for every persistable dtype, including values that
-   stress the quoting rules *)
-(* a TEXT cell that stresses the quoting rules (never "": the CSV layer
-   reads an empty field back as NULL) *)
-let gen_cell rand =
+(* CSV round-trip for every persistable dtype, NULLs in every column,
+   doubles that need all 17 digits, and strings that stress the quoting
+   rules (never "": the CSV layer reads an empty field back as NULL) *)
+let gen_text rand =
   let open QCheck.Gen in
-  match int_bound 6 rand with
-  | 0 -> V.Null
-  | 1 -> V.Str "a, b"
-  | 2 -> V.Str "\"already quoted\""
-  | 3 -> V.Str "two\nlines"
-  | 4 -> V.Str "héllo — ∀x. ∃y"
+  match int_bound 9 rand with
+  | 0 -> V.Str "a, b"
+  | 1 -> V.Str "\"already quoted\""
+  | 2 -> V.Str "two\nlines"
+  | 3 -> V.Str "héllo — ∀x. ∃y"
+  | 4 -> V.Str "cr\rinside"
+  | 5 -> V.Str "crlf\r\nline"
+  | 6 -> V.Str "\r"
+  | 7 -> V.Str "ends in cr\r"
   | _ -> V.Str (string_size ~gen:printable (int_range 1 12) rand)
 
+let rec gen_double rand =
+  let open QCheck.Gen in
+  match int_bound 7 rand with
+  | 0 ->
+    V.Float (oneofl [ 0.1; 1. /. 3.; 123456789.5; 0.1234567891; 3.03 ] rand)
+  | 1 ->
+    V.Float (oneofl [ max_float; -.max_float; min_float; 5e-324; -0. ] rand)
+  | 2 -> V.Float (float_of_int (int_range (-1000) 1000 rand))
+  | 3 -> V.Float (float_range (-1e6) 1e6 rand)
+  | _ ->
+    let x = Int64.float_of_bits (ui64 rand) in
+    if Float.is_finite x then V.Float x else gen_double rand
+
 let gen_csv_table rand =
-  let nrows = QCheck.Gen.int_bound 15 rand in
-  List.init nrows (fun _ ->
-      ( QCheck.Gen.int_range (-100000) 100000 rand,
-        gen_cell rand,
-        QCheck.Gen.bool rand,
-        QCheck.Gen.int_range (-10000) 40000 rand ))
+  let open QCheck.Gen in
+  let cell gen rand = if int_bound 5 rand = 0 then V.Null else gen rand in
+  let first = Storage.Date.of_ymd ~year:1 ~month:1 ~day:1 in
+  let last = Storage.Date.of_ymd ~year:9999 ~month:12 ~day:31 in
+  list_size (int_bound 15)
+    (flatten_l
+       [
+         cell (fun r -> V.Int (oneof [ int_range (-100000) 100000; int ] r));
+         cell gen_double;
+         cell (fun r -> V.Bool (bool r));
+         cell gen_text;
+         cell (fun r -> V.Date (int_range first last r));
+       ])
+    rand
+
+let csv_schema =
+  Storage.Schema.of_pairs
+    [
+      ("i", Storage.Dtype.TInt);
+      ("f", Storage.Dtype.TFloat);
+      ("b", Storage.Dtype.TBool);
+      ("s", Storage.Dtype.TStr);
+      ("d", Storage.Dtype.TDate);
+    ]
+
+(* [table] through Persist.save and Persist.load *)
+let persist_roundtrip table =
+  with_temp_dir (fun dir ->
+      let db = Db.create () in
+      Db.load_table db ~name:"rt" table;
+      (match Sqlgraph.Persist.save db ~dir with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "save: %s" (Sqlgraph.Error.to_string e));
+      match Sqlgraph.Persist.load ~dir with
+      | Error e -> Alcotest.failf "load: %s" (Sqlgraph.Error.to_string e)
+      | Ok db2 -> Option.get (Catalog.find (Db.catalog db2) "rt"))
+
+(* bit-for-bit, so -0.0 and the last digit count *)
+let same_cells a b =
+  List.length a = List.length b
+  && List.for_all2
+       (List.for_all2 (fun x y ->
+            match x, y with
+            | V.Float x, V.Float y ->
+              Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+            | _ -> V.equal x y))
+       a b
 
 let test_csv_persist_roundtrip =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"persist: csv round-trip across dtypes" ~count:60
        (QCheck.make gen_csv_table)
        (fun rows ->
-         with_temp_dir (fun dir ->
-             let db = Db.create () in
-             let table =
-               Table.of_rows
-                 (Storage.Schema.of_pairs
-                    [
-                      ("i", Storage.Dtype.TInt);
-                      ("s", Storage.Dtype.TStr);
-                      ("b", Storage.Dtype.TBool);
-                      ("d", Storage.Dtype.TDate);
-                    ])
-                 (List.map
-                    (fun (i, s, b, d) ->
-                      (* the CSV layer reads "" back as NULL *)
-                      let s = match s with V.Str "" -> V.Null | v -> v in
-                      [ V.Int i; s; V.Bool b; V.Date d ])
-                    rows)
-             in
-             Db.load_table db ~name:"rt" table;
-             (match Sqlgraph.Persist.save db ~dir with
-             | Ok () -> ()
-             | Error e ->
-               QCheck.Test.fail_reportf "save: %s" (Sqlgraph.Error.to_string e));
-             match Sqlgraph.Persist.load ~dir with
-             | Error e ->
-               QCheck.Test.fail_reportf "load: %s" (Sqlgraph.Error.to_string e)
-             | Ok db2 -> states_equal (db_state db) (db_state db2))))
+         let table = Table.of_rows csv_schema rows in
+         let back = persist_roundtrip table in
+         Table.equal table back && same_cells rows (Table.to_rows back)))
+
+(* A checkpoint once wrote DOUBLE with "%g": six significant digits. *)
+let test_checkpoint_keeps_double_digits () =
+  let xs = [ 0.1234567891; 3.14159265358979; 123456789.5; 1. /. 3.; 5e-324 ] in
+  let schema = Storage.Schema.of_pairs [ ("w", Storage.Dtype.TFloat) ] in
+  let table = Table.of_rows schema (List.map (fun x -> [ V.Float x ]) xs) in
+  check tbool "every digit survives" true
+    (same_cells (Table.to_rows table)
+       (Table.to_rows (persist_roundtrip table)));
+  (* text that already read back exactly is written as before *)
+  check Alcotest.string "display text kept" "w\n3.03\n2.0\n1e+300\n"
+    (Sqlgraph.Resultset.to_csv
+       (Sqlgraph.Resultset.of_table
+          (Table.of_rows schema
+             [ [ V.Float 3.03 ]; [ V.Float 2. ]; [ V.Float 1e300 ] ])))
+
+(* A checkpoint once left a lone CR unquoted, and the reader drops it. *)
+let test_checkpoint_keeps_carriage_return () =
+  let ss = [ "a\rb"; "x\r\ny"; "\r"; "end\r" ] in
+  let schema = Storage.Schema.of_pairs [ ("s", Storage.Dtype.TStr) ] in
+  let table = Table.of_rows schema (List.map (fun s -> [ V.Str s ]) ss) in
+  check tbool "CR kept" true
+    (same_cells (Table.to_rows table)
+       (Table.to_rows (persist_roundtrip table)))
 
 (* CTAS already refuses to materialize a path column into the catalog,
    so Persist's own refusal is defense in depth — reach it by loading a
@@ -859,6 +915,10 @@ let () =
           Alcotest.test_case "failed save leaves old state" `Quick
             test_save_crash_leaves_old_state;
           test_csv_persist_roundtrip;
+          Alcotest.test_case "checkpoint keeps DOUBLE digits" `Quick
+            test_checkpoint_keeps_double_digits;
+          Alcotest.test_case "checkpoint keeps a carriage return" `Quick
+            test_checkpoint_keeps_carriage_return;
           Alcotest.test_case "path columns refuse" `Quick
             test_path_columns_refuse_to_persist;
         ] );

@@ -770,6 +770,241 @@ let test_csv_short_row_line () =
   expect "untyped import" (Sqlgraph.Csv.import_untyped db ~path ~table:"t3");
   Sys.remove path
 
+(* The row-at-a-time loader the single-pass scanner replaced, kept as
+   the reference (its row scanner unchanged, its typed load with a
+   header row): a string list per row, every cell cast from [Str] by
+   [Value.cast]. *)
+module Reference_csv = struct
+  let err fmt =
+    Printf.ksprintf (fun s -> raise (Sqlgraph.Csv.Csv_error s)) fmt
+
+  let iter_rows f s =
+    let n = String.length s in
+    let fields = ref [] in
+    let buf = Buffer.create 32 in
+    let started = ref false in
+    let line = ref 1 in
+    let row_line = ref 1 in
+    let flush_field () =
+      fields := Buffer.contents buf :: !fields;
+      Buffer.clear buf
+    in
+    let flush_row () =
+      flush_field ();
+      let row = List.rev !fields in
+      fields := [];
+      started := false;
+      f !row_line row
+    in
+    let i = ref 0 in
+    while !i < n do
+      let c = s.[!i] in
+      (match c with
+      | '"' ->
+        started := true;
+        incr i;
+        let closed = ref false in
+        while not !closed do
+          if !i >= n then err "unterminated quoted field"
+          else if s.[!i] = '"' then
+            if !i + 1 < n && s.[!i + 1] = '"' then begin
+              Buffer.add_char buf '"';
+              i := !i + 2
+            end
+            else begin
+              closed := true;
+              incr i
+            end
+          else begin
+            if s.[!i] = '\n' then incr line;
+            Buffer.add_char buf s.[!i];
+            incr i
+          end
+        done;
+        decr i
+      | ',' ->
+        started := true;
+        flush_field ()
+      | '\n' ->
+        if !started || Buffer.length buf > 0 || !fields <> [] then flush_row ();
+        incr line;
+        row_line := !line
+      | '\r' -> ()
+      | c ->
+        started := true;
+        Buffer.add_char buf c);
+      incr i
+    done;
+    if !started || Buffer.length buf > 0 || !fields <> [] then flush_row ()
+
+  let parse_string s =
+    let rows = ref [] in
+    iter_rows (fun _ row -> rows := row :: !rows) s;
+    List.rev !rows
+
+  let cell_of_string ty text =
+    if text = "" then V.Null
+    else
+      match V.cast (V.Str text) ty with
+      | Ok v -> v
+      | Error m -> err "CSV: %s" m
+
+  let table_of_string ~schema s =
+    let table = Storage.Table.create schema in
+    let arity = Storage.Schema.arity schema in
+    let skip = ref true in
+    iter_rows
+      (fun line fields ->
+        if !skip then skip := false
+        else begin
+          if List.length fields <> arity then
+            err "CSV line %d has %d fields, expected %d" line
+              (List.length fields) arity;
+          Storage.Table.append_row table
+            (Array.of_list
+               (List.mapi
+                  (fun col text ->
+                    cell_of_string
+                      (Storage.Schema.field schema col).Storage.Schema.ty text)
+                  fields))
+        end)
+      s;
+    table
+end
+
+(* CSV text built from spellings that probe the scanner (quotes, doubled
+   quotes, quoted newlines, CRLF, a stray CR, blank lines, no final
+   newline, short and long rows) and the typed reading of each column
+   type (the int spellings CAST accepts, an overflow, float forms, loose
+   and impossible dates). *)
+let int_spellings =
+  [|
+    "7"; "-12"; "0"; "-0"; "007"; " 7"; "7 "; "+5"; "0x1F"; "1_000";
+    "123456789012345678"; "4611686018427387903"; "-4611686018427387904";
+    "4611686018427387904"; "12345678901234567890123"; "-"; "1.5";
+  |]
+
+let float_spellings =
+  [|
+    "3.03"; "0.1"; "-2.25"; "1e3"; " 2.5"; "inf"; "-inf"; "nan"; "1."; ".5";
+    "-.5"; "42"; "123456789012345.5"; "0.1234567891"; "1.7976931348623157e308";
+    "4.9e-324"; "3.14159265358979"; "1_0.5"; "0x1p3"; "-0.0";
+  |]
+
+let date_spellings =
+  [|
+    "2011-05-13"; "2011-5-3"; "0999-01-01"; "2011-02-30"; "2000-02-29";
+    "1900-02-29"; " 2011-05-13"; "2011-05-13 "; "-0001-03-01"; "20110-01-01";
+    "2011-13-01"; "2011/05/13";
+  |]
+
+let bool_spellings = [| "true"; "F"; "1"; "yes"; " TRUE " |]
+
+let quoting_spellings =
+  [|
+    ""; "plain"; "\"a,b\""; "\"x\"\"y\""; "\"two\nlines\""; "a\"b,c\"d";
+    "a\rb"; "\"cr\rinside\""; "\"\""; "\"5\""; "\"2011-05-13\"";
+    "\"unterminated";
+  |]
+
+let gen_csv_case =
+  let open QCheck.Gen in
+  let any =
+    Array.concat
+      [ int_spellings; float_spellings; date_spellings; bool_spellings;
+        quoting_spellings ]
+  in
+  let pool = function
+    | Storage.Dtype.TInt -> int_spellings
+    | TFloat -> float_spellings
+    | TDate -> date_spellings
+    | TBool -> bool_spellings
+    | TStr | TPath -> quoting_spellings
+  in
+  (* mostly the column's own spellings, so most files load *)
+  let field ty = frequency [ (12, oneofa (pool ty)); (1, oneofa any) ] in
+  int_range 1 4 >>= fun k ->
+  list_repeat k
+    (oneofl
+       Storage.Dtype.[ TInt; TInt; TFloat; TFloat; TDate; TDate; TBool; TStr ])
+  >>= fun tys ->
+  let row =
+    frequency
+      [
+        (12, flatten_l (List.map field tys));
+        (1, list_size (int_range 1 6) (oneofa any));
+      ]
+  in
+  list_size (int_range 0 8) row >>= fun rows ->
+  list_repeat (List.length rows + 1)
+    (frequencyl [ (6, "\n"); (2, "\r\n"); (1, "\n\n"); (1, "\r\n\r\n") ])
+  >>= fun ends ->
+  bool >>= fun final_newline ->
+  let header =
+    String.concat "," (List.mapi (fun i _ -> Printf.sprintf "c%d" i) tys)
+  in
+  let lines = header :: List.map (String.concat ",") rows in
+  let last = List.length lines - 1 in
+  let text =
+    String.concat ""
+      (List.mapi
+         (fun i line ->
+           line ^ if i < last || final_newline then List.nth ends i else "")
+         lines)
+  in
+  return (tys, text)
+
+let print_csv_case (tys, text) =
+  Printf.sprintf "types [%s]\n%S"
+    (String.concat "; " (List.map Storage.Dtype.name tys))
+    text
+
+let test_csv_loader_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"csv: single-pass loader matches the reference"
+       ~count:5000
+       (QCheck.make ~print:print_csv_case gen_csv_case)
+       (fun (tys, text) ->
+         let schema =
+           Storage.Schema.of_pairs
+             (List.mapi (fun i ty -> (Printf.sprintf "c%d" i, ty)) tys)
+         in
+         let outcome f =
+           match f () with
+           | v -> Ok v
+           | exception Sqlgraph.Csv.Csv_error m -> Error m
+         in
+         let rows t =
+           List.map Array.to_list
+             (List.init (Storage.Table.nrows t) (Storage.Table.row t))
+         in
+         let same_rows a b =
+           List.length a = List.length b
+           && List.for_all2
+                (fun x y ->
+                  List.length x = List.length y && List.for_all2 V.equal x y)
+                a b
+         in
+         let fields_agree =
+           outcome (fun () -> Sqlgraph.Csv.parse_string text)
+           = outcome (fun () -> Reference_csv.parse_string text)
+         in
+         let tables_agree =
+           match
+             ( outcome (fun () ->
+                   rows (Sqlgraph.Csv.table_of_string ~schema text)),
+               outcome (fun () ->
+                   rows (Reference_csv.table_of_string ~schema text)) )
+           with
+           | Ok a, Ok b -> same_rows a b
+           | Error a, Error b -> String.equal a b
+           | Ok _, Error m ->
+             QCheck.Test.fail_reportf "only the reference fails: %s" m
+           | Error m, Ok _ ->
+             QCheck.Test.fail_reportf "only the loader fails: %s" m
+         in
+         fields_agree && tables_agree))
+
 (* ------------------------------------------------------------------ *)
 (* Transactions                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -930,5 +1165,6 @@ let () =
           Alcotest.test_case "csv typed tables" `Quick test_csv_table_roundtrip;
           Alcotest.test_case "csv file roundtrip" `Quick test_csv_file_roundtrip;
           Alcotest.test_case "csv short row line" `Quick test_csv_short_row_line;
+          test_csv_loader_matches_reference;
         ] );
     ]

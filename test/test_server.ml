@@ -503,11 +503,13 @@ let test_session_cap () =
       let c1 = connect1 srv in
       ignore (Client.hello ~timeout_ms:5_000 c1);
       let c2 = connect1 srv in
-      let line = Client.read_line ~timeout_ms:5_000 c2 in
-      check tbool "ERR busy with retry hint" true
-        (has_prefix ~prefix:"ERR busy retry_ms=" line);
-      let bye = Client.read_line ~timeout_ms:5_000 c2 in
-      check tbool "then BYE" true (has_prefix ~prefix:"BYE" bye);
+      (match Protocol.decode_reply (Client.read_line ~timeout_ms:5_000 c2) with
+      | Some (Protocol.Err { category = "busy"; retry_ms = Some ms; _ }) ->
+        check tint "retry hint" small_config.busy_retry_ms ms
+      | _ -> Alcotest.fail "expected ERR busy with a retry hint");
+      (match Protocol.decode_reply (Client.read_line ~timeout_ms:5_000 c2) with
+      | Some (Protocol.Bye _) -> ()
+      | _ -> Alcotest.fail "expected BYE after ERR busy");
       Client.close c2;
       (* the admitted session is unaffected *)
       let resp = Client.request ~timeout_ms:5_000 c1 "SELECT COUNT(*) FROM t" in

@@ -126,6 +126,66 @@ let test_span_closes_on_exception () =
   check Alcotest.bool "span closed" true
     (List.exists (fun e -> e.Tr.ev_kind = Tr.End) evs)
 
+(* A restart's trace shows what it spent: inside [wal_replay], one
+   [ckpt_load] per checkpointed table (closed with its row count), then
+   [log_replay] for the log tail. *)
+let test_recovery_spans () =
+  let dir = Filename.temp_file "sqlgraph_tel" "" in
+  Sys.remove dir;
+  let ok = function Ok v -> v | Error e -> Alcotest.fail (Err.to_string e) in
+  Fun.protect
+    ~finally:(fun () -> Sqlgraph.Persist.rm_rf dir)
+    (fun () ->
+      let store, db, _ = ok (Sqlgraph.Wal.open_dir ~fsync:false dir) in
+      exec_exn db "CREATE TABLE a (x INTEGER)";
+      exec_exn db "INSERT INTO a VALUES (1), (2), (3)";
+      exec_exn db "CREATE TABLE b (s VARCHAR)";
+      exec_exn db "INSERT INTO b VALUES ('p')";
+      ok (Sqlgraph.Wal.checkpoint store db);
+      exec_exn db "INSERT INTO b VALUES ('q')";
+      Sqlgraph.Wal.close store;
+      with_trace (fun () ->
+          let store, _, _ = ok (Sqlgraph.Wal.open_dir ~fsync:false dir) in
+          Sqlgraph.Wal.close store;
+          let evs = Tr.events () in
+          let begins name =
+            List.filter
+              (fun e -> e.Tr.ev_kind = Tr.Begin && e.Tr.ev_name = name)
+              evs
+          in
+          let replay =
+            match begins "wal_replay" with
+            | [ e ] -> e.Tr.ev_span
+            | l -> Alcotest.failf "%d wal_replay spans" (List.length l)
+          in
+          let child name =
+            List.map
+              (fun e ->
+                check tint (name ^ " under wal_replay") replay e.Tr.ev_parent;
+                e)
+              (begins name)
+          in
+          let rows_of sp =
+            List.find_map
+              (fun e ->
+                if e.Tr.ev_kind = Tr.End && e.Tr.ev_span = sp then
+                  List.assoc_opt "rows" e.Tr.ev_attrs
+                else None)
+              evs
+          in
+          let loads =
+            List.map
+              (fun e ->
+                (List.assoc "table" e.Tr.ev_attrs, rows_of e.Tr.ev_span))
+              (child "ckpt_load")
+          in
+          check
+            Alcotest.(list (pair string (option string)))
+            "one ckpt_load per table, with its rows"
+            [ ("a", Some "3"); ("b", Some "1") ]
+            (List.sort compare loads);
+          check tint "one log_replay" 1 (List.length (child "log_replay"))))
+
 let test_self_ms_by_name () =
   with_trace @@ fun () ->
   let t = ref 0.0 in
@@ -548,6 +608,7 @@ let () =
           Alcotest.test_case "span closes on exception" `Quick
             test_span_closes_on_exception;
           Alcotest.test_case "self time by name" `Quick test_self_ms_by_name;
+          Alcotest.test_case "recovery spans" `Quick test_recovery_spans;
           Alcotest.test_case "parallel traversal spans" `Quick
             test_parallel_tracks;
           Alcotest.test_case "catapult export parses" `Quick
