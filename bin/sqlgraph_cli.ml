@@ -109,10 +109,6 @@ let max_rows : int option ref = ref None
    survive (use --json-metrics-append to keep them all). *)
 let json_metrics : string option ref = ref None
 
-(* --json-metrics-append FILE: one compact JSON object per statement,
-   appended (NDJSON), so scripted workloads keep every statement. *)
-let json_metrics_append : string option ref = ref None
-
 (* --metrics-out FILE: cumulative session registry, Prometheus text
    exposition v0.0.4, rewritten after each statement. *)
 let metrics_out : string option ref = ref None
@@ -121,9 +117,10 @@ let metrics_out : string option ref = ref None
    exit. *)
 let trace_out : string option ref = ref None
 
-(* Slow-query log destination; the threshold lives on the Db session
-   (SET slow_query_ms / --slow-query-ms). *)
-let slow_query_log : string ref = ref "sqlgraph-slow.ndjson"
+(* --domains, --slow-query-ms and the statement logs Db.exec_parsed
+   writes (--json-metrics-append, --slow-query-log): applied to a Db once
+   it has recovered, so replayed statements are not logged again. *)
+let session_options : (Sqlgraph.Db.t -> unit) ref = ref ignore
 
 (* --data-dir: the open WAL store, if this session is durable. *)
 let data_store : Sqlgraph.Wal.t option ref = ref None
@@ -175,40 +172,6 @@ let dump_metrics db =
     | None -> ()
     | Some _ -> Sqlgraph.Metrics.write_file ~path (metrics_doc db))
 
-let append_line path line =
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc line;
-      output_char oc '\n')
-
-let append_metrics db ~sql ~ms ~ok =
-  match !json_metrics_append with
-  | None -> ()
-  | Some path ->
-    append_line path
-      (Sqlgraph.Metrics.to_compact_string
-         (Sqlgraph.Metrics.Obj
-            [
-              ("schema", Sqlgraph.Metrics.String "sqlgraph-metrics-v1");
-              ("sql", Sqlgraph.Metrics.String sql);
-              ( "fingerprint",
-                match Sqlgraph.Db.last_fingerprint db with
-                | Some f -> Sqlgraph.Metrics.String f
-                | None -> Sqlgraph.Metrics.Null );
-              ( "qid",
-                match Sqlgraph.Db.last_query_id db with
-                | Some q -> Sqlgraph.Metrics.String q
-                | None -> Sqlgraph.Metrics.Null );
-              ("ms", Sqlgraph.Metrics.num ms);
-              ("ok", Sqlgraph.Metrics.Bool ok);
-              ( "stats",
-                match Sqlgraph.Db.last_stats db with
-                | Some s -> Sqlgraph.Metrics.stats_json s
-                | None -> Sqlgraph.Metrics.Null );
-            ]))
-
 let write_prometheus db =
   match !metrics_out with
   | None -> ()
@@ -224,76 +187,6 @@ let dump_trace () =
   match !trace_out with
   | None -> ()
   | Some path -> Telemetry.Trace.write_catapult ~path
-
-(* The slow-query log: one NDJSON record per over-threshold statement —
-   query text, duration, result rows, governor verdict and the top-3
-   spans by self-time (when tracing is on; --slow-query-ms enables it so
-   the spans field is populated). *)
-let outcome_rows = function
-  | Ok (Sqlgraph.Db.Selected r) -> Some (Sqlgraph.Resultset.nrows r)
-  | Ok (Sqlgraph.Db.Inserted n)
-  | Ok (Sqlgraph.Db.Updated n)
-  | Ok (Sqlgraph.Db.Deleted n) ->
-    Some n
-  | _ -> None
-
-let verdict = function
-  | Ok _ -> "ok"
-  | Error (Sqlgraph.Error.Resource_error { kind; _ }) ->
-    Sqlgraph.Error.resource_kind_name kind
-  | Error _ -> "error"
-
-let slow_query_check db ~sql ~ms result =
-  match Sqlgraph.Db.slow_query_ms db with
-  | None -> ()
-  | Some thr when ms < float_of_int thr -> ()
-  | Some _ ->
-    let spans =
-      Telemetry.Trace.self_ms_by_name
-        ~query:(Telemetry.Trace.current_query ())
-      |> List.filteri (fun i _ -> i < 3)
-      |> List.map (fun (name, self_ms) ->
-             Sqlgraph.Metrics.Obj
-               [
-                 ("name", Sqlgraph.Metrics.String name);
-                 ("self_ms", Sqlgraph.Metrics.num self_ms);
-               ])
-    in
-    append_line !slow_query_log
-      (Sqlgraph.Metrics.to_compact_string
-         (Sqlgraph.Metrics.Obj
-            [
-              ("ts", Sqlgraph.Metrics.num (Unix.gettimeofday ()));
-              ("query", Sqlgraph.Metrics.String sql);
-              ( "fingerprint",
-                match Sqlgraph.Db.last_fingerprint db with
-                | Some f -> Sqlgraph.Metrics.String f
-                | None -> Sqlgraph.Metrics.Null );
-              ( "qid",
-                match Sqlgraph.Db.last_query_id db with
-                | Some q -> Sqlgraph.Metrics.String q
-                | None -> Sqlgraph.Metrics.Null );
-              ("ms", Sqlgraph.Metrics.num ms);
-              ( "rows",
-                match outcome_rows result with
-                | Some n -> Sqlgraph.Metrics.Int n
-                | None -> Sqlgraph.Metrics.Null );
-              ("verdict", Sqlgraph.Metrics.String (verdict result));
-              ( "error",
-                match result with
-                | Error e ->
-                  Sqlgraph.Metrics.String (Sqlgraph.Error.to_string e)
-                | Ok _ -> Sqlgraph.Metrics.Null );
-              ("spans", Sqlgraph.Metrics.List spans);
-            ]))
-
-(* Every per-statement observability sink, in one place so the repl and
-   script paths cannot drift. *)
-let statement_sinks db ~sql ~ms result =
-  dump_metrics db;
-  append_metrics db ~sql ~ms ~ok:(Result.is_ok result);
-  write_prometheus db;
-  slow_query_check db ~sql ~ms result
 
 (* One line per declared [\stats] label, in declaration order:
    "label: v key=v ...". A NaN gauge (no timeout) is left out. *)
@@ -327,6 +220,12 @@ let print_stats db =
            |> String.concat " "
            |> Printf.printf "%s: %s\n" label)
 
+(* The whole-file dumps of the session's state, after each statement;
+   the per-statement records are Db.exec_parsed's own. *)
+let statement_sinks db =
+  dump_metrics db;
+  write_prometheus db
+
 let execute db sql =
   let t0 = Unix.gettimeofday () in
   let gov = Sqlgraph.Governor.start (current_budget ()) in
@@ -337,7 +236,7 @@ let execute db sql =
   (match result with
   | Ok outcome -> print_outcome outcome
   | Error e -> Printf.printf "error: %s\n" (Sqlgraph.Error.to_string e));
-  statement_sinks db ~sql ~ms:(dt *. 1000.) result;
+  statement_sinks db;
   if !timing then Printf.printf "time: %.3fs\n" dt
 
 let describe db name =
@@ -473,6 +372,7 @@ let repl db =
              match Sqlgraph.Persist.load ~dir with
              | Ok fresh ->
                (* session options survive the swap *)
+               !session_options fresh;
                Sqlgraph.Db.set_parallelism fresh (Sqlgraph.Db.parallelism !db);
                db := fresh;
                Printf.printf "loaded %s\n" dir
@@ -564,18 +464,13 @@ let run_file db path =
     Printf.eprintf "cannot read %s: %s\n" path m;
     exit 1
   | source -> (
-    (* Statement-at-a-time so every observability sink (metrics files,
-       slow-query log, histograms) sees each statement as it runs, not
-       just a script-final summary. *)
-    let t0 = ref (Unix.gettimeofday ()) in
+    (* Statement-at-a-time so the metrics files show each statement as
+       it runs, not just a script-final summary. *)
     match
       Sqlgraph.Db.exec_script_each db ~budget:(current_budget ()) source
-        ~f:(fun ~sql result ->
-          let dt = Unix.gettimeofday () -. !t0 in
-          (match result with Ok outcome -> print_outcome outcome | Error _ -> ());
-          statement_sinks db ~sql ~ms:(dt *. 1000.) result;
-          t0 := Unix.gettimeofday ();
-          `Continue)
+        ~f:(fun result ->
+          Result.iter print_outcome result;
+          statement_sinks db)
     with
     | Ok () ->
       close_store ();
@@ -599,23 +494,31 @@ let load_demo db =
 
 open Cmdliner
 
-let apply_limits t r j (ja, mo, tr, sq, sl) =
+let apply_limits t r d j (ja, mo, tr, sq, sl) =
   timeout_ms := t;
   max_rows := r;
   json_metrics := j;
-  json_metrics_append := ja;
+  let logs =
+    Sqlgraph.Db.create_logs
+      ~slow_log:(Option.value sl ~default:"sqlgraph-slow.ndjson")
+      ?firehose:ja ()
+  in
+  (session_options :=
+     fun db ->
+       Option.iter (Sqlgraph.Db.set_parallelism db) d;
+       Sqlgraph.Db.set_slow_query_ms db sq;
+       Sqlgraph.Db.set_logs db logs);
   metrics_out := mo;
   trace_out := tr;
-  (match sl with Some p -> slow_query_log := p | None -> ());
   (* --trace-out enables tracing for the whole session; --slow-query-ms
      too, so slow records carry their top-spans breakdown. *)
   if tr <> None || sq <> None then Telemetry.Trace.set_enabled true
 
-(* A session database honouring --domains, --slow-query-ms and
-   --data-dir.  A durable session recovers on open: checkpoint load plus
-   WAL replay, reporting a torn tail (bytes truncated) when the previous
-   process died mid-record. *)
-let make_db ?(data_dir = None) ?(no_fsync = false) ?(readonly = false) d sq =
+(* A session database honouring the session options and --data-dir.  A
+   durable session recovers on open: checkpoint load plus WAL replay,
+   reporting a torn tail (bytes truncated) when the previous process
+   died mid-record. *)
+let make_db (data_dir, no_fsync, readonly) =
   if readonly && data_dir = None then begin
     Printf.eprintf "error: --readonly needs --data-dir DIR\n";
     exit 2
@@ -648,8 +551,7 @@ let make_db ?(data_dir = None) ?(no_fsync = false) ?(readonly = false) d sq =
             r.Sqlgraph.Wal.rec_skipped;
         db)
   in
-  (match d with Some n -> Sqlgraph.Db.set_parallelism db n | None -> ());
-  Sqlgraph.Db.set_slow_query_ms db sq;
+  !session_options db;
   db
 
 let timeout_arg =
@@ -692,7 +594,9 @@ let json_metrics_append_arg =
     & info [ "json-metrics-append" ] ~docv:"FILE"
         ~doc:
           "Append one compact JSON object per statement to FILE (NDJSON): \
-           sql, duration, outcome and execution counters.")
+           sql, fingerprint, query id, duration, outcome and execution \
+           counters. Under $(b,serve), every session appends to the one \
+           FILE, one whole line per statement.")
 
 let metrics_out_arg =
   Arg.(
@@ -718,16 +622,19 @@ let slow_query_ms_arg =
     & opt (some int) None
     & info [ "slow-query-ms" ] ~docv:"MS"
         ~doc:
-          "Append statements slower than MS milliseconds to the slow-query \
-           log as NDJSON (0 logs every statement). Equivalent to SET \
-           slow_query_ms = MS.")
+          "Append statements that take MS milliseconds or more to the \
+           slow-query log as NDJSON (0 logs every statement). Equivalent to \
+           SET slow_query_ms = MS; under $(b,serve) it is every session's \
+           starting threshold.")
 
 let slow_query_log_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "slow-query-log" ] ~docv:"FILE"
-        ~doc:"Slow-query log destination (default sqlgraph-slow.ndjson).")
+        ~doc:
+          "Slow-query log destination (default sqlgraph-slow.ndjson). Under \
+           $(b,serve), every session appends to the one FILE.")
 
 let data_dir_arg =
   Arg.(
@@ -774,10 +681,9 @@ let dur_args =
     const (fun dd nf ro -> (dd, nf, ro))
     $ data_dir_arg $ no_fsync_arg $ readonly_arg)
 
-let repl_main t r d j obs (dd, nf, ro) =
-  apply_limits t r j obs;
-  let _, _, _, sq, _ = obs in
-  repl (make_db ~data_dir:dd ~no_fsync:nf ~readonly:ro d sq)
+let repl_main t r d j obs dur =
+  apply_limits t r d j obs;
+  repl (make_db dur)
 
 let repl_cmd =
   Cmd.v (Cmd.info "repl" ~doc:"Interactive SQL shell.")
@@ -791,10 +697,9 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Execute a SQL script file.")
     Term.(
-      const (fun t r d j obs (dd, nf, ro) f ->
-          apply_limits t r j obs;
-          let _, _, _, sq, _ = obs in
-          run_file (make_db ~data_dir:dd ~no_fsync:nf ~readonly:ro d sq) f)
+      const (fun t r d j obs dur f ->
+          apply_limits t r d j obs;
+          run_file (make_db dur) f)
       $ timeout_arg $ max_rows_arg $ domains_arg $ json_metrics_arg
       $ obs_args $ dur_args $ file)
 
@@ -803,10 +708,9 @@ let demo_cmd =
     (Cmd.info "demo"
        ~doc:"Open a shell with a synthetic social network preloaded.")
     Term.(
-      const (fun t r d j obs (dd, nf, ro) ->
-          apply_limits t r j obs;
-          let _, _, _, sq, _ = obs in
-          let db = make_db ~data_dir:dd ~no_fsync:nf ~readonly:ro d sq in
+      const (fun t r d j obs dur ->
+          apply_limits t r d j obs;
+          let db = make_db dur in
           load_demo db;
           (* capture the bulk-loaded demo tables before the first DML *)
           checkpoint_if_durable db ~why:"demo load";
@@ -890,8 +794,7 @@ let enable_warm_index ?(defer = false) db spec =
 
 let serve_main t r d obs (dd, nf, ro) socket host port max_sessions idle_ms
     replica_of warm_indexes =
-  apply_limits t r None obs;
-  let _, _, _, sq, _ = obs in
+  apply_limits t r d None obs;
   if socket = None && port = None then begin
     Printf.eprintf "error: serve needs --socket PATH and/or --port N\n";
     exit 2
@@ -933,11 +836,10 @@ let serve_main t r d obs (dd, nf, ro) socket host port max_sessions idle_ms
              Printf.sprintf " (%d torn bytes truncated)"
                r.Sqlgraph.Wal.rec_truncated_bytes
            else "");
-        (match d with Some n -> Sqlgraph.Db.set_parallelism db n | None -> ());
-        Sqlgraph.Db.set_slow_query_ms db sq;
+        !session_options db;
         (db, Some store))
     | None ->
-      let db = make_db ~data_dir:dd ~no_fsync:nf ~readonly:ro d sq in
+      let db = make_db (dd, nf, ro) in
       (* a read-only server never writes, so it gets no store: group
          commit and the shutdown checkpoint would be refused anyway *)
       (db, if ro then None else !data_store)

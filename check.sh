@@ -571,11 +571,18 @@ digest2=$(sed -n 's/.*"digest": "\([0-9a-f]*\)".*/\1/p' BENCH_sim_smoke.json | h
 }
 echo "   50k statements, 0 violations, digest $digest1 reproduced"
 
-echo "== introspection smoke (sqlgraph_stat_statements over a live server)"
+echo "== introspection smoke (sqlgraph_stat_statements and statement logs over a live server)"
 idir=$(mktemp -d /tmp/sqlgraph_check_in_XXXXXX)
 isock="$idir/server.sock"
-trap 'rm -f "$script" "$out" "$ea_script" "$metrics" "$ms_script" "$obs_script" "$prom" "$slowlog" "$ack" "$srv_log" BENCH_smoke.json BENCH_pairs_smoke.json BENCH_pairs_scaling.json TRACE_smoke.json BENCH_wal_smoke.json BENCH_server_smoke.json BENCH_sim_smoke.json; rm -rf "$ddir" "$sdir" "$ackdir" "$idir"' EXIT
-"$cli" serve --socket "$isock" --data-dir "$idir" > "$srv_log" 2>&1 &
+ilogs=$(mktemp -d /tmp/sqlgraph_check_logs_XXXXXX)
+islow="$ilogs/slow.ndjson"
+ifire="$ilogs/fire.ndjson"
+iwire="$ilogs/wire.txt"
+trap 'rm -f "$script" "$out" "$ea_script" "$metrics" "$ms_script" "$obs_script" "$prom" "$slowlog" "$ack" "$srv_log" BENCH_smoke.json BENCH_pairs_smoke.json BENCH_pairs_scaling.json TRACE_smoke.json BENCH_wal_smoke.json BENCH_server_smoke.json BENCH_sim_smoke.json; rm -rf "$ddir" "$sdir" "$ackdir" "$idir" "$ilogs"' EXIT
+# every statement is slow (threshold 0); both logs are shared by all
+# sessions; every client reply is kept in $iwire
+"$cli" serve --socket "$isock" --data-dir "$idir" --slow-query-ms 0 \
+    --slow-query-log "$islow" --json-metrics-append "$ifire" > "$srv_log" 2>&1 &
 srv_pid=$!
 i=0
 while [ "$i" -lt 100 ] && [ ! -S "$isock" ]; do sleep 0.1; i=$((i + 1)); done
@@ -595,6 +602,7 @@ while [ "$i" -lt 100 ] && [ ! -S "$isock" ]; do sleep 0.1; i=$((i + 1)); done
     i=$((i + 1))
   done
 } | "$cli" client --socket "$isock" > "$out" 2>&1
+cat "$out" >> "$iwire"
 # every statement's OK line must carry a wire query id
 n_qid=$(grep -c "^OK .* qid=[0-9a-f]*:[0-9]* " "$out" || true)
 [ "$n_qid" -ge 50 ] || {
@@ -605,6 +613,7 @@ n_qid=$(grep -c "^OK .* qid=[0-9a-f]*:[0-9]* " "$out" || true)
 wire_fp=$(sed -n 's/^OK SELECT .* qid=\([0-9a-f]*\):[0-9]* .*/\1/p' "$out" | tail -1)
 # a statement that does not parse is still recorded, as a failed call
 "$cli" client --socket "$isock" -e "SELEC 1 FROM g" > "$out" 2>&1 || true
+cat "$out" >> "$iwire"
 grep -q "^ERR parse" "$out" || {
   echo "FAIL: malformed statement was not answered with ERR parse:"
   cat "$out"
@@ -617,6 +626,7 @@ grep -q "^ERR parse" "$out" || {
   cat "$out"; cat "$srv_log"
   exit 1
 }
+cat "$out" >> "$iwire"
 top_fp=$(awk -F'\t' '/^ROW /{ print substr($1, 5); exit }' "$out")
 top_calls=$(awk -F'\t' '/^ROW /{ print $2; exit }' "$out")
 [ -n "$top_calls" ] && [ "$top_calls" -ge 50 ] || {
@@ -645,6 +655,7 @@ n_fp=$(grep -c '^ROW' "$out")
 # the reserved namespace is read-only, over the wire too
 "$cli" client --socket "$isock" \
     -e "CREATE TABLE sqlgraph_mine (a INTEGER)" > "$out" 2>&1 || true
+cat "$out" >> "$iwire"
 grep -q "^ERR bind .*reserved" "$out" || {
   echo "FAIL: CREATE TABLE sqlgraph_mine was not refused as reserved:"
   cat "$out"
@@ -652,6 +663,30 @@ grep -q "^ERR bind .*reserved" "$out" || {
 }
 kill -TERM "$srv_pid" 2>/dev/null || true
 wait "$srv_pid" 2>/dev/null || true
+# The statement logs: well-formed NDJSON, one record per statement the
+# server answered (OK or ERR), and the records of the statements that
+# succeeded name, in order, the qids of their OK lines.
+n_answered=$(grep -c '^\(OK\|ERR\)' "$iwire")
+sed -n 's/^OK .* qid=\([0-9a-f]*:[0-9]*\) .*/\1/p' "$iwire" > "$ilogs/wire.qids"
+for log in "$islow" "$ifire"; do
+  dune exec test/json_lint.exe -- --ndjson "$log" || {
+    echo "FAIL: served statement log $log is not valid NDJSON"
+    cat "$log"
+    exit 1
+  }
+  n_rec=$(grep -c . "$log")
+  [ "$n_rec" -eq "$n_answered" ] || {
+    echo "FAIL: $log has $n_rec records for $n_answered served statements"
+    exit 1
+  }
+  grep '"verdict":"ok"\|"ok":true' "$log" \
+    | sed -n 's/.*"qid":"\([0-9a-f]*:[0-9]*\)".*/\1/p' > "$ilogs/log.qids"
+  cmp -s "$ilogs/wire.qids" "$ilogs/log.qids" || {
+    echo "FAIL: $log qids differ from the OK lines' qids:"
+    diff "$ilogs/wire.qids" "$ilogs/log.qids" | head -10
+    exit 1
+  }
+done
 # \save must exclude system tables: the saved directory (and manifest)
 # hold only base tables even though sqlgraph_stat_statements is
 # SELECTable in the same session.
@@ -682,12 +717,12 @@ if grep -qi "sqlgraph_" "$pdir/_manifest.csv"; then
   cat "$pdir/_manifest.csv"
   exit 1
 fi
-echo "   $n_qid wire qids, top fingerprint $top_fp (= wire qid) calls=$top_calls, parse error recorded, $n_fp fingerprints, reserved namespace enforced"
+echo "   $n_qid wire qids, top fingerprint $top_fp (= wire qid) calls=$top_calls, parse error recorded, $n_fp fingerprints, reserved namespace enforced, $n_answered served statements logged once each"
 
 echo "== graph-index smoke (serve --warm-index: cost-only Q13 meets in the middle, INSERTs extend)"
 gdir=$(mktemp -d /tmp/sqlgraph_check_gi_XXXXXX)
 gsock="$gdir/server.sock"
-trap 'rm -f "$script" "$out" "$ea_script" "$metrics" "$ms_script" "$obs_script" "$prom" "$slowlog" "$ack" "$srv_log" BENCH_smoke.json BENCH_pairs_smoke.json BENCH_pairs_scaling.json TRACE_smoke.json BENCH_wal_smoke.json BENCH_server_smoke.json BENCH_sim_smoke.json; rm -rf "$ddir" "$sdir" "$ackdir" "$idir" "$gdir"' EXIT
+trap 'rm -f "$script" "$out" "$ea_script" "$metrics" "$ms_script" "$obs_script" "$prom" "$slowlog" "$ack" "$srv_log" BENCH_smoke.json BENCH_pairs_smoke.json BENCH_pairs_scaling.json TRACE_smoke.json BENCH_wal_smoke.json BENCH_server_smoke.json BENCH_sim_smoke.json; rm -rf "$ddir" "$sdir" "$ackdir" "$idir" "$ilogs" "$gdir"' EXIT
 cat > "$script" <<'EOF'
 CREATE TABLE g (src INTEGER, dst INTEGER);
 INSERT INTO g VALUES (1, 2), (2, 3), (1, 3), (3, 4), (4, 5);
@@ -756,7 +791,7 @@ psock="$fpdir/primary.sock"
 rsock="$frdir/standby.sock"
 plog=$(mktemp /tmp/sqlgraph_check_XXXXXX.plog)
 rlog=$(mktemp /tmp/sqlgraph_check_XXXXXX.rlog)
-trap 'rm -f "$script" "$out" "$ea_script" "$metrics" "$ms_script" "$obs_script" "$prom" "$slowlog" "$ack" "$srv_log" "$plog" "$rlog" BENCH_smoke.json BENCH_pairs_smoke.json BENCH_pairs_scaling.json TRACE_smoke.json BENCH_wal_smoke.json BENCH_server_smoke.json BENCH_sim_smoke.json BENCH_repl_smoke.json; rm -rf "$ddir" "$sdir" "$ackdir" "$idir" "$gdir" "$fpdir" "$frdir" "$fackdir"' EXIT
+trap 'rm -f "$script" "$out" "$ea_script" "$metrics" "$ms_script" "$obs_script" "$prom" "$slowlog" "$ack" "$srv_log" "$plog" "$rlog" BENCH_smoke.json BENCH_pairs_smoke.json BENCH_pairs_scaling.json TRACE_smoke.json BENCH_wal_smoke.json BENCH_server_smoke.json BENCH_sim_smoke.json BENCH_repl_smoke.json; rm -rf "$ddir" "$sdir" "$ackdir" "$idir" "$ilogs" "$gdir" "$fpdir" "$frdir" "$fackdir"' EXIT
 "$cli" serve --socket "$psock" --data-dir "$fpdir" > "$plog" 2>&1 &
 ppid=$!
 i=0

@@ -1,12 +1,5 @@
 module V = Storage.Value
 
-(* Debug tracing: per-query bind/rewrite/execute timings and graph
-   statistics at Debug level on the "sqlgraph.db" source (e.g.
-   Logs.set_level (Some Debug)). *)
-let log_src = Logs.Src.create "sqlgraph.db" ~doc:"sqlgraph query lifecycle"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 (* Hooks installed by the Wal layer when the session runs durable.  The
    Db calls them around DML so write-ahead logging stays a pure layering
    concern: in autocommit [dur_log] runs *before* the statement applies
@@ -22,6 +15,20 @@ type durability = {
   dur_rollback : unit -> unit;
 }
 
+(* Where the per-statement records go: the slow-query log and the
+   --json-metrics-append firehose.  One value is shared by every Db of a
+   server, so its mutex serializes appends from concurrent sessions. *)
+type logs = {
+  slow_log : string option;
+  firehose : string option;
+  logs_mu : Mutex.t;
+}
+
+let create_logs ?slow_log ?firehose () =
+  { slow_log; firehose; logs_mu = Mutex.create () }
+
+let no_logs = create_logs ()
+
 type t = {
   catalog : Storage.Catalog.t;
   indices : Executor.Graph_index.t;
@@ -35,8 +42,11 @@ type t = {
       (* cumulative session metrics; every statement absorbs its stats
          here (see [observe]) *)
   mutable slow_query_ms : int option;
-      (* SET slow_query_ms / CLI --slow-query-ms; None = off.  The Db
-         only stores the threshold — the CLI owns the log file. *)
+      (* SET slow_query_ms / CLI --slow-query-ms; None = off *)
+  mutable logs : logs; (* record destinations; see [observe] *)
+  mutable replaying : bool;
+      (* inside [without_logs]; a flag, so a session spawned meanwhile
+         still copies the real [logs] *)
   mutable durability : durability option;
       (* WAL hooks; None = plain in-memory session *)
   mutable readonly : bool;
@@ -46,9 +56,8 @@ type t = {
       (* per-fingerprint cumulative statement stats
          (sqlgraph_stat_statements); the server swaps in its shared
          store so every session feeds one view *)
-  mutable stmt_seq : int; (* statements observed; the :<seq> of query ids *)
+  mutable stmt_seq : int; (* the default :<seq> of query ids; see [observe] *)
   mutable last_query_id : string option; (* "<fp-hex>:<seq>" of the last stmt *)
-  mutable last_fingerprint : string option; (* fp hex of the last stmt *)
   created_at : float; (* Unix time of create; drives sqlgraph_uptime_seconds *)
 }
 
@@ -224,12 +233,13 @@ let create ?indices () =
       parallelism = 1;
       registry = Telemetry.Registry.create ();
       slow_query_ms = None;
+      logs = no_logs;
+      replaying = false;
       durability = None;
       readonly = false;
       stat_store = Stat_store.create ();
       stmt_seq = 0;
       last_query_id = None;
-      last_fingerprint = None;
       created_at = Unix.gettimeofday ();
     }
   in
@@ -241,7 +251,12 @@ let stat_store t = t.stat_store
 let set_stat_store t s = t.stat_store <- s
 let reset_statement_stats t = Stat_store.reset t.stat_store
 let last_query_id t = t.last_query_id
-let last_fingerprint t = t.last_fingerprint
+let logs t = t.logs
+let set_logs t l = t.logs <- l
+
+let without_logs t f =
+  t.replaying <- true;
+  Fun.protect ~finally:(fun () -> t.replaying <- false) f
 let set_durability t d = t.durability <- d
 let in_transaction t = t.snapshot <> None
 let load_table ?version t ~name table =
@@ -335,31 +350,16 @@ let merge_counters gov (stats : Executor.Interp.stats) =
     (match c.Governor.remaining_ms with Some r -> r | None -> Float.nan)
 
 let run_select t ~params ~optimize ~gov q =
-  let timed what f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    Log.debug (fun m -> m "%s: %.6fs" what (Unix.gettimeofday () -. t0));
-    r
-  in
-  let plan =
-    timed "bind" (fun () -> Relalg.Binder.bind_query ~catalog:t.catalog ~params q)
-  in
-  let plan = timed "rewrite" (fun () -> Relalg.Rewriter.rewrite ~options:optimize plan) in
+  let plan = Relalg.Binder.bind_query ~catalog:t.catalog ~params q in
+  let plan = Relalg.Rewriter.rewrite ~options:optimize plan in
   let ctx = fresh_ctx t gov in
   let table =
-    timed "execute" (fun () ->
-        Telemetry.Trace.span "execute" (fun () -> Executor.Interp.run ctx plan))
+    Telemetry.Trace.span "execute" (fun () -> Executor.Interp.run ctx plan)
   in
   (* the result-row budget tests the final cardinality *)
   Governor.check gov ~site:"result" ~rows:(Storage.Table.nrows table) ();
   let stats = Executor.Interp.stats ctx in
   merge_counters gov stats;
-  Log.debug (fun m ->
-      m "graphs built=%d reused=%d build=%.6fs traverse=%.6fs rows=%d"
-        stats.Executor.Interp.graphs_built stats.Executor.Interp.index_hits
-        stats.Executor.Interp.graph_build_seconds
-        stats.Executor.Interp.graph_traverse_seconds
-        (Storage.Table.nrows table));
   t.last_stats <- Some stats;
   Resultset.of_table table
 
@@ -549,8 +549,8 @@ let exec_stmt_mem t ~params ~optimize ~gov stmt =
       set_parallelism t value;
       Option_set (name, t.parallelism)
     | "slow_query_ms" ->
-      (* threshold in milliseconds; 0 logs every statement.  The CLI
-         reads this back after each statement and owns the log file. *)
+      (* threshold in milliseconds; 0 logs every statement that
+         [observe] sees on this Db *)
       if value < 0 then
         raise
           (Relalg.Binder.Bind_error "SET slow_query_ms expects a value >= 0");
@@ -775,39 +775,95 @@ let absorb_stats t ~dt ~failed ~delta =
       Executor.Interp.counters
 
 let outcome_rows = function
-  | Selected r -> Resultset.nrows r
-  | Inserted n | Updated n | Deleted n -> n
+  | Selected r -> Some (Resultset.nrows r)
+  | Inserted n | Updated n | Deleted n -> Some n
   | Created | Dropped | Explained _ | Option_set _ | Began | Committed
   | Rolled_back ->
-    0
+    None
+
+(* The --json-metrics-append record (every statement) and the slow-query
+   record (at or over the threshold), each one O_APPEND write of one
+   whole line under the logs' mutex, so concurrent sessions' records
+   never interleave. *)
+let write_records t ~sql ~fp_hex ~qid ~ms ~stats ~rows r =
+  let module M = Metrics in
+  let append path fields =
+    let line = M.to_compact_string (M.Obj fields) ^ "\n" in
+    try
+      Mutex.protect t.logs.logs_mu (fun () ->
+          Out_channel.with_open_gen [ Open_wronly; Open_append; Open_creat ]
+            0o644 path (fun oc -> Out_channel.output_string oc line))
+    with Sys_error _ ->
+      Reg.inc t.registry "sqlgraph_statement_log_errors_total" 1
+        ~help:"Statement log records that could not be written"
+  in
+  let ids =
+    [ ("fingerprint", M.String fp_hex); ("qid", M.String qid); ("ms", M.num ms) ]
+  in
+  Option.iter
+    (fun path ->
+      append path
+        ((("schema", M.String "sqlgraph-metrics-v1") :: ("sql", M.String sql)
+         :: ids)
+        @ [
+            ("ok", M.Bool (Result.is_ok r));
+            ("stats", Option.fold ~none:M.Null ~some:M.stats_json stats);
+          ]))
+    t.logs.firehose;
+  match (t.logs.slow_log, t.slow_query_ms) with
+  | Some path, Some thr when ms >= float_of_int thr ->
+    let spans =
+      (* with recording off the track's id is a stale statement's *)
+      (if Telemetry.Trace.enabled () then
+         Telemetry.Trace.self_ms_by_name
+           ~query:(Telemetry.Trace.current_query ())
+       else [])
+      |> List.filteri (fun i _ -> i < 3)
+      |> List.map (fun (name, self_ms) ->
+             M.Obj [ ("name", M.String name); ("self_ms", M.num self_ms) ])
+    in
+    let verdict = function
+      | Ok _ -> "ok"
+      | Error (Error.Resource_error { kind; _ }) -> Error.resource_kind_name kind
+      | Error _ -> "error"
+    in
+    append path
+      ((("ts", M.num (Unix.gettimeofday ())) :: ("query", M.String sql) :: ids)
+      @ [
+          ("rows", Option.fold ~none:M.Null ~some:(fun n -> M.Int n) rows);
+          ("verdict", M.String (verdict r));
+          ( "error",
+            Result.fold r ~ok:(fun _ -> M.Null) ~error:(fun e ->
+                M.String (Error.to_string e)) );
+          ("spans", M.List spans);
+        ])
+  | _ -> ()
 
 (* Every statement is observed here, once, after it was parsed: [fp] is
    the fingerprint of its AST, or of the rejected text when it did not
-   parse.  Allocate a query id (fingerprint hex + per-session sequence,
-   stamped on the "statement" span so a trace dump joins against
-   sqlgraph_stat_statements), run [f] under that span (closed on any
-   unwind), time it, absorb counters into the registry and the
-   fingerprint store, and — the stale-stats fix — clear [last_stats] on
-   failure so [\stats] can never silently report the previous
-   statement.  The trace's statement id was allocated by [parse] (per
-   statement in [exec_script_each]), so "parse" and "statement" spans
-   share it.
-
-   The fingerprint store records the *same* wall-clock delta the
-   sqlgraph_statement_seconds histogram observes, so the store's total
-   latency reconciles with the registry exactly. *)
-let observe t ~rows_of (fp, norm) f =
-  t.stmt_seq <- t.stmt_seq + 1;
+   parse.  The one place a query id is composed: fingerprint hex plus
+   [seq], the caller's (a server session's own counter) or this Db's.
+   Run [f] under a "statement" span stamped with the id (the trace's
+   statement id, allocated by [parse], is shared with the "parse"
+   span), time it, absorb counters into the registry and the
+   fingerprint store, write the log records, and — the stale-stats fix
+   — clear [last_stats] on failure so [\stats] can never silently
+   report the previous statement.  The histogram, the store and both
+   records see the *same* delta, which excludes the parse. *)
+let observe t ?seq ~sql ~rows_of (fp, norm) f =
+  if seq = None then t.stmt_seq <- t.stmt_seq + 1;
   let fp_hex = Sql.Fingerprint.to_hex fp in
-  let qid = Printf.sprintf "%s:%d" fp_hex t.stmt_seq in
+  let qid =
+    Printf.sprintf "%s:%d" fp_hex (Option.value seq ~default:t.stmt_seq)
+  in
   t.last_query_id <- Some qid;
-  t.last_fingerprint <- Some fp_hex;
   let before = t.last_stats in
   let t0 = Unix.gettimeofday () in
   let r =
     guard (fun () -> Telemetry.Trace.span ~attrs:[ ("qid", qid) ] "statement" f)
   in
   let dt = Unix.gettimeofday () -. t0 in
+  let ms = dt *. 1000. in
   let failed = Result.is_error r in
   if failed then t.last_stats <- None;
   let delta =
@@ -824,25 +880,28 @@ let observe t ~rows_of (fp, norm) f =
       (List.map (fun (_, count) -> Option.fold ~none:0 ~some:count delta)
          stat_counters)
   in
-  Stat_store.record t.stat_store ~fingerprint:fp ~query:norm
-    ~ms:(dt *. 1000.)
-    ~rows:(match r with Ok v -> rows_of v | Error _ -> 0)
+  let rows = match r with Ok v -> rows_of v | Error _ -> None in
+  Stat_store.record t.stat_store ~fingerprint:fp ~query:norm ~ms
+    ~rows:(Option.value rows ~default:0)
     ~failed ~gov_abort ~counters;
+  if not (t.replaying || t.logs == no_logs) then
+    write_records t ~sql ~fp_hex ~qid ~ms ~stats:delta ~rows r;
   r
 
 (* A statement refused before it runs still counts as a failed call of
    its fingerprint. *)
-let refuse t fp exn = observe t ~rows_of:(fun _ -> 0) fp (fun () -> raise exn)
+let refuse t ?seq ~sql fp exn =
+  observe t ?seq ~sql ~rows_of:(fun _ -> None) fp (fun () -> raise exn)
 
-let exec_parsed t ~params ~optimize ~gov ~sql stmt =
-  observe t ~rows_of:outcome_rows (Sql.Fingerprint.of_stmt stmt) (fun () ->
-      exec_stmt t ~sql ~params ~optimize ~gov stmt)
+let exec_parsed t ?seq ~params ~optimize ~gov ~sql stmt =
+  observe t ?seq ~sql ~rows_of:outcome_rows (Sql.Fingerprint.of_stmt stmt)
+    (fun () -> exec_stmt t ~sql ~params ~optimize ~gov stmt)
 
-let parse t sql =
+let parse t ?seq sql =
   ignore (Telemetry.Trace.next_query ());
   match Telemetry.Trace.span "parse" (fun () -> Sql.Parser.parse_stmt sql) with
   | stmt -> Ok stmt
-  | exception e -> refuse t (Sql.Fingerprint.of_unparsed sql) e
+  | exception e -> refuse t ?seq ~sql (Sql.Fingerprint.of_unparsed sql) e
 
 let exec t ?(params = [||]) ?(budget = Governor.no_limits) ?governor sql =
   (* [?governor] lets a caller hold the governor while the statement
@@ -875,19 +934,16 @@ let exec_script_each t ?(budget = Governor.no_limits) ~f sql =
           exec_parsed t ~params:[||] ~optimize:Relalg.Rewriter.default_options
             ~gov:(Governor.start budget) ~sql stmt
         in
-        let verdict = f ~sql r in
-        (match r with
-        | Error e -> Error e
-        | Ok _ -> ( match verdict with `Stop -> Ok () | `Continue -> go rest))
+        f r;
+        Result.bind r (fun _ -> go rest)
     in
     go stmts
 
 let exec_script t ?budget sql =
   let outs = ref [] in
   match
-    exec_script_each t ?budget sql ~f:(fun ~sql:_ r ->
-        (match r with Ok o -> outs := o :: !outs | Error _ -> ());
-        `Continue)
+    exec_script_each t ?budget sql
+      ~f:(Result.iter (fun o -> outs := o :: !outs))
   with
   | Ok () -> Ok (List.rev !outs)
   | Error e -> Error e
@@ -901,7 +957,7 @@ let query t ?(params = [||]) ?(optimize = Relalg.Rewriter.default_options)
       (function Selected r -> r | _ -> assert false (* SELECT => Selected *))
       (exec_parsed t ~params ~optimize ~gov:(Governor.start budget) ~sql stmt)
   | Ok stmt ->
-    refuse t
+    refuse t ~sql
       (Sql.Fingerprint.of_stmt stmt)
       (Relalg.Binder.Bind_error "query expects a SELECT statement")
 

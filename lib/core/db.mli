@@ -59,20 +59,26 @@ type exec_outcome =
   | Committed  (** COMMIT: snapshot discarded *)
   | Rolled_back  (** ROLLBACK: tables restored, graph caches cleared *)
 
-(** [parse db sql] — start a statement: allocate its trace id
+(** [parse db ?seq sql] — start a statement: allocate its trace id
     ({!Telemetry.Trace.next_query}) and parse it, once, under a
     ["parse"] span.  Text that does not parse is recorded as a failed
-    call of its token-level fingerprint, as {!exec} records it. *)
-val parse : t -> string -> (Sql.Ast.stmt, Error.t) result
+    call of its token-level fingerprint, as {!exec} records it, with
+    [seq] as in {!exec_parsed}. *)
+val parse : t -> ?seq:int -> string -> (Sql.Ast.stmt, Error.t) result
 
-(** [exec_parsed db ~params ~optimize ~gov ~sql stmt] — the entry every
-    statement runs through ({!exec}, {!query}, scripts and the server):
-    fingerprint [stmt] ({!Sql.Fingerprint.of_stmt}), stamp its query id
-    on a ["statement"] span, execute it under [gov] and record it in the
-    registry and stat store.  The recorded latency excludes the parse.
-    [sql] is the source text; it is used only as the WAL record. *)
+(** [exec_parsed db ?seq ~params ~optimize ~gov ~sql stmt] — the entry
+    every statement runs through ({!exec}, {!query}, scripts and the
+    server): fingerprint [stmt] ({!Sql.Fingerprint.of_stmt}), compose
+    its query id [<fingerprint-hex>:<seq>] and stamp it on a
+    ["statement"] span, execute it under [gov], record it in the
+    registry and stat store and write its log records (see {!logs}).
+    [seq] defaults to this Db's own statement counter; a server session
+    passes its session-monotone one.  The recorded latency excludes the
+    parse.  [sql] is the source text: the WAL record and the logs'
+    query text. *)
 val exec_parsed :
   t ->
+  ?seq:int ->
   params:Storage.Value.t array ->
   optimize:Relalg.Rewriter.options ->
   gov:Governor.t ->
@@ -115,15 +121,13 @@ val exec_script :
   t -> ?budget:Governor.budget -> string -> (exec_outcome list, Error.t) result
 
 (** [exec_script_each db ?budget ~f sql] — like {!exec_script}, but
-    invoke [f] after every statement with its rendered SQL text and its
-    result, so per-statement observers (the CLI's metrics sinks and
-    slow-query log) see failures and intermediate outcomes instead of an
-    all-or-nothing list.  Execution stops at the first error (returned),
-    or when [f] answers [`Stop] (returns [Ok ()]). *)
+    invoke [f] after every statement with its result, so the CLI prints
+    and dumps each one as it runs instead of an all-or-nothing list.
+    Execution stops at the first error (returned). *)
 val exec_script_each :
   t ->
   ?budget:Governor.budget ->
-  f:(sql:string -> (exec_outcome, Error.t) result -> [ `Continue | `Stop ]) ->
+  f:((exec_outcome, Error.t) result -> unit) ->
   string ->
   (unit, Error.t) result
 
@@ -197,12 +201,36 @@ val set_parallelism : t -> int -> unit
 val registry : t -> Telemetry.Registry.t
 
 (** Slow-query threshold in milliseconds ([SET slow_query_ms = n] / CLI
-    [--slow-query-ms]); [None] = disabled.  The Db stores the setting;
-    the CLI compares statement latency against it and appends NDJSON
-    records to the slow-query log. *)
+    [--slow-query-ms]); [None] = disabled.  A statement whose latency is
+    at or over it gets a record in the slow-query log, when {!logs}
+    names one. *)
 
 val slow_query_ms : t -> int option
 val set_slow_query_ms : t -> int option -> unit
+
+(** {1 Statement logs}
+
+    Where {!exec_parsed} writes NDJSON records: the slow-query log (per
+    statement at or over {!slow_query_ms}: ts, query, fingerprint, qid,
+    ms, rows — [null] with no row count — verdict, error, top-3 spans by
+    self time) and the firehose (per statement, sqlgraph-metrics-v1:
+    sql, fingerprint, qid, ms, ok, the statement's own counters).  [ms]
+    is the latency [sqlgraph_stat_statements] adds up.  A server shares
+    one value across its session Dbs; each record is one whole-line
+    [O_APPEND] write under the value's mutex. *)
+
+type logs
+
+val create_logs : ?slow_log:string -> ?firehose:string -> unit -> logs
+(** An absent destination is not written; a new Db has none. *)
+
+val logs : t -> logs
+val set_logs : t -> logs -> unit
+
+val without_logs : t -> (unit -> 'a) -> 'a
+(** [without_logs db f] — run [f] with no records written for [db]'s
+    statements: WAL replay and a standby's apply loop re-run statements
+    that were logged when they first ran. *)
 
 (** Read-only (inspection) mode: when set, every catalog-mutating
     statement (INSERT/UPDATE/DELETE/CREATE/DROP) is refused with a
@@ -279,14 +307,10 @@ val set_stat_store : t -> Stat_store.t -> unit
     reset]); the metrics registry is deliberately untouched. *)
 val reset_statement_stats : t -> unit
 
-(** [last_query_id db] — the query id ([<fingerprint-hex>:<seq>], with
-    [seq] monotone per Db) of the most recent statement, as stamped on
-    its trace span; [None] before the first statement. *)
+(** [last_query_id db] — the query id ([<fingerprint-hex>:<seq>], see
+    {!exec_parsed}) of the most recent statement, as stamped on its
+    trace span and its log records; [None] before the first statement. *)
 val last_query_id : t -> string option
-
-(** [last_fingerprint db] — the 16-hex-digit fingerprint of the most
-    recent statement's normalized text. *)
-val last_fingerprint : t -> string option
 
 (** Schemas of the provider-overridable system tables, shared by the
     default (empty) providers and the live ones in {!Wal} and the

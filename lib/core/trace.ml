@@ -57,14 +57,6 @@ let head = Atomic.make 0
 let base = Atomic.make 0 (* events discarded by [clear] *)
 let span_ctr = Atomic.make 0
 let query_ctr = Atomic.make 0
-let cur_query = Atomic.make 0
-
-let next_query () =
-  let q = 1 + Atomic.fetch_and_add query_ctr 1 in
-  Atomic.set cur_query q;
-  q
-
-let current_query () = Atomic.get cur_query
 
 let clear () =
   Atomic.set base (Atomic.get head);
@@ -79,11 +71,12 @@ let configure ~capacity =
   Atomic.set base 0
 
 (* Per-domain stack of open span ids: a growable int array so pushes
-   after warm-up allocate nothing. *)
-type stack = { mutable buf : int array; mutable len : int }
+   after warm-up allocate nothing.  [query] is the statement id every
+   event recorded on this track is stamped with. *)
+type stack = { mutable buf : int array; mutable len : int; mutable query : int }
 
-let stack_key =
-  Domain.DLS.new_key (fun () -> { buf = Array.make 32 (-1); len = 0 })
+let new_stack () = { buf = Array.make 32 (-1); len = 0; query = 0 }
+let stack_key = Domain.DLS.new_key new_stack
 
 let push st v =
   if st.len = Array.length st.buf then begin
@@ -111,7 +104,7 @@ let register_thread_track track =
   let key = Thread.id (Thread.self ()) in
   Mutex.lock thread_ctxs_mu;
   Hashtbl.replace thread_ctxs key
-    { ctx_track = track; ctx_stack = { buf = Array.make 32 (-1); len = 0 } };
+    { ctx_track = track; ctx_stack = new_stack () };
   Atomic.set have_thread_ctxs true;
   Mutex.unlock thread_ctxs_mu
 
@@ -136,7 +129,18 @@ let current_ctx () =
   else
     { ctx_track = (Domain.self () :> int); ctx_stack = Domain.DLS.get stack_key }
 
-let record kind ~track ~name ~sp ~parent ~attrs =
+(* The statement id lives on the track, not in a global: two sessions
+   interleaving statements each keep stamping their own. *)
+let set_query q = (current_ctx ()).ctx_stack.query <- q
+
+let next_query () =
+  let q = 1 + Atomic.fetch_and_add query_ctr 1 in
+  if Atomic.get on then set_query q;
+  q
+
+let current_query () = (current_ctx ()).ctx_stack.query
+
+let record kind ~track ~query ~name ~sp ~parent ~attrs =
   let r = !ring in
   let i = Atomic.fetch_and_add head 1 in
   let s = i mod r.cap in
@@ -145,7 +149,7 @@ let record kind ~track ~name ~sp ~parent ~attrs =
   r.track.(s) <- track;
   r.span.(s) <- sp;
   r.parent.(s) <- parent;
-  r.query.(s) <- Atomic.get cur_query;
+  r.query.(s) <- query;
   r.name.(s) <- name;
   r.attrs.(s) <- attrs
 
@@ -161,7 +165,7 @@ let begin_span ?parent ?(attrs = []) name =
     in
     let sp = 1 + Atomic.fetch_and_add span_ctr 1 in
     push st sp;
-    record k_begin ~track:c.ctx_track ~name ~sp ~parent ~attrs;
+    record k_begin ~track:c.ctx_track ~query:st.query ~name ~sp ~parent ~attrs;
     sp
   end
 
@@ -169,7 +173,7 @@ let end_span ?(attrs = []) sp =
   if sp >= 0 && Atomic.get on then begin
     let c = current_ctx () in
     let st = c.ctx_stack in
-    let track = c.ctx_track in
+    let track = c.ctx_track and query = st.query in
     (* Find [sp] on this track's stack; close any children above it
        first so an exceptional unwind cannot leave the track skewed. *)
     let pos = ref (-1) in
@@ -179,13 +183,14 @@ let end_span ?(attrs = []) sp =
     if !pos < 0 then
       (* Not opened on this track (or stack already unwound): record
          the end anyway so the pair completes. *)
-      record k_end ~track ~name:"" ~sp ~parent:(-1) ~attrs
+      record k_end ~track ~query ~name:"" ~sp ~parent:(-1) ~attrs
     else begin
       for i = st.len - 1 downto !pos + 1 do
-        record k_end ~track ~name:"" ~sp:st.buf.(i) ~parent:(-1) ~attrs:[]
+        record k_end ~track ~query ~name:"" ~sp:st.buf.(i) ~parent:(-1)
+          ~attrs:[]
       done;
       st.len <- !pos;
-      record k_end ~track ~name:"" ~sp ~parent:(-1) ~attrs
+      record k_end ~track ~query ~name:"" ~sp ~parent:(-1) ~attrs
     end
   end
 
@@ -194,7 +199,8 @@ let instant ?(attrs = []) name =
     let c = current_ctx () in
     let st = c.ctx_stack in
     let parent = if st.len = 0 then -1 else st.buf.(st.len - 1) in
-    record k_instant ~track:c.ctx_track ~name ~sp:(-1) ~parent ~attrs
+    record k_instant ~track:c.ctx_track ~query:st.query ~name ~sp:(-1) ~parent
+      ~attrs
   end
 
 let span ?attrs name f =
@@ -227,7 +233,7 @@ let live_window () =
   let first = max b (h - r.cap) in
   (r, first, h)
 
-let events () =
+let events_of keep =
   let r, first, h = live_window () in
   (* End events store no name in the ring (the writer doesn't know it);
      re-join from the Begin still in the window so readers see pairs. *)
@@ -235,34 +241,38 @@ let events () =
   let out = ref [] in
   for i = first to h - 1 do
     let s = i mod r.cap in
-    let k =
-      if r.kind.(s) = k_begin then Begin
-      else if r.kind.(s) = k_end then End
-      else Instant
-    in
-    let name =
-      match k with
-      | Begin ->
-        Hashtbl.replace names r.span.(s) r.name.(s);
-        r.name.(s)
-      | End when r.name.(s) = "" ->
-        Option.value ~default:"" (Hashtbl.find_opt names r.span.(s))
-      | _ -> r.name.(s)
-    in
-    out :=
-      {
-        ev_kind = k;
-        ev_ts = r.ts.(s);
-        ev_name = name;
-        ev_track = r.track.(s);
-        ev_span = r.span.(s);
-        ev_parent = r.parent.(s);
-        ev_query = r.query.(s);
-        ev_attrs = r.attrs.(s);
-      }
-      :: !out
+    if keep r.query.(s) then begin
+      let k =
+        if r.kind.(s) = k_begin then Begin
+        else if r.kind.(s) = k_end then End
+        else Instant
+      in
+      let name =
+        match k with
+        | Begin ->
+          Hashtbl.replace names r.span.(s) r.name.(s);
+          r.name.(s)
+        | End when r.name.(s) = "" ->
+          Option.value ~default:"" (Hashtbl.find_opt names r.span.(s))
+        | _ -> r.name.(s)
+      in
+      out :=
+        {
+          ev_kind = k;
+          ev_ts = r.ts.(s);
+          ev_name = name;
+          ev_track = r.track.(s);
+          ev_span = r.span.(s);
+          ev_parent = r.parent.(s);
+          ev_query = r.query.(s);
+          ev_attrs = r.attrs.(s);
+        }
+        :: !out
+    end
   done;
   List.rev !out
+
+let events () = events_of (fun _ -> true)
 
 let dropped () =
   let r = !ring in
@@ -270,27 +280,27 @@ let dropped () =
   max 0 (h - b - r.cap)
 
 (* Completed spans of one statement: (span, parent, name, dur).  End
-   events carry no name, so join on span id. *)
-let completed_spans ~query evs =
+   events carry no name, so join on span id.  Only the statement's own
+   events are materialized: the ring can hold 65536. *)
+let completed_spans ~query =
   let begins = Hashtbl.create 64 in
   let spans = ref [] in
   List.iter
     (fun e ->
-      if e.ev_query = query then
-        match e.ev_kind with
-        | Begin -> Hashtbl.replace begins e.ev_span (e.ev_name, e.ev_parent, e.ev_ts)
-        | End -> (
-            match Hashtbl.find_opt begins e.ev_span with
-            | Some (name, parent, t0) ->
-                Hashtbl.remove begins e.ev_span;
-                spans := (e.ev_span, parent, name, e.ev_ts -. t0) :: !spans
-            | None -> ())
-        | Instant -> ())
-    evs;
+      match e.ev_kind with
+      | Begin -> Hashtbl.replace begins e.ev_span (e.ev_name, e.ev_parent, e.ev_ts)
+      | End -> (
+          match Hashtbl.find_opt begins e.ev_span with
+          | Some (name, parent, t0) ->
+              Hashtbl.remove begins e.ev_span;
+              spans := (e.ev_span, parent, name, e.ev_ts -. t0) :: !spans
+          | None -> ())
+      | Instant -> ())
+    (events_of (Int.equal query));
   !spans
 
 let self_ms_by_name ~query =
-  let spans = completed_spans ~query (events ()) in
+  let spans = completed_spans ~query in
   let child_time = Hashtbl.create 64 in
   List.iter
     (fun (_, parent, _, dur) ->

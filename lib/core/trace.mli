@@ -51,11 +51,20 @@ val clear : unit -> unit
 (** {1 Query ids} *)
 
 val next_query : unit -> int
-(** Allocate a fresh statement id and make it current; every event
-    recorded until the next call is stamped with it.  Called by [Db] at
-    statement start (spawned domains inherit the current id). *)
+(** Allocate a fresh statement id and, while recording is enabled, make
+    it current on the calling track (the registered thread's, else the
+    domain's); every event that track records until its next call is
+    stamped with it.  Called by [Db] at statement start.  Another
+    track's statements never change it, so concurrent sessions keep
+    their own ids. *)
 
 val current_query : unit -> int
+(** The calling track's statement id from its last {!next_query} while
+    recording was enabled ([0] before the first). *)
+
+val set_query : int -> unit
+(** Make [q] the calling track's current statement id: a worker domain
+    adopts the id of the statement its coordinator is running. *)
 
 (** {1 Recording} *)
 

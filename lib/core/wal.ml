@@ -776,8 +776,10 @@ let gc_stale dir ~keep =
    marker.  The trailing run of 'S' with no marker is returned unapplied,
    in log order: recovery discards it (a transaction whose COMMIT was
    never acknowledged), a standby keeps it and replays it ahead of the
-   next records shipped to it. *)
+   next records shipped to it.  Replayed statements write no log
+   records: each was logged when it first ran. *)
 let replay db records =
+  Db.without_logs db @@ fun () ->
   let replayed = ref 0 and failed = ref 0 in
   let apply (_, params, sql) =
     match Db.exec db ~params sql with

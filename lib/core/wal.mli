@@ -182,7 +182,8 @@ val replay : Db.t -> record list -> int * int * record list
     failed, uncommitted)]: statements applied, statements that errored,
     and the trailing 'S' run with no marker, unapplied and in log order.
     Recovery discards that run; a standby keeps it and passes it back
-    ahead of the next records it receives. *)
+    ahead of the next records it receives.  Runs under
+    {!Db.without_logs}: a replayed statement writes no log record. *)
 
 val open_replica :
   ?fsync:bool -> string -> (t * Db.t * recovery, Error.t) result

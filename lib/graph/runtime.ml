@@ -404,15 +404,19 @@ let run_sched t ~counts ~slot_w ~heap ~check ~rev ~paths ~out ~domains
         let lo = k * ntasks / workers and hi = (k + 1) * ntasks / workers in
         if lo >= hi then [] else [ (lo, hi) ])
   in
-  (* Each worker records onto its own track; parent its root span to the
-     coordinator's batch span so the timeline links up. *)
+  (* Each worker records onto its own track, under the coordinator's
+     statement id; parent its root span to the coordinator's batch span
+     so the timeline links up. *)
   let batch_span = Tr.current_span () in
+  let query = if Tr.enabled () then Tr.current_query () else 0 in
   let around k body =
     let sp =
-      if Tr.enabled () then
+      if Tr.enabled () then begin
+        Tr.set_query query;
         Tr.begin_span ~parent:batch_span
           ~attrs:[ ("worker", string_of_int k) ]
           "domain"
+      end
       else -1
     in
     Fun.protect ~finally:(fun () -> Tr.end_span sp) body

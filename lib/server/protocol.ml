@@ -154,7 +154,11 @@ let hello ~sid ~snapshot =
 let bye reason = "BYE " ^ escape reason
 
 let row cells =
-  "ROW " ^ String.concat "\t" (List.map (fun c -> escape (Storage.Value.to_display c)) cells)
+  let text = function
+    | Storage.Value.Float x -> Storage.Value.float_text x
+    | c -> Storage.Value.to_display c
+  in
+  "ROW " ^ String.concat "\t" (List.map (fun c -> escape (text c)) cells)
 
 let error_category (e : Sqlgraph.Error.t) =
   match e with

@@ -52,7 +52,9 @@ val hello : sid:int -> snapshot:int -> string
 val bye : string -> string
 
 val row : Storage.Value.t list -> string
-(** [ROW] line: tab-separated escaped cell displays. *)
+(** [ROW] line: tab-separated escaped cell displays; a DOUBLE is
+    written with {!Storage.Value.float_text}, so it reads back as the
+    same double. *)
 
 val err : Sqlgraph.Error.t -> string
 (** [ERR <category> <message>] with category derived from the error

@@ -139,7 +139,7 @@ let session_note t ~sid ~qid ~snapshot ~in_txn =
   (match Hashtbl.find_opt t.session_infos sid with
   | Some si ->
     si.si_statements <- si.si_statements + 1;
-    (match qid with Some _ -> si.si_last_qid <- qid | None -> ());
+    si.si_last_qid <- qid;
     si.si_snapshot <- snapshot;
     si.si_in_txn <- in_txn
   | None -> ());

@@ -45,9 +45,9 @@ type t = {
   mutable loaded_version : int; (* snapshot version session_db actually holds *)
   mutable holding_writer : bool; (* BEGIN..COMMIT keeps the writer lock *)
   mutable stmt_seq : int;
-      (* statements executed by this session, across both the private
-         and the shared Db — the :<seq> of its query ids, monotone per
-         session by construction *)
+      (* SQL requests of this session, across both the private and the
+         shared Db — the :<seq> of its query ids, monotone per session
+         by construction (neither Db's own counter is) *)
   mutable last_qid : string option; (* latest query id (wire + stat_sessions) *)
   gov_mu : Mutex.t;
   mutable current_gov : Governor.t option; (* in-flight statement's governor *)
@@ -144,36 +144,28 @@ let read_event t lines discarding =
 
 (* --- statement execution ------------------------------------------- *)
 
+(* Run a statement under the session's sequence number ([execute]
+   allocated it); Db.exec_parsed composes the query id from it, which
+   becomes [last_qid].  Safe to read the id off the shared Db: we hold
+   the writer lock whenever a statement runs there. *)
 let exec_with_gov t db ~sql stmt =
   let gov = Governor.start (Scheduler.config t.sched).budget in
   Mutex.lock t.gov_mu;
   t.current_gov <- Some gov;
   Mutex.unlock t.gov_mu;
   let r =
-    Db.exec_parsed db ~params:[||] ~optimize:Relalg.Rewriter.default_options
-      ~gov ~sql stmt
+    Db.exec_parsed db ~seq:t.stmt_seq ~params:[||]
+      ~optimize:Relalg.Rewriter.default_options ~gov ~sql stmt
   in
   Mutex.lock t.gov_mu;
   t.current_gov <- None;
   Mutex.unlock t.gov_mu;
-  (* Query id: the statement's fingerprint (just stamped on [db] by
-     Db.exec_parsed) plus this session's own sequence number.  The session
-     allocates the sequence — statements interleave across the private
-     and shared Db, so neither Db's counter is session-monotone.  Safe
-     to read off the shared Db: we hold the writer lock whenever a
-     statement runs there. *)
-  t.stmt_seq <- t.stmt_seq + 1;
-  let qid =
-    Option.map
-      (fun fp -> Printf.sprintf "%s:%d" fp t.stmt_seq)
-      (Db.last_fingerprint db)
-  in
-  (match qid with Some _ -> t.last_qid <- qid | None -> ());
-  (r, qid)
+  t.last_qid <- Db.last_query_id db;
+  r
 
-let render t ?qid r =
+let render t r =
   match r with
-  | Ok o -> Protocol.ok_outcome ?qid ~snapshot:t.last_version o
+  | Ok o -> Protocol.ok_outcome ?qid:t.last_qid ~snapshot:t.last_version o
   | Error e -> [ Protocol.err e ]
 
 (* Run one statement that holds (or already held) the writer lock, then
@@ -182,17 +174,14 @@ let render t ?qid r =
    caller batches those waits across pipelined requests, so it is NOT
    awaited here. *)
 let exec_write_prepare t ~release ~sql stmt =
-  let shared = Scheduler.db t.sched in
-  let r, qid = exec_with_gov t shared ~sql stmt in
+  let r = exec_with_gov t (Scheduler.db t.sched) ~sql stmt in
   (* publish even after a failed statement: the shared Db's state —
      whatever it is — is what the next snapshot must show *)
   Scheduler.publish t.sched;
   let target = Scheduler.log_target t.sched in
   t.last_version <- Scheduler.snapshot_version t.sched;
   if release then Scheduler.writer_release t.sched;
-  match r with
-  | Error _ -> (render t r, None)
-  | Ok o -> (Protocol.ok_outcome ?qid ~snapshot:t.last_version o, Some target)
+  (render t r, if Result.is_ok r then Some target else None)
 
 (* [last_version] can run ahead of [loaded_version]: a write observes
    the new snapshot immediately (it made it), but the private replica
@@ -249,10 +238,11 @@ type item =
 
 (* Execute one request inside a batch.  The request is parsed here, once:
    the dispatch below and the Db both work on this AST.  A parse error
-   is recorded on the private Db (whose stat store is the shared one),
-   the same way Db.exec records it. *)
+   is recorded on the private Db (whose stat store and logs are the
+   shared ones), the same way Db.exec records it. *)
 let execute t b sql =
-  match Db.parse t.session_db sql with
+  t.stmt_seq <- t.stmt_seq + 1;
+  match Db.parse t.session_db ~seq:t.stmt_seq sql with
   | Error e ->
     batch_flush t b;
     Immediate [ Protocol.err e ]
@@ -261,27 +251,23 @@ let execute t b sql =
     | Sql.Ast.Set_option _ ->
       (* session-local knobs (parallelism, limits) live on the private Db *)
       batch_flush t b;
-      let r, qid = exec_with_gov t t.session_db ~sql stmt in
-      Immediate (render t ?qid r)
+      Immediate (render t (exec_with_gov t t.session_db ~sql stmt))
     | Sql.Ast.Select _ | Sql.Ast.Explain _ ->
       if t.holding_writer then begin
         (* in-transaction read: read-your-writes on the shared Db (safe —
            we hold the writer lock, nothing else can touch it) *)
-        let r, qid = exec_with_gov t (Scheduler.db t.sched) ~sql stmt in
-        Immediate (render t ?qid r)
+        Immediate (render t (exec_with_gov t (Scheduler.db t.sched) ~sql stmt))
       end
       else begin
         (* publish any batched writes first: read-your-writes *)
         batch_flush t b;
         refresh t;
-        let r, qid = exec_with_gov t t.session_db ~sql stmt in
-        Immediate (render t ?qid r)
+        Immediate (render t (exec_with_gov t t.session_db ~sql stmt))
       end
     | Sql.Ast.Begin_txn -> (
       if t.holding_writer then begin
         (* nested BEGIN: let the shared Db produce its usual error *)
-        let r, qid = exec_with_gov t (Scheduler.db t.sched) ~sql stmt in
-        Immediate (render t ?qid r)
+        Immediate (render t (exec_with_gov t (Scheduler.db t.sched) ~sql stmt))
       end
       else begin
         batch_flush t b;
@@ -289,20 +275,16 @@ let execute t b sql =
         | `Busy retry_ms ->
           Immediate [ Protocol.err_busy ~retry_ms "write queue full" ]
         | `Ok -> (
-          match exec_with_gov t (Scheduler.db t.sched) ~sql stmt with
-          | (Ok _ as r), qid ->
-            t.holding_writer <- true;
-            Immediate (render t ?qid r)
-          | (Error _ as r), qid ->
-            Scheduler.writer_release t.sched;
-            Immediate (render t ?qid r))
+          let r = exec_with_gov t (Scheduler.db t.sched) ~sql stmt in
+          if Result.is_ok r then t.holding_writer <- true
+          else Scheduler.writer_release t.sched;
+          Immediate (render t r))
       end)
     | Sql.Ast.Commit_txn | Sql.Ast.Rollback_txn ->
       if not t.holding_writer then begin
         (* no open transaction: the private Db raises the usual error *)
         batch_flush t b;
-        let r, qid = exec_with_gov t t.session_db ~sql stmt in
-        Immediate (render t ?qid r)
+        Immediate (render t (exec_with_gov t t.session_db ~sql stmt))
       end
       else begin
         t.holding_writer <- false;
@@ -318,19 +300,18 @@ let execute t b sql =
       if t.holding_writer then begin
         (* inside BEGIN: apply + buffer; durability (and publication)
            happen at COMMIT, atomically with the rest of the txn *)
-        let r, qid = exec_with_gov t (Scheduler.db t.sched) ~sql stmt in
-        Immediate (render t ?qid r)
+        Immediate (render t (exec_with_gov t (Scheduler.db t.sched) ~sql stmt))
       end
       else if b.wlock then (
         (* already mid-run: keep the lock, defer the publish *)
         match exec_with_gov t (Scheduler.db t.sched) ~sql stmt with
-        | Ok o, qid ->
+        | Ok o ->
           let v = ref t.last_version in
           b.vrefs <- v :: b.vrefs;
-          Deferred (o, v, qid)
-        | (Error _ as r), qid ->
+          Deferred (o, v, t.last_qid)
+        | Error _ as r ->
           (* errors carry no snapshot: render now, but keep batching *)
-          Immediate (render t ?qid r))
+          Immediate (render t r))
       else (
         match Scheduler.writer_acquire t.sched with
         | `Busy retry_ms ->
@@ -338,15 +319,14 @@ let execute t b sql =
         | `Ok -> (
           b.wlock <- true;
           match exec_with_gov t (Scheduler.db t.sched) ~sql stmt with
-          | Ok o, qid ->
+          | Ok o ->
             let v = ref t.last_version in
             b.vrefs <- v :: b.vrefs;
-            Deferred (o, v, qid)
-          | (Error _ as r), qid -> Immediate (render t ?qid r)))
+            Deferred (o, v, t.last_qid)
+          | Error _ as r -> Immediate (render t r)))
     | _ ->
       batch_flush t b;
-      let r, qid = exec_with_gov t t.session_db ~sql stmt in
-      Immediate (render t ?qid r))
+      Immediate (render t (exec_with_gov t t.session_db ~sql stmt)))
 
 (* Execute every request of [batch] in order, then acknowledge them all
    at once: the durability waits collapse into one group-commit wait on
@@ -549,12 +529,14 @@ let spawn sched ~sid fd =
   let session_db = Db.create ~indices:(Db.indices shared) () in
   (* Introspection wiring (DESIGN.md §14): reads run on the private Db,
      so its system tables must show *server* state, not the replica's
-     defaults.  The fingerprint store is shared outright — every
-     session's statements land in one sqlgraph_stat_statements view —
-     and the session-scoped providers delegate to the scheduler (or the
-     shared Db, for the WAL table, which is registered there by
-     recovery). *)
+     defaults.  The fingerprint store and the statement logs are shared
+     outright (one sqlgraph_stat_statements view, one pair of log
+     files); the slow-query threshold starts from the server's; the
+     session-scoped providers delegate to the scheduler (or the shared
+     Db, for the WAL table, which is registered there by recovery). *)
   Db.set_stat_store session_db (Db.stat_store shared);
+  Db.set_logs session_db (Db.logs shared);
+  Db.set_slow_query_ms session_db (Db.slow_query_ms shared);
   (match
      Storage.Catalog.virtual_provider (Db.catalog shared) "sqlgraph_stat_wal"
    with

@@ -111,6 +111,17 @@ let rec to_display = function
     Printf.sprintf "(%s)"
       (String.concat ", " (Array.to_list (Array.map to_display xs)))
 
+let float_text x =
+  let exact text = Float.equal (float_of_string text) x in
+  let display = to_display (Float x) in
+  if exact display then display
+  else
+    let rec shortest p =
+      let text = Printf.sprintf "%.*g" p x in
+      if p >= 17 || exact text then text else shortest (p + 1)
+    in
+    shortest 15
+
 let cast v ty =
   let fail () =
     Error

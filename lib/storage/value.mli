@@ -54,6 +54,11 @@ val to_string_opt : t -> string option
 (** [to_display v] renders [v] for result-set output ([Null] as ["NULL"]). *)
 val to_display : t -> string
 
+(** [float_text x] — text that reads back as exactly [x]: the
+    {!to_display} text if it does, else the shortest [%.15g]..[%.17g]
+    that does.  Checkpoints and wire rows write DOUBLE with it. *)
+val float_text : float -> string
+
 (** [cast v ty] converts [v] to type [ty] following SQL CAST rules;
     [Error _] when the conversion is not possible. [Null] casts to [Null]. *)
 val cast : t -> Dtype.t -> (t, string) result

@@ -375,6 +375,47 @@ let test_data_dir_recovers () =
             (contains out "3 statements replayed");
           check tbool "rows survived" true (contains out "| 3")))
 
+(* Recovery replays the first run's statements without logging them
+   again: each log holds one record per statement either run executed. *)
+let test_recovery_writes_no_records () =
+  with_temp_dir (fun dir ->
+      with_temp_out (fun fire ->
+          with_temp_out (fun slow ->
+              let run sql =
+                with_temp_file sql (fun script ->
+                    let code, _ =
+                      run_cli
+                        (Printf.sprintf
+                           "run %s --data-dir %s --json-metrics-append %s \
+                            --slow-query-ms 0 --slow-query-log %s"
+                           (Filename.quote script) (Filename.quote dir)
+                           (Filename.quote fire) (Filename.quote slow))
+                    in
+                    check tbool "exit 0" true (code = 0))
+              in
+              run "CREATE TABLE t (a INTEGER);\nINSERT INTO t VALUES (1), (2);\n";
+              run "SELECT COUNT(*) FROM t;\n";
+              List.iter
+                (fun (what, path, key) ->
+                  let texts =
+                    List.map
+                      (fun l ->
+                        Testjson.Json_support.to_string_opt
+                          (Testjson.Json_support.member key
+                             (parse_json what l)))
+                      (ndjson_lines path)
+                  in
+                  check
+                    (Alcotest.list (Alcotest.option Alcotest.string))
+                    (what ^ ": one record per executed statement")
+                    [
+                      Some "CREATE TABLE t (a INTEGER)";
+                      Some "INSERT INTO t VALUES (1), (2)";
+                      Some "SELECT COUNT(*) FROM t";
+                    ]
+                    texts)
+                [ ("firehose", fire, "sql"); ("slow log", slow, "query") ])))
+
 let test_data_dir_checkpoint_meta () =
   with_temp_dir (fun dir ->
       let ddir = Filename.quote dir in
@@ -463,6 +504,8 @@ let () =
       ( "durability",
         [
           Alcotest.test_case "--data-dir recovers" `Quick test_data_dir_recovers;
+          Alcotest.test_case "recovery writes no log records" `Quick
+            test_recovery_writes_no_records;
           Alcotest.test_case "\\checkpoint meta-command" `Quick
             test_data_dir_checkpoint_meta;
           Alcotest.test_case "torn tail warning" `Quick

@@ -146,6 +146,14 @@ let connect srv =
   Server.attach srv a;
   (Client.of_fd b, b)
 
+(* The non-empty lines of a log file; none when it was never written. *)
+let log_lines path =
+  if not (Sys.file_exists path) then []
+  else
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+
 (* ------------------------------------------------------------------ *)
 (* Ship chunks: frame-aligned cuts, each decoded whole *)
 
@@ -317,6 +325,47 @@ let test_catchup_and_stream () =
 (* A standby joining with a divergent history (fresh directory, primary
    already past a checkpoint) takes the full-resync path: checkpoint
    files shipped, generation fenced, log tailed from its start. *)
+(* The standby's apply loop re-runs statements the primary already
+   logged: it writes no records, while a read served by the standby
+   does. *)
+let test_apply_loop_writes_no_records () =
+  with_temp_dir (fun dir ->
+      let slow = Filename.concat dir "slow.ndjson"
+      and fire = Filename.concat dir "fire.ndjson" in
+      with_cluster
+        ~init:(fun db -> exec_exn db "CREATE TABLE t (v INTEGER)")
+        (fun c ->
+          Db.set_logs c.rdb (Db.create_logs ~slow_log:slow ~firehose:fire ());
+          Db.set_slow_query_ms c.rdb (Some 0);
+          let cl, _ = connect c.psrv in
+          for k = 1 to 3 do
+            check tbool "insert acked" true
+              (Client.is_ok
+                 (Client.request cl (Printf.sprintf "INSERT INTO t VALUES (%d)" k)))
+          done;
+          Client.close cl;
+          wait_caught_up c;
+          check (Alcotest.list Alcotest.string) "applied batches logged nothing" []
+            (log_lines slow @ log_lines fire);
+          let rc, _ = connect c.rsrv in
+          let lines = Client.request rc "SELECT COUNT(*) FROM t" in
+          check tbool "standby sees the rows" true (List.mem "ROW 3" lines);
+          let qid =
+            match Sqlgraph_server.Protocol.decode_reply (Client.terminal lines) with
+            | Some (Sqlgraph_server.Protocol.Ok { qid = Some q; _ }) -> q
+            | _ -> Alcotest.fail "no qid on the standby's OK"
+          in
+          Client.close rc;
+          List.iter
+            (fun path ->
+              match log_lines path with
+              | [ line ] ->
+                check tbool "the served read's record" true
+                  (Astring.String.is_infix ~affix:(Printf.sprintf "\"qid\":\"%s\"" qid)
+                     line)
+              | l -> Alcotest.failf "%s: %d records, expected 1" path (List.length l))
+            [ slow; fire ]))
+
 let test_full_resync () =
   with_temp_dir (fun pdir ->
       with_temp_dir (fun rdir ->
@@ -667,6 +716,8 @@ let () =
             test_catchup_and_stream;
           Alcotest.test_case "full resync across generations" `Quick
             test_full_resync;
+          Alcotest.test_case "apply loop writes no log records" `Quick
+            test_apply_loop_writes_no_records;
         ] );
       ( "pool",
         [

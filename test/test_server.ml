@@ -1347,6 +1347,198 @@ let test_two_session_qids () =
       Client.close c2)
 
 (* ------------------------------------------------------------------ *)
+(* Statement logs over the wire: the slow-query log and the
+   --json-metrics-append firehose, written by Db.exec_parsed itself *)
+
+(* A server whose Db writes both statement logs, every statement slow. *)
+let with_logged_server f =
+  with_temp_dir (fun dir ->
+      Sys.mkdir dir 0o755;
+      let slow = Filename.concat dir "slow.ndjson"
+      and fire = Filename.concat dir "fire.ndjson" in
+      let db = fresh_db () in
+      Db.set_logs db (Db.create_logs ~slow_log:slow ~firehose:fire ());
+      Db.set_slow_query_ms db (Some 0);
+      with_server db (fun srv -> f srv ~slow ~fire))
+
+(* Every record of an NDJSON log, parsed; a malformed line fails. *)
+let log_records path =
+  if not (Sys.file_exists path) then []
+  else
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+    |> List.map (fun line ->
+           match Testjson.Json_support.parse_result line with
+           | Ok j -> j
+           | Error m -> Alcotest.failf "malformed log line %S: %s" line m)
+
+let field name j = Testjson.Json_support.(to_string_opt (member name j))
+
+let record_qid j =
+  match field "qid" j with
+  | Some q -> q
+  | None -> Alcotest.fail "log record without a qid"
+
+let record_ms j =
+  match Testjson.Json_support.member "ms" j with
+  | Some (Sqlgraph.Metrics.Float f) -> f
+  | _ -> Alcotest.fail "log record without a numeric ms"
+
+(* One record per served statement in each log, in order, each naming
+   the qid its OK line carried; a failed statement is recorded too. *)
+let test_served_statements_logged () =
+  with_logged_server (fun srv ~slow ~fire ->
+      let c = connect1 srv in
+      let stmts =
+        [
+          "INSERT INTO t VALUES (4)";
+          "SELECT COUNT(*) FROM t";
+          "SET parallelism = 2";
+          "BEGIN";
+          "INSERT INTO t VALUES (5)";
+          "COMMIT";
+          "SELECT nope FROM t";
+          "SELECT a FROM t WHERE a > 2 ORDER BY a";
+        ]
+      in
+      let wire =
+        List.map (fun sql -> qid_of_reply (Client.request ~timeout_ms:5_000 c sql))
+          stmts
+      in
+      check tint "only the bad column failed" 1
+        (List.length (List.filter Option.is_none wire));
+      List.iter
+        (fun (what, path) ->
+          let recs = log_records path in
+          check tint (what ^ ": one record per statement") (List.length stmts)
+            (List.length recs);
+          List.iter2
+            (fun w j ->
+              match w with
+              | Some q -> check tstr (what ^ ": qid of the OK line") q (record_qid j)
+              | None -> ignore (record_qid j))
+            wire recs)
+        [ ("slow log", slow); ("firehose", fire) ];
+      let slow_recs = log_records slow and fire_recs = log_records fire in
+      check (Alcotest.list (Alcotest.option tstr)) "verdicts"
+        (List.map
+           (fun w -> Some (if w = None then "error" else "ok"))
+           wire)
+        (List.map (field "verdict") slow_recs);
+      check (Alcotest.list (Alcotest.float 0.)) "both logs carry one ms"
+        (List.map record_ms slow_recs) (List.map record_ms fire_recs);
+      (* the logged ms is the delta sqlgraph_stat_statements adds up *)
+      let last = List.nth slow_recs (List.length stmts - 1) in
+      let resp =
+        Client.request ~timeout_ms:5_000 c
+          (Printf.sprintf
+             "SELECT total_ms FROM sqlgraph_stat_statements WHERE fingerprint \
+              = '%s'"
+             (Option.get (field "fingerprint" last)))
+      in
+      (match List.filter (has_prefix ~prefix:"ROW ") resp with
+      | [ r ] ->
+        check (Alcotest.float 0.) "stat total_ms = logged ms" (record_ms last)
+          (float_of_string (String.sub r 4 (String.length r - 4)))
+      | rows -> Alcotest.failf "expected one stat row, got %d" (List.length rows));
+      Client.close c)
+
+(* The trace's "statement" span names the qid the wire reported, for a
+   write on the shared Db and a read on the session's private one. *)
+let test_trace_qid_matches_wire () =
+  let db = fresh_db () in
+  Telemetry.Trace.configure ~capacity:4096;
+  Telemetry.Trace.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.Trace.set_enabled false)
+  @@ fun () ->
+  with_server db (fun srv ->
+      let c = connect1 srv in
+      let qid sql =
+        match qid_of_reply (Client.request ~timeout_ms:5_000 c sql) with
+        | Some q -> q
+        | None -> Alcotest.failf "no qid on %S" sql
+      in
+      let wire =
+        List.map qid [ "INSERT INTO t VALUES (4)"; "SELECT COUNT(*) FROM t" ]
+      in
+      let spans =
+        List.filter_map
+          (fun (e : Telemetry.Trace.event) ->
+            if e.ev_kind = Telemetry.Trace.Begin && e.ev_name = "statement"
+            then List.assoc_opt "qid" e.ev_attrs
+            else None)
+          (Telemetry.Trace.events ())
+      in
+      check (Alcotest.list tstr) "statement span qids = wire qids" wire spans;
+      Client.close c)
+
+(* Two sessions writing and reading at once: each log holds exactly one
+   whole, well-formed line per statement, and the records' qids are the
+   wire's. *)
+let test_concurrent_sessions_share_logs () =
+  let n = 40 in
+  with_logged_server (fun srv ~slow ~fire ->
+      let run me () =
+        let c = connect1 srv in
+        let qids =
+          List.init n (fun i ->
+              let sql =
+                if i mod 4 = 0 then
+                  Printf.sprintf "INSERT INTO t VALUES (%d)" ((100 * me) + i)
+                else Printf.sprintf "SELECT COUNT(*) FROM t WHERE a > %d" i
+              in
+              qid_of_reply (Client.request ~timeout_ms:10_000 c sql))
+        in
+        Client.close c;
+        qids
+      in
+      let results = Array.make 2 [] in
+      let threads =
+        Array.init 2 (fun me ->
+            Thread.create (fun () -> results.(me) <- run me ()) ())
+      in
+      Array.iter Thread.join threads;
+      let wire = List.concat (Array.to_list results) in
+      check tint "every statement answered OK" (2 * n)
+        (List.length (List.filter Option.is_some wire));
+      let sorted l = List.sort compare l in
+      List.iter
+        (fun (what, path) ->
+          let recs = log_records path in
+          check tint (what ^ ": 2N lines") (2 * n) (List.length recs);
+          check (Alcotest.list tstr) (what ^ ": the wire's qids")
+            (sorted (List.filter_map Fun.id wire))
+            (sorted (List.map record_qid recs)))
+        [ ("slow log", slow); ("firehose", fire) ])
+
+(* A served DOUBLE reads back bit-exact; CAST to VARCHAR keeps its
+   display text. *)
+let test_served_double_exact () =
+  with_server (fresh_db ()) (fun srv ->
+      let c = connect1 srv in
+      List.iter
+        (fun x ->
+          let sql =
+            Printf.sprintf
+              "SELECT CAST(%.17g AS DOUBLE) AS x, CAST(CAST(%.17g AS DOUBLE) AS \
+               VARCHAR) AS s"
+              x x
+          in
+          match List.filter (has_prefix ~prefix:"ROW ") (Client.request c sql) with
+          | [ r ] -> (
+            match row_cells r with
+            | [ text; display ] ->
+              check (Alcotest.float 0.) (sql ^ " reads back") x
+                (float_of_string text);
+              check tstr "CAST to VARCHAR unchanged"
+                (V.to_display (V.Float x)) display
+            | _ -> Alcotest.failf "%s: unexpected row %S" sql r)
+          | _ -> Alcotest.failf "%s: expected one row" sql)
+        [ 0.1234567891; 0.1 +. 0.2; 1. /. 3.; 123456789.5; -2.5e-8; 1e300; 3.03 ];
+      Client.close c)
+
+(* ------------------------------------------------------------------ *)
 (* Concurrent readers of one cached graph *)
 
 (* Shortest-path cost by a plain Dijkstra over an adjacency array, with a
@@ -1526,6 +1718,14 @@ let () =
           Alcotest.test_case "two-session qids" `Quick test_two_session_qids;
           Alcotest.test_case "parse error recorded" `Quick
             test_wire_parse_error_recorded;
+          Alcotest.test_case "served statements logged" `Quick
+            test_served_statements_logged;
+          Alcotest.test_case "trace qid matches the wire" `Quick
+            test_trace_qid_matches_wire;
+          Alcotest.test_case "concurrent sessions share the logs" `Quick
+            test_concurrent_sessions_share_logs;
+          Alcotest.test_case "served DOUBLE reads back exact" `Quick
+            test_served_double_exact;
         ] );
       ("fuzz", [ test_concurrency_fuzzer ]);
     ]

@@ -332,7 +332,53 @@ let test_parallel_tracks () =
           (String.concat ", "
              (List.sort_uniq String.compare names)))
     [ "parse"; "bind"; "rewrite"; "execute"; "statement"; "graph_build";
-      "dict"; "encode"; "csr"; "traversal_batch" ]
+      "dict"; "encode"; "csr"; "traversal_batch" ];
+  (* the workers' "domain" spans run under the coordinator's statement *)
+  match evs with
+  | [] -> ()
+  | first :: _ ->
+    List.iter
+      (fun e -> check tint "one statement id" first.Tr.ev_query e.Tr.ev_query)
+      evs
+
+(* Two session threads with registered tracks interleave their
+   statements step by step: each thread's events carry its own
+   statement id, not the id the other thread allocated last. *)
+let test_query_id_per_track () =
+  with_trace @@ fun () ->
+  Tr.clear ();
+  let turn = Array.init 2 (fun _ -> Semaphore.Binary.make false) in
+  let step me f =
+    Semaphore.Binary.acquire turn.(me);
+    f ();
+    Semaphore.Binary.release turn.(1 - me)
+  in
+  let ids = Array.make 2 0 and seen = Array.make 2 0 in
+  let session me () =
+    Tr.register_thread_track (100 + me);
+    let sp = ref (-1) in
+    step me (fun () -> ids.(me) <- Tr.next_query ());
+    step me (fun () -> sp := Tr.begin_span (Printf.sprintf "s%d" me));
+    step me (fun () ->
+        Tr.instant "mark";
+        Tr.end_span !sp;
+        seen.(me) <- Tr.current_query ());
+    Tr.unregister_thread_track ()
+  in
+  let threads = Array.init 2 (fun me -> Thread.create (session me) ()) in
+  Semaphore.Binary.release turn.(0);
+  Array.iter Thread.join threads;
+  check Alcotest.bool "distinct statement ids" true (ids.(0) <> ids.(1));
+  let evs = Tr.events () in
+  check tint "three events per track" 6 (List.length evs);
+  List.iter
+    (fun e ->
+      let me = e.Tr.ev_track - 100 in
+      check tint
+        (Printf.sprintf "track %d event carries its own id" e.Tr.ev_track)
+        ids.(me) e.Tr.ev_query)
+    evs;
+  check (Alcotest.array tint) "current_query per track" ids seen
 
 (* {1 Registry} *)
 
@@ -611,6 +657,8 @@ let () =
           Alcotest.test_case "recovery spans" `Quick test_recovery_spans;
           Alcotest.test_case "parallel traversal spans" `Quick
             test_parallel_tracks;
+          Alcotest.test_case "statement id per track" `Quick
+            test_query_id_per_track;
           Alcotest.test_case "catapult export parses" `Quick
             test_catapult_parses;
         ] );
