@@ -550,6 +550,36 @@ let baselines_bench ~ratio ~sfs ~reps ~seed =
 (* Pairs: scalar vs batched multi-source traversal                     *)
 (* ------------------------------------------------------------------ *)
 
+let min_time n f =
+  let best = ref infinity in
+  for _ = 1 to n do
+    let _, dt = time f in
+    if dt < !best then best := dt
+  done;
+  !best
+
+(* The host's own two-core gain: a fixed amount of integer work, timed on
+   this domain alone and split across two domains, min of three each. No
+   repo code runs in it, so a figure near 1 says the host had one free
+   core at the time, not that the kernel lost its parallel gain. *)
+let host_parallel_x () =
+  let spin iters =
+    let x = ref 0 in
+    for i = 1 to iters do
+      x := (!x * 1103515245) + i
+    done;
+    ignore (Sys.opaque_identity !x)
+  in
+  let work = 40_000_000 in
+  let one = min_time 3 (fun () -> spin work) in
+  let two =
+    min_time 3 (fun () ->
+        let other = Domain.spawn (fun () -> spin (work / 2)) in
+        spin (work / 2);
+        Domain.join other)
+  in
+  one /. two
+
 (* P1: the batched traversal engine. One graph, many sources — the §4
    batch workload — answered per-source (one BFS per distinct source)
    vs bit-parallel MS-BFS (63 sources per wave), with byte-identity of
@@ -602,6 +632,7 @@ let pairs_bench ?json ~ratio ~sources ~seed () =
         c.Graph.Runtime.tasks ),
       c.Graph.Runtime.workers )
   in
+  let host_x = host_parallel_x () in
   let batched, t_batched, counters1, workers1 = measure () in
   let batched2, t_batched2, counters2, workers2 = measure ~domains:2 () in
   let batched4, t_batched4, counters4, workers4 = measure ~domains:4 () in
@@ -631,14 +662,6 @@ let pairs_bench ?json ~ratio ~sources ~seed () =
      check.sh asserts it stays under the 2%-of-noise line.  The
      tracing-on cost is measured against the faster off pass and is
      informational. *)
-  let min_time n f =
-    let best = ref infinity in
-    for _ = 1 to n do
-      let _, dt = time f in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
   Telemetry.Trace.set_enabled false;
   let t_off_a = min_time 5 (fun () -> ignore (run `Batched)) in
   let t_off_b = min_time 5 (fun () -> ignore (run `Batched)) in
@@ -672,8 +695,10 @@ let pairs_bench ?json ~ratio ~sources ~seed () =
   print_row "batched ms-bfs, domains=4" t_batched4 counters4 workers4;
   Printf.printf "speedup (batched vs scalar, domains=1): %.2fx\n"
     (t_scalar /. t_batched);
-  Printf.printf "speedup (domains=4 vs domains=1): %.2fx\n%!"
+  Printf.printf "speedup (domains=4 vs domains=1): %.2fx\n"
     (t_batched /. t_batched4);
+  Printf.printf "host two-domain gain (raw CPU loop, no repo code): %.2fx\n%!"
+    host_x;
   match json with
   | None -> ()
   | Some path ->
@@ -738,6 +763,7 @@ let pairs_bench ?json ~ratio ~sources ~seed () =
            ("domains4_seconds", Sqlgraph.Metrics.num t_batched4);
            ( "speedup_domains4_vs_domains1",
              Sqlgraph.Metrics.num (t_batched /. t_batched4) );
+           ("host_parallel_x", Sqlgraph.Metrics.num host_x);
            ( "trace_off_overhead_pct",
              Sqlgraph.Metrics.num trace_off_overhead_pct );
            ("trace_on_overhead_pct", Sqlgraph.Metrics.num trace_on_overhead_pct);

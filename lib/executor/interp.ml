@@ -897,7 +897,7 @@ and obtain_graph ctx (op : L.graph_op) =
 and eval_weights ctx edges (c : L.cheapest) =
   let col = eval_column ctx edges c.L.weight in
   let n = C.length col in
-  let nulls = C.null_flags col in
+  let null i = C.null_count col > 0 && C.is_null col i in
   let bad i =
     raise
       (Graph.Runtime.Weight_error
@@ -909,14 +909,14 @@ and eval_weights ctx edges (c : L.cheapest) =
   | Some a, _ when float_cost ->
     Graph.Runtime.Float_weights
       (Array.init n (fun i ->
-           if nulls.(i) || a.(i) <= 0 then bad i else float_of_int a.(i)))
+           if null i || a.(i) <= 0 then bad i else float_of_int a.(i)))
   | Some a, _ ->
     Graph.Runtime.Int_weights
-      (Array.init n (fun i -> if nulls.(i) || a.(i) <= 0 then bad i else a.(i)))
+      (Array.init n (fun i -> if null i || a.(i) <= 0 then bad i else a.(i)))
   | None, Some a when float_cost ->
     Graph.Runtime.Float_weights
       (Array.init n (fun i ->
-           if nulls.(i) || not (a.(i) > 0.) then bad i else a.(i)))
+           if null i || not (a.(i) > 0.) then bad i else a.(i)))
   | _ ->
     (* no other column type holds a valid weight: the first row is bad *)
     if n > 0 then bad 0

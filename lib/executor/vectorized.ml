@@ -3,102 +3,143 @@ module V = Storage.Value
 module C = Storage.Column
 module D = Storage.Dtype
 
-(* Intermediate vectors: unboxed payloads + a null flag per row. The
-   generic evaluator's NULL propagation is reproduced by OR-ing masks;
-   And/Or get Kleene logic explicitly. Everything is plain array loops —
-   the point of this module is to avoid per-row boxing. *)
-type ivec = { idata : int array; inull : bool array }
-type fvec = { fdata : float array; fnull : bool array }
-type bvec = { bdata : bool array; bnull : bool array }
+(* Operands are read in place. A numeric operand's payload is a constant
+   or an array read over rows [0, n): a table column's backing store
+   (possibly longer than n) or a result computed here. Its NULL flags are
+   a row test, absent when no row can be NULL; a column's test reads its
+   null mask, and only when the column holds a NULL. A predicate is a
+   pair of row tests. Nothing copies a column or spreads a constant over
+   n rows: the only table-sized arrays are the results of arithmetic, of
+   a CAST that changes the payload, and of [eval_column].
 
-let rec int_vec table (e : L.expr) : ivec option =
+   Reading a backing store in place is safe because storage is
+   append-only (see Column): only an owner writes, and only at slots at
+   or past its own length, so no write lands inside [0, n). For the same
+   reason a result never takes a backing store as its own: [view] names
+   the column an operand reads unchanged, and [eval_column] returns a
+   [Column.copy] of it, which shares the storage without owning it. *)
+type ints = Int of int | Ints of int array
+
+type floats =
+  | Float of float
+  | Floats of float array
+  | Widened of int array (* an int payload read as floats *)
+
+type 'a vec = { v : 'a; null : (int -> bool) option; view : C.t option }
+
+(* Kleene logic: [yes r] when row [r] is TRUE, [no r] when it is FALSE;
+   a NULL row is neither. *)
+type bvec = { yes : int -> bool; no : int -> bool }
+
+let[@inline] iat v r = match v with Int c -> c | Ints a -> a.(r)
+
+(* Bind the result with [let] before float arithmetic or
+   [Float.compare]: passed straight on, it is boxed. *)
+let[@inline] fat v r =
+  match v with
+  | Float c -> c
+  | Floats a -> a.(r)
+  | Widened a -> float_of_int a.(r)
+
+let[@inline] iop op x y =
+  match op with Sql.Ast.Add -> x + y | Sql.Ast.Sub -> x - y | _ -> x * y
+
+let[@inline] fop op (x : float) y =
+  match op with Sql.Ast.Add -> x +. y | Sql.Ast.Sub -> x -. y | _ -> x *. y
+
+let column_nulls col =
+  if C.null_count col > 0 then Some (C.is_null col) else None
+
+let either a b =
+  match a, b with
+  | None, n | n, None -> n
+  | Some f, Some g -> Some (fun r -> f r || g r)
+
+let fresh v null = { v; null; view = None }
+
+let int_arith n op a b =
+  let null = either a.null b.null in
+  match a.v, b.v with
+  | Int x, Int y -> fresh (Int (iop op x y)) null
+  | av, bv ->
+    let out = Array.make n 0 in
+    for r = 0 to n - 1 do
+      out.(r) <- iop op (iat av r) (iat bv r)
+    done;
+    fresh (Ints out) null
+
+let float_arith n op a b =
+  let null = either a.null b.null in
+  match a.v, b.v with
+  | Float x, Float y -> fresh (Float (fop op x y)) null
+  | av, bv ->
+    let out = Array.create_float n in
+    for r = 0 to n - 1 do
+      let x = fat av r and y = fat bv r in
+      out.(r) <- fop op x y
+    done;
+    fresh (Floats out) null
+
+let float_payload n = function
+  | Floats a -> a
+  | v ->
+    let out = Array.create_float n in
+    for r = 0 to n - 1 do
+      let x = fat v r in
+      out.(r) <- x
+    done;
+    out
+
+(* Value.cast: FLOAT to INTEGER truncates toward zero *)
+let to_int n { v; null; _ } =
+  match v with
+  | Float c -> fresh (Int (int_of_float c)) null
+  | v ->
+    let out = Array.make n 0 in
+    for r = 0 to n - 1 do
+      let x = fat v r in
+      out.(r) <- int_of_float x
+    done;
+    fresh (Ints out) null
+
+let rec int_vec table (e : L.expr) : ints vec option =
   let n = Storage.Table.nrows table in
   match e.L.node with
-  | L.Const (V.Int c) ->
-    Some { idata = Array.make n c; inull = Array.make n false }
+  | L.Const (V.Int c) -> Some (fresh (Int c) None)
   | L.Const V.Null when D.equal e.L.ty D.TInt ->
-    Some { idata = Array.make n 0; inull = Array.make n true }
+    Some (fresh (Int 0) (Some (fun _ -> true)))
   | L.Col i when D.equal (C.dtype (Storage.Table.column table i)) D.TInt -> (
     let col = Storage.Table.column table i in
     match C.raw_int col with
     | Some backing ->
-      Some
-        {
-          idata = Array.sub backing 0 n;
-          inull = C.null_flags col;
-        }
+      Some { v = Ints backing; null = column_nulls col; view = Some col }
     | None -> None)
   | L.Bin (((Sql.Ast.Add | Sql.Ast.Sub | Sql.Ast.Mul) as op), a, b)
     when D.equal e.L.ty D.TInt -> (
     match int_vec table a, int_vec table b with
-    | Some va, Some vb ->
-      let idata = Array.make n 0 and inull = Array.make n false in
-      (match op with
-      | Sql.Ast.Add ->
-        for r = 0 to n - 1 do
-          idata.(r) <- va.idata.(r) + vb.idata.(r)
-        done
-      | Sql.Ast.Sub ->
-        for r = 0 to n - 1 do
-          idata.(r) <- va.idata.(r) - vb.idata.(r)
-        done
-      | _ ->
-        for r = 0 to n - 1 do
-          idata.(r) <- va.idata.(r) * vb.idata.(r)
-        done);
-      for r = 0 to n - 1 do
-        inull.(r) <- va.inull.(r) || vb.inull.(r)
-      done;
-      Some { idata; inull }
+    | Some va, Some vb -> Some (int_arith n op va vb)
     | _ -> None)
   | L.Cast (a, D.TInt) -> (
-    (* Value.cast: INTEGER is the identity, FLOAT truncates toward zero *)
+    (* Value.cast: INTEGER is the identity *)
     match int_vec table a with
     | Some v -> Some v
-    | None -> (
-      match float_vec table a with
-      | Some { fdata; fnull } ->
-        Some { idata = Array.map int_of_float fdata; inull = fnull }
-      | None -> None))
+    | None -> Option.map (to_int n) (float_vec table a))
   | _ -> None
 
-and float_vec table (e : L.expr) : fvec option =
+and float_vec table (e : L.expr) : floats vec option =
   let n = Storage.Table.nrows table in
   match e.L.node with
-  | L.Const (V.Float c) ->
-    Some { fdata = Array.make n c; fnull = Array.make n false }
+  | L.Const (V.Float c) -> Some (fresh (Float c) None)
   | L.Col i when D.equal (C.dtype (Storage.Table.column table i)) D.TFloat -> (
     let col = Storage.Table.column table i in
     match C.raw_float col with
     | Some backing ->
-      Some
-        {
-          fdata = Array.sub backing 0 n;
-          fnull = C.null_flags col;
-        }
+      Some { v = Floats backing; null = column_nulls col; view = Some col }
     | None -> None)
   | L.Bin (((Sql.Ast.Add | Sql.Ast.Sub | Sql.Ast.Mul) as op), a, b)
     when D.equal e.L.ty D.TFloat -> (
     match widen table a, widen table b with
-    | Some va, Some vb ->
-      let fdata = Array.make n 0. and fnull = Array.make n false in
-      (match op with
-      | Sql.Ast.Add ->
-        for r = 0 to n - 1 do
-          fdata.(r) <- va.fdata.(r) +. vb.fdata.(r)
-        done
-      | Sql.Ast.Sub ->
-        for r = 0 to n - 1 do
-          fdata.(r) <- va.fdata.(r) -. vb.fdata.(r)
-        done
-      | _ ->
-        for r = 0 to n - 1 do
-          fdata.(r) <- va.fdata.(r) *. vb.fdata.(r)
-        done);
-      for r = 0 to n - 1 do
-        fnull.(r) <- va.fnull.(r) || vb.fnull.(r)
-      done;
-      Some { fdata; fnull }
+    | Some va, Some vb -> Some (float_arith n op va vb)
     | _ -> None)
   | L.Cast (a, D.TFloat) -> widen table a
   | _ -> None
@@ -109,147 +150,140 @@ and widen table sub =
   | Some v -> Some v
   | None -> (
     match int_vec table sub with
-    | Some { idata; inull } ->
-      Some { fdata = Array.map float_of_int idata; fnull = inull }
+    | Some { v = Int c; null; _ } -> Some (fresh (Float (float_of_int c)) null)
+    | Some { v = Ints a; null; _ } -> Some (fresh (Widened a) null)
     | None -> None)
 
-type cmp_op = CLt | CLe | CGt | CGe | CEq | CNeq
+(* [holds op c]: does [op] hold of two values that compare as [c]? *)
+let holds op c =
+  match op with
+  | Sql.Ast.Lt -> c < 0
+  | Sql.Ast.Le -> c <= 0
+  | Sql.Ast.Gt -> c > 0
+  | Sql.Ast.Ge -> c >= 0
+  | Sql.Ast.Eq -> c = 0
+  | _ -> c <> 0
+
+let int_test op a b r = holds op (Int.compare (iat a r) (iat b r))
+
+(* Float.compare, as Value.compare orders floats: NaN equals itself and
+   sorts below every other float *)
+let float_test op a b r =
+  let x = fat a r and y = fat b r in
+  holds op (Float.compare x y)
+
+let of_test test = function
+  | None -> { yes = test; no = (fun r -> not (test r)) }
+  | Some is_null ->
+    {
+      yes = (fun r -> (not (is_null r)) && test r);
+      no = (fun r -> (not (is_null r)) && not (test r));
+    }
+
+let constant b = { yes = (fun _ -> b); no = (fun _ -> not b) }
 
 let rec bool_vec table (e : L.expr) : bvec option =
-  let n = Storage.Table.nrows table in
-  let compare_branches op a b =
+  match e.L.node with
+  | L.Const (V.Bool b) -> Some (constant b)
+  | L.Col i when D.equal (C.dtype (Storage.Table.column table i)) D.TBool ->
+    let col = Storage.Table.column table i in
+    Some (of_test (C.bool_at col) (column_nulls col))
+  | L.Bin
+      ( ((Sql.Ast.Eq | Sql.Ast.Neq | Sql.Ast.Lt | Sql.Ast.Le | Sql.Ast.Gt
+         | Sql.Ast.Ge) as op),
+        a,
+        b ) -> (
     match int_vec table a, int_vec table b with
     | Some va, Some vb ->
-      let bdata = Array.make n false and bnull = Array.make n false in
-      let da = va.idata and db = vb.idata in
-      (match op with
-      | CLt -> for r = 0 to n - 1 do bdata.(r) <- da.(r) < db.(r) done
-      | CLe -> for r = 0 to n - 1 do bdata.(r) <- da.(r) <= db.(r) done
-      | CGt -> for r = 0 to n - 1 do bdata.(r) <- da.(r) > db.(r) done
-      | CGe -> for r = 0 to n - 1 do bdata.(r) <- da.(r) >= db.(r) done
-      | CEq -> for r = 0 to n - 1 do bdata.(r) <- da.(r) = db.(r) done
-      | CNeq -> for r = 0 to n - 1 do bdata.(r) <- da.(r) <> db.(r) done);
-      for r = 0 to n - 1 do
-        bnull.(r) <- va.inull.(r) || vb.inull.(r)
-      done;
-      Some { bdata; bnull }
+      Some (of_test (int_test op va.v vb.v) (either va.null vb.null))
     | _ -> (
       match widen table a, widen table b with
       | Some va, Some vb ->
-        let bdata = Array.make n false and bnull = Array.make n false in
-        let da = va.fdata and db = vb.fdata in
-        (match op with
-        | CLt -> for r = 0 to n - 1 do bdata.(r) <- da.(r) < db.(r) done
-        | CLe -> for r = 0 to n - 1 do bdata.(r) <- da.(r) <= db.(r) done
-        | CGt -> for r = 0 to n - 1 do bdata.(r) <- da.(r) > db.(r) done
-        | CGe -> for r = 0 to n - 1 do bdata.(r) <- da.(r) >= db.(r) done
-        | CEq -> for r = 0 to n - 1 do bdata.(r) <- da.(r) = db.(r) done
-        | CNeq -> for r = 0 to n - 1 do bdata.(r) <- da.(r) <> db.(r) done);
-        for r = 0 to n - 1 do
-          bnull.(r) <- va.fnull.(r) || vb.fnull.(r)
-        done;
-        Some { bdata; bnull }
-      | _ -> None)
-  in
-  match e.L.node with
-  | L.Const (V.Bool b) ->
-    Some { bdata = Array.make n b; bnull = Array.make n false }
-  | L.Col i when D.equal (C.dtype (Storage.Table.column table i)) D.TBool ->
-    let col = Storage.Table.column table i in
-    let bdata = Array.make n false and bnull = Array.make n false in
-    for r = 0 to n - 1 do
-      if C.is_null col r then bnull.(r) <- true
-      else bdata.(r) <- C.bool_at col r
-    done;
-    Some { bdata; bnull }
-  | L.Bin (Sql.Ast.Eq, a, b) -> compare_branches CEq a b
-  | L.Bin (Sql.Ast.Neq, a, b) -> compare_branches CNeq a b
-  | L.Bin (Sql.Ast.Lt, a, b) -> compare_branches CLt a b
-  | L.Bin (Sql.Ast.Le, a, b) -> compare_branches CLe a b
-  | L.Bin (Sql.Ast.Gt, a, b) -> compare_branches CGt a b
-  | L.Bin (Sql.Ast.Ge, a, b) -> compare_branches CGe a b
+        Some (of_test (float_test op va.v vb.v) (either va.null vb.null))
+      | _ -> None))
   | L.Bin (Sql.Ast.And, a, b) -> (
     match bool_vec table a, bool_vec table b with
     | Some va, Some vb ->
-      let bdata = Array.make n false and bnull = Array.make n false in
-      for r = 0 to n - 1 do
-        (* Kleene: false wins over NULL *)
-        let fa = (not va.bnull.(r)) && not va.bdata.(r) in
-        let fb = (not vb.bnull.(r)) && not vb.bdata.(r) in
-        if fa || fb then ()
-        else if va.bnull.(r) || vb.bnull.(r) then bnull.(r) <- true
-        else bdata.(r) <- true
-      done;
-      Some { bdata; bnull }
+      (* Kleene: false wins over NULL *)
+      Some
+        {
+          yes = (fun r -> va.yes r && vb.yes r);
+          no = (fun r -> va.no r || vb.no r);
+        }
     | _ -> None)
   | L.Bin (Sql.Ast.Or, a, b) -> (
     match bool_vec table a, bool_vec table b with
     | Some va, Some vb ->
-      let bdata = Array.make n false and bnull = Array.make n false in
-      for r = 0 to n - 1 do
-        let ta = (not va.bnull.(r)) && va.bdata.(r) in
-        let tb = (not vb.bnull.(r)) && vb.bdata.(r) in
-        if ta || tb then bdata.(r) <- true
-        else if va.bnull.(r) || vb.bnull.(r) then bnull.(r) <- true
-      done;
-      Some { bdata; bnull }
-    | _ -> None)
-  | L.Un (Sql.Ast.Not, a) -> (
-    match bool_vec table a with
-    | Some va ->
-      Some { bdata = Array.map not va.bdata; bnull = va.bnull }
-    | None -> None)
-  | L.Is_null { negated; arg } -> (
-    let of_nulls nulls =
       Some
         {
-          bdata = (if negated then Array.map not nulls else Array.copy nulls);
-          bnull = Array.make n false;
+          yes = (fun r -> va.yes r || vb.yes r);
+          no = (fun r -> va.no r && vb.no r);
         }
+    | _ -> None)
+  | L.Un (Sql.Ast.Not, a) ->
+    Option.map (fun va -> { yes = va.no; no = va.yes }) (bool_vec table a)
+  | L.Is_null { negated; arg } -> (
+    let of_nulls = function
+      | None -> Some (constant negated)
+      | Some is_null -> Some (of_test (fun r -> is_null r <> negated) None)
     in
     match int_vec table arg with
-    | Some { inull; _ } -> of_nulls inull
+    | Some { null; _ } -> of_nulls null
     | None -> (
       match float_vec table arg with
-      | Some { fnull; _ } -> of_nulls fnull
+      | Some { null; _ } -> of_nulls null
       | None -> None))
   | _ -> None
 
+(* One result array per call, or none: a column read unchanged comes
+   back as an O(1) [Column.copy]. *)
 let eval_column ?(check = Graph.Cancel.none) table (e : L.expr) =
   (* one cooperative cancellation point per vectorized primitive; the
      loops themselves are tight array passes the governor need not enter *)
   Graph.Cancel.report check ~site:"vectorized" ();
+  let n = Storage.Table.nrows table in
   match e.L.ty with
-  | D.TInt -> (
-    match int_vec table e with
-    | Some { idata; inull } -> Some (C.of_int_array ~nulls:inull idata)
-    | None -> None)
-  | D.TFloat -> (
-    match float_vec table e with
-    | Some { fdata; fnull } -> Some (C.of_float_array ~nulls:fnull fdata)
-    | None -> None)
-  | D.TBool -> (
-    match bool_vec table e with
-    | Some { bdata; bnull } -> Some (C.of_bool_array ~nulls:bnull bdata)
-    | None -> None)
+  | D.TInt ->
+    Option.map
+      (fun { v; null; view } ->
+        match view, v with
+        | Some col, _ -> C.copy col
+        | None, Ints out -> C.of_int_array ?null out
+        | None, Int c -> C.of_int_array ?null (Array.make n c))
+      (int_vec table e)
+  | D.TFloat ->
+    Option.map
+      (fun { v; null; view } ->
+        match view with
+        | Some col -> C.copy col
+        | None -> C.of_float_array ?null (float_payload n v))
+      (float_vec table e)
+  | D.TBool ->
+    Option.map
+      (fun { yes; no } ->
+        match e.L.node with
+        | L.Col i -> C.copy (Storage.Table.column table i)
+        | _ -> C.init_bool ~null:(fun r -> not (yes r || no r)) n yes)
+      (bool_vec table e)
   | _ -> None
 
+(* Count the hits, then fill the one array they need. *)
 let eval_filter ?(check = Graph.Cancel.none) table pred =
   Graph.Cancel.report check ~site:"vectorized" ();
   match bool_vec table pred with
   | None -> None
-  | Some { bdata; bnull } ->
-    let n = Array.length bdata in
+  | Some { yes; _ } ->
+    let n = Storage.Table.nrows table in
     let count = ref 0 in
     for r = 0 to n - 1 do
-      if bdata.(r) && not bnull.(r) then incr count
+      if yes r then incr count
     done;
-    let out = Array.make !count 0 in
+    let hits = Array.make !count 0 in
     let k = ref 0 in
     for r = 0 to n - 1 do
-      if bdata.(r) && not bnull.(r) then begin
-        out.(!k) <- r;
+      if yes r then begin
+        hits.(!k) <- r;
         incr k
       end
     done;
-    Some out
+    Some hits

@@ -93,47 +93,42 @@ let of_values ty vs =
   List.iter (append t) vs;
   t
 
-let mask_of_bools n nulls =
+let mask_init n null =
   let m = Nullmask.create ~capacity:n () in
-  (match nulls with
-  | None ->
-    for _ = 1 to n do
-      Nullmask.append m false
-    done
-  | Some flags ->
-    if Array.length flags <> n then
-      invalid_arg "Column: null mask length mismatch";
-    Array.iter (Nullmask.append m) flags);
+  for i = 0 to n - 1 do
+    Nullmask.append m (match null with None -> false | Some f -> f i)
+  done;
   m
 
-let of_int_array ?nulls a =
+(* The array becomes the column's storage. Its length is the column's,
+   so the column's first append grows into a fresh buffer and never
+   writes into it. *)
+let of_int_array ?null a =
+  let len = Array.length a in
   {
     ty = Dtype.TInt;
-    data = DInt (Array.copy a);
-    len = Array.length a;
-    nulls = mask_of_bools (Array.length a) nulls;
+    data = DInt a;
+    len;
+    nulls = mask_init len null;
     owner = true;
   }
 
-let of_float_array ?nulls a =
+let of_float_array ?null a =
+  let len = Array.length a in
   {
     ty = Dtype.TFloat;
-    data = DFloat (Array.copy a);
-    len = Array.length a;
-    nulls = mask_of_bools (Array.length a) nulls;
+    data = DFloat a;
+    len;
+    nulls = mask_init len null;
     owner = true;
   }
 
-let of_bool_array ?nulls a =
-  let bytes = Bytes.create (Array.length a) in
-  Array.iteri
-    (fun i b -> Bytes.set bytes i (if b then '\001' else '\000'))
-    a;
+let init_bool ?null n f =
   {
     ty = Dtype.TBool;
-    data = DBool bytes;
-    len = Array.length a;
-    nulls = mask_of_bools (Array.length a) nulls;
+    data = DBool (Bytes.init n (fun i -> if f i then '\001' else '\000'));
+    len = n;
+    nulls = mask_init n null;
     owner = true;
   }
 
@@ -262,7 +257,6 @@ let equal a b = a.len = b.len && equal_prefix a b a.len
    mutate them and must ignore slots past [length t]. *)
 let raw_int t = match t.data with DInt a -> Some a | _ -> None
 let raw_float t = match t.data with DFloat a -> Some a | _ -> None
-let null_flags t = Nullmask.to_bool_array t.nulls
 
 let pp ppf t =
   Format.fprintf ppf "@[<hov 1>[%s:" (Dtype.name t.ty);

@@ -11,14 +11,18 @@ val create : ?capacity:int -> Dtype.t -> t
     [Null] or of type [dtype]. Raises [Invalid_argument] otherwise. *)
 val of_values : Dtype.t -> Value.t list -> t
 
-(** [of_int_array ?nulls a] wraps an int array as a [TInt] column,
-    copying it; [nulls.(i)] marks row [i] NULL (all non-null when
-    omitted). These bulk constructors are the output path of the
-    column-at-a-time evaluator. *)
-val of_int_array : ?nulls:bool array -> int array -> t
+(** [of_int_array ?null a] is a [TInt] column whose storage is [a]
+    itself, not a copy; row [i] is NULL when [null i] holds (no row is
+    when omitted). The caller must not write into [a] afterwards. These
+    bulk constructors are the output path of the column-at-a-time
+    evaluator. *)
+val of_int_array : ?null:(int -> bool) -> int array -> t
 
-val of_float_array : ?nulls:bool array -> float array -> t
-val of_bool_array : ?nulls:bool array -> bool array -> t
+val of_float_array : ?null:(int -> bool) -> float array -> t
+
+(** [init_bool ?null n f] is a [TBool] column of [n] rows, row [i] being
+    [f i], NULL when [null i] holds. *)
+val init_bool : ?null:(int -> bool) -> int -> (int -> bool) -> t
 
 val dtype : t -> Dtype.t
 val length : t -> int
@@ -72,10 +76,6 @@ val copy : t -> t
 
 val raw_int : t -> int array option
 val raw_float : t -> float array option
-
-(** [null_flags col] — a fresh bool array of per-row NULL flags
-    ([length col] entries). *)
-val null_flags : t -> bool array
 
 (** [equal a b] — same type, length and cells. *)
 val equal : t -> t -> bool

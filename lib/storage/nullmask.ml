@@ -51,4 +51,3 @@ let append t null =
 let null_count t = t.nulls
 let any_null t = t.nulls > 0
 let copy t = { t with owner = false }
-let to_bool_array t = Array.init t.len (fun i -> unsafe_get t i)

@@ -23,6 +23,3 @@ val any_null : t -> bool
 (** [copy t] is the mask's current slots, in O(1): it shares [t]'s bits,
     which later appends to either mask leave unchanged. *)
 val copy : t -> t
-
-(** [to_bool_array t] — the mask as a fresh bool array (true = NULL). *)
-val to_bool_array : t -> bool array

@@ -557,16 +557,74 @@ let prop_csv_roundtrip =
       in
       Storage.Table.to_rows reloaded = expected)
 
+(* [view_after_appends table extra] is a [Table.copy] of an owner that
+   holds [table]'s rows, taken before the owner appended [extra]. The
+   owner has room for them, so they land in storage the view shares, just
+   past the view's length: an evaluator that reads a view past its length
+   sees them. Also returns the owner. *)
+let view_after_appends table extra =
+  let module T = Storage.Table in
+  let n = T.nrows table in
+  let cols =
+    List.init (T.arity table) (fun j ->
+        let src = T.column table j in
+        let c =
+          Storage.Column.create
+            ~capacity:(n + List.length extra)
+            (Storage.Column.dtype src)
+        in
+        Storage.Column.iter (Storage.Column.append c) src;
+        c)
+  in
+  let owner = T.of_columns (T.schema table) cols in
+  let view = T.copy owner in
+  List.iter (fun row -> T.append_row owner (Array.of_list row)) extra;
+  (owner, view)
+
+(* A vectorized result over a view must not own the view's storage: an
+   append to it would write into the owner's next row. *)
+let result_owns_nothing owner fast =
+  let before = Storage.Table.to_rows owner in
+  Storage.Column.append fast
+    (match Storage.Column.dtype fast with
+    | Storage.Dtype.TFloat -> V.Float 7.5
+    | Storage.Dtype.TBool -> V.Bool true
+    | _ -> V.Int 7);
+  Storage.Table.to_rows owner = before
+
+(* [vectorized_agrees ~extra table bound] — [None] outside the vectorizable
+   subset; otherwise whether the fast path equals the row-at-a-time one
+   cell for cell, on [table] and on a view of it whose owner has appended
+   [extra] since. *)
+let vectorized_agrees ~extra table bound =
+  let slow t =
+    Executor.Eval.eval_column
+      ~run_subplan:(fun _ -> Alcotest.fail "unexpected subquery")
+      t bound
+  in
+  match Executor.Vectorized.eval_column table bound with
+  | None -> None
+  | Some fast ->
+    let owner, view = view_after_appends table extra in
+    Some
+      (Storage.Column.equal fast (slow table)
+      &&
+      match Executor.Vectorized.eval_column view bound with
+      | None -> false
+      | Some fast ->
+        Storage.Column.equal fast (slow view) && result_owns_nothing owner fast)
+
 (* the column-at-a-time evaluator must agree cell-for-cell with the
    row-at-a-time one whenever it claims an expression *)
 let prop_vectorized_matches_scalar =
   let gen =
-    QCheck.Gen.pair gen_rows
-      (QCheck.Gen.oneof [ gen_int_expr 4; gen_bool_expr 4 ])
+    QCheck.Gen.(
+      triple gen_rows (list_size (int_range 1 8) gen_row)
+        (oneof [ gen_int_expr 4; gen_bool_expr 4 ]))
   in
   QCheck.Test.make ~name:"vectorized = row-at-a-time evaluation" ~count:300
     (QCheck.make gen)
-    (fun (rws, e) ->
+    (fun (rws, extra, e) ->
       let db = load_rows rws in
       let table =
         Option.get (Storage.Catalog.find (Sqlgraph.Db.catalog db) "t")
@@ -578,15 +636,9 @@ let prop_vectorized_matches_scalar =
           ~schema:(Storage.Table.schema table)
           e
       in
-      match Executor.Vectorized.eval_column table bound with
-      | None -> true (* outside the vectorizable subset: nothing to check *)
-      | Some fast ->
-        let slow =
-          Executor.Eval.eval_column
-            ~run_subplan:(fun _ -> Alcotest.fail "unexpected subquery")
-            table bound
-        in
-        Storage.Column.equal fast slow)
+      let extra = List.map (fun r -> [ r.a; r.b; r.s ]) extra in
+      (* [None]: outside the vectorizable subset, nothing to check *)
+      Option.value ~default:true (vectorized_agrees ~extra table bound))
 
 (* CAST between INTEGER and FLOAT, vectorized: float -> int truncates
    toward zero, int -> float widens, NULL propagates — over columns with
@@ -637,13 +689,154 @@ let prop_vectorized_cast_matches_scalar =
           ~params:[||] ~schema:(Storage.Table.schema table)
           (Sql.Parser.parse_expr sql)
       in
-      match Executor.Vectorized.eval_column table bound with
+      let extra = [ [ V.Int 5; V.Float 2.5 ]; [ V.Null; V.Float (-7.25) ] ] in
+      match vectorized_agrees ~extra table bound with
       | None -> QCheck.Test.fail_reportf "%s was not vectorized" sql
-      | Some fast ->
-        Storage.Column.equal fast
-          (Executor.Eval.eval_column
-             ~run_subplan:(fun _ -> Alcotest.fail "unexpected subquery")
-             table bound))
+      | Some agrees -> agrees)
+
+(* Vectorized filters, differentially: comparison / AND / OR / NOT /
+   IS NULL trees over an INTEGER and a DOUBLE column with NULLs (and
+   NaN, which Value.compare orders below every other float), constants
+   on either side of a comparison, NULL constants included. Every
+   predicate generated is in the vectorizable subset, so a [None] from
+   the fast path is a failure. Each predicate also runs over a view
+   whose owner has appended rows since. *)
+let gen_filter_row =
+  let open QCheck.Gen in
+  pair
+    (frequency
+       [ (1, return V.Null); (5, map (fun i -> V.Int i) (int_range (-6) 6)) ])
+    (frequency
+       [
+         (1, return V.Null);
+         (5, map (fun k -> V.Float (float_of_int k /. 2.)) (int_range (-12) 12));
+         (1, return (V.Float Float.nan));
+       ])
+
+let gen_filter_operand =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [
+        (3, return (A.Col (None, "i")));
+        (3, return (A.Col (None, "f")));
+        (2, map lit_int (int_range (-6) 6));
+        ( 2,
+          map (fun k -> A.Lit (A.L_float (float_of_int k /. 2.))) (int_range (-12) 12) );
+        (1, return (A.Lit A.L_null));
+      ]
+  in
+  frequency
+    [
+      (6, leaf);
+      ( 1,
+        map3
+          (fun op x y -> A.Bin (op, x, y))
+          (oneofl [ A.Add; A.Sub; A.Mul ])
+          leaf leaf );
+    ]
+
+let rec gen_filter_pred depth =
+  let open QCheck.Gen in
+  let base =
+    frequency
+      [
+        ( 6,
+          map3
+            (fun op x y -> A.Bin (op, x, y))
+            (oneofl [ A.Eq; A.Neq; A.Lt; A.Le; A.Gt; A.Ge ])
+            gen_filter_operand gen_filter_operand );
+        ( 2,
+          map2
+            (fun negated arg -> A.Is_null { negated; arg })
+            bool gen_filter_operand );
+        (1, map (fun b -> A.Lit (A.L_bool b)) bool);
+      ]
+  in
+  if depth = 0 then base
+  else
+    frequency
+      [
+        (2, base);
+        ( 2,
+          map3
+            (fun op x y -> A.Bin (op, x, y))
+            (oneofl [ A.And; A.Or ])
+            (gen_filter_pred (depth - 1))
+            (gen_filter_pred (depth - 1)) );
+        (1, map (fun x -> A.Un (A.Not, x)) (gen_filter_pred (depth - 1)));
+      ]
+
+let filter_table rws =
+  Storage.Table.of_rows
+    (Storage.Schema.of_pairs
+       [ ("i", Storage.Dtype.TInt); ("f", Storage.Dtype.TFloat) ])
+    (List.map (fun (i, f) -> [ i; f ]) rws)
+
+let prop_vectorized_filter_matches_scalar =
+  QCheck.Test.make ~name:"vectorized filter = row-at-a-time filter" ~count:500
+    (QCheck.make
+       ~print:(fun (_, _, p) -> Sql.Pretty.expr_to_string p)
+       QCheck.Gen.(
+         triple
+           (list_size (int_range 0 40) gen_filter_row)
+           (list_size (int_range 1 8) gen_filter_row)
+           (gen_filter_pred 3)))
+    (fun (rws, extra, pred) ->
+      let table = filter_table rws in
+      let bound =
+        Relalg.Binder.bind_over_table ~catalog:(Storage.Catalog.create ())
+          ~params:[||] ~schema:(Storage.Table.schema table) pred
+      in
+      let slow t =
+        Executor.Eval.eval_filter
+          ~run_subplan:(fun _ -> Alcotest.fail "unexpected subquery")
+          t bound
+      in
+      let _, view =
+        view_after_appends table (List.map (fun (i, f) -> [ i; f ]) extra)
+      in
+      match
+        ( Executor.Vectorized.eval_filter table bound,
+          Executor.Vectorized.eval_filter view bound )
+      with
+      | Some fast, Some fast_view ->
+        fast = slow table && fast_view = slow view
+      | _ -> QCheck.Test.fail_report "predicate was not vectorized")
+
+(* A selective filter allocates its hit array and a constant, not
+   arrays the size of the table: [b = 7] over 100k rows with 256 hits.
+   Words allocated on this domain, minor + major - promoted. *)
+let test_filter_allocation () =
+  let n = 100_000 and hits = 256 in
+  let b =
+    Array.init n (fun r -> if r mod 390 = 0 && r / 390 < hits then 7 else 8 + r)
+  in
+  let table =
+    Storage.Table.of_columns
+      (Storage.Schema.of_pairs [ ("b", Storage.Dtype.TInt) ])
+      [ Storage.Column.of_int_array b ]
+  in
+  let bound =
+    Relalg.Binder.bind_over_table ~catalog:(Storage.Catalog.create ())
+      ~params:[||] ~schema:(Storage.Table.schema table)
+      (Sql.Parser.parse_expr "b = 7")
+  in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  let kept = Executor.Vectorized.eval_filter table bound in
+  let allocated = words () -. before in
+  Alcotest.(check (option (array int)))
+    "hits"
+    (Some (Array.init hits (fun j -> j * 390)))
+    kept;
+  let bound_words = float_of_int ((4 * hits) + 1024) in
+  if allocated > bound_words then
+    Alcotest.failf "filter allocated %.0f words for %d hits over %d rows (bound %.0f)"
+      allocated hits n bound_words
 
 let () =
   Alcotest.run "differential"
@@ -668,5 +861,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_vectorized_matches_scalar;
           QCheck_alcotest.to_alcotest prop_vectorized_cast_matches_scalar;
+          QCheck_alcotest.to_alcotest prop_vectorized_filter_matches_scalar;
+          Alcotest.test_case "filter allocates only its hits" `Quick
+            test_filter_allocation;
         ] );
     ]
