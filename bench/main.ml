@@ -13,7 +13,8 @@
      ablation-parallel batched traversal over 1..8 domains (§6)
      ablation-vectorized column-at-a-time vs row-at-a-time evaluation
      baselines        extension vs §1's standard-SQL techniques vs native BFS
-     pairs            scalar per-source BFS vs batched MS-BFS on one batch
+     pairs            scalar per-source BFS vs batched MS-BFS on one batch;
+                      weighted single pairs, one-sided vs bidirectional
      micro            Bechamel micro-benchmarks of the kernels
      all              everything, with the given settings
 
@@ -583,7 +584,9 @@ let host_parallel_x () =
 (* P1: the batched traversal engine. One graph, many sources — the §4
    batch workload — answered per-source (one BFS per distinct source)
    vs bit-parallel MS-BFS (63 sources per wave), with byte-identity of
-   every outcome asserted before any number is reported. *)
+   every outcome asserted before any number is reported. Then the
+   weighted single pair on the same graph and pairs: one-sided vs
+   bidirectional Dijkstra, also byte-identical. *)
 let pairs_bench ?json ~ratio ~sources ~seed () =
   print_header
     (Printf.sprintf
@@ -654,6 +657,39 @@ let pairs_bench ?json ~ratio ~sources ~seed () =
   in
   if not identical then
     failwith "pairs: engine outcomes differ (scalar vs batched/domains)";
+  (* The weighted single pair, the served Q14 shape: one-sided radix-heap
+     Dijkstra ([`Scalar]) against the bidirectional search ([`Auto] on a
+     graph with its reverse CSR), one pair per call over the first
+     [n_weighted] pairs. Integer weights are CAST(weight * 100 AS
+     INTEGER), i.e. truncated (the generator's weights are >= 0.5).
+     Outcomes must be byte-identical; [edges_scanned] is the
+     deterministic sum over the pairs, seconds the min of three passes
+     after the counted one. *)
+  let weight_col = Option.get (Storage.Table.column_by_name friends "weight") in
+  let weights =
+    Graph.Runtime.Aligned
+      (Graph.Runtime.align_weights rt
+         (Graph.Runtime.Int_weights
+            (Array.init (Storage.Table.nrows friends) (fun i ->
+                 int_of_float (Storage.Column.float_at weight_col i *. 100.)))))
+  in
+  let n_weighted = min 128 sources in
+  let weighted engine =
+    let pass ?counts () =
+      Array.map
+        (fun p ->
+          (Graph.Runtime.run_pairs rt ~weights ~engine ?counts ~pairs:[| p |] ()).(0))
+        (Array.sub pairs 0 n_weighted)
+    in
+    let c = Graph.Runtime.fresh_counts () in
+    let outs = pass ~counts:c () in
+    (outs, min_time 3 (fun () -> ignore (pass ())),
+     c.Graph.Runtime.trav.Graph.Workspace.edges_scanned)
+  in
+  let w_one, t_one, e_one = weighted `Scalar in
+  let w_bidir, t_bidir, e_bidir = weighted `Auto in
+  if not (outcomes_equal w_one w_bidir) then
+    failwith "pairs: weighted outcomes differ (one-sided vs bidirectional)";
   (* Telemetry overhead on this scenario.  The span hooks are always
      compiled in; with tracing off each reduces to one atomic load, so
      the honest in-binary bound on "tracing-off overhead" is the
@@ -693,10 +729,18 @@ let pairs_bench ?json ~ratio ~sources ~seed () =
   print_row "batched ms-bfs" t_batched counters1 workers1;
   print_row "batched ms-bfs, domains=2" t_batched2 counters2 workers2;
   print_row "batched ms-bfs, domains=4" t_batched4 counters4 workers4;
+  let print_weighted name t edges =
+    Printf.printf "%-28s %14.6f   (%d pairs, %d edges scanned)\n" name t
+      n_weighted edges
+  in
+  print_weighted "weighted one-sided" t_one e_one;
+  print_weighted "weighted bidirectional" t_bidir e_bidir;
   Printf.printf "speedup (batched vs scalar, domains=1): %.2fx\n"
     (t_scalar /. t_batched);
   Printf.printf "speedup (domains=4 vs domains=1): %.2fx\n"
     (t_batched /. t_batched4);
+  Printf.printf "speedup (weighted bidirectional vs one-sided): %.2fx\n"
+    (t_one /. t_bidir);
   Printf.printf "host two-domain gain (raw CPU loop, no repo code): %.2fx\n%!"
     host_x;
   match json with
@@ -707,23 +751,35 @@ let pairs_bench ?json ~ratio ~sources ~seed () =
        engine only, so those fields are null — not 0, which would read
        as "measured, and it was zero" (json_lint enforces the
        distinction). Every entry records the workers that ran. *)
-    let entry ~name ~seconds ~domains ~workers ~counters =
+    let entry ?(extra = []) ~name ~seconds ~domains ~workers ~counters () =
       let c pick =
         match counters with
         | None -> Sqlgraph.Metrics.Null
         | Some cs -> Sqlgraph.Metrics.Int (pick cs)
       in
       Sqlgraph.Metrics.Obj
-        [
-          ("name", Sqlgraph.Metrics.String name);
-          ("seconds", Sqlgraph.Metrics.num seconds);
-          ("domains", Sqlgraph.Metrics.Int domains);
-          ("workers", Sqlgraph.Metrics.Int workers);
-          ("waves", c (fun (w, _, _, _) -> w));
-          ("dir_switches", c (fun (_, s, _, _) -> s));
-          ("steals", c (fun (_, _, s, _) -> s));
-          ("tasks", c (fun (_, _, _, t) -> t));
-        ]
+        ([
+           ("name", Sqlgraph.Metrics.String name);
+           ("seconds", Sqlgraph.Metrics.num seconds);
+           ("domains", Sqlgraph.Metrics.Int domains);
+           ("workers", Sqlgraph.Metrics.Int workers);
+           ("waves", c (fun (w, _, _, _) -> w));
+           ("dir_switches", c (fun (_, s, _, _) -> s));
+           ("steals", c (fun (_, _, s, _) -> s));
+           ("tasks", c (fun (_, _, _, t) -> t));
+         ]
+        @ extra)
+    in
+    (* the weighted rows run no batched wave either: null counters, plus
+       their pair count and edges scanned *)
+    let weighted_entry ~name ~seconds ~edges =
+      entry ~name ~seconds ~domains:1 ~workers:1 ~counters:None
+        ~extra:
+          [
+            ("pairs", Sqlgraph.Metrics.Int n_weighted);
+            ("edges_scanned", Sqlgraph.Metrics.Int edges);
+          ]
+        ()
     in
     Sqlgraph.Metrics.write_file ~path
       (Sqlgraph.Metrics.Obj
@@ -743,15 +799,19 @@ let pairs_bench ?json ~ratio ~sources ~seed () =
              Sqlgraph.Metrics.List
                [
                  entry ~name:"pairs/scalar-per-source" ~seconds:t_scalar
-                   ~domains:1 ~workers:scalar_workers ~counters:None;
+                   ~domains:1 ~workers:scalar_workers ~counters:None ();
                  entry ~name:"pairs/batched-msbfs" ~seconds:t_batched
-                   ~domains:1 ~workers:workers1 ~counters:(Some counters1);
+                   ~domains:1 ~workers:workers1 ~counters:(Some counters1) ();
                  entry ~name:"pairs/batched-msbfs-domains2"
                    ~seconds:t_batched2 ~domains:2 ~workers:workers2
-                   ~counters:(Some counters2);
+                   ~counters:(Some counters2) ();
                  entry ~name:"pairs/batched-msbfs-domains4"
                    ~seconds:t_batched4 ~domains:4 ~workers:workers4
-                   ~counters:(Some counters4);
+                   ~counters:(Some counters4) ();
+                 weighted_entry ~name:"pairs/weighted-one-sided"
+                   ~seconds:t_one ~edges:e_one;
+                 weighted_entry ~name:"pairs/weighted-bidir" ~seconds:t_bidir
+                   ~edges:e_bidir;
                ] );
            ( "speedup_batched_vs_scalar",
              Sqlgraph.Metrics.num (t_scalar /. t_batched) );
@@ -1581,7 +1641,8 @@ let pairs_json_arg =
 
 let pairs_cmd =
   cmd "pairs"
-    "Scalar per-source BFS vs batched MS-BFS on one multi-source batch (P1)."
+    "Scalar per-source BFS vs batched MS-BFS on one multi-source batch, \
+     and one-sided vs bidirectional weighted single pairs (P1)."
     Term.(
       const (fun ratio sources seed json ->
           pairs_bench ?json ~ratio ~sources ~seed ())

@@ -182,7 +182,7 @@ dune exec test/json_lint.exe -- --bench-pairs BENCH_pairs.json || {
   exit 1
 }
 
-echo "== bench pairs scaling gate (domains=4 <= 0.9x domains=1)"
+echo "== bench pairs scaling gate (domains=4 <= 0.9x domains=1; weighted bidir edges <= 1/10 one-sided)"
 # Full-size workload (ratio 1.0, 512 sources — the committed
 # BENCH_pairs.json config). Every batch runs the same MS-BFS kernel
 # through the same work-stealing scheduler, so this compares one kernel
@@ -209,6 +209,19 @@ for attempt in 1 2 3; do
     cat BENCH_pairs_scaling.json
     exit 1
   }
+  # The weighted single pair meets in the middle: on the SF1 pairs the
+  # bidirectional search scans at most 1/10 of the one-sided search's
+  # edges. A count, not a time, so it holds on any host; it is read from
+  # this full-size run because on the smoke's 98-vertex graph (out-degree
+  # ~37) both searches cover much of the graph.
+  ew1=$(tr -d ' \n' < BENCH_pairs_scaling.json \
+      | sed -n 's/.*"pairs\/weighted-one-sided"[^}]*"edges_scanned":\([0-9]*\).*/\1/p')
+  ew2=$(tr -d ' \n' < BENCH_pairs_scaling.json \
+      | sed -n 's/.*"pairs\/weighted-bidir"[^}]*"edges_scanned":\([0-9]*\).*/\1/p')
+  [ -n "$ew1" ] && [ -n "$ew2" ] && [ "$((ew2 * 10))" -le "$ew1" ] || {
+    echo "FAIL: weighted bidirectional search scanned ${ew2} edges, more than 1/10 of the one-sided ${ew1}"
+    exit 1
+  }
   if awk "BEGIN { exit !($d4 <= 0.9 * $d1) }"; then
     pairs_ok=1
     break
@@ -220,6 +233,7 @@ done
   exit 1
 }
 echo "   domains1 ${d1}s (1 worker), domains4 ${d4}s (${w4} workers), host two-domain gain ${hx}x"
+echo "   weighted single pairs: bidirectional ${ew2} edges scanned, one-sided ${ew1}"
 
 echo "== tracing-off overhead (< 2% on bench pairs)"
 # trace_off_overhead_pct is the repeat-run delta between two tracing-off

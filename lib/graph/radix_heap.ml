@@ -32,10 +32,18 @@ let size t = t.count
 let is_empty t = t.count = 0
 let floor t = t.last
 
-(* Index of the highest set bit, for x > 0. *)
+(* Index of the highest set bit, for x > 0, by halving the range: six
+   tests, where a shift loop costs one step per bit and showed up as a
+   quarter of a Dijkstra search's time. *)
 let msb x =
-  let rec loop x acc = if x = 0 then acc else loop (x lsr 1) (acc + 1) in
-  loop x (-1)
+  let x = ref x and n = ref 0 in
+  if !x lsr 32 <> 0 then begin x := !x lsr 32; n := 32 end;
+  if !x lsr 16 <> 0 then begin x := !x lsr 16; n := !n + 16 end;
+  if !x lsr 8 <> 0 then begin x := !x lsr 8; n := !n + 8 end;
+  if !x lsr 4 <> 0 then begin x := !x lsr 4; n := !n + 4 end;
+  if !x lsr 2 <> 0 then begin x := !x lsr 2; n := !n + 2 end;
+  if !x lsr 1 <> 0 then incr n;
+  !n
 
 let bucket_of t priority =
   if priority = t.last then 0 else 1 + msb (priority lxor t.last)
@@ -63,8 +71,8 @@ let insert t ~priority ~payload =
   push t (bucket_of t priority) priority payload;
   t.count <- t.count + 1
 
-let extract_min t =
-  if t.count = 0 then raise Not_found;
+(* Bring the minimum into bucket 0. *)
+let pull_min t =
   if t.len.(0) = 0 then begin
     (* New floor = min priority in the first non-empty bucket b;
        redistribute it. Every entry lands below b, so [d] stays intact
@@ -84,11 +92,38 @@ let extract_min t =
       let p = d.(2 * i) in
       push t (bucket_of t p) p d.((2 * i) + 1)
     done
-  end;
+  end
+
+let extract_min t =
+  if t.count = 0 then raise Not_found;
+  pull_min t;
   let n = t.len.(0) - 1 in
   t.len.(0) <- n;
   t.count <- t.count - 1;
   t.data.(0).((2 * n) + 1)
+
+let min_priority t =
+  if t.count = 0 then raise Not_found;
+  pull_min t;
+  t.last
+
+(* Compacting each bucket in place keeps the survivors' order, so equal
+   priorities still leave last in, first out. *)
+let filter t keep =
+  for b = 0 to bucket_count - 1 do
+    let d = t.data.(b) and n = t.len.(b) in
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      let p = d.(2 * i) and v = d.((2 * i) + 1) in
+      if keep p v then begin
+        d.(2 * !k) <- p;
+        d.((2 * !k) + 1) <- v;
+        incr k
+      end
+    done;
+    t.count <- t.count - (n - !k);
+    t.len.(b) <- !k
+  done
 
 let clear t =
   Array.fill t.len 0 bucket_count 0;

@@ -28,5 +28,16 @@ val extract_min : t -> int
     (0 before the first extraction): no later insert may go below it. *)
 val floor : t -> int
 
+(** [min_priority t] — the smallest priority in the heap, without
+    removing it. It becomes the {!floor}, so no later insert may go
+    below it: call it only where the next operation would be an
+    {!extract_min} anyway (a Dijkstra step between its relaxations and
+    its next pop). Raises [Not_found] when empty. *)
+val min_priority : t -> int
+
+(** [filter t keep] drops every entry for which [keep priority payload]
+    is false, in one pass over the entries; the floor does not move. *)
+val filter : t -> (int -> int -> bool) -> unit
+
 (** [clear t] empties the heap and resets the floor to 0. *)
 val clear : t -> unit

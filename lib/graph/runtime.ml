@@ -465,20 +465,42 @@ let run_pairs t ~weights ?(heap = Dijkstra.Radix) ?(domains = 1)
     | _ -> false
   in
   let rev = t.rev in
-  (match (slot_w, engine, rev, group_list) with
-  | `None, `Auto, Some rev, [ (source, [ (idx, dest) ]) ] when not paths -> (
-    (* the cost-only single pair meets in the middle (Bfs.distance) *)
+  (* A single pair on a graph with its reverse CSR meets in the middle:
+     the cost-only unweighted one (Bfs.distance), and the radix-heap
+     weighted one with or without its path (Dijkstra.bidir_int). *)
+  let bidir =
+    match (slot_w, engine, rev, group_list) with
+    | `None, `Auto, Some rev, [ (source, [ (idx, dest) ]) ] when not paths ->
+      Some
+        ( "bidir_bfs",
+          idx,
+          fun ws ->
+            Bfs.distance ~check ws t.csr ~rev ~source ~dest
+            |> Option.map (fun hops -> (hops, [||])) )
+    | `Int w, `Auto, Some rev, [ (source, [ (idx, dest) ]) ]
+      when heap = Dijkstra.Radix ->
+      Some
+        ( "bidir_dijkstra",
+          idx,
+          fun ws ->
+            Dijkstra.bidir_int ~check ws t.csr ~rev ~weights:w ~source ~dest
+              ~paths
+            |> Option.map (fun cost ->
+                   ( cost,
+                     if paths then Path_tree.edge_rows ws t.csr ~source ~dst:dest
+                     else [||] )) )
+    | _ -> None
+  in
+  (match bidir with
+  | Some (span, idx, search) -> (
     note "search" "bidir";
     let ws = acquire_ws t counts in
     Fun.protect ~finally:(fun () -> release_ws t counts ws) @@ fun () ->
-    match
-      Tr.span "bidir_bfs" (fun () ->
-          Bfs.distance ~check ws t.csr ~rev ~source ~dest)
-    with
-    | Some hops ->
-      out.(idx) <- Reached { cost = Storage.Value.Int hops; edge_rows = [||] }
+    match Tr.span span (fun () -> search ws) with
+    | Some (cost, edge_rows) ->
+      out.(idx) <- Reached { cost = Storage.Value.Int cost; edge_rows }
     | None -> ())
-  | _ ->
+  | None ->
     (* §6's parallelism, scheduled by work stealing: the CSR and weights
        are shared read-only, every worker owns a private (pooled)
        workspace, and outcomes land in disjoint slots — see [run_sched]

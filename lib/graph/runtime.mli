@@ -122,10 +122,12 @@ val align_weights : t -> weights -> aligned
 (** Traversal engine selection for {!run_pairs}. [`Auto] (the default)
     answers unweighted batches with more than one distinct source through
     the bit-parallel {!Msbfs} engine (63 sources per sweep) and everything
-    else per source; [`Scalar] forces one scalar search per source;
-    [`Batched] forces MS-BFS for unweighted batches regardless of size.
-    Weighted batches always run per-source Dijkstra. Every engine settles
-    the same canonical shortest-path tree, so outcomes are identical. *)
+    else per source (a single pair on a graph with its reverse CSR by a
+    bidirectional search, see {!run_pairs}); [`Scalar] forces one
+    one-sided scalar search per source; [`Batched] forces MS-BFS for
+    unweighted batches regardless of size. Weighted batches always run
+    per-source Dijkstra. Every engine settles the same canonical
+    shortest-path tree, so outcomes are identical. *)
 type engine = [ `Auto | `Scalar | `Batched ]
 
 type outcome =
@@ -160,21 +162,26 @@ type outcome =
     [oversubscribe] (default false) lifts the core clamp for tests that
     must exercise multi-worker stealing on small machines.
 
-    [engine] selects the unweighted traversal engine (see {!engine});
-    the default [`Auto] batches multi-source workloads through MS-BFS.
+    [engine] selects the traversal engine (see {!engine}); the default
+    [`Auto] batches unweighted multi-source workloads through MS-BFS.
 
     [paths] (default [true]) says whether the caller reads
     [edge_rows]. With [~paths:false] no path is extracted and every
     [Reached] carries [edge_rows = [||]]. The executor derives it from
     the plan (a CHEAPEST without a path column, or a bare REACHES); it is
-    not a user setting. When, in addition, the weights are [Unweighted],
-    [engine] is [`Auto], the reverse CSR is cached ({!prepare_bidir}) and
-    the deduplicated batch is one source with one pending destination,
-    the pair is answered by the meet-in-the-middle {!Bfs.distance}
-    instead of the scheduler, and [note] (default: ignore) receives
-    [("search", "bidir")]. Costs are identical either way; every other
-    batch (path output, forced engines, several destinations or sources)
-    runs exactly as with [~paths:true], minus the path extraction.
+    not a user setting.
+
+    When [engine] is [`Auto], the reverse CSR is cached
+    ({!prepare_bidir}) and the deduplicated batch is one source with one
+    pending destination, the pair meets in the middle instead of going
+    through the scheduler: with [Unweighted] weights and [~paths:false]
+    by {!Bfs.distance}; with integer weights and the [Radix] heap, path
+    or not, by {!Dijkstra.bidir_int}. [note] (default: ignore) then
+    receives [("search", "bidir")]. Outcomes are identical either way,
+    paths included (the canonical tree of DESIGN.md §9); every other
+    batch (forced engines, the binary heap, float weights, several
+    destinations or sources, or an unweighted path) runs through the
+    scheduler, minus the path extraction under [~paths:false].
 
     [check] (default {!Cancel.none}) is forwarded into every kernel so a
     governor can cancel or budget the batch; with several workers the

@@ -30,15 +30,20 @@ type batch = {
   mutable rec_len : int;
 }
 
-(* Scratch for the bidirectional distance kernel (Bfs.distance). The
-   forward side labels through [t.stamp]; the backward side stamps
-   [back_stamp] with the same epoch, so neither side needs an O(V) reset
-   between searches. Each queue holds its side's labelled vertices in
-   discovery order, the current frontier being its last level. *)
+(* Scratch for the bidirectional kernels (Bfs.distance,
+   Dijkstra.bidir_int). The forward side labels through [t.stamp]; the
+   backward side stamps [back_stamp] with the same epoch, so neither side
+   needs an O(V) reset between searches. For BFS each queue holds its
+   side's labelled vertices in discovery order, the current frontier
+   being its last level. The weighted search keeps its backward
+   distances in [back_dist] and its backward queue in [back_heap];
+   [back_dist] stays empty until the first weighted search. *)
 type bidir = {
   back_stamp : int array;
   fwd_queue : int array;
   back_queue : int array;
+  mutable back_dist : int array;
+  back_heap : Radix_heap.t;
 }
 
 type t = {
@@ -124,8 +129,8 @@ let radix_heap t =
     t.radix <- Some h;
     h
 
-(* And the bidirectional scratch, for the cost-only single-pair searches
-   that use it. *)
+(* And the bidirectional scratch, for the single-pair searches that use
+   it. *)
 let bidir_state t =
   match t.bidir with
   | Some b -> b
@@ -136,10 +141,18 @@ let bidir_state t =
         back_stamp = Array.make n 0;
         fwd_queue = Array.make n 0;
         back_queue = Array.make n 0;
+        back_dist = [||];
+        back_heap = Radix_heap.create ();
       }
     in
     t.bidir <- Some b;
     b
+
+let weighted_bidir_state t =
+  let b = bidir_state t in
+  if Array.length b.back_dist = 0 then b.back_dist <- Array.make t.vertex_count 0;
+  Radix_heap.clear b.back_heap;
+  b
 
 let reset_batch b =
   let n = Array.length b.seen in

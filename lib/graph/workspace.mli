@@ -48,15 +48,21 @@ type batch = {
   mutable rec_len : int;
 }
 
-(** Scratch for the bidirectional distance kernel ({!Bfs.distance}).
-    The forward side labels through [t.stamp]; [back_stamp] holds the
-    backward side's labels, stamped with the same epoch, so a new search
-    resets neither. [fwd_queue]/[back_queue] hold each side's labelled
-    vertices in discovery order; the last level is the frontier. *)
+(** Scratch for the bidirectional kernels ({!Bfs.distance},
+    {!Dijkstra.bidir_int}). The forward side labels through [t.stamp];
+    [back_stamp] holds the backward side's labels, stamped with the same
+    epoch, so a new search resets neither. [fwd_queue]/[back_queue] hold
+    each BFS side's labelled vertices in discovery order; the last level
+    is the frontier. The weighted search keeps its backward distances in
+    [back_dist] (empty until {!weighted_bidir_state} first sizes it) and
+    its backward queue in [back_heap]; its forward side uses
+    [t.dist_int], the parent arrays and {!radix_heap}. *)
 type bidir = {
   back_stamp : int array;
   fwd_queue : int array;
   back_queue : int array;
+  mutable back_dist : int array;
+  back_heap : Radix_heap.t;
 }
 
 type t = {
@@ -95,6 +101,10 @@ val radix_heap : t -> Radix_heap.t
     and reused afterwards; epoch-stamped like the scalar state, so it
     needs no reset. *)
 val bidir_state : t -> bidir
+
+(** [weighted_bidir_state t] — {!bidir_state} with [back_dist] sized to
+    the vertex count (on first use) and [back_heap] cleared. *)
+val weighted_bidir_state : t -> bidir
 
 (** [reset_batch b] zeroes every mask, clears the record pool. O(V). *)
 val reset_batch : batch -> unit

@@ -19,7 +19,12 @@
        claim a measurement that never happened — and integers on every
        batched entry.  The document records the host's cores
        (host_cores) and every entry the workers that actually ran:
-       integers with 1 <= workers <= min(domains, host_cores).
+       integers with 1 <= workers <= min(domains, host_cores).  The
+       weighted single-pair entries (pairs/weighted-one-sided and
+       pairs/weighted-bidir) must both be present; like the scalar
+       baseline they run no batched wave (null counters), and each
+       records its pair count (pairs >= 1) and the edges its searches
+       scanned (edges_scanned >= 1).
      json_lint --bench-repl FILE
        FILE must be a bench `repl` document: catch-up bandwidth
        (catchup_mb_per_sec) strictly positive, steady-state lag fields
@@ -125,7 +130,8 @@ let lint_bench_pairs path =
   in
   let host_cores = int_field doc "document" "host_cores" in
   if host_cores < 1 then fail "%s: host_cores must be >= 1" path;
-  let n_scalar = ref 0 in
+  let weighted_names = [ "pairs/weighted-one-sided"; "pairs/weighted-bidir" ] in
+  let n_scalar = ref 0 and weighted_seen = ref [] in
   List.iter
     (fun entry ->
       let name =
@@ -133,8 +139,17 @@ let lint_bench_pairs path =
         | Some n -> n
         | None -> fail "%s: result entry without name" path
       in
-      let scalar = name = "pairs/scalar-per-source" in
-      if scalar then incr n_scalar;
+      let weighted = List.mem name weighted_names in
+      if weighted then begin
+        weighted_seen := name :: !weighted_seen;
+        List.iter
+          (fun field ->
+            if int_field entry name field < 1 then
+              fail "%s: %s: %s must be >= 1" path name field)
+          [ "pairs"; "edges_scanned" ]
+      end;
+      let scalar = weighted || name = "pairs/scalar-per-source" in
+      if name = "pairs/scalar-per-source" then incr n_scalar;
       let workers = int_field entry name "workers" in
       let domains = int_field entry name "domains" in
       if workers < 1 || workers > min domains host_cores then
@@ -159,6 +174,10 @@ let lint_bench_pairs path =
     results;
   if !n_scalar = 0 then
     fail "%s: no pairs/scalar-per-source entry" path;
+  List.iter
+    (fun name ->
+      if not (List.mem name !weighted_seen) then fail "%s: no %s entry" path name)
+    weighted_names;
   Printf.printf "%s: %d pairs entries ok\n" path (List.length results)
 
 let lint_bench_repl path =

@@ -806,7 +806,9 @@ let prop_vectorized_filter_matches_scalar =
 
 (* A selective filter allocates its hit array and a constant, not
    arrays the size of the table: [b = 7] over 100k rows with 256 hits.
-   Words allocated on this domain, minor + major - promoted. *)
+   Words allocated on this domain, minor + major - promoted, the minor
+   part from [Gc.minor_words] (on OCaml 5.1 [Gc.counters] undercounts
+   it until the next minor collection). *)
 let test_filter_allocation () =
   let n = 100_000 and hits = 256 in
   let b =
@@ -823,8 +825,8 @@ let test_filter_allocation () =
       (Sql.Parser.parse_expr "b = 7")
   in
   let words () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
   in
   let before = words () in
   let kept = Executor.Vectorized.eval_filter table bound in

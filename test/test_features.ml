@@ -234,6 +234,45 @@ let test_insert_extends_graph_index () =
     (fun (s, d) -> check tbool "rebuilt = fresh" true (same_as_fresh db (q s d)))
     [ (3, 2); (1, 2); (1, 3); (2, 2) ]
 
+(* A cached weighted single pair meets in the middle. EXPLAIN ANALYZE
+   names the route and counts its edges: fewer than the one-sided search
+   scans on an unindexed copy, which returns the same (cost, path) rows.
+   600 vertices with 4 seeded out-edges each, weights 1..3. *)
+let test_weighted_bidir_explain () =
+  let db = Sqlgraph.Db.create () in
+  let exec sql = ignore (Sqlgraph.Db.exec_exn db sql) in
+  exec "CREATE TABLE e (a INTEGER, b INTEGER, w INTEGER)";
+  let rng = Random.State.make [| 7 |] in
+  exec
+    ("INSERT INTO e VALUES "
+    ^ String.concat ", "
+        (List.init 2400 (fun i ->
+             Printf.sprintf "(%d, %d, %d)" (i / 4) (Random.State.int rng 600)
+               (1 + Random.State.int rng 3))));
+  indexed db;
+  let q =
+    "SELECT T.c, R.a, R.b FROM (SELECT CHEAPEST SUM(w) AS (c, p) WHERE 0 \
+     REACHES 599 OVER e EDGE (a, b)) T, UNNEST(T.p) R"
+  in
+  let edges_scanned out =
+    match Astring.String.cut ~sep:"edges_scanned=" out with
+    | Some (_, rest) ->
+      int_of_string
+        (Astring.String.take ~sat:(function '0' .. '9' -> true | _ -> false) rest)
+    | None -> Alcotest.fail "no edges_scanned note"
+  in
+  ignore (explain_analyze db q);
+  let out = explain_analyze db q in
+  check tbool "cached, bidirectional" true (has "cache=hit" out && has "search=bidir" out);
+  let fresh = Sqlgraph.Db.create () in
+  Sqlgraph.Db.load_table fresh ~name:"e"
+    (Storage.Table.copy
+       (Option.get (Storage.Catalog.find (Sqlgraph.Db.catalog db) "e")));
+  let one_sided = explain_analyze fresh q in
+  check tbool "unindexed: one-sided" false (has "search=bidir" one_sided);
+  check tbool "fewer edges scanned" true (edges_scanned out < edges_scanned one_sided);
+  check tbool "same rows" true (rows db q <> [] && same_as_fresh db q)
+
 (* An UPDATE of the weight column leaves the key columns alone: the
    graph extends by zero rows, and the new weights are evaluated. *)
 let test_weight_update_extends_by_zero_rows () =
@@ -1101,6 +1140,8 @@ let () =
             test_drop_create_invalidates_graph_index;
           Alcotest.test_case "insert extends graph index" `Quick
             test_insert_extends_graph_index;
+          Alcotest.test_case "weighted single pair: bidirectional" `Quick
+            test_weighted_bidir_explain;
           Alcotest.test_case "weight update extends by 0 rows" `Quick
             test_weight_update_extends_by_zero_rows;
         ] );

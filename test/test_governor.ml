@@ -348,6 +348,52 @@ let test_bidir_fault () =
       (200, 1, []);
     ]
 
+(* A weighted single pair on an indexed graph runs Dijkstra.bidir_int,
+   path or not: integer weights (3 per chain edge) on the radix heap. *)
+let weighted_path =
+  "SELECT CHEAPEST SUM(CAST(w * 2 AS INTEGER)) AS (cost, path) WHERE ? \
+   REACHES ? OVER e EDGE (src, dst)"
+
+(* (cost, edge rows of the path) per result row; chain edge i -> i + 1 is
+   row i - 1 *)
+let weighted_rows db ~src ~dst =
+  List.map
+    (function
+      | [ V.Int cost; path ] -> (cost, snd (Option.get (Executor.Nested.destruct path)))
+      | _ -> Alcotest.fail "expected an (INTEGER, PATH) row")
+    (Sqlgraph.Resultset.rows
+       (Sqlgraph.Db.query_exn db ~params:[| V.Int src; V.Int dst |]
+          weighted_path))
+
+let test_weighted_bidir_budget () =
+  let db = indexed_chain_db 2000 in
+  check_kind "steps budget" Err.Steps
+    (Sqlgraph.Db.query db ~params:[| V.Int 1; V.Int 2000 |]
+       ~budget:(Gov.budget ~max_steps:100 ()) weighted_path);
+  check tbool "next query on the pooled workspace" true
+    (weighted_rows db ~src:1 ~dst:2000 = [ (5997, Array.init 1999 Fun.id) ]);
+  match Sqlgraph.Db.last_stats db with
+  | Some s -> check tbool "workspace reused" true (s.Executor.Interp.pool_hits >= 1)
+  | None -> Alcotest.fail "no stats recorded"
+
+let test_weighted_bidir_fault () =
+  let db = indexed_chain_db 200 in
+  List.iter
+    (fun (src, dst, want) ->
+      let what = Printf.sprintf "%d -> %d" src dst in
+      Fault.set (Fault.parse "site=dijkstra");
+      check_kind what Err.Fault
+        (Sqlgraph.Db.query db ~params:[| V.Int src; V.Int dst |] weighted_path);
+      check tbool (what ^ ": disarmed") true (Fault.current () = None);
+      check tbool (what ^ ": answer after the fault") true
+        (weighted_rows db ~src ~dst = want))
+    [
+      (1, 1, [ (0, [||]) ]);
+      (1, 2, [ (3, [| 0 |]) ]);
+      (1, 200, [ (597, Array.init 199 Fun.id) ]);
+      (200, 1, []);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Failure safety: sessions and transactions survive                   *)
 (* ------------------------------------------------------------------ *)
@@ -475,6 +521,10 @@ let () =
         [
           tc "budget cancels, pool recovers" test_bidir_budget;
           tc "bfs fault once per search" test_bidir_fault;
+          tc "weighted: budget cancels, pool recovers"
+            test_weighted_bidir_budget;
+          tc "weighted: dijkstra fault once per search"
+            test_weighted_bidir_fault;
         ] );
       ( "failure safety",
         [

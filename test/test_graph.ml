@@ -272,6 +272,47 @@ let prop_radix_heap_interleaved =
         deltas;
       !ok)
 
+(* Peeks and filters against a sorted-list model, with priorities of
+   every bit width up to 40 above the floor, so every bucket is used. *)
+let prop_radix_heap_peek_filter =
+  QCheck.Test.make
+    ~name:"radix heap: peek, filter, wide priorities match a model" ~count:300
+    QCheck.(
+      make
+        ~print:Print.(list (pair int int))
+        Gen.(
+          list_size (int_range 1 80)
+            (pair (int_range 0 4)
+               (int_range 0 40 >>= fun bits -> int_range 0 (1 lsl bits)))))
+    (fun ops ->
+      let h = Graph.Radix_heap.create () in
+      let model = ref [] and floor = ref 0 and ok = ref true in
+      let expect b = if not b then ok := false in
+      List.iteri
+        (fun i (op, delta) ->
+          match (op, !model) with
+          | (0 | 1), _ ->
+            let p = !floor + delta in
+            Graph.Radix_heap.insert h ~priority:p ~payload:i;
+            model := List.sort compare ((p, i) :: !model)
+          | 2, (p, _) :: _ ->
+            (* equal priorities may leave in any order: drop the one
+               that left *)
+            let got = radix_pop h in
+            expect (fst got = p && List.mem got !model);
+            model := List.filter (( <> ) got) !model;
+            floor := p
+          | 3, (p, _) :: _ ->
+            expect (Graph.Radix_heap.min_priority h = p);
+            floor := p
+          | (2 | 3), [] -> expect (Graph.Radix_heap.is_empty h)
+          | _ ->
+            let keep p v = (p + v) mod 3 <> 0 in
+            Graph.Radix_heap.filter h keep;
+            model := List.filter (fun (p, v) -> keep p v) !model)
+        ops;
+      !ok && Graph.Radix_heap.size h = List.length !model)
+
 let test_binary_heap_model () =
   let h = Graph.Binary_heap.create ~capacity:1 () in
   let input = [ 5.; 1.; 4.; 1.; 9.; 0.5; 2. ] in
@@ -446,8 +487,11 @@ let prop_dijkstra_matches_reference ~heap name =
           pairs outcomes
       end)
 
+(* Weights in 1..3 or 1..50: the narrow range makes equal-cost paths
+   common, and the tie rule must pick the same one on both heaps. *)
 let prop_radix_equals_binary =
-  QCheck.Test.make ~name:"dijkstra: radix and binary heaps agree" ~count:150
+  QCheck.Test.make ~name:"dijkstra: radix = binary, same path"
+    ~count:150
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Random.State.make [| seed |] in
@@ -455,24 +499,81 @@ let prop_radix_equals_binary =
       let edges = random_graph rng n 35 in
       if edges = [] then true
       else begin
+        let max_w = if Random.State.bool rng then 3 else 50 in
         let weights =
-          Array.init (List.length edges) (fun _ -> 1 + Random.State.int rng 50)
+          Array.init (List.length edges) (fun _ ->
+              1 + Random.State.int rng max_w)
         in
         let rt, _, _ = make_runtime edges n in
-        let pairs =
-          Array.init 5 (fun _ ->
-              (V.Int (Random.State.int rng n), V.Int (Random.State.int rng n)))
+        let pairs = Array.init (n * n) (fun i -> (V.Int (i / n), V.Int (i mod n))) in
+        let run heap =
+          Graph.Runtime.run_pairs rt
+            ~weights:(Graph.Runtime.Int_weights weights) ~heap ~pairs ()
         in
-        let costs heap =
-          Array.map
-            (function
-              | Graph.Runtime.Unreachable -> None
-              | Graph.Runtime.Reached { cost; _ } -> Some cost)
-            (Graph.Runtime.run_pairs rt
-               ~weights:(Graph.Runtime.Int_weights weights) ~heap ~pairs ())
-        in
-        costs Graph.Dijkstra.Radix = costs Graph.Dijkstra.Binary
+        run Graph.Dijkstra.Radix = run Graph.Dijkstra.Binary
       end)
+
+(* The bidirectional search returns run_int's (cost, path) byte for byte,
+   and the same cost without the path. Tie-heavy weights (1..3) or wide
+   ones (1..50), parallel edges and self-loops, every pair including
+   source = destination and unreachable ones, over a plain, a packed and
+   an extended CSR; one workspace serves every search. *)
+let prop_bidir_equals_run_int =
+  QCheck.Test.make ~name:"dijkstra: bidirectional = run_int, cost and path"
+    ~count:200
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let n = 1 + Random.State.int rng 12 in
+      let m = Random.State.int rng 40 in
+      let src = Array.init m (fun _ -> Random.State.int rng n) in
+      let dst = Array.init m (fun _ -> Random.State.int rng n) in
+      let max_w = if Random.State.bool rng then 3 else 50 in
+      let per_row = Array.init m (fun _ -> 1 + Random.State.int rng max_w) in
+      let k = Random.State.int rng (m + 1) in
+      let csrs =
+        [
+          Graph.Csr.build ~vertex_count:n ~src ~dst;
+          Graph.Csr.build_repr ~compact:true ~vertex_count:n ~src ~dst;
+          Graph.Csr.extend
+            (Graph.Csr.build ~vertex_count:n ~src:(Array.sub src 0 k)
+               ~dst:(Array.sub dst 0 k))
+            ~src:(Array.sub src k (m - k)) ~dst:(Array.sub dst k (m - k))
+            ~first_row:k;
+        ]
+      in
+      let pairs = List.init (n * n) (fun i -> (i / n, i mod n)) in
+      List.for_all
+        (fun csr ->
+          let weights =
+            Array.init (Graph.Csr.edge_count csr) (fun slot ->
+                per_row.(Graph.Ivec.get csr.Graph.Csr.edge_rows slot))
+          in
+          let rev = Graph.Csr.reverse csr in
+          let ws = Graph.Workspace.create n in
+          let path ~source ~dest =
+            Graph.Path_tree.edge_rows ws csr ~source ~dst:dest
+          in
+          List.for_all
+            (fun (source, dest) ->
+              Graph.Dijkstra.run_int ws csr ~weights ~source
+                ~targets:[| dest |] ~heap:Graph.Dijkstra.Radix;
+              let one_sided =
+                if Graph.Workspace.visited ws dest then
+                  Some (ws.Graph.Workspace.dist_int.(dest), path ~source ~dest)
+                else None
+              in
+              let bidir ~paths =
+                Graph.Dijkstra.bidir_int ws csr ~rev ~weights ~source ~dest
+                  ~paths
+              in
+              let cost = bidir ~paths:false in
+              let two_sided =
+                Option.map (fun c -> (c, path ~source ~dest)) (bidir ~paths:true)
+              in
+              one_sided = two_sided && cost = Option.map fst one_sided)
+            pairs)
+        csrs)
 
 let prop_float_weights_match_scaled_int =
   QCheck.Test.make ~name:"dijkstra: float weights track scaled int weights"
@@ -752,6 +853,46 @@ let test_runtime_bidir_selection () =
          | Graph.Runtime.Unreachable -> false)
        out)
 
+(* The weighted single pair takes the bidirectional route with or without
+   its path, on the radix heap and the [`Auto] engine only; the outcome is
+   the one-sided one either way. A non-vertex endpoint never searches. *)
+let test_runtime_weighted_bidir_selection () =
+  let rt = diamond_runtime () in
+  let run ?engine ?heap ?paths ?(weights = Graph.Runtime.Int_weights [| 1; 10; 1; 1 |])
+      pairs =
+    let notes = ref [] in
+    let out =
+      Graph.Runtime.run_pairs rt ~weights ?engine ?heap ?paths
+        ~note:(fun k v -> notes := (k, v) :: !notes) ~pairs ()
+    in
+    (out, !notes = [ ("search", "bidir") ])
+  in
+  let one = [| (V.Int 1, V.Int 4); (V.Int 1, V.Int 4) |] in
+  let want = Graph.Runtime.Reached { cost = V.Int 3; edge_rows = [| 0; 2; 3 |] } in
+  check tbool "no reverse CSR" false (snd (run one));
+  check tbool "one-sided answer" true (Array.for_all (( = ) want) (fst (run one)));
+  Graph.Runtime.prepare_bidir rt;
+  let out, bidir = run one in
+  check tbool "single pair with path" true bidir;
+  check tbool "same cost and path, fanned out" true (Array.for_all (( = ) want) out);
+  let out, bidir = run ~paths:false one in
+  check tbool "cost-only single pair" true bidir;
+  check tbool "cost, no path" true
+    (Array.for_all
+       (( = ) (Graph.Runtime.Reached { cost = V.Int 3; edge_rows = [||] }))
+       out);
+  check tbool "binary heap" false (snd (run ~heap:Graph.Dijkstra.Binary one));
+  check tbool "forced scalar" false (snd (run ~engine:`Scalar one));
+  check tbool "float weights" false
+    (snd (run ~weights:(Graph.Runtime.Float_weights [| 1.; 10.; 1.; 1. |]) one));
+  check tbool "two destinations" false
+    (snd (run [| (V.Int 1, V.Int 4); (V.Int 1, V.Int 3) |]));
+  let out, bidir = run [| (V.Int 1, V.Int 99) |] in
+  check tbool "non-vertex endpoint" true
+    ((not bidir) && out = [| Graph.Runtime.Unreachable |]);
+  let out, bidir = run [| (V.Int 4, V.Int 1) |] in
+  check tbool "unreachable" true (bidir && out = [| Graph.Runtime.Unreachable |])
+
 let test_runtime_stats () =
   let rt = diamond_runtime () in
   let s = Graph.Runtime.stats rt in
@@ -910,6 +1051,7 @@ let () =
           Alcotest.test_case "binary model" `Quick test_binary_heap_model;
           QCheck_alcotest.to_alcotest prop_radix_heap_sorted;
           QCheck_alcotest.to_alcotest prop_radix_heap_interleaved;
+          QCheck_alcotest.to_alcotest prop_radix_heap_peek_filter;
           QCheck_alcotest.to_alcotest prop_binary_heap_sorted;
         ] );
       ( "search",
@@ -922,6 +1064,7 @@ let () =
             (prop_dijkstra_matches_reference ~heap:Graph.Dijkstra.Binary
                "dijkstra(binary): costs match Bellman-Ford");
           QCheck_alcotest.to_alcotest prop_radix_equals_binary;
+          QCheck_alcotest.to_alcotest prop_bidir_equals_run_int;
           QCheck_alcotest.to_alcotest prop_float_weights_match_scaled_int;
         ] );
       ( "all-paths",
@@ -949,5 +1092,7 @@ let () =
           Alcotest.test_case "build stats" `Quick test_runtime_stats;
           Alcotest.test_case "bidirectional selection" `Quick
             test_runtime_bidir_selection;
+          Alcotest.test_case "weighted bidirectional selection" `Quick
+            test_runtime_weighted_bidir_selection;
         ] );
     ]

@@ -156,8 +156,7 @@ let outcome_cost = function
   | Graph.Runtime.Reached { cost; _ } -> Some cost
 
 (* A returned path must be a genuine src->dst walk whose weights sum to
-   the reported cost; radix and binary heaps may pick different
-   equally-cheap paths, but never different costs. *)
+   the reported cost. *)
 let path_ok edges (e : edge array) outcome ~src ~dst =
   match outcome with
   | Graph.Runtime.Unreachable -> true
@@ -188,12 +187,19 @@ let path_ok edges (e : edge array) outcome ~src ~dst =
     (* a zero-length path only arises for src = dst *)
     (Array.length edge_rows > 0 || src = dst) && ok_chain && cost_matches
 
+(* Both heaps settle the canonical tree (DESIGN.md §9): the same path
+   must come back, byte for byte. Weights are folded to 1..3 and every
+   pair of 0..9 is asked, since the tie rule matters only when two
+   tight predecessors leave the heap at equal keys, which weights 1..9
+   and a handful of random pairs seldom produce. *)
 let prop_radix_equals_binary =
   QCheck.Test.make
-    ~name:"Dijkstra radix heap = binary heap (costs; both paths valid)"
+    ~name:"Dijkstra radix heap = binary heap (byte-identical cost and path)"
     ~count:150
-    (QCheck.make gen_graph_and_pairs)
-    (fun (edges, pairs) ->
+    (QCheck.make gen_edges)
+    (fun edges ->
+      let pairs = List.init 100 (fun i -> (i / 10, i mod 10)) in
+      let edges = List.map (fun x -> { x with w = 1 + (x.w mod 3) }) edges in
       let rt = build_runtime edges in
       let e = Array.of_list edges in
       let weights =
@@ -206,9 +212,7 @@ let prop_radix_equals_binary =
       List.for_all
         (fun i ->
           let src, dst = List.nth pairs i in
-          outcome_cost radix.(i) = outcome_cost binary.(i)
-          && path_ok edges e radix.(i) ~src ~dst
-          && path_ok edges e binary.(i) ~src ~dst)
+          radix.(i) = binary.(i) && path_ok edges e radix.(i) ~src ~dst)
         (List.init (Array.length vp) Fun.id))
 
 (* ------------------------------------------------------------------ *)
