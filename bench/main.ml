@@ -360,7 +360,10 @@ let ablation_index ~ratio ~sfs ~reps ~seed =
       in
       let rows = Storage.Table.nrows friends in
       let fresh = ref (Array.fold_left max 0 setup.ids) in
-      let after_insert edge =
+      (* build phases summed over the queries after an INSERT: encode,
+         CSR, reverse CSR, and the reverse CSRs derived *)
+      let phases () = (ref 0., ref 0., ref 0., ref 0) in
+      let after_insert (encode, csr, reverse, derived) edge =
         avg_latency reps (fun () ->
             let s, d = edge () in
             (match
@@ -369,19 +372,33 @@ let ablation_index ~ratio ~sfs ~reps ~seed =
              with
             | Ok _ -> ()
             | Error e -> failwith (Sqlgraph.Error.to_string e));
-            ignore (run_single setup q13_sql (next ())))
+            ignore (run_single setup q13_sql (next ()));
+            Option.iter
+              (fun (st : Executor.Interp.stats) ->
+                encode := !encode +. st.Executor.Interp.build_encode_seconds;
+                csr := !csr +. st.Executor.Interp.build_csr_seconds;
+                reverse := !reverse +. st.Executor.Interp.build_reverse_seconds;
+                derived := !derived + st.Executor.Interp.reverses_derived)
+              (Sqlgraph.Db.last_stats setup.db))
       in
+      let extend_phases = phases () in
       let t_extend =
-        after_insert (fun () ->
+        after_insert extend_phases (fun () ->
             (key 0 (!cursor * 7919 mod rows), key 1 (!cursor mod rows)))
       in
       let t_rebuild =
-        after_insert (fun () ->
+        after_insert (phases ()) (fun () ->
             incr fresh;
             (key 0 (!cursor mod rows), !fresh))
       in
       Printf.printf "%-6d %16.6f %16.6f %10.1f %16.6f %16.6f\n%!" sf t_off t_on
-        (t_off /. t_on) t_extend t_rebuild)
+        (t_off /. t_on) t_extend t_rebuild;
+      let encode, csr, reverse, derived = extend_phases in
+      let ms x = !x *. 1000. /. float_of_int reps in
+      Printf.printf
+        "%-6s insert_extend phases, ms per query: encode %.3f, CSR %.3f, \
+         reverse CSR %.3f (derived %d of %d)\n%!"
+        "" (ms encode) (ms csr) (ms reverse) !derived reps)
     sfs
 
 (* A6: the dictionary fast path — the hot loop identified by A4. *)

@@ -115,7 +115,9 @@ let obtain ?(check = Graph.Cancel.none) t k ~version ~edges =
           Built )
     in
     (* a cached graph will be traversed again: pay one O(V+E) pass now
-       for the reverse CSR so every later batch can direction-optimize *)
+       for the reverse CSR so every later batch can direction-optimize.
+       An extended graph derives it from the stale entry's, which is out
+       of the cache by now, so the old forward slots are unreachable *)
     Graph.Runtime.prepare_bidir runtime;
     locked t (fun () ->
         if Hashtbl.mem t.enabled k then

@@ -48,8 +48,10 @@ type source = Hit | Extended of int | Built
     built from, and its key columns equal the entry's on those rows
     (compared unboxed, or not at all when they are the same column);
     and {!Graph.Runtime.extend} finds every appended key already holding
-    the id a fresh build would give it. Anything else is [Built] from
-    scratch. Both count as a miss in {!misses}. *)
+    the id a fresh build would give it. An extended graph's reverse CSR
+    is derived from the stale entry's ({!Graph.Runtime.prepare_bidir}).
+    Anything else is [Built] from scratch. Both count as a miss in
+    {!misses}. *)
 val obtain :
   ?check:Graph.Cancel.checkpoint ->
   t ->

@@ -16,8 +16,10 @@ type stats = {
   mutable build_dict_seconds : float;
   mutable build_encode_seconds : float;
   mutable build_csr_seconds : float;
+  mutable build_reverse_seconds : float;
   mutable index_hits : int;
   mutable index_misses : int;
+  mutable reverses_derived : int;
   mutable trav_searches : int;
   mutable trav_settled : int;
   mutable trav_peak_frontier : int;
@@ -89,11 +91,19 @@ let counters =
       (fun s -> Float s.build_encode_seconds);
     row [ "build_phases"; "csr_seconds" ] Seconds "Graph build: CSR"
       ~line:("build", "csr") ~note:"csr" (fun s -> Float s.build_csr_seconds);
+    row [ "build_phases"; "reverse_seconds" ] Seconds "Graph build: reverse CSR"
+      ~line:("build", "reverse") ~note:"rev"
+      (fun s -> Float s.build_reverse_seconds);
     row [ "graph_index"; "hits" ] Count "Graph-index lookups served cached"
       ~column:"index_hits" ~line:("index", "hits") (fun s -> Int s.index_hits);
     row [ "graph_index"; "misses" ] Count "Graph-index misses: built/extended"
       ~column:"index_misses" ~line:("index", "misses")
       (fun s -> Int s.index_misses);
+    row [ "graph_index"; "reverses_derived" ] Count
+      "Reverse CSRs derived from the extended graph's, not rebuilt"
+      ~registry:(Total "sqlgraph_graph_reverses_derived_total")
+      ~column:"reverses_derived" ~line:("index", "reverses_derived")
+      (fun s -> Int s.reverses_derived);
     row [ "traversal"; "searches" ] Count "Single-source searches run"
       ~registry:(Total "sqlgraph_traversal_searches_total") ~note:"groups"
       ~line:("traversal", "searches") (fun s -> Int s.trav_searches);
@@ -208,8 +218,10 @@ let create_ctx ~catalog ?(indices = Graph_index.create ()) ?(vectorize = true)
         build_dict_seconds = 0.;
         build_encode_seconds = 0.;
         build_csr_seconds = 0.;
+        build_reverse_seconds = 0.;
         index_hits = 0;
         index_misses = 0;
+        reverses_derived = 0;
         trav_searches = 0;
         trav_settled = 0;
         trav_peak_frontier = 0;
@@ -839,7 +851,19 @@ and obtain_graph ctx (op : L.graph_op) =
       ctx.st.build_csr_seconds +. bs.Graph.Runtime.csr_seconds;
     note_ms ctx "dict" bs.Graph.Runtime.dict_seconds;
     note_ms ctx "encode" bs.Graph.Runtime.encode_seconds;
-    note_ms ctx "csr" bs.Graph.Runtime.csr_seconds
+    note_ms ctx "csr" bs.Graph.Runtime.csr_seconds;
+    (* a cached graph's reverse CSR, obtained before it entered the cache *)
+    Option.iter
+      (fun origin ->
+        ctx.st.build_reverse_seconds <-
+          ctx.st.build_reverse_seconds +. bs.Graph.Runtime.reverse_seconds;
+        (match origin with
+        | Graph.Runtime.Derived ->
+          ctx.st.reverses_derived <- ctx.st.reverses_derived + 1;
+          note ctx "reverse" "derived"
+        | Graph.Runtime.Built -> note ctx "reverse" "built");
+        note_ms ctx "rev" bs.Graph.Runtime.reverse_seconds)
+      bs.Graph.Runtime.reverse
   in
   let describe rt =
     note ctx "vertices" (string_of_int (Graph.Runtime.vertex_count rt));

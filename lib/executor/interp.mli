@@ -21,8 +21,10 @@ type stats = {
   mutable build_dict_seconds : float;
   mutable build_encode_seconds : float;
   mutable build_csr_seconds : float;
+  mutable build_reverse_seconds : float;
   mutable index_hits : int;
   mutable index_misses : int;
+  mutable reverses_derived : int;
   mutable trav_searches : int;
   mutable trav_settled : int;
   mutable trav_peak_frontier : int;

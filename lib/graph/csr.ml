@@ -96,13 +96,18 @@ let build ~vertex_count ~src ~dst = fst (build_timed ~vertex_count ~src ~dst)
 let build_repr ~compact ~vertex_count ~src ~dst =
   fst (build_timed_repr ~compact ~vertex_count ~src ~dst ())
 
-(* Copy [len] payloads of an Ivec into a plain array. *)
-let blit_ivec src pos dst dst_pos len =
+(* Copy [len] payloads of an Ivec into a plain array. A typed loop, not
+   [Array.blit]: blitting into a major-heap array runs the write barrier
+   once per word, which an [int array] store does not need. *)
+let blit_ivec src pos (dst : int array) dst_pos len =
   match Ivec.words src with
-  | Some a -> Array.blit a pos dst dst_pos len
+  | Some a ->
+    for k = 0 to len - 1 do
+      Array.unsafe_set dst (dst_pos + k) (Array.unsafe_get a (pos + k))
+    done
   | None ->
     for k = 0 to len - 1 do
-      dst.(dst_pos + k) <- Ivec.get src (pos + k)
+      Array.unsafe_set dst (dst_pos + k) (Ivec.get src (pos + k))
     done
 
 (* Rows appended to the edge table have the largest row numbers, so a
@@ -191,6 +196,106 @@ let reverse t =
   done;
   let targets, edge_rows =
     seal ~compact:(compacted t) ~targets:rev_targets ~edge_rows:rev_slots ()
+  in
+  { vertex_count = n; offsets; targets; edge_rows }
+
+(* The reverse of [extend]'s result, derived from the reverse [rev] of the
+   graph it extended instead of rebuilt by [reverse]. [extend] moves each
+   old forward slot [s] of source [u] to [s + added(u)], and [added] never
+   decreases with [u]: the map is strictly increasing on slots, so every
+   old in-edge list, sorted by forward slot, stays sorted once remapped.
+   The new reverse is one pass over the old one: a run of vertices with no
+   new in-edge is copied up by the new in-edges below it, its payloads
+   remapped; a vertex with new in-edges merges them in by forward slot.
+   Besides the O(V) offset passes, the appended rows cost a sort. *)
+let extend_reverse t ~rev ~old_offsets ~src ~dst =
+  if Array.length src <> Array.length dst then
+    invalid_arg "Csr.extend_reverse: src/dst length mismatch";
+  let n = t.vertex_count in
+  if rev.vertex_count <> n || Array.length old_offsets <> n + 1 then
+    invalid_arg "Csr.extend_reverse: not the reverse of the extended graph";
+  let added = Array.init n (fun u -> t.offsets.(u) - old_offsets.(u)) in
+  (* the new edges as (target, forward slot, source), by target then
+     slot: as in [extend], the new slots of a source follow its old ones
+     in row order *)
+  let news =
+    let cursor = Array.init n (fun s -> old_offsets.(s + 1) + added.(s)) in
+    let acc = ref [] in
+    Array.iteri
+      (fun i s ->
+        let d = dst.(i) in
+        if s >= 0 && d >= 0 then begin
+          acc := (d, cursor.(s), s) :: !acc;
+          cursor.(s) <- cursor.(s) + 1
+        end)
+      src;
+    Array.of_list !acc
+  in
+  Array.sort
+    (fun (d1, f1, _) (d2, f2, _) ->
+      if d1 <> d2 then Int.compare d1 d2 else Int.compare f1 f2)
+    news;
+  let k = Array.length news in
+  if edge_count t <> edge_count rev + k then
+    invalid_arg "Csr.extend_reverse: not the reverse of the extended graph";
+  let offsets = Array.make (n + 1) 0 in
+  Array.iter (fun (d, _, _) -> offsets.(d + 1) <- offsets.(d + 1) + 1) news;
+  for v = 1 to n do
+    offsets.(v) <- offsets.(v) + offsets.(v - 1)
+  done;
+  for v = 0 to n do
+    offsets.(v) <- offsets.(v) + rev.offsets.(v)
+  done;
+  let e = edge_count t in
+  let targets = Array.make e 0 and slots = Array.make e 0 in
+  let put_old j p =
+    let u = Ivec.get rev.targets j in
+    Array.unsafe_set targets p u;
+    Array.unsafe_set slots p (Ivec.get rev.edge_rows j + Array.unsafe_get added u)
+  in
+  let copy lo hi shift =
+    match Ivec.words rev.targets, Ivec.words rev.edge_rows with
+    | Some rt, Some rs ->
+      (* the bulk of the pass: direct reads, no representation branch *)
+      for j = lo to hi - 1 do
+        let u = Array.unsafe_get rt j in
+        Array.unsafe_set targets (j + shift) u;
+        Array.unsafe_set slots (j + shift)
+          (Array.unsafe_get rs j + Array.unsafe_get added u)
+      done
+    | _ ->
+      for j = lo to hi - 1 do
+        put_old j (j + shift)
+      done
+  in
+  let next = ref 0 (* first old entry not yet placed *) and y = ref 0 in
+  let target y = let d, _, _ = news.(y) in d in
+  while !y < k do
+    let v = target !y in
+    let lo = rev.offsets.(v) and hi = rev.offsets.(v + 1) in
+    copy !next lo (offsets.(v) - lo);
+    let j = ref lo and p = ref offsets.(v) in
+    while !y < k && target !y = v do
+      let _, f, u = news.(!y) in
+      while
+        !j < hi
+        && Ivec.get rev.edge_rows !j + added.(Ivec.get rev.targets !j) < f
+      do
+        put_old !j !p;
+        incr j;
+        incr p
+      done;
+      targets.(!p) <- u;
+      slots.(!p) <- f;
+      incr p;
+      incr y
+    done;
+    copy !j hi (!p - !j);
+    next := hi
+  done;
+  copy !next (edge_count rev) k;
+  let targets, edge_rows =
+    seal ~compact:(compacted t) ~targets ~edge_rows:slots ()
   in
   { vertex_count = n; offsets; targets; edge_rows }
 

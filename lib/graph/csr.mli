@@ -45,9 +45,25 @@ val build_repr :
     of its source's segment, where the counting sort puts the largest
     row numbers. One O(V + E) pass; the representation follows the same
     rule as {!build} over the merged edge count, or [compact] as in
-    {!build_repr}. *)
+    {!build_repr}. The old slots are copied by typed loops, which pay no
+    write barrier. *)
 val extend :
   ?compact:bool -> t -> src:int array -> dst:int array -> first_row:int -> t
+
+(** [extend_reverse t' ~rev ~old_offsets ~src ~dst] — [reverse t'],
+    derived from the old graph's reverse instead of rebuilt, where
+    [t' = extend t ~src ~dst ~first_row], [rev = reverse t] and
+    [old_offsets = t.offsets]. The result equals [reverse t'] word for
+    word, in the representation [reverse t'] would pick. [extend] moves
+    every old slot of source [u] up by the new slots of the sources
+    below [u], a strictly increasing map, so each old in-edge list stays
+    sorted by forward slot: one pass copies the old reverse with its
+    payloads remapped and merges the new in-edges into the few vertices
+    that get one. O(V + E) with a smaller constant than {!reverse}, plus
+    a sort of the appended rows. Raises [Invalid_argument] when the
+    sizes do not fit together. *)
+val extend_reverse :
+  t -> rev:t -> old_offsets:int array -> src:int array -> dst:int array -> t
 
 (** Edge count at and above which {!build} packs the slot arrays. *)
 val auto_compact_threshold : int

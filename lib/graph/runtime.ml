@@ -7,24 +7,40 @@ let now = Unix.gettimeofday
 
 module Tr = Telemetry.Trace
 
+type reverse_origin = Built | Derived
+
 type build_stats = {
   dict_seconds : float;
   encode_seconds : float;
   csr_seconds : float;
+  reverse_seconds : float;
+  reverse : reverse_origin option;
   total_seconds : float;
   vertex_count : int;
   edge_count : int;
+}
+
+(* What [Csr.extend_reverse] needs to derive a runtime's reverse CSR
+   from that of the graph [extend] started from: its reverse and forward
+   offsets, and the appended ids — not its forward slot arrays, so those
+   can be collected before the derivation runs. *)
+type pending = {
+  old_rev : Csr.t;
+  old_offsets : int array;
+  src_ids : int array;
+  dst_ids : int array;
 }
 
 type t = {
   dict : Vertex_dict.t;
   csr : Csr.t;
   mu : Mutex.t;  (* guards [pool] and the sched_* fields *)
-  stats : build_stats;
+  mutable stats : build_stats;  (* the reverse phase lands at [prepare_bidir] *)
   src_keys : int;
       (* ids the dictionary handed out while scanning the source column:
          1 + the largest encoded source id *)
-  mutable rev : Csr.t option;  (* reverse CSR, built on demand, kept *)
+  mutable rev : Csr.t option;  (* obtained once by [prepare_bidir], kept *)
+  mutable pending : pending option;  (* until [rev] is obtained *)
   mutable pool : Workspace.t list;  (* spare search workspaces *)
   (* workers and imbalance of the most recent scheduled batch *)
   mutable sched_workers : int;
@@ -41,12 +57,15 @@ let make ~dict ~csr ~src_keys ~dict_s ~encode_s ~csr_s =
         dict_seconds = dict_s;
         encode_seconds = encode_s;
         csr_seconds = csr_s;
+        reverse_seconds = 0.;
+        reverse = None;
         total_seconds = dict_s +. encode_s +. csr_s;
         vertex_count = Vertex_dict.cardinality dict;
         edge_count = Csr.edge_count csr;
       };
     src_keys;
     rev = None;
+    pending = None;
     pool = [];
     sched_workers = 0;
     sched_imbalance = 0;
@@ -114,17 +133,50 @@ let extend t ~src ~dst ~from =
           Csr.extend t.csr ~src:src_ids ~dst:dst_ids ~first_row:from)
     in
     let t2 = now () in
-    Some
-      (make ~dict:t.dict ~csr ~src_keys:t.src_keys ~dict_s:0.
-         ~encode_s:(t1 -. t0) ~csr_s:(t2 -. t1))
+    let ext =
+      make ~dict:t.dict ~csr ~src_keys:t.src_keys ~dict_s:0.
+        ~encode_s:(t1 -. t0) ~csr_s:(t2 -. t1)
+    in
+    Option.iter
+      (fun old_rev ->
+        ext.pending <-
+          Some { old_rev; old_offsets = t.csr.Csr.offsets; src_ids; dst_ids })
+      t.rev;
+    Some ext
 
 let stats t = t.stats
 let vertex_count t = t.stats.vertex_count
 let edge_count t = t.stats.edge_count
 let dict t = t.dict
 
+(* Derived when [extend] left the old graph's reverse pending: by then
+   the caller holds only the new graph, so the old forward slot arrays
+   can go before the new reverse is allocated (DESIGN.md §6). *)
 let prepare_bidir t =
-  match t.rev with None -> t.rev <- Some (Csr.reverse t.csr) | Some _ -> ()
+  match t.rev with
+  | Some _ -> ()
+  | None ->
+    Tr.span "graph_build" @@ fun () ->
+    Tr.span "reverse" @@ fun () ->
+    let t0 = now () in
+    let rev, origin =
+      match t.pending with
+      | Some p ->
+        ( Csr.extend_reverse t.csr ~rev:p.old_rev ~old_offsets:p.old_offsets
+            ~src:p.src_ids ~dst:p.dst_ids,
+          Derived )
+      | None -> (Csr.reverse t.csr, Built)
+    in
+    t.rev <- Some rev;
+    t.pending <- None;
+    let s = now () -. t0 in
+    t.stats <-
+      {
+        t.stats with
+        reverse_seconds = s;
+        reverse = Some origin;
+        total_seconds = t.stats.total_seconds +. s;
+      }
 
 let has_bidir t = t.rev <> None
 

@@ -13,13 +13,22 @@ exception Weight_error of string
     strictly greater than zero (§2: "Its value must always be strictly
     greater than 0, otherwise a runtime exception is raised"). *)
 
+(** How {!prepare_bidir} obtained the reverse CSR: [Built] by
+    {!Csr.reverse}, or [Derived] by {!Csr.extend_reverse} from the
+    reverse of the graph an {!extend} started from. *)
+type reverse_origin = Built | Derived
+
 (** Wall-clock breakdown of {!build} (same [Unix.gettimeofday] source as
     the executor's operator timings, so [EXPLAIN ANALYZE] phase times are
-    directly comparable), for the build-dominates ablation. *)
+    directly comparable), for the build-dominates ablation. The reverse
+    phase is filled in by {!prepare_bidir}: until then [reverse_seconds]
+    is [0.] and [reverse] is [None]. [total_seconds] sums every phase. *)
 type build_stats = {
   dict_seconds : float;
   encode_seconds : float;
   csr_seconds : float;
+  reverse_seconds : float;
+  reverse : reverse_origin option;
   total_seconds : float;
   vertex_count : int;
   edge_count : int;
@@ -49,8 +58,11 @@ val build_multi :
     only as a destination gets a source id once it appears as a source
     (DESIGN.md §6). The result shares [t]'s dictionary, encodes only the
     new rows, merges them with {!Csr.extend} and starts with a fresh
-    workspace pool and no reverse CSR; its {!stats} report
-    [dict_seconds = 0]. *)
+    workspace pool; its {!stats} report [dict_seconds = 0]. It has no
+    reverse CSR yet: when [t] has one, the result keeps it with [t]'s
+    forward offsets and the appended ids (not [t]'s forward slot
+    arrays), so {!prepare_bidir} derives its reverse from [t]'s instead
+    of rebuilding it. Until then that keeps [t]'s reverse alive. *)
 val extend :
   t -> src:Storage.Column.t -> dst:Storage.Column.t -> from:int -> t option
 
@@ -59,10 +71,15 @@ val vertex_count : t -> int
 val edge_count : t -> int
 val dict : t -> Vertex_dict.t
 
-(** [prepare_bidir t] builds (once) and caches the reverse CSR, enabling
-    direction-optimizing traversal for every subsequent batch. Costs one
-    O(V + E) pass — worth it exactly when the graph will be traversed more
-    than once, so the executor calls it when a graph enters its cache. *)
+(** [prepare_bidir t] obtains (once) and caches the reverse CSR, enabling
+    direction-optimizing traversal for every subsequent batch: derived by
+    {!Csr.extend_reverse} when {!extend} left the old graph's reverse
+    pending, built by {!Csr.reverse} otherwise. Costs one O(V + E) pass —
+    worth it exactly when the graph will be traversed more than once, so
+    the executor calls it when a graph enters its cache. Its time and
+    origin land in {!stats}, under a [reverse] span of its own
+    [graph_build] span. Not thread-safe: call it before the runtime is
+    shared. *)
 val prepare_bidir : t -> unit
 
 val has_bidir : t -> bool

@@ -137,7 +137,7 @@ let cast v ty =
   | Bool b, TInt -> Ok (Int (if b then 1 else 0))
   | Int x, TBool -> Ok (Bool (x <> 0))
   | Int x, TStr -> Ok (Str (string_of_int x))
-  | Float x, TStr -> Ok (Str (to_display (Float x)))
+  | Float x, TStr -> Ok (Str (float_text x))
   | Bool b, TStr -> Ok (Str (if b then "true" else "false"))
   | Date d, TStr -> Ok (Str (Date.to_string d))
   | Str s, TInt -> (

@@ -56,11 +56,14 @@ val to_display : t -> string
 
 (** [float_text x] — text that reads back as exactly [x]: the
     {!to_display} text if it does, else the shortest [%.15g]..[%.17g]
-    that does.  Checkpoints and wire rows write DOUBLE with it. *)
+    that does.  Checkpoints, wire rows and [CAST(<DOUBLE> AS VARCHAR)]
+    write DOUBLE with it. *)
 val float_text : float -> string
 
 (** [cast v ty] converts [v] to type [ty] following SQL CAST rules;
-    [Error _] when the conversion is not possible. [Null] casts to [Null]. *)
+    [Error _] when the conversion is not possible. [Null] casts to [Null].
+    A DOUBLE casts to VARCHAR as {!float_text}, so casting that text back
+    to DOUBLE gives the same value. *)
 val cast : t -> Dtype.t -> (t, string) result
 
 val pp : Format.formatter -> t -> unit

@@ -221,15 +221,20 @@ let test_insert_extends_graph_index () =
        REACHES %d OVER e EDGE (a, b)) T, UNNEST(T.p) R"
       src dst
   in
-  check tbool "first read builds" true (has "cache=miss" (explain_analyze db (q 1 3)));
+  let out = explain_analyze db (q 1 3) in
+  check tbool "first read builds, reverse too" true
+    (has "cache=miss" out && has "reverse=built" out);
   exec "INSERT INTO e VALUES (1, 3), (1, 2)";
   let out = explain_analyze db (q 1 3) in
   check tbool "known keys extend" true
     (has "cache=extend" out && has "appended=2" out && has "dict=0.000ms" out);
+  check tbool "the reverse CSR is derived" true
+    (has "reverse=derived" out && has "rev=" out);
   check tbool "extended = fresh" true (same_as_fresh db (q 1 3));
   exec "INSERT INTO e VALUES (3, 2)";
+  let out = explain_analyze db (q 3 2) in
   check tbool "destination reused as source rebuilds" true
-    (has "cache=miss" (explain_analyze db (q 3 2)));
+    (has "cache=miss" out && has "reverse=built" out);
   List.iter
     (fun (s, d) -> check tbool "rebuilt = fresh" true (same_as_fresh db (q s d)))
     [ (3, 2); (1, 2); (1, 3); (2, 2) ]
@@ -326,6 +331,24 @@ let test_numeric_functions () =
   match Sqlgraph.Db.query db "SELECT SQRT(-1)" with
   | Error (Sqlgraph.Error.Runtime_error _) -> ()
   | _ -> Alcotest.fail "sqrt of negative must fail"
+
+(* A DOUBLE cast to VARCHAR reads back as the same DOUBLE. *)
+let test_cast_double_varchar_roundtrip () =
+  let db = fresh_db () in
+  List.iter
+    (fun x ->
+      let lit = Printf.sprintf "CAST('%.17g' AS DOUBLE)" x in
+      let sql =
+        Printf.sprintf
+          "SELECT CAST(%s AS VARCHAR), CAST(CAST(%s AS VARCHAR) AS DOUBLE) = %s"
+          lit lit lit
+      in
+      match rows db sql with
+      | [ [ V.Str text; V.Bool same ] ] ->
+        check Alcotest.string (sql ^ ": text") (V.float_text x) text;
+        check tbool (sql ^ ": round trip") true same
+      | _ -> Alcotest.failf "%s: expected one (text, bool) row" sql)
+    [ 0.1 +. 0.2; 1. /. 3.; 0.1234567891; 123456789.5; -2.5e-8; 1e300; 3.03; 2.; -0. ]
 
 let test_date_functions () =
   let db = fresh_db () in
@@ -1150,6 +1173,8 @@ let () =
           Alcotest.test_case "string functions" `Quick test_string_functions;
           Alcotest.test_case "numeric functions" `Quick test_numeric_functions;
           Alcotest.test_case "date functions" `Quick test_date_functions;
+          Alcotest.test_case "CAST DOUBLE AS VARCHAR round-trips" `Quick
+            test_cast_double_varchar_roundtrip;
         ] );
       ( "aggregates-subqueries",
         [

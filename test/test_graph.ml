@@ -162,6 +162,75 @@ let prop_csr_extend_equals_build =
           extended = full && Graph.Csr.reverse extended = Graph.Csr.reverse full)
         [ None; Some false; Some true ])
 
+(* Csr.extend_reverse after each step of a chain of 1-5 extensions
+   equals Csr.reverse of the extended CSR, word for word. Plain and
+   packed graphs, and a packed graph extended at the automatic
+   representation (so the derived reverse changes representation too);
+   -1 endpoints, self-loops, parallel edges, empty batches and new
+   in-edges into vertices that had none come from the small vertex
+   counts. *)
+let prop_csr_extend_reverse_equals_reverse =
+  let rows k =
+    QCheck.Gen.(list_size (int_range 0 k) (pair (int_range (-1) 11) (int_range (-1) 11)))
+  in
+  let show l =
+    String.concat "; " (List.map (fun (s, d) -> Printf.sprintf "%d->%d" s d) l)
+  in
+  QCheck.Test.make
+    ~name:"csr: extend_reverse (reverse old) = reverse (extend old), 1-5 steps"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (n, old_rows, chain) ->
+         Printf.sprintf "n=%d old=[%s] chain=[%s]" n (show old_rows)
+           (String.concat " | " (List.map show chain)))
+       QCheck.Gen.(
+         triple (int_range 1 12) (rows 20) (list_size (int_range 1 5) (rows 6))))
+    (fun (n, old_rows, chain) ->
+      let ids f l =
+        Array.of_list (List.map (fun r -> if f r < 0 then -1 else f r mod n) l)
+      in
+      List.for_all
+        (fun (base, step) ->
+          let rec go csr rev first = function
+            | [] -> true
+            | batch :: rest ->
+              let src = ids fst batch and dst = ids snd batch in
+              let ext = Graph.Csr.extend ?compact:step csr ~src ~dst ~first_row:first in
+              let derived =
+                Graph.Csr.extend_reverse ext ~rev ~old_offsets:csr.Graph.Csr.offsets
+                  ~src ~dst
+              in
+              derived = Graph.Csr.reverse ext
+              && go ext derived (first + Array.length src) rest
+          in
+          let src = ids fst old_rows and dst = ids snd old_rows in
+          let g = Graph.Csr.build_repr ~compact:base ~vertex_count:n ~src ~dst in
+          go g (Graph.Csr.reverse g) (Array.length src) chain)
+        [ (false, None); (true, Some true); (true, None) ])
+
+let test_csr_extend_reverse_cases () =
+  let n = 4 in
+  (* 0 -> 1, 0 -> 2, 2 -> 1: vertices 0 and 3 have no in-edge *)
+  let g = Graph.Csr.build ~vertex_count:n ~src:[| 0; 0; 2 |] ~dst:[| 1; 2; 1 |] in
+  let rev = Graph.Csr.reverse g in
+  let step ~src ~dst =
+    let ext = Graph.Csr.extend g ~src ~dst ~first_row:3 in
+    Graph.Csr.extend_reverse ext ~rev ~old_offsets:g.Graph.Csr.offsets ~src ~dst
+    = Graph.Csr.reverse ext
+  in
+  check tbool "no appended row" true (step ~src:[||] ~dst:[||]);
+  check tbool "no kept appended row" true (step ~src:[| -1; 1 |] ~dst:[| 2; -1 |]);
+  check tbool "into vertices with no in-edge, self-loop" true
+    (step ~src:[| 3; 1; 3 |] ~dst:[| 0; 3; 3 |]);
+  check tbool "parallel edges, merged between old in-edges" true
+    (step ~src:[| 1; 1; 0 |] ~dst:[| 1; 1; 1 |]);
+  Alcotest.check_raises "another graph's reverse"
+    (Invalid_argument "Csr.extend_reverse: not the reverse of the extended graph")
+    (fun () ->
+      ignore
+        (Graph.Csr.extend_reverse g ~rev ~old_offsets:g.Graph.Csr.offsets
+           ~src:[| 0 |] ~dst:[| 1 |]))
+
 let prop_csr_degree_sum =
   QCheck.Test.make ~name:"csr: degrees sum to edge count" ~count:200
     QCheck.(pair (int_range 1 20) (list_of_size (QCheck.Gen.int_range 0 50) (pair (int_range 0 19) (int_range 0 19))))
@@ -893,6 +962,111 @@ let test_runtime_weighted_bidir_selection () =
   let out, bidir = run [| (V.Int 4, V.Int 1) |] in
   check tbool "unreachable" true (bidir && out = [| Graph.Runtime.Unreachable |])
 
+(* A runtime extended in a chain keeps its reverse CSR derived, never
+   rebuilt, and answers every single pair as a fresh build of the same
+   rows: the bidirectional BFS (cost only) and the bidirectional radix
+   Dijkstra with its path. Appended sources are old source keys and
+   appended destinations old keys, so every step extends. *)
+let test_runtime_extend_chain_bidir () =
+  let rng = Random.State.make [| 31 |] in
+  let n = 24 in
+  let m0 = 60 in
+  let src = ref (List.init m0 (fun _ -> Random.State.int rng n)) in
+  let dst = ref (List.init m0 (fun _ -> Random.State.int rng n)) in
+  let col l = C.of_values D.TInt (List.map (fun k -> V.Int k) l) in
+  let rt = ref (Graph.Runtime.build ~src:(col !src) ~dst:(col !dst)) in
+  Graph.Runtime.prepare_bidir !rt;
+  check tbool "first reverse built" true
+    ((Graph.Runtime.stats !rt).Graph.Runtime.reverse = Some Graph.Runtime.Built);
+  let keys l = List.sort_uniq compare l in
+  for step = 1 to 5 do
+    let old_src = Array.of_list (keys !src) in
+    let old_keys = Array.of_list (keys (!src @ !dst)) in
+    let pick a = a.(Random.State.int rng (Array.length a)) in
+    let k = Random.State.int rng 5 in
+    let from = List.length !src in
+    src := !src @ List.init k (fun _ -> pick old_src);
+    dst := !dst @ List.init k (fun _ -> pick old_keys);
+    (match Graph.Runtime.extend !rt ~src:(col !src) ~dst:(col !dst) ~from with
+    | Some ext -> rt := ext
+    | None -> Alcotest.failf "step %d: extension refused" step);
+    check tbool "no reverse before prepare_bidir" false (Graph.Runtime.has_bidir !rt);
+    Graph.Runtime.prepare_bidir !rt;
+    check tbool "has_bidir after the chain step" true (Graph.Runtime.has_bidir !rt);
+    check tbool "reverse derived" true
+      ((Graph.Runtime.stats !rt).Graph.Runtime.reverse = Some Graph.Runtime.Derived);
+    let fresh = Graph.Runtime.build ~src:(col !src) ~dst:(col !dst) in
+    Graph.Runtime.prepare_bidir fresh;
+    let per_row =
+      Array.init (List.length !src) (fun _ -> 1 + Random.State.int rng 4)
+    in
+    for s = 0 to n - 1 do
+      for d = 0 to n - 1 do
+        let pairs = [| (V.Int s, V.Int d) |] in
+        let answer rt ~weights ~paths =
+          let bidir = ref false in
+          let out =
+            Graph.Runtime.run_pairs rt ~weights ~paths
+              ~note:(fun k v -> if k = "search" && v = "bidir" then bidir := true)
+              ~pairs ()
+          in
+          (out, !bidir)
+        in
+        List.iter
+          (fun (weights, paths) ->
+            let got, bidir = answer !rt ~weights ~paths in
+            let want, _ = answer fresh ~weights ~paths in
+            if not (bidir && got = want) then
+              Alcotest.failf "step %d, pair %d -> %d: bidir %b, outcome differs"
+                step s d bidir)
+          [
+            (Graph.Runtime.Unweighted, false);
+            (Graph.Runtime.Int_weights per_row, true);
+          ]
+      done
+    done
+  done
+
+(* An extension, reverse included, allocates the new forward and reverse
+   slot arrays (4E' words on a plain graph) plus O(V + appended): no
+   per-edge boxing, no second copy. *)
+let test_runtime_extend_allocation () =
+  let rng = Random.State.make [| 7 |] in
+  let n = 2_000 and m0 = 40_000 and k = 4 in
+  let src = Array.init (m0 + k) (fun _ -> Random.State.int rng n) in
+  let dst = Array.init (m0 + k) (fun _ -> Random.State.int rng n) in
+  let col a = C.of_values D.TInt (Array.to_list (Array.map (fun x -> V.Int x) a)) in
+  let scol = col src and dcol = col dst in
+  let rt =
+    Graph.Runtime.build ~src:(C.of_values D.TInt (List.init m0 (fun i -> V.Int src.(i))))
+      ~dst:(C.of_values D.TInt (List.init m0 (fun i -> V.Int dst.(i))))
+  in
+  Graph.Runtime.prepare_bidir rt;
+  (* minor words from [Gc.minor_words], major and promoted ones from
+     [Gc.counters] ([quick_stat]'s lag until the next collection or
+     slice); emptying the minor heap first means the window promotes only
+     its own words *)
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  Gc.minor ();
+  let before = words () in
+  let ext =
+    match Graph.Runtime.extend rt ~src:scol ~dst:dcol ~from:m0 with
+    | Some ext -> ext
+    | None -> Alcotest.fail "extension refused"
+  in
+  Graph.Runtime.prepare_bidir ext;
+  let allocated = words () -. before in
+  let e = Graph.Runtime.edge_count ext in
+  let bound = float_of_int ((4 * e) + (8 * (n + 1)) + (64 * k) + 4096) in
+  check tbool "reverse derived" true
+    ((Graph.Runtime.stats ext).Graph.Runtime.reverse = Some Graph.Runtime.Derived);
+  if allocated > bound then
+    Alcotest.failf "extension allocated %.0f words, bound %.0f (E=%d, V=%d)"
+      allocated bound e n
+
 let test_runtime_stats () =
   let rt = diamond_runtime () in
   let s = Graph.Runtime.stats rt in
@@ -1041,6 +1215,9 @@ let () =
           Alcotest.test_case "timed build phases" `Quick test_csr_timings;
           QCheck_alcotest.to_alcotest prop_csr_degree_sum;
           QCheck_alcotest.to_alcotest prop_csr_extend_equals_build;
+          QCheck_alcotest.to_alcotest prop_csr_extend_reverse_equals_reverse;
+          Alcotest.test_case "extend_reverse edge cases" `Quick
+            test_csr_extend_reverse_cases;
         ] );
       ( "heaps",
         [
@@ -1094,5 +1271,9 @@ let () =
             test_runtime_bidir_selection;
           Alcotest.test_case "weighted bidirectional selection" `Quick
             test_runtime_weighted_bidir_selection;
+          Alcotest.test_case "extension chain keeps a derived reverse" `Quick
+            test_runtime_extend_chain_bidir;
+          Alcotest.test_case "extension allocates 4E + O(V + appended)" `Quick
+            test_runtime_extend_allocation;
         ] );
     ]

@@ -632,6 +632,7 @@ let test_phase_times_sum () =
       s.Executor.Interp.build_dict_seconds
       +. s.Executor.Interp.build_encode_seconds
       +. s.Executor.Interp.build_csr_seconds
+      +. s.Executor.Interp.build_reverse_seconds
     in
     let eps = 0.005 in
     Alcotest.(check bool)

@@ -1512,8 +1512,8 @@ let test_concurrent_sessions_share_logs () =
             (sorted (List.map record_qid recs)))
         [ ("slow log", slow); ("firehose", fire) ])
 
-(* A served DOUBLE reads back bit-exact; CAST to VARCHAR keeps its
-   display text. *)
+(* A served DOUBLE reads back bit-exact, and so does its CAST to
+   VARCHAR: both are Value.float_text. *)
 let test_served_double_exact () =
   with_server (fresh_db ()) (fun srv ->
       let c = connect1 srv in
@@ -1531,8 +1531,8 @@ let test_served_double_exact () =
             | [ text; display ] ->
               check (Alcotest.float 0.) (sql ^ " reads back") x
                 (float_of_string text);
-              check tstr "CAST to VARCHAR unchanged"
-                (V.to_display (V.Float x)) display
+              check tstr "CAST to VARCHAR is the exact text"
+                (V.float_text x) display
             | _ -> Alcotest.failf "%s: unexpected row %S" sql r)
           | _ -> Alcotest.failf "%s: expected one row" sql)
         [ 0.1234567891; 0.1 +. 0.2; 1. /. 3.; 123456789.5; -2.5e-8; 1e300; 3.03 ];

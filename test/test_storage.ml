@@ -130,6 +130,32 @@ let test_value_cast () =
     | Error _ -> true
     | Ok _ -> false)
 
+(* CAST(CAST(x AS VARCHAR) AS DOUBLE) = x, bit for bit, for every finite
+   x: the VARCHAR text is Value.float_text, not a 6-digit %g. *)
+let prop_float_varchar_roundtrip =
+  let finite =
+    QCheck.Gen.(
+      oneof
+        [
+          float;
+          map Int64.float_of_bits int64;
+          map (fun (m, e) -> Float.ldexp (float_of_int m) e)
+            (pair (int_range (-1_000_000) 1_000_000) (int_range (-60) 60));
+        ]
+      |> map (fun x -> if Float.is_finite x then x else 0.1))
+  in
+  QCheck.Test.make ~name:"value: CAST(CAST(x AS VARCHAR) AS DOUBLE) = x"
+    ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%h") finite)
+    (fun x ->
+      match V.cast (V.Float x) D.TStr with
+      | Ok (V.Str text as s) -> (
+        match V.cast s D.TFloat with
+        | Ok (V.Float y) ->
+          text = V.float_text x && Int64.bits_of_float y = Int64.bits_of_float x
+        | _ -> false)
+      | _ -> false)
+
 let test_value_display () =
   check tstr "null" "NULL" (V.to_display V.Null);
   check tstr "int" "42" (V.to_display (V.Int 42));
@@ -577,6 +603,7 @@ let () =
           Alcotest.test_case "compare" `Quick test_value_compare;
           Alcotest.test_case "hash consistency" `Quick test_value_hash_consistent;
           Alcotest.test_case "cast" `Quick test_value_cast;
+          QCheck_alcotest.to_alcotest prop_float_varchar_roundtrip;
           Alcotest.test_case "display" `Quick test_value_display;
           QCheck_alcotest.to_alcotest prop_value_compare_total;
         ] );
