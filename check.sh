@@ -551,7 +551,7 @@ done
 }
 echo "   group-commit speedup: ${srv_x}x; 100k-row vs 1k-row commits/sec: ${srv_flat}x"
 
-echo "== sim smoke (small tier: ~50k statements, kill-and-recover, zero violations)"
+echo "== sim smoke (small tier: ~50k statements, kill-and-recover, zero violations; server backend too)"
 trap 'rm -f "$script" "$out" "$ea_script" "$metrics" "$ms_script" "$obs_script" "$prom" "$slowlog" "$ack" "$srv_log" BENCH_smoke.json BENCH_pairs_smoke.json BENCH_pairs_scaling.json TRACE_smoke.json BENCH_wal_smoke.json BENCH_server_smoke.json BENCH_sim_smoke.json; rm -rf "$ddir" "$sdir" "$ackdir"' EXIT
 dune exec bench/main.exe -- sim --tier small --json BENCH_sim_smoke.json \
     > "$out" 2>&1 || {
@@ -569,6 +569,19 @@ grep -q '"violations": 0' BENCH_sim_smoke.json || {
   cat BENCH_sim_smoke.json
   exit 1
 }
+# the history checker judged acked writes and reads: a run whose
+# report says 0 for either checked nothing
+sim_judged() {
+  for inv in acked_lost stale_read; do
+    n=$(sed -n "s/.*\"$inv\": \([0-9]*\).*/\1/p" "$1" | head -1)
+    [ -n "$n" ] && [ "$n" -gt 0 ] || {
+      echo "FAIL: $1: the history judged no events for $inv"
+      cat "$1"
+      exit 1
+    }
+  done
+}
+sim_judged BENCH_sim_smoke.json
 grep -q '"recoveries": 1' BENCH_sim_smoke.json || {
   echo "FAIL: sim smoke did not run its scripted kill-and-recover:"
   cat BENCH_sim_smoke.json
@@ -592,7 +605,21 @@ digest2=$(sed -n 's/.*"digest": "\([0-9a-f]*\)".*/\1/p' BENCH_sim_smoke.json | h
   echo "FAIL: sim trace digest not reproducible ($digest1 vs $digest2)"
   exit 1
 }
-echo "   50k statements, 0 violations, digest $digest1 reproduced"
+# the same tier over the multi-session server: snapshots per session,
+# reads at their served snapshot
+dune exec bench/main.exe -- sim --tier small --backend server \
+    --json BENCH_sim_smoke.json > "$out" 2>&1 || {
+  echo "FAIL: bench sim --tier small --backend server exited nonzero:"
+  cat "$out"
+  exit 1
+}
+grep -q '"violations": 0' BENCH_sim_smoke.json || {
+  echo "FAIL: server-backend sim smoke reported invariant violations:"
+  cat BENCH_sim_smoke.json
+  exit 1
+}
+sim_judged BENCH_sim_smoke.json
+echo "   50k statements, 0 violations, digest $digest1 reproduced; server backend 0 violations"
 
 echo "== introspection smoke (sqlgraph_stat_statements and statement logs over a live server)"
 idir=$(mktemp -d /tmp/sqlgraph_check_in_XXXXXX)

@@ -26,10 +26,13 @@ let arith op_name fi ff a b =
     | `Int (x, y) -> V.Int (fi x y)
     | `Float (x, y) -> V.Float (ff x y))
 
+(* Each operand reads as CAST(... AS VARCHAR) renders it, so a DOUBLE
+   keeps the digits that read back as the same double. *)
 let concat a b =
+  let text = function V.Float x -> V.float_text x | v -> V.to_display v in
   match a, b with
   | V.Null, _ | _, V.Null -> V.Null
-  | _ -> V.Str (V.to_display a ^ V.to_display b)
+  | _ -> V.Str (text a ^ text b)
 
 let compare_vals cmp a b =
   match a, b with

@@ -17,25 +17,21 @@
    only goes into a Telemetry.Registry histogram per statement class, so
    the run reports p50/p99/max without perturbing the trace.
 
-   Invariants checked on every event (violations are collected, never
-   fatal — the report carries them):
-     - governor verdicts honoured: a statement run under an exhausting
-       budget must fail with Resource_error, and ordinary statements
-       must not fail at all;
-     - row-count conservation: INSERT/DELETE row counts must match a
-       cheap oracle model (per-key multiset for kv, a counter for
-       friends), reconciled against a COUNT query on reconnect/checkpoint;
-     - acked commits survive kill-and-recover: the Inproc backend runs
-       the WAL with fsync on (with --no-fsync the log batches appends in
-       a userspace arena, so a kill would legally lose a suffix of acked
-       statements and the invariant would not be checkable), crashes it
-       mid-run (fd dropped, no flush — the kill -9 shape) and reopens
-       the directory; the recovered row counts must equal the oracle
-       exactly, since every acknowledged statement was fsynced before it
-       was acknowledged and the crash lands between events;
-     - snapshot monotonicity: in the Server backend every session's
-       observed snapshot version must never decrease, across reconnects
-       included. *)
+   Invariants: the driver records every write, every served snapshot
+   and its reconciliation reads into a History and judges it once, at
+   the end (History.check; violations are collected, never fatal — the
+   report carries them).  Acked writes carry the rows they wrote and the
+   count they reported, so the history checks row-count conservation,
+   that acked commits survive the scripted kill-and-recover (the Inproc
+   backend runs the WAL with fsync on: with --no-fsync the log batches
+   appends in a userspace arena, so a kill would legally lose a suffix
+   of acked statements), that rolled-back transactions never appear,
+   that every session's snapshot is monotone across reconnects, and
+   that each read returns the serial state at its version.  What a
+   class expects of its outcome — the governed class must fail with
+   resource:rows where the backend governs one statement, ordinary
+   statements must not fail — is checked here and recorded as
+   unexpected when it does not hold. *)
 
 module V = Storage.Value
 module Db = Sqlgraph.Db
@@ -223,6 +219,7 @@ type report = {
   wall_seconds : float;
   violation_count : int;
   violations : string list;  (* first few, for the console *)
+  judged : (string * int) list;  (* events each invariant judged *)
   digest : int;  (* CRC32 chain over the generated event trace *)
   outcome_digest : int;  (* ... and over outcome summaries *)
   recoveries : int;
@@ -234,43 +231,23 @@ type report = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Oracle: the cheap reference model DML is checked against *)
+(* Replies *)
 
-type oracle = {
-  mutable kv_total : int;
-  per_key : int array;
-  mutable friends_rows : int;
-}
-
-(* ------------------------------------------------------------------ *)
-(* Backends *)
-
-type inproc = {
-  mutable store : Wal.t;
-  mutable db : Db.t;
-  dir : string;
-}
-
-type session = {
-  mutable client : Client.t;
-  mutable last_snapshot : int;
-}
-
-type exec_ctx =
-  | In_ctx of inproc
-  | Srv_ctx of Server.t * session array
-
-(* outcome summary: deterministic description folded into the outcome
-   digest ("ok:<rows>" / "err:<category>") *)
-let summary_of_result = function
-  | Ok (Db.Selected r) -> Printf.sprintf "ok:rows=%d" (Sqlgraph.Resultset.nrows r)
-  | Ok (Db.Inserted n) -> Printf.sprintf "ok:ins=%d" n
-  | Ok (Db.Deleted n) -> Printf.sprintf "ok:del=%d" n
-  | Ok (Db.Updated n) -> Printf.sprintf "ok:upd=%d" n
-  | Ok _ -> "ok"
-  | Error (Error.Resource_error { kind; _ }) ->
-    Printf.sprintf "err:resource:%s" (Error.resource_kind_name kind)
-  | Error _ -> "err"
+(* The outcome summary folded into the outcome digest, rendered from a
+   reply's decoded terminal line: "ok:rows=<n>", "ok:ins=<n>",
+   "ok:del=<n>", "ok", "err:resource:<kind>" or "err". *)
+let summary lines =
+  match Protocol.decode_reply (Client.terminal lines) with
+  | Some (Protocol.Ok { rows = Some n; _ }) -> Printf.sprintf "ok:rows=%d" n
+  | Some (Protocol.Ok { verb = "INSERT"; count = Some n; _ }) ->
+    Printf.sprintf "ok:ins=%d" n
+  | Some (Protocol.Ok { verb = "DELETE"; count = Some n; _ }) ->
+    Printf.sprintf "ok:del=%d" n
+  | Some (Protocol.Ok _) -> "ok"
+  | Some (Protocol.Err { category; _ })
+    when String.starts_with ~prefix:"resource:" category ->
+    "err:" ^ category
+  | _ -> "err"
 
 let mutate_graph db ~ids ~seed ~statements =
   (* Seeded DML burst over the friends edge table — the mutation shape
@@ -294,6 +271,21 @@ let mutate_graph db ~ids ~seed ~statements =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Backends *)
+
+type inproc = {
+  mutable store : Wal.t;
+  mutable db : Db.t;
+  dir : string;
+  mutable version : int;
+      (* the serial version: one per autocommit write or COMMIT *)
+}
+
+type exec_ctx =
+  | In_ctx of inproc
+  | Srv_ctx of Server.t * Client.t array
+
+(* ------------------------------------------------------------------ *)
 (* The run *)
 
 let fresh_temp_dir () =
@@ -301,6 +293,11 @@ let fresh_temp_dir () =
   Sys.remove path;
   Sys.mkdir path 0o755;
   path
+
+let connect srv =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Server.attach srv a;
+  Client.of_fd b
 
 let run cfg =
   if cfg.clients < 1 then invalid_arg "Sim: clients < 1";
@@ -315,22 +312,9 @@ let run cfg =
   let ids = Datagen.Snb.person_ids graph in
   let nids = Array.length ids in
   let registry = Registry.create () in
-  let violations = ref [] in
-  let violation_count = ref 0 in
-  let violate fmt =
-    Printf.ksprintf
-      (fun msg ->
-        incr violation_count;
-        if !violation_count <= 20 then violations := msg :: !violations)
-      fmt
-  in
-  let oracle =
-    {
-      kv_total = 0;
-      per_key = Array.make cfg.kv_keys 0;
-      friends_rows = graph.Datagen.Snb.n_directed_edges;
-    }
-  in
+  let history = History.create () in
+  History.preload history ~table:"friends" graph.Datagen.Snb.n_directed_edges;
+  let unexpected cid fmt = Printf.ksprintf (History.unexpected history ~session:cid) fmt in
   let recoveries = ref 0 in
   let checkpoints = ref 0 in
   let reconnects = ref 0 in
@@ -385,7 +369,7 @@ let run cfg =
             (match Wal.checkpoint store db with
             | Ok () -> ()
             | Error e -> failwith ("sim checkpoint: " ^ Error.to_string e));
-            let ip = { store; db; dir } in
+            let ip = { store; db; dir; version = 0 } in
             cleanup_ctx := (fun () -> try Wal.close ip.store with _ -> ());
             In_ctx ip)
         | Server_sessions ->
@@ -400,126 +384,95 @@ let run cfg =
             }
           in
           let srv = Server.create ~config ~db ~store:None () in
-          let connect () =
-            let a, b =
-              Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
-            in
-            Server.attach srv a;
-            Client.of_fd b
-          in
-          let sessions =
-            Array.init cfg.clients (fun _ ->
-                { client = connect (); last_snapshot = -1 })
-          in
+          let clients = Array.init cfg.clients (fun _ -> connect srv) in
+          (* reconnects replace entries in place: close what is current *)
           cleanup_ctx :=
             (fun () ->
-              Array.iter (fun s -> try Client.close s.client with _ -> ())
-                sessions;
+              Array.iter (fun c -> try Client.close c with _ -> ()) clients;
               Server.shutdown srv);
-          Srv_ctx (srv, sessions)
+          Srv_ctx (srv, clients)
       in
-      (* ---- execution helpers ---------------------------------------- *)
-      let exec_inproc ?budget ip sql =
-        let r = Db.exec ip.db ?budget sql in
-        (summary_of_result r, r)
-      in
-      let session_note sess resp =
-        (match Client.snapshot resp with
-        | Some v ->
-          if v < sess.last_snapshot then
-            violate "snapshot regressed: %d after %d" v sess.last_snapshot;
-          sess.last_snapshot <- max v sess.last_snapshot
-        | None -> ());
-        resp
-      in
-      let exec_server sessions cid sql =
-        let sess = sessions.(cid) in
-        let resp =
-          try session_note sess (Client.request ~timeout_ms:60_000 sess.client sql)
-          with Client.Closed m ->
-            violate "session %d died: %s" cid m;
-            []
-        in
-        let term = Client.terminal resp in
-        let summary =
-          match Protocol.decode_reply term with
-          | Some (Protocol.Ok { rows = Some n; _ }) -> Printf.sprintf "ok:rows=%d" n
-          | Some (Protocol.Ok { verb = "INSERT"; count = Some n; _ }) ->
-            Printf.sprintf "ok:ins=%d" n
-          | Some (Protocol.Ok { verb = "DELETE"; count = Some n; _ }) ->
-            Printf.sprintf "ok:del=%d" n
-          | Some (Protocol.Ok _) -> "ok"
-          | _ -> "err:" ^ term
-        in
-        (summary, term)
-      in
-      (* count parsers shared by the invariant checks *)
-      let inserted_of summary =
-        if String.length summary > 7 && String.sub summary 0 7 = "ok:ins=" then
-          int_of_string_opt (String.sub summary 7 (String.length summary - 7))
-        else None
-      in
-      let deleted_of summary =
-        if String.length summary > 7 && String.sub summary 0 7 = "ok:del=" then
-          int_of_string_opt (String.sub summary 7 (String.length summary - 7))
-        else None
-      in
-      let rows_of summary =
-        if String.length summary > 8 && String.sub summary 0 8 = "ok:rows=" then
-          int_of_string_opt (String.sub summary 8 (String.length summary - 8))
-        else None
-      in
-      let count_table name =
-        let sql = Printf.sprintf "SELECT COUNT(*) FROM %s" name in
+      (* ---- one statement, either backend: the reply lines the wire
+         carries, the in-process outcome rendered as the server would *)
+      let exec ?budget cid sql =
         match ctx with
         | In_ctx ip -> (
-          match Db.query ip.db sql with
-          | Ok r -> (
-            match Sqlgraph.Resultset.rows r with
-            | [ [ V.Int n ] ] -> Some n
-            | _ -> None)
-          | Error _ -> None)
-        | Srv_ctx _ -> None
+          match Db.exec ip.db ?budget sql with
+          | Ok o ->
+            let commits =
+              match o with
+              | Db.Committed -> true
+              | Db.Inserted _ | Db.Deleted _ | Db.Updated _ ->
+                not (Db.in_transaction ip.db)
+              | _ -> false
+            in
+            if commits then ip.version <- ip.version + 1;
+            Protocol.ok_outcome ~snapshot:ip.version o
+          | Error e -> [ Protocol.err e ])
+        | Srv_ctx (_, clients) -> (
+          (* the server's budget is config-wide: [budget] is not sent;
+             only served sessions have snapshots of their own to judge *)
+          match Client.request ~timeout_ms:60_000 clients.(cid) sql with
+          | lines ->
+            History.seen_reply history ~session:cid lines;
+            lines
+          | exception Client.Closed m ->
+            unexpected cid "session died: %s" m;
+            [])
       in
-      let reconcile site =
-        (* row-count conservation against the oracle; Inproc reads the
-           authoritative Db, Server mode parses the ROW line *)
+      let governs = match ctx with In_ctx _ -> true | Srv_ctx _ -> false in
+      let hello cid =
         match ctx with
-        | In_ctx _ -> (
-          (match count_table "kv" with
-          | Some n when n <> oracle.kv_total ->
-            violate "%s: kv has %d rows, oracle %d" site n oracle.kv_total
-          | _ -> ());
-          match count_table "friends" with
-          | Some n when n <> oracle.friends_rows ->
-            violate "%s: friends has %d rows, oracle %d" site n
-              oracle.friends_rows
-          | _ -> ())
-        | Srv_ctx (_, sessions) ->
-          List.iter
-            (fun (table, expect) ->
-              let resp =
-                try
-                  session_note sessions.(0)
-                    (Client.request ~timeout_ms:60_000 sessions.(0).client
-                       (Printf.sprintf "SELECT COUNT(*) FROM %s" table))
-                with Client.Closed _ -> []
-              in
-              match
-                List.find_map
-                  (fun l ->
-                    match Protocol.decode_reply l with
-                    | Some (Protocol.Row [ cell ]) -> Some cell
-                    | _ -> None)
-                  resp
-              with
-              | Some cell -> (
-                match int_of_string_opt (String.trim cell) with
-                | Some n when n <> expect ->
-                  violate "%s: %s has %d rows, oracle %d" site table n expect
-                | _ -> ())
-              | None -> violate "%s: COUNT(*) FROM %s returned no row" site table)
-            [ ("kv", oracle.kv_total); ("friends", oracle.friends_rows) ]
+        | Srv_ctx (_, clients) -> (
+          match Client.hello ~timeout_ms:60_000 clients.(cid) with
+          | line -> History.seen_reply history ~session:cid [ line ]
+          | exception Client.Closed m -> unexpected cid "no greeting: %s" m)
+        | In_ctx _ -> ()
+      in
+      for cid = 0 to cfg.clients - 1 do
+        hello cid
+      done;
+      (* the reconciliation reads: the tables' counts (kv's rows at the
+         end and after recovery), judged by the history's read rule *)
+      let reconcile ?(rows = false) site =
+        let read table shape sql =
+          let lines = exec 0 sql in
+          if not (Client.is_ok lines) then
+            unexpected 0 "%s: %s answered %s" site sql (summary lines);
+          History.served_read history ~session:0 ~table shape lines
+        in
+        if rows then read "kv" `Rows "SELECT k, v FROM kv"
+        else read "kv" `Count "SELECT COUNT(*) FROM kv";
+        read "friends" `Count "SELECT COUNT(*) FROM friends"
+      in
+      (* the backend-specific rare events: a checkpoint event checkpoints
+         the WAL in process and reconciles over the wire (no
+         meta-commands there); a reconnect event reconciles in process
+         and closes + reattaches the session over the wire, whose new
+         greeting the history judges for snapshot monotonicity *)
+      let checkpoint_event cid =
+        match ctx with
+        | In_ctx ip ->
+          (match Wal.checkpoint ip.store ip.db with
+          | Ok () -> incr checkpoints
+          | Error e -> unexpected cid "checkpoint failed: %s" (Error.to_string e));
+          "\\checkpoint"
+        | Srv_ctx _ ->
+          reconcile "checkpoint";
+          incr checkpoints;
+          "\\reconcile"
+      in
+      let reconnect_event cid =
+        incr reconnects;
+        match ctx with
+        | In_ctx _ ->
+          reconcile "reconnect";
+          "\\reconcile"
+        | Srv_ctx (srv, clients) ->
+          (try Client.close clients.(cid) with _ -> ());
+          clients.(cid) <- connect srv;
+          hello cid;
+          "\\reconnect"
       in
       (* ---- the event loop ------------------------------------------- *)
       let q = Event_queue.create () in
@@ -541,11 +494,11 @@ let run cfg =
           killed := true;
           chain digest "KILL";
           (* the kill -9 shape: drop the fd mid-run, no flush, then
-             recover the directory and demand the oracle state back *)
+             recover the directory; the reads after it must find every
+             acked write *)
           Wal.crash_for_testing ip.store;
           (match Wal.open_dir ~fsync:true ip.dir with
-          | Error e ->
-            violate "recovery failed: %s" (Error.to_string e)
+          | Error e -> unexpected 0 "recovery failed: %s" (Error.to_string e)
           | Ok (store', db', _) ->
             (* parallelism is session state, not durable state: re-apply
                it to the recovered db *)
@@ -557,9 +510,9 @@ let run cfg =
                Db.create_graph_index db' ~table:"friends" ~src:"src" ~dst:"dst"
              with
             | Ok () -> ()
-            | Error e -> violate "post-recovery index: %s" (Error.to_string e));
+            | Error e -> unexpected 0 "post-recovery index: %s" (Error.to_string e));
             incr recoveries;
-            reconcile "kill-and-recover")
+            reconcile ~rows:true "kill-and-recover")
         | Some _, Srv_ctx _ | Some _, In_ctx _ | None, _ -> ()
       in
       let exec_one cid cls =
@@ -573,187 +526,81 @@ let run cfg =
           in
           (s, other 0)
         in
+        let kv_insert () =
+          let k = Datagen.Splitmix.int rng ~bound:cfg.kv_keys in
+          let v = Datagen.Splitmix.int rng ~bound:1_000_000 in
+          ( History.Insert { table = "kv"; key = k; value = v },
+            Printf.sprintf "INSERT INTO kv VALUES (%d, %d)" k v )
+        in
+        let expect_ok what lines =
+          if not (Client.is_ok lines) then
+            unexpected cid "%s failed: %s" what (summary lines)
+        in
+        (* a write: acked at its snapshot with the count it reported *)
+        let write effects sql =
+          let lines =
+            History.served_write history ~session:cid effects (fun () ->
+                exec cid sql)
+          in
+          expect_ok (cls_name cls) lines;
+          (sql, summary lines, 1)
+        in
         match cls with
         | Point | Unnest ->
           let s, d = pick_pair () in
           let sql = if cls = Point then point_sql s d else unnest_sql s d in
-          let summary =
-            match ctx with
-            | In_ctx ip ->
-              let summary, r = exec_inproc ip sql in
-              (match r with
-              | Error e -> violate "%s failed: %s" (cls_name cls) (Error.to_string e)
-              | Ok _ -> ());
-              summary
-            | Srv_ctx (_, sessions) ->
-              let summary, term = exec_server sessions cid sql in
-              if not (String.length summary >= 2 && String.sub summary 0 2 = "ok")
-              then violate "%s failed: %s" (cls_name cls) term;
-              summary
-          in
-          (sql, summary, 1)
+          let lines = exec cid sql in
+          expect_ok (cls_name cls) lines;
+          (sql, summary lines, 1)
         | Batch ->
           let sql = batch_sql cid in
-          let summary =
-            match ctx with
-            | In_ctx ip ->
-              let summary, r = exec_inproc ip sql in
-              (match r with
-              | Ok (Db.Selected rs) ->
-                let n = Sqlgraph.Resultset.nrows rs in
-                if n > cfg.batch_pairs then
-                  violate "batch returned %d rows for %d pairs" n cfg.batch_pairs
-              | Ok _ -> ()
-              | Error e -> violate "batch failed: %s" (Error.to_string e));
-              summary
-            | Srv_ctx (_, sessions) ->
-              let summary, term = exec_server sessions cid sql in
-              (match rows_of summary with
-              | Some n when n > cfg.batch_pairs ->
-                violate "batch returned %d rows for %d pairs" n cfg.batch_pairs
-              | Some _ -> ()
-              | None -> violate "batch failed: %s" term);
-              summary
-          in
-          (sql, summary, 1)
+          let lines = exec cid sql in
+          (match Protocol.decode_reply (Client.terminal lines) with
+          | Some (Protocol.Ok { rows = Some n; _ }) when n > cfg.batch_pairs ->
+            unexpected cid "batch returned %d rows for %d pairs" n cfg.batch_pairs
+          | Some (Protocol.Ok _) -> ()
+          | _ -> unexpected cid "batch failed: %s" (summary lines));
+          (sql, summary lines, 1)
         | Insert_kv ->
-          let k = Datagen.Splitmix.int rng ~bound:cfg.kv_keys in
-          let v = Datagen.Splitmix.int rng ~bound:1_000_000 in
-          let sql = Printf.sprintf "INSERT INTO kv VALUES (%d, %d)" k v in
-          let summary =
-            match ctx with
-            | In_ctx ip -> fst (exec_inproc ip sql)
-            | Srv_ctx (_, sessions) -> fst (exec_server sessions cid sql)
-          in
-          (match inserted_of summary with
-          | Some 1 ->
-            oracle.per_key.(k) <- oracle.per_key.(k) + 1;
-            oracle.kv_total <- oracle.kv_total + 1
-          | _ -> violate "kv insert: unexpected outcome %s" summary);
-          (sql, summary, 1)
+          let effect, sql = kv_insert () in
+          write [ effect ] sql
         | Delete_kv ->
           let k = Datagen.Splitmix.int rng ~bound:cfg.kv_keys in
-          let sql = Printf.sprintf "DELETE FROM kv WHERE k = %d" k in
-          let summary =
-            match ctx with
-            | In_ctx ip -> fst (exec_inproc ip sql)
-            | Srv_ctx (_, sessions) -> fst (exec_server sessions cid sql)
-          in
-          (match deleted_of summary with
-          | Some n ->
-            if n <> oracle.per_key.(k) then
-              violate "kv delete k=%d removed %d rows, oracle %d" k n
-                oracle.per_key.(k);
-            oracle.kv_total <- oracle.kv_total - oracle.per_key.(k);
-            oracle.per_key.(k) <- 0
-          | None -> violate "kv delete: unexpected outcome %s" summary);
-          (sql, summary, 1)
+          write
+            [ History.Delete { table = "kv"; key = k } ]
+            (Printf.sprintf "DELETE FROM kv WHERE k = %d" k)
         | Edge_dml ->
           let s, d = pick_pair () in
-          let sql =
-            Printf.sprintf "INSERT INTO friends VALUES (%d, %d, '2012-06-01', 1.0)"
-              s d
-          in
-          let summary =
-            match ctx with
-            | In_ctx ip -> fst (exec_inproc ip sql)
-            | Srv_ctx (_, sessions) -> fst (exec_server sessions cid sql)
-          in
-          (match inserted_of summary with
-          | Some 1 -> oracle.friends_rows <- oracle.friends_rows + 1
-          | _ -> violate "edge insert: unexpected outcome %s" summary);
-          (sql, summary, 1)
+          write
+            [ History.Insert { table = "friends"; key = s; value = d } ]
+            (Printf.sprintf "INSERT INTO friends VALUES (%d, %d, '2012-06-01', 1.0)"
+               s d)
         | Txn ->
           let n_inner = 1 + Datagen.Splitmix.int rng ~bound:4 in
           let commit = Datagen.Splitmix.int rng ~bound:4 > 0 in
-          let inner =
-            List.init n_inner (fun _ ->
-                let k = Datagen.Splitmix.int rng ~bound:cfg.kv_keys in
-                let v = Datagen.Splitmix.int rng ~bound:1_000_000 in
-                (k, Printf.sprintf "INSERT INTO kv VALUES (%d, %d)" k v))
-          in
+          let inner = List.init n_inner (fun _ -> kv_insert ()) in
+          let ok = History.served_txn history ~session:cid ~commit inner (exec cid) in
+          if not ok then unexpected cid "txn statement failed";
           let stmts =
-            ("BEGIN" :: List.map snd inner)
-            @ [ (if commit then "COMMIT" else "ROLLBACK") ]
+            ("BEGIN" :: List.map snd inner) @ [ (if commit then "COMMIT" else "ROLLBACK") ]
           in
-          let ok = ref true in
-          List.iter
-            (fun sql ->
-              let summary =
-                match ctx with
-                | In_ctx ip -> fst (exec_inproc ip sql)
-                | Srv_ctx (_, sessions) -> fst (exec_server sessions cid sql)
-              in
-              if not (String.length summary >= 2 && String.sub summary 0 2 = "ok")
-              then begin
-                ok := false;
-                violate "txn statement failed: %s (%s)" sql summary
-              end)
-            stmts;
-          (* all-or-nothing: the oracle applies the whole transaction at
-             COMMIT and nothing at ROLLBACK *)
-          if !ok && commit then
-            List.iter
-              (fun (k, _) ->
-                oracle.per_key.(k) <- oracle.per_key.(k) + 1;
-                oracle.kv_total <- oracle.kv_total + 1)
-              inner;
-          (String.concat "; " stmts, (if !ok then "ok" else "err"), List.length stmts)
-        | Governed -> (
+          (String.concat "; " stmts, (if ok then "ok" else "err"), List.length stmts)
+        | Governed ->
           (* tiny budget must trip: pairs_c<cid> has batch_pairs >= 2
-             rows, the budget allows 1 — anything but Resource_error
-             Rows is a governor violation *)
+             rows, the budget allows 1; a backend that cannot govern one
+             statement (the server's budget is config-wide) must answer
+             it in full *)
+          let budget = Governor.budget ~max_rows:1 () in
           let sql = Printf.sprintf "SELECT s, d FROM pairs_c%d" cid in
-          match ctx with
-          | In_ctx ip ->
-            let budget = Governor.budget ~max_rows:1 () in
-            let summary, r = exec_inproc ~budget ip sql in
-            (match r with
-            | Error (Error.Resource_error { kind = Error.Rows; _ }) -> ()
-            | Ok _ -> violate "governed statement was not limited"
-            | Error e ->
-              violate "governed statement: unexpected error %s"
-                (Error.to_string e));
-            (sql, summary, 1)
-          | Srv_ctx (_, sessions) ->
-            (* the server's budget is config-wide; run the statement
-               ungoverned and only check it succeeds *)
-            let summary, term = exec_server sessions cid sql in
-            if not (Client.is_ok [ term ]) then
-              violate "pairs scan failed: %s" term;
-            (sql, summary, 1))
-        | Checkpoint -> (
-          match ctx with
-          | In_ctx ip ->
-            (match Wal.checkpoint ip.store ip.db with
-            | Ok () -> incr checkpoints
-            | Error e -> violate "checkpoint failed: %s" (Error.to_string e));
-            ("\\checkpoint", "ok", 1)
-          | Srv_ctx _ ->
-            (* no meta-commands over the wire: a checkpoint event in
-               server mode reconciles counts against the oracle instead *)
-            reconcile "checkpoint";
-            incr checkpoints;
-            ("\\reconcile", "ok", 1))
-        | Reconnect -> (
-          match ctx with
-          | In_ctx _ ->
-            reconcile "reconnect";
-            incr reconnects;
-            ("\\reconcile", "ok", 1)
-          | Srv_ctx (srv, sessions) ->
-            let sess = sessions.(cid) in
-            (try Client.close sess.client with _ -> ());
-            let a, b =
-              Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
-            in
-            Server.attach srv a;
-            sess.client <- Client.of_fd b;
-            (* snapshot monotonicity must hold across the reconnect:
-               last_snapshot survives, and the fresh session's first
-               response re-checks it *)
-            incr reconnects;
-            ("\\reconnect", "ok", 1))
+          let lines = exec ~budget cid sql in
+          (match Protocol.decode_reply (Client.terminal lines) with
+          | Some (Protocol.Err { category = "resource:rows"; _ }) when governs -> ()
+          | Some (Protocol.Ok _) when not governs -> ()
+          | Some (Protocol.Ok _) -> unexpected cid "governed statement was not limited"
+          | _ -> unexpected cid "governed statement: unexpected %s" (summary lines));
+          (sql, summary lines, 1)
+        | Checkpoint -> (checkpoint_event cid, "ok", 1)
+        | Reconnect -> (reconnect_event cid, "ok", 1)
       in
       let rec loop () =
         if !executed < cfg.statements then
@@ -778,8 +625,9 @@ let run cfg =
       in
       loop ();
       (* end-of-run reconciliation closes the books *)
-      reconcile "final";
+      reconcile ~rows:true "final";
       let wall = Unix.gettimeofday () -. t_wall0 in
+      let verdict = History.check history in
       let classes =
         List.filter_map
           (fun (c, _) ->
@@ -804,8 +652,12 @@ let run cfg =
         events = !events;
         virtual_seconds = !vclock;
         wall_seconds = wall;
-        violation_count = !violation_count;
-        violations = List.rev !violations;
+        violation_count = List.length verdict.History.violations;
+        violations = List.filteri (fun i _ -> i < 20) (History.describe verdict);
+        judged =
+          List.map
+            (fun (inv, n) -> (History.invariant_name inv, n))
+            verdict.History.judged;
         digest = !digest;
         outcome_digest = !outcome_digest;
         recoveries = !recoveries;
@@ -847,6 +699,7 @@ let json_report cfg (r : report) =
       ("digest", M.String (Printf.sprintf "%08x" r.digest));
       ("outcome_digest", M.String (Printf.sprintf "%08x" r.outcome_digest));
       ("violations", M.Int r.violation_count);
+      ("judged", M.Obj (List.map (fun (name, n) -> (name, M.Int n)) r.judged));
       ("violation_samples", M.List (List.map (fun s -> M.String s) r.violations));
       ("recoveries", M.Int r.recoveries);
       ("checkpoints", M.Int r.checkpoints);
@@ -884,6 +737,9 @@ let print_report (r : report) =
       Printf.printf "%-12s %10d %12.3f %12.3f %12.3f %12.3f\n" c.cls c.count
         (1e3 *. c.mean) (1e3 *. c.p50) (1e3 *. c.p99) (1e3 *. c.lat_max))
     r.classes;
+  Printf.printf "judged: %s\n"
+    (String.concat ", "
+       (List.map (fun (name, n) -> Printf.sprintf "%s %d" name n) r.judged));
   if r.violation_count = 0 then Printf.printf "invariants: OK (0 violations)\n%!"
   else begin
     Printf.printf "invariants: %d VIOLATIONS\n" r.violation_count;

@@ -10,11 +10,23 @@
     itself after a jittered per-class think time.  The whole event trace
     is a pure function of the config: same seed ⇒ same {!report.digest}.
 
-    Every event checks invariants: governor verdicts honoured, DML row
-    counts conserved against a cheap oracle model, acked commits
-    surviving a scripted mid-run kill-and-recover (Inproc), and
-    per-session snapshot monotonicity across reconnects (Server).
-    Violations are collected into the report, never raised.
+    Both backends answer each statement as the wire would (the
+    in-process outcome rendered by {!Sqlgraph_server.Protocol.ok_outcome}
+    at the driver's serial version); the outcome digest is rendered from
+    the decoded reply.  The driver holds no audit of its own:
+    every write goes into a {!History} (acked at its snapshot version
+    with the rows it wrote and the count it reported, or refused when a
+    transaction rolls back), every served reply's snapshot too, and the
+    reconciliation reads — the kv and friends counts at checkpoint
+    (Server) or reconnect (Inproc) events, kv's rows after the scripted
+    kill-and-recover (Inproc) and at the end — are reads at their
+    snapshot.  A statement answered outside its class's expectation (an
+    ordinary statement failing, a governed one not limited) is recorded
+    as unexpected.  {!History.check} judges the finished history: acked
+    writes survive the crash, rolled-back rows never appear, counts are
+    conserved, snapshots are monotone per session across reconnects, and
+    every read returns the serial state at its version.  Violations are
+    collected into the report, never raised.
 
     Wall-clock latency per statement feeds a {!Telemetry.Registry}
     histogram per class (p50/p99/max in {!report.classes}); it never
@@ -40,7 +52,7 @@ type config = {
   kv_keys : int;  (** key range of the DML-burst table *)
   kill_at : int option;
       (** Inproc only: [Wal.crash_for_testing] + reopen after this many
-          statements, then reconcile against the oracle *)
+          statements, then read kv's rows back into the history *)
   data_dir : string option;  (** Inproc WAL root; [None] = fresh temp dir *)
   domains : int;
       (** SET parallelism applied to every backend db (and re-applied after
@@ -70,6 +82,8 @@ type report = {
   wall_seconds : float;
   violation_count : int;
   violations : string list;  (** first few, for the console *)
+  judged : (string * int) list;
+      (** events each {!History} invariant judged, by invariant name *)
   digest : int;  (** CRC32 chain over (time, client, class, SQL) *)
   outcome_digest : int;  (** CRC32 chain over outcome summaries *)
   recoveries : int;

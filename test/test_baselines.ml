@@ -2,8 +2,7 @@
 
 module V = Storage.Value
 
-let check = Alcotest.check
-let tbool = Alcotest.bool
+open Testjson.Support
 
 let build_db edges =
   let db = Sqlgraph.Db.create () in

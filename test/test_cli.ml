@@ -2,8 +2,7 @@
    dependency of this test; see test/dune). Each case feeds a script or
    stdin and asserts on captured output. *)
 
-let check = Alcotest.check
-let tbool = Alcotest.bool
+open Testjson.Support
 
 let cli_path = "../bin/sqlgraph_cli.exe"
 
@@ -31,7 +30,6 @@ let run_cli ?stdin args =
   Sys.remove out;
   (code, text)
 
-let contains hay needle = Astring.String.is_infix ~affix:needle hay
 
 let test_run_script () =
   with_temp_file
@@ -338,19 +336,6 @@ let test_set_slow_query_ms_repl () =
 
 (* ------------------------------------------------------------------ *)
 (* Durability: --data-dir, \checkpoint, recovery messages *)
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "sqlgraph_cli_dur" "" in
-  Sys.remove dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 let test_data_dir_recovers () =
   with_temp_dir (fun dir ->

@@ -3,9 +3,7 @@
 module V = Storage.Value
 module T = Storage.Table
 
-let check = Alcotest.check
-let tbool = Alcotest.bool
-let tint = Alcotest.int
+open Testjson.Support
 
 let test_splitmix_determinism () =
   let a = Datagen.Splitmix.create ~seed:42 in

@@ -18,35 +18,10 @@ module Wal = Sqlgraph.Wal
 module Fault = Sqlgraph.Fault
 module Reg = Telemetry.Registry
 
-let check = Alcotest.check
-let tbool = Alcotest.bool
-let tint = Alcotest.int
+open Testjson.Support
 
 (* ------------------------------------------------------------------ *)
 (* Helpers *)
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "sqlgraph_dur" "" in
-  Sys.remove dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
-let open_exn ?fsync dir =
-  match Wal.open_dir ?fsync dir with
-  | Ok v -> v
-  | Error e -> Alcotest.failf "open_dir %s: %s" dir (Sqlgraph.Error.to_string e)
-
-let exec_exn db ?(params = [||]) sql =
-  match Db.exec db ~params sql with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "%s: %s" sql (Sqlgraph.Error.to_string e)
 
 (* Full database state as sorted (name, table) pairs.  Tables are
    copied: the catalog hands out live objects that later statements

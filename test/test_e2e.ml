@@ -4,9 +4,7 @@
 
 module V = Storage.Value
 
-let check = Alcotest.check
-let tbool = Alcotest.bool
-let tint = Alcotest.int
+open Testjson.Support
 
 (* The appendix fixture: persons and friendships of Figure 2 (the subset
    the examples actually touch), friendships stored in both directions. *)
@@ -27,8 +25,6 @@ let paper_db () =
   (* 6597 has no friends: isolated vertex, not even in the edge table *)
   db
 
-let q db ?params sql = Sqlgraph.Db.query_exn db ?params sql
-let rows db ?params sql = Sqlgraph.Resultset.rows (q db ?params sql)
 
 (* ------------------------------------------------------------------ *)
 (* The appendix, example by example                                    *)
@@ -783,7 +779,6 @@ let prop_sql_q13_matches_reference =
         if got <> expect then ok := false
       done;
       !ok)
-
 
 (* A statement on a cached graph is charged for its own batches only.
    Sessions share the cached runtime, so another session's batch can run

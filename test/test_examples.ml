@@ -2,8 +2,7 @@
    output — guarding the documented entry points against rot. The
    binaries are declared as dune deps of this test. *)
 
-let check = Alcotest.check
-let tbool = Alcotest.bool
+open Testjson.Support
 
 let run name =
   let out = Filename.temp_file "sqlgraph_example" ".txt" in
@@ -15,7 +14,6 @@ let run name =
   Sys.remove out;
   (code, text)
 
-let contains hay needle = Astring.String.is_infix ~affix:needle hay
 
 let expectations =
   [

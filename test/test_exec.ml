@@ -3,10 +3,7 @@
 
 module V = Storage.Value
 
-let check = Alcotest.check
-let tbool = Alcotest.bool
-let tint = Alcotest.int
-let tstr = Alcotest.string
+open Testjson.Support
 
 let fresh_db () =
   let db = Sqlgraph.Db.create () in
@@ -20,13 +17,6 @@ let fresh_db () =
   |> ignore;
   db
 
-let q db sql = Sqlgraph.Db.query_exn db sql
-let rows db sql = Sqlgraph.Resultset.rows (q db sql)
-
-let int_rows db sql =
-  List.map
-    (List.map (function V.Int i -> i | v -> Alcotest.failf "not int: %s" (V.to_display v)))
-    (rows db sql)
 
 (* ------------------------------------------------------------------ *)
 (* Scan / filter / project                                             *)

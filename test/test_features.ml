@@ -4,9 +4,7 @@
 
 module V = Storage.Value
 
-let check = Alcotest.check
-let tbool = Alcotest.bool
-let tint = Alcotest.int
+open Testjson.Support
 
 let fresh_db () =
   let db = Sqlgraph.Db.create () in
@@ -16,15 +14,6 @@ let fresh_db () =
        "INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'a'), (4, 'c'), (2, 'b')");
   db
 
-let q db ?params sql = Sqlgraph.Db.query_exn db ?params sql
-let rows db ?params sql = Sqlgraph.Resultset.rows (q db ?params sql)
-
-let int_rows db sql =
-  List.map
-    (List.map (function
-      | V.Int i -> i
-      | v -> Alcotest.failf "not an int: %s" (V.to_display v)))
-    (rows db sql)
 
 (* ------------------------------------------------------------------ *)
 (* Set operations                                                      *)
@@ -350,6 +339,23 @@ let test_cast_double_varchar_roundtrip () =
       | _ -> Alcotest.failf "%s: expected one (text, bool) row" sql)
     [ 0.1 +. 0.2; 1. /. 3.; 0.1234567891; 123456789.5; -2.5e-8; 1e300; 3.03; 2.; -0. ]
 
+(* || renders a DOUBLE operand as CAST(... AS VARCHAR) does, not with
+   the six significant digits of the result-set display. *)
+let test_concat_double_text () =
+  let db = fresh_db () in
+  List.iter
+    (fun x ->
+      let sql =
+        Printf.sprintf "SELECT 'x' || CAST('%.17g' AS DOUBLE) || 'y'" x
+      in
+      check tbool sql true
+        (V.equal (scalar db sql) (V.Str ("x" ^ V.float_text x ^ "y"))))
+    [ 0.1234567891; 1. /. 3.; 123456789.5; -2.5e-8; 2. ];
+  check tbool "literal from the report" true
+    (V.equal
+       (scalar db "SELECT 'x' || CAST('0.1234567891' AS DOUBLE)")
+       (V.Str "x0.1234567891"))
+
 let test_date_functions () =
   let db = fresh_db () in
   check tbool "year" true
@@ -590,17 +596,6 @@ let test_correlated_rejected_in_having () =
 (* ------------------------------------------------------------------ *)
 (* Persistence                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "sqlgraph_persist" "" in
-  Sys.remove dir;
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-        Sys.rmdir dir
-      end)
-    (fun () -> f dir)
 
 let test_persist_roundtrip () =
   with_temp_dir (fun dir ->
@@ -1175,6 +1170,8 @@ let () =
           Alcotest.test_case "date functions" `Quick test_date_functions;
           Alcotest.test_case "CAST DOUBLE AS VARCHAR round-trips" `Quick
             test_cast_double_varchar_roundtrip;
+          Alcotest.test_case "|| renders a DOUBLE as CAST does" `Quick
+            test_concat_double_text;
         ] );
       ( "aggregates-subqueries",
         [

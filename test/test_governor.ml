@@ -12,9 +12,7 @@ module Gov = Sqlgraph.Governor
 module Fault = Sqlgraph.Fault
 module Err = Sqlgraph.Error
 
-let check = Alcotest.check
-let tbool = Alcotest.bool
-let tint = Alcotest.int
+open Testjson.Support
 
 let kind_name = function
   | Ok _ -> "ok"
@@ -29,8 +27,6 @@ let check_kind what expected outcome =
     Alcotest.failf "%s: expected %s resource error, got %s" what
       (Err.resource_kind_name expected)
       (kind_name other)
-
-let exec_exn db sql = ignore (Sqlgraph.Db.exec_exn db sql)
 
 (* A directed chain 1 -> 2 -> ... -> n. *)
 let chain_db n =

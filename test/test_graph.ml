@@ -5,9 +5,7 @@ module V = Storage.Value
 module C = Storage.Column
 module D = Storage.Dtype
 
-let check = Alcotest.check
-let tbool = Alcotest.bool
-let tint = Alcotest.int
+open Testjson.Support
 
 (* ------------------------------------------------------------------ *)
 (* Vertex dictionary                                                   *)
@@ -1184,6 +1182,82 @@ let prop_all_paths_match_brute_force =
         && norm (List.map Array.to_list got) = norm expected
       end)
 
+(* All_paths as the independent third oracle.  Over small random graphs
+   (self-loops, parallel edges, s = t and unreachable pairs), for every
+   ordered pair of values: the one-sided BFS, the bidirectional BFS and
+   MS-BFS at 1 and 2 workers agree with the DAG's hop count, and every
+   path they return is one of the DAG's shortest paths and the
+   canonical walk back (at each vertex, the DAG in-edge with the least
+   forward CSR slot).  The oracle CSR is built over the runtime's
+   dictionary ids, so its slots are the runtime's. *)
+let prop_all_paths_oracle =
+  QCheck.Test.make ~count:60
+    ~name:"all_paths oracle: BFS, bidir BFS, MS-BFS at 1/2 workers agree"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let open Graph in
+      let rng = Random.State.make [| seed |] in
+      let n = 1 + Random.State.int rng 7 in
+      let m = 1 + Random.State.int rng 14 in
+      let src = Array.init m (fun _ -> Random.State.int rng n) in
+      let dst = Array.init m (fun _ -> Random.State.int rng n) in
+      let rt = Runtime.build ~src:(C.of_int_array src) ~dst:(C.of_int_array dst) in
+      Runtime.prepare_bidir rt;
+      let dict = Runtime.dict rt in
+      let nv = Vertex_dict.cardinality dict in
+      let id v = Option.get (Vertex_dict.encode dict (V.Int v)) in
+      let csr = Csr.build ~vertex_count:nv ~src:(Array.map id src) ~dst:(Array.map id dst) in
+      let rev = Csr.reverse csr and ws = Workspace.create nv in
+      (* every value 0..n: the value n is no vertex *)
+      let pairs = Array.init ((n + 1) * (n + 1)) (fun i -> (V.Int (i / (n + 1)), V.Int (i mod (n + 1)))) in
+      let msbfs =
+        List.map
+          (fun domains ->
+            Runtime.run_pairs rt ~weights:Runtime.Unweighted ~engine:`Batched ~domains
+              ~oversubscribe:true ~pairs ())
+          [ 1; 2 ]
+      in
+      let rec walk_back dag ~source v acc =
+        if v = source then Array.of_list acc
+        else begin
+          let best = ref (max_int, -1) and dv = All_paths.distance dag v in
+          for u = 0 to nv - 1 do
+            if dv <> None && Option.map succ (All_paths.distance dag u) = dv then
+              Csr.iter_out csr u (fun ~slot ~target ->
+                  if target = v && slot < fst !best then best := (slot, u))
+          done;
+          let slot, u = !best in
+          walk_back dag ~source u (Ivec.get csr.Csr.edge_rows slot :: acc)
+        end
+      in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun i (a, b) ->
+             let outs = List.map (fun o -> o.(i)) msbfs in
+             match (Vertex_dict.encode dict a, Vertex_dict.encode dict b) with
+             | Some s, Some t ->
+               let dag = All_paths.build csr ~source:s in
+               let hops = All_paths.distance dag t in
+               let shortest = All_paths.enumerate dag ~target:t ~limit:100_000 () in
+               let canonical p =
+                 Some (Array.length p) = hops && List.mem p shortest
+                 && p = walk_back dag ~source:s t []
+               in
+               Bfs.run ws csr ~source:s ~targets:[| t |];
+               (if Workspace.visited ws t then
+                  Some ws.Workspace.dist_int.(t) = hops
+                  && canonical (Path_tree.edge_rows ws csr ~source:s ~dst:t)
+                else hops = None)
+               && Bfs.distance ws csr ~rev ~source:s ~dest:t = hops
+               && List.for_all
+                    (function
+                      | Runtime.Unreachable -> hops = None
+                      | Runtime.Reached { cost; edge_rows } ->
+                        Some cost = Option.map (fun h -> V.Int h) hops && canonical edge_rows)
+                    outs
+             | _ -> List.for_all (( = ) Runtime.Unreachable) outs)
+           pairs))
+
 let test_csr_timings () =
   let _, t =
     Graph.Csr.build_timed ~vertex_count:3 ~src:[| 0; 1; 2 |] ~dst:[| 1; 2; 0 |]
@@ -1250,6 +1324,7 @@ let () =
           Alcotest.test_case "unreachable and limit" `Quick
             test_all_paths_unreachable_and_limit;
           QCheck_alcotest.to_alcotest prop_all_paths_match_brute_force;
+          QCheck_alcotest.to_alcotest prop_all_paths_oracle;
         ] );
       ( "runtime",
         [

@@ -11,41 +11,13 @@ module Fp = Sql.Fingerprint
 module Store = Sqlgraph.Stat_store
 module Reg = Telemetry.Registry
 
-let check = Alcotest.check
-let tbool = Alcotest.bool
-let tint = Alcotest.int
-let tstr = Alcotest.string
-
-let exec_exn db sql =
-  match Db.exec db sql with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "%s: %s" sql (Sqlgraph.Error.to_string e)
-
-let query_exn db sql =
-  match Db.query db sql with
-  | Ok r -> r
-  | Error e -> Alcotest.failf "%s: %s" sql (Sqlgraph.Error.to_string e)
-
-let rows db sql = Sqlgraph.Resultset.rows (query_exn db sql)
+open Testjson.Support
 
 (* The fingerprint half of the last statement's query id. *)
 let last_fingerprint db =
   Option.map
     (fun q -> String.sub q 0 (String.index q ':'))
     (Db.last_query_id db)
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "sqlgraph_introspect" "" in
-  Sys.remove dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 (* ------------------------------------------------------------------ *)
 (* Normalizer: qcheck properties *)

@@ -4,10 +4,7 @@ module L = Relalg.Lplan
 module V = Storage.Value
 module D = Storage.Dtype
 
-let check = Alcotest.check
-let tbool = Alcotest.bool
-let tint = Alcotest.int
-let tstr = Alcotest.string
+open Testjson.Support
 
 (* A small catalog shared by the binder tests. *)
 let fixture_catalog () =

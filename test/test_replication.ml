@@ -3,16 +3,16 @@
    and steady-state streaming, full checkpoint resync, the client
    failover pool, wire promotion — and the seeded chaos loop.
 
-   The chaos loop's invariants, per iteration:
-
-     - every commit a client saw acknowledged is present on the promoted
-       standby (semi-synchronous shipping: frames precede acks);
-     - a rolled-back transaction's rows never appear (no fabricated
-       rows);
-     - every client's observed snapshot version is monotone, including
-       across the failover;
-     - the promoted standby serves reads, with the graph-index cache
-       already warm. *)
+   The chaos loop records every client's writes, reads and snapshots on
+   the primary, a reader's on the standby and, on the same session,
+   after promotion into one Sim.History, which judges per iteration:
+   every commit a client saw acknowledged is present on the promoted
+   standby (semi-synchronous shipping: frames precede acks); a
+   rolled-back transaction's row never appears; nothing is fabricated;
+   every session's snapshots are monotone, the standby reader's across
+   the promotion; and every read returned a state of the serial
+   history — at its snapshot on the primary, a prefix of the primary's
+   commit order on the standby. *)
 
 module V = Storage.Value
 module Db = Sqlgraph.Db
@@ -23,50 +23,19 @@ module Scheduler = Sqlgraph_server.Scheduler
 module Client = Sqlgraph_server.Client
 module Repl = Sqlgraph_server.Replication
 
-let check = Alcotest.check
-let tbool = Alcotest.bool
-let tint = Alcotest.int
+open Testjson.Support
+
+(* the directories here also hold sockets and logs: create them *)
+let with_temp_dir f = with_temp_dir (fun dir -> Sys.mkdir dir 0o755; f dir)
 
 (* ------------------------------------------------------------------ *)
 (* Helpers *)
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "sqlgraph_repl" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
-let open_exn ?fsync dir =
-  match Wal.open_dir ?fsync dir with
-  | Ok v -> v
-  | Error e -> Alcotest.failf "open_dir %s: %s" dir (Sqlgraph.Error.to_string e)
 
 let open_replica_exn ?fsync dir =
   match Wal.open_replica ?fsync dir with
   | Ok v -> v
   | Error e ->
     Alcotest.failf "open_replica %s: %s" dir (Sqlgraph.Error.to_string e)
-
-let exec_exn db ?(params = [||]) sql =
-  match Db.exec db ~params sql with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "%s: %s" sql (Sqlgraph.Error.to_string e)
-
-let count_db db table =
-  match Db.query db (Printf.sprintf "SELECT COUNT(*) FROM %s" table) with
-  | Ok r -> (
-    match Sqlgraph.Resultset.rows r with
-    | [ [ V.Int n ] ] -> n
-    | _ -> Alcotest.fail "unexpected COUNT shape")
-  | Error e -> Alcotest.failf "count: %s" (Sqlgraph.Error.to_string e)
 
 let wait_for ?(timeout = 30.) pred msg =
   let t0 = Unix.gettimeofday () in
@@ -138,13 +107,6 @@ let wait_caught_up ?timeout c =
     (fun () ->
       Repl.Standby.applied_offset c.standby >= Wal.logical_end c.pstore)
     "standby catch-up"
-
-(* A client over a socketpair attached to a server, with its raw fd (so
-   a test can sever the connection abruptly, like a dead process). *)
-let connect srv =
-  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Server.attach srv a;
-  (Client.of_fd b, b)
 
 (* The non-empty lines of a log file; none when it was never written. *)
 let log_lines path =
@@ -558,10 +520,22 @@ let test_warm_index_on_standby () =
 (* ------------------------------------------------------------------ *)
 (* Chaos: seeded crash-promote-verify loop *)
 
+module History = Sim.History
+
+(* reads (standby prefix reads among them) and acked writes the history
+   judged, over all iterations *)
+let chaos_reads = ref 0
+let chaos_standby_reads = ref 0
+let chaos_acked = ref 0
+
 (* One iteration: a client burst against the primary (with occasional
-   rolled-back transactions), an abrupt severing of every client
-   connection at a seeded point mid-burst, promotion of the standby, and
-   the acked-commit / no-fabrication / snapshot-monotonicity audit. *)
+   rolled-back transactions), each client reading the table back after
+   each insert, a reader on the standby, an abrupt severing of every
+   client connection at a seeded point mid-burst, promotion of the
+   standby, a read of the promoted standby on the same session, and
+   Sim.History's judgement of it all.  The standby's snapshot versions
+   are its own, so its reads are judged as prefixes of the primary's
+   commit order. *)
 let chaos_iteration seed =
   let rng = Random.State.make [| 0xC0FFEE + seed |] in
   (* a one-shot fault at a replication site, exercising drop/reconnect
@@ -584,46 +558,63 @@ let chaos_iteration seed =
         Array.init nclients (fun _ ->
             Array.init per (fun _ -> Random.State.int rng 5 = 0))
       in
-      let acked : (int * int) list ref = ref [] in
-      let acked_mu = Mutex.create () in
+      let h = History.create () in
+      let row i v = History.Insert { table = "t"; key = i; value = v } in
+      let insert i v = Printf.sprintf "INSERT INTO t VALUES (%d, %d)" i v in
       let acked_n = Atomic.make 0 in
       let done_n = Atomic.make 0 in
       let severed = Atomic.make false in
       let clients = Array.init nclients (fun _ -> connect c.psrv) in
-      let snap_mono = Atomic.make true in
+      let request session cl sql =
+        let lines = Client.request cl sql in
+        History.seen_reply h ~session lines;
+        lines
+      in
       let run_client i (cl, _) =
-        let last_snap = ref (-1) in
+        let req = request i cl in
         (try
+           History.seen_reply h ~session:i [ Client.hello cl ];
            for k = 1 to per do
              if not (Atomic.get severed) then begin
                (* a seeded minority of rounds is a rolled-back
-                  transaction: its row must never surface anywhere *)
-               if rollback.(i).(k - 1) then begin
-                 ignore (Client.request cl "BEGIN");
+                  transaction: no COMMIT is ever sent, so its row must
+                  never surface anywhere *)
+               if rollback.(i).(k - 1) then
                  ignore
-                   (Client.request cl
-                      (Printf.sprintf "INSERT INTO t VALUES (%d, 9999)" i));
-                 ignore (Client.request cl "ROLLBACK")
-               end;
+                   (History.served_txn h ~session:i ~commit:false
+                      [ (row i 9999, insert i 9999) ] req);
                let lines =
-                 Client.request cl
-                   (Printf.sprintf "INSERT INTO t VALUES (%d, %d)" i k)
+                 History.served_write h ~session:i [ row i k ] (fun () ->
+                     req (insert i k))
                in
-               if Client.is_ok lines then begin
-                 (match Client.snapshot lines with
-                 | Some v ->
-                   if v < !last_snap then Atomic.set snap_mono false;
-                   last_snap := max !last_snap v
-                 | None -> ());
-                 Mutex.lock acked_mu;
-                 acked := (i, k) :: !acked;
-                 Mutex.unlock acked_mu;
-                 Atomic.incr acked_n
-               end
+               if Client.is_ok lines then Atomic.incr acked_n;
+               History.served_read h ~session:i ~table:"t" `Count
+                 (req "SELECT COUNT(*) FROM t")
              end
            done
          with _ -> ());
         Atomic.incr done_n
+      in
+      (* one standby session reads through the burst, the drain and the
+         promotion *)
+      let reader_session = nclients in
+      let rc, _ = connect c.rsrv in
+      let standby_read ?at shape sql =
+        let lines = request reader_session rc sql in
+        History.served_read h ~session:reader_session
+          ~at:(Option.value at ~default:History.Prefix) ~table:"t" shape lines;
+        if Client.is_ok lines then incr chaos_standby_reads;
+        lines
+      in
+      let burst_over = Atomic.make false in
+      let reader =
+        Thread.create
+          (fun () ->
+            while not (Atomic.get burst_over) do
+              ignore (standby_read `Count "SELECT COUNT(*) FROM t");
+              Unix.sleepf 0.001
+            done)
+          ()
       in
       let threads =
         Array.mapi
@@ -643,9 +634,12 @@ let chaos_iteration seed =
         clients;
       Array.iter Thread.join threads;
       Array.iter (fun (cl, _) -> Client.close cl) clients;
+      Atomic.set burst_over true;
+      Thread.join reader;
       (* the standby drains the stream (reconnecting through any armed
          fault), then the operator promotes *)
       wait_caught_up c;
+      ignore (standby_read `Count "SELECT COUNT(*) FROM t");
       let rec promote tries =
         match Repl.Standby.promote c.standby with
         | Ok gen -> gen
@@ -658,30 +652,17 @@ let chaos_iteration seed =
       let gen = promote 2 in
       check tbool "promotion fenced a fresh generation" true (gen > 0);
       Fault.clear ();
-      (* audit: every acked commit survives, no fabricated rows *)
-      let rows =
-        match Db.query c.rdb "SELECT client, v FROM t" with
-        | Ok r -> Sqlgraph.Resultset.rows r
-        | Error e -> Alcotest.failf "audit: %s" (Sqlgraph.Error.to_string e)
-      in
-      let surviving =
-        List.filter_map
-          (function [ V.Int a; V.Int b ] -> Some (a, b) | _ -> None)
-          rows
-      in
-      List.iter
-        (fun (i, k) ->
-          if not (List.mem (i, k) surviving) then
-            Alcotest.failf "seed %d: acked commit (%d,%d) lost" seed i k)
-        !acked;
-      if List.exists (fun (_, v) -> v = 9999) surviving then
-        Alcotest.failf "seed %d: rolled-back row fabricated" seed;
-      check tbool "per-client snapshots stayed monotone" true
-        (Atomic.get snap_mono);
-      (* the promoted standby serves reads with a warm path *)
-      let rc, _ = connect c.rsrv in
-      let lines = Client.request rc "SELECT COUNT(*) FROM t" in
+      (* the promoted standby serves reads, on the same session: every
+         acked commit is there (semi-synchronous shipping), and nothing
+         else but the writes whose replies the severing lost *)
+      let lines = standby_read ~at:History.Final `Rows "SELECT client, v FROM t" in
       check tbool "promoted standby serves reads" true (Client.is_ok lines);
+      let report = History.check h in
+      (match History.describe report with
+      | [] -> ()
+      | vs -> Alcotest.failf "seed %d:\n%s" seed (String.concat "\n" vs));
+      chaos_reads := !chaos_reads + History.judged report History.Stale_read;
+      chaos_acked := !chaos_acked + History.judged report History.Acked_lost;
       let accepted = Client.request rc "INSERT INTO t VALUES (-1, 0)" in
       check tbool "promoted standby accepts writes" true
         (Client.is_ok accepted);
@@ -690,7 +671,11 @@ let chaos_iteration seed =
 let test_chaos () =
   for seed = 0 to 119 do
     chaos_iteration seed
-  done
+  done;
+  if !chaos_reads = 0 || !chaos_standby_reads = 0 || !chaos_acked = 0 then
+    Alcotest.failf
+      "the history judged %d reads (%d on the standby) and %d acked writes"
+      !chaos_reads !chaos_standby_reads !chaos_acked
 
 (* ------------------------------------------------------------------ *)
 

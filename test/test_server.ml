@@ -7,13 +7,12 @@
    a socketpair harness against one durable server while injected
    faults fire at the server's own sites (accept, session_read,
    group_fsync, shutdown_drain) and the WAL's; then kill or drain the
-   server, recover the directory, and assert:
-
-     - every acknowledged commit survives recovery (acked ⊆ recovered);
-     - rolled-back and load-shed statements never survive;
-     - a transaction's inserts are all-or-nothing;
-     - every session's observed snapshot version is monotone;
-     - every client finishes before a deadline (no hangs). *)
+   server, recover the directory, and judge everything the clients saw
+   with Sim.History: acknowledged commits survive recovery, rolled-back
+   and load-shed statements never do, transactions are all-or-nothing,
+   nothing is fabricated, each session's snapshots are monotone, and
+   every read returned the serial state at its snapshot.  Every client
+   must also finish before a deadline (no hangs). *)
 
 module V = Storage.Value
 module Db = Sqlgraph.Db
@@ -26,47 +25,14 @@ module Session = Sqlgraph_server.Session
 module Client = Sqlgraph_server.Client
 module Protocol = Sqlgraph_server.Protocol
 
-let check = Alcotest.check
-let tbool = Alcotest.bool
-let tint = Alcotest.int
-let tstr = Alcotest.string
+open Testjson.Support
 
 (* ------------------------------------------------------------------ *)
 (* Helpers *)
 
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "sqlgraph_srv" "" in
-  Sys.remove dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
-let open_exn ?fsync ?readonly dir =
-  match Wal.open_dir ?fsync ?readonly dir with
-  | Ok v -> v
-  | Error e -> Alcotest.failf "open_dir %s: %s" dir (Sqlgraph.Error.to_string e)
-
-let exec_exn db ?(params = [||]) sql =
-  match Db.exec db ~params sql with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "%s: %s" sql (Sqlgraph.Error.to_string e)
-
 let with_server ?config ?store db f =
   let srv = Server.create ?config ~db ~store () in
   Fun.protect ~finally:(fun () -> Server.shutdown srv) (fun () -> f srv)
-
-(* A connected client over a socketpair, plus its raw fd (for the
-   half-close test). *)
-let connect srv =
-  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Server.attach srv a;
-  (Client.of_fd b, b)
 
 let connect1 srv = fst (connect srv)
 
@@ -93,14 +59,6 @@ let ok_of lines =
   | _ -> None
 
 let qid_of_reply lines = Option.bind (ok_of lines) (fun o -> o.Protocol.qid)
-
-let count_db db table =
-  match Db.query db (Printf.sprintf "SELECT COUNT(*) FROM %s" table) with
-  | Ok r -> (
-    match Sqlgraph.Resultset.rows r with
-    | [ [ V.Int n ] ] -> n
-    | _ -> Alcotest.fail "unexpected COUNT shape")
-  | Error e -> Alcotest.failf "count: %s" (Sqlgraph.Error.to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol codec *)
@@ -976,94 +934,41 @@ let print_case case =
                        plan)))
              case.plans)))
 
-type creport = {
-  mutable acked : int list; (* values that MUST survive recovery *)
-  mutable forbidden : int list; (* values that must NOT survive *)
-  mutable sent : int list; (* every value that ever left this client *)
-  mutable txns : (int list * bool) list; (* OK'd values per txn, commit acked *)
-  mutable mono_violation : (int * int) option;
-  mutable finished : bool;
-}
+module History = Sim.History
 
-let fresh_report () =
-  {
-    acked = [];
-    forbidden = [];
-    sent = [];
-    txns = [];
-    mono_violation = None;
-    finished = false;
-  }
-
-let is_busy lines = has_prefix ~prefix:"ERR busy" (Client.terminal lines)
-
-let run_client client_id c plan (r : creport) =
-  let last_snap = ref (-1) in
+(* One scripted client: every reply's snapshot, write and read goes
+   into the shared history under the client's session id. *)
+let run_client h client_id c plan =
+  let session = client_id in
   let req sql =
     let lines = Client.request ~timeout_ms:30_000 c sql in
-    (match Client.snapshot lines with
-    | Some v ->
-      if v < !last_snap then r.mono_violation <- Some (!last_snap, v)
-      else last_snap := v
-    | None -> ());
+    History.seen_reply h ~session lines;
     lines
   in
+  History.seen_reply h ~session [ Client.hello ~timeout_ms:30_000 c ];
   let value seq = (client_id * 1_000_000) + seq in
+  let row v = History.Insert { table = "kv"; key = client_id; value = v } in
   let insert_sql v =
     Printf.sprintf "INSERT INTO kv VALUES (%d, %d)" client_id v
   in
   List.iter
     (fun op ->
       match op with
-      | CRead -> ignore (req "SELECT COUNT(*) FROM kv")
+      | CRead ->
+        History.served_read h ~session ~table:"kv" `Count
+          (req "SELECT COUNT(*) FROM kv")
       | CBad -> ignore (req "SELEC T )( BOGUS")
       | CInsert seq ->
         let v = value seq in
-        r.sent <- v :: r.sent;
-        let lines = req (insert_sql v) in
-        if Client.is_ok lines then r.acked <- v :: r.acked
-        else if is_busy lines then r.forbidden <- v :: r.forbidden
-        (* other errors (injected faults): ambiguous — the statement may
-           or may not have reached the WAL before failing *)
+        ignore (History.served_write h ~session [ row v ] (fun () -> req (insert_sql v)))
       | CTxn (seqs, commit) ->
-        let b = req "BEGIN" in
-        if Client.is_ok b then begin
-          let oks =
-            List.filter_map
-              (fun seq ->
-                let v = value seq in
-                r.sent <- v :: r.sent;
-                if Client.is_ok (req (insert_sql v)) then Some v else None)
-              seqs
-          in
-          if commit then begin
-            let cl = req "COMMIT" in
-            if Client.is_ok cl then begin
-              r.acked <- oks @ r.acked;
-              r.txns <- (oks, true) :: r.txns
-            end
-            else r.txns <- (oks, false) :: r.txns
-          end
-          else begin
-            let rl = req "ROLLBACK" in
-            if Client.is_ok rl then
-              r.forbidden <- List.map value seqs @ r.forbidden
-          end
-        end)
+        let writes = List.map (fun seq -> (row (value seq), insert_sql (value seq))) seqs in
+        ignore (History.served_txn h ~session ~commit writes req))
     plan
 
-module IntSet = Set.Make (Int)
-
-let recovered_values db =
-  match Db.query db "SELECT v FROM kv" with
-  | Error e -> Alcotest.failf "recovered read: %s" (Sqlgraph.Error.to_string e)
-  | Ok rs ->
-    List.fold_left
-      (fun acc row ->
-        match row with
-        | [ V.Int v ] -> IntSet.add v acc
-        | _ -> acc)
-      IntSet.empty (Sqlgraph.Resultset.rows rs)
+(* reads and acked writes the history judged, over all cases *)
+let fuzz_reads = ref 0
+let fuzz_acked = ref 0
 
 let run_fuzz_case case =
   with_temp_dir (fun dir ->
@@ -1073,7 +978,8 @@ let run_fuzz_case case =
       let n = Array.length case.plans in
       let config = { Scheduler.default_config with idle_timeout_ms = 30_000 } in
       let srv = Server.create ~config ~db ~store:(Some store) () in
-      let reports = Array.init n (fun _ -> fresh_report ()) in
+      let h = History.create () in
+      let finished = Array.make n false in
       Fault.set_specs case.specs;
       let threads =
         Array.init n (fun i ->
@@ -1088,21 +994,21 @@ let run_fuzz_case case =
                      let c = Client.of_fd b in
                      Fun.protect
                        ~finally:(fun () ->
-                         reports.(i).finished <- true;
+                         finished.(i) <- true;
                          Client.close c)
                        (fun () ->
-                         try run_client (i + 1) c case.plans.(i) reports.(i)
+                         try run_client h (i + 1) c case.plans.(i)
                          with Client.Closed _ -> ()))
                    ())
             | exception Fault.Injected _ ->
               (* connection dropped at admission; the client never ran *)
               (try Unix.close b with _ -> ());
-              reports.(i).finished <- true;
+              finished.(i) <- true;
               None)
       in
       (* no-hang assertion: every client must finish within the deadline *)
       let deadline = Unix.gettimeofday () +. 60. in
-      let all_done () = Array.for_all (fun r -> r.finished) reports in
+      let all_done () = Array.for_all Fun.id finished in
       while (not (all_done ())) && Unix.gettimeofday () < deadline do
         Thread.yield ();
         Unix.sleepf 0.002
@@ -1119,68 +1025,48 @@ let run_fuzz_case case =
         QCheck.Test.fail_reportf "reopen failed: %s\n%s"
           (Sqlgraph.Error.to_string e) (print_case case)
       | Ok (store2, db2, _) ->
-        let recovered = recovered_values db2 in
+        (* the recovered state, judged with everything the clients saw *)
+        let recovered =
+          match Db.query db2 "SELECT client, v FROM kv" with
+          | Ok rs ->
+            List.filter_map
+              (function [ V.Int k; V.Int v ] -> Some (k, v) | _ -> None)
+              (Sqlgraph.Resultset.rows rs)
+          | Error e ->
+            QCheck.Test.fail_reportf "recovered read: %s"
+              (Sqlgraph.Error.to_string e)
+        in
         Wal.close store2;
-        let fail fmt =
-          Printf.ksprintf
-            (fun msg ->
-              QCheck.Test.fail_reportf "%s\nrecovered={%s}\n%s" msg
-                (String.concat ","
-                   (List.map string_of_int (IntSet.elements recovered)))
-                (print_case case))
-            fmt
-        in
-        let all_sent =
-          Array.fold_left
-            (fun acc r -> List.fold_left (fun a v -> IntSet.add v a) acc r.sent)
-            IntSet.empty reports
-        in
-        Array.iteri
-          (fun i r ->
-            (match r.mono_violation with
-            | Some (a, b) ->
-              fail "client %d: snapshot went backwards (%d -> %d)" (i + 1) a b
-            | None -> ());
-            List.iter
-              (fun v ->
-                if not (IntSet.mem v recovered) then
-                  fail "client %d: acknowledged value %d lost" (i + 1) v)
-              r.acked;
-            List.iter
-              (fun v ->
-                if IntSet.mem v recovered then
-                  fail
-                    "client %d: rolled-back or refused value %d survived"
-                    (i + 1) v)
-              r.forbidden;
-            (* transaction atomicity, including unacknowledged commits:
-               a txn's inserts land together or not at all *)
-            List.iter
-              (fun (vals, _acked) ->
-                match vals with
-                | [] | [ _ ] -> ()
-                | vs ->
-                  let present =
-                    List.length (List.filter (fun v -> IntSet.mem v recovered) vs)
-                  in
-                  if present <> 0 && present <> List.length vs then
-                    fail "client %d: transaction recovered partially (%d/%d)"
-                      (i + 1) present (List.length vs))
-              r.txns)
-          reports;
-        (* nothing fabricated: every recovered value was sent by someone *)
-        IntSet.iter
-          (fun v ->
-            if v >= 1_000_000 && not (IntSet.mem v all_sent) then
-              fail "recovered value %d was never sent" v)
-          recovered;
-        true)
+        History.read h ~session:0 History.Final ~table:"kv" (History.Rows recovered);
+        let report = History.check h in
+        fuzz_reads := !fuzz_reads + History.judged report History.Stale_read;
+        fuzz_acked := !fuzz_acked + History.judged report History.Acked_lost;
+        match report.History.violations with
+        | [] -> true
+        | vs ->
+          QCheck.Test.fail_reportf "%s\nrecovered={%s}\n%s"
+            (String.concat "\n"
+               (List.map
+                  (fun (inv, msg) -> History.invariant_name inv ^ ": " ^ msg)
+                  vs))
+            (String.concat ","
+               (List.map (fun (_, v) -> string_of_int v) recovered))
+            (print_case case))
 
 let test_concurrency_fuzzer =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"server: concurrency fuzzer" ~count:120
-       (QCheck.make ~print:print_case gen_case)
-       run_fuzz_case)
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"server: concurrency fuzzer" ~count:120
+         (QCheck.make ~print:print_case gen_case)
+         run_fuzz_case)
+  in
+  ( name,
+    speed,
+    fun () ->
+      run ();
+      if !fuzz_reads = 0 || !fuzz_acked = 0 then
+        Alcotest.failf "the history judged %d reads and %d acked writes"
+          !fuzz_reads !fuzz_acked )
 
 (* ------------------------------------------------------------------ *)
 (* Introspection (DESIGN.md §14): wire query ids and the sqlgraph_stat_*

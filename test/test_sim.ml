@@ -83,7 +83,14 @@ let tiny ?(backend = Driver.Inproc) ?(seed = 11) ?(statements = 1200) ?kill_at
 let check_clean (r : Driver.report) =
   if r.Driver.violation_count > 0 then
     Alcotest.failf "%d violations, first: %s" r.Driver.violation_count
-      (match r.Driver.violations with v :: _ -> v | [] -> "?")
+      (match r.Driver.violations with v :: _ -> v | [] -> "?");
+  (* the history judged reads and acked writes: the run was not vacuous *)
+  List.iter
+    (fun name ->
+      match List.assoc_opt name r.Driver.judged with
+      | Some n when n > 0 -> ()
+      | _ -> Alcotest.failf "the history's %s judged nothing" name)
+    [ "acked_lost"; "stale_read"; "conservation" ]
 
 let test_determinism () =
   let cfg = tiny () in
@@ -142,6 +149,91 @@ let test_latencies_reported () =
   match find "point" with
   | None -> Alcotest.fail "no point stats"
   | Some s -> if s.Driver.p99 <= 0. then Alcotest.fail "zero p99 for point"
+
+(* ---------------- the history checker ---------------- *)
+
+(* Hand-built histories that each break exactly one invariant: the
+   checker must report that one, once, and a clean history nothing. *)
+
+module H = Sim.History
+module Protocol = Sqlgraph_server.Protocol
+
+let ins k v = H.Insert { table = "t"; key = k; value = v }
+
+let violations h = H.describe (H.check h)
+
+let expect_only inv h =
+  match (H.check h).H.violations with
+  | [ (i, _) ] when i = inv -> ()
+  | _ ->
+    Alcotest.failf "expected exactly one %s, got [%s]" (H.invariant_name inv)
+      (String.concat "; " (violations h))
+
+(* session 1 acks (1,10) at v1 and (1,11) at v2, reads at v2, rolls
+   (1,99) back and leaves a two-row transaction ambiguous; a standby
+   session reads two prefixes *)
+let clean_history () =
+  let h = H.create () in
+  H.seen h ~session:1 0;
+  H.acked h ~session:1 ~version:1 ~count:1 [ ins 1 10 ];
+  H.acked h ~session:1 ~version:2 ~count:1 [ ins 1 11 ];
+  H.read h ~session:1 (H.At 2) ~table:"t" (H.Rows [ (1, 10); (1, 11) ]);
+  H.read h ~session:1 (H.At 2) ~table:"t" (H.Count 2);
+  H.refused h [ ins 1 99 ];
+  H.ambiguous h ~session:1 [ ins 2 20; ins 2 21 ];
+  H.read h ~session:2 H.Prefix ~table:"t" (H.Count 1);
+  H.read h ~session:2 H.Prefix ~table:"t" (H.Count 4);
+  h
+
+let read_at ?(session = 5) at result h = H.read h ~session at ~table:"t" result
+let final rows = read_at ~session:3 H.Final (H.Rows rows)
+
+let test_history_clean () =
+  List.iter
+    (fun rows ->
+      let h = clean_history () in
+      final rows h;
+      Alcotest.(check (list string)) "no violation" [] (violations h);
+      List.iter
+        (fun (inv, n) ->
+          if n = 0 then Alcotest.failf "%s judged nothing" (H.invariant_name inv))
+        (H.check h).H.judged)
+    (* the ambiguous transaction landed whole, or not at all *)
+    [ [ (1, 10); (1, 11); (2, 20); (2, 21) ]; [ (1, 10); (1, 11) ] ]
+
+(* The second greeting reports an older snapshot than the last OK. *)
+let test_history_snapshot_regressed () =
+  let h = H.create () in
+  H.seen_reply h ~session:4 [ Protocol.hello ~sid:1 ~snapshot:2 ];
+  H.seen_reply h ~session:4
+    (Protocol.ok_outcome ~snapshot:5 (Sqlgraph.Db.Inserted 1));
+  H.seen_reply h ~session:4 [ Protocol.hello ~sid:2 ~snapshot:3 ];
+  expect_only H.Snapshot_regressed h
+
+let broken_histories =
+  H.
+    [
+      ("lost ack", Acked_lost, [ final [ (1, 10); (2, 20); (2, 21) ] ]);
+      ("refused row survived", Refused_survived, [ final [ (1, 10); (1, 11); (1, 99) ] ]);
+      ("partial transaction", Partial_txn, [ final [ (1, 10); (1, 11); (2, 21) ] ]);
+      ("fabricated row", Fabricated, [ final [ (1, 10); (1, 11); (7, 7) ] ]);
+      ("stale read", Stale_read, [ read_at (At 2) (Rows [ (1, 10) ]) ]);
+      ("stale count", Stale_read, [ read_at (At 2) (Count 1) ]);
+      ("standby read below its last prefix", Stale_read, [ read_at ~session:2 Prefix (Count 1) ]);
+      ( "an ambiguous row the session saw, gone",
+        Stale_read,
+        [
+          read_at ~session:6 (At 3) (Count 4);
+          (fun h -> H.acked h ~session:1 ~version:4 ~count:1 [ ins 1 12 ]);
+          read_at ~session:6 (At 4) (Count 3);
+        ] );
+      ("future read", Future_read, [ read_at (At 1) (Rows [ (1, 10); (1, 11) ]) ]);
+      (* session 1 had seen v2 when it sent the transaction *)
+      ("a write sent after the version read", Future_read, [ read_at (At 2) (Count 3) ]);
+      ( "row count not conserved",
+        Conservation,
+        [ (fun h -> H.acked h ~session:1 ~version:3 ~count:1 [ Delete { table = "t"; key = 1 } ]) ] );
+    ]
 
 (* ---------------- byte-identity on a sim-mutated graph ---------------- *)
 
@@ -246,6 +338,17 @@ let () =
           Alcotest.test_case "latency percentiles" `Quick
             test_latencies_reported;
         ] );
+      ( "history",
+        Alcotest.test_case "clean history" `Quick test_history_clean
+        :: Alcotest.test_case "snapshot regressed across a reconnect" `Quick
+             test_history_snapshot_regressed
+        :: List.map
+             (fun (name, inv, steps) ->
+               Alcotest.test_case name `Quick (fun () ->
+                   let h = clean_history () in
+                   List.iter (fun step -> step h) steps;
+                   expect_only inv h))
+             broken_histories );
       ( "regression",
         [
           Alcotest.test_case "engines agree on mutated graph" `Quick

@@ -4,10 +4,7 @@
 module A = Sql.Ast
 module T = Sql.Token
 
-let check = Alcotest.check
-let tbool = Alcotest.bool
-let tint = Alcotest.int
-let tstr = Alcotest.string
+open Testjson.Support
 
 let tokens src = List.map (fun p -> p.Sql.Lexer.tok) (Sql.Lexer.tokenize src)
 

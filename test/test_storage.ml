@@ -3,10 +3,7 @@
 module V = Storage.Value
 module D = Storage.Dtype
 
-let check = Alcotest.check
-let tbool = Alcotest.bool
-let tint = Alcotest.int
-let tstr = Alcotest.string
+open Testjson.Support
 
 (* ------------------------------------------------------------------ *)
 (* Dtype                                                               *)

@@ -13,10 +13,7 @@ module J = Testjson.Json_support
 module Fault = Sqlgraph.Fault
 module Err = Sqlgraph.Error
 
-let check = Alcotest.check
-let tint = Alcotest.int
-
-let exec_exn db sql = ignore (Sqlgraph.Db.exec_exn db sql)
+open Testjson.Support
 
 (* Every test leaves the recorder disabled with the real clock, whatever
    happens inside. *)
